@@ -35,7 +35,7 @@ from .gfn import (
 )
 from .oracle import ExactDist, enumerate_trajectories, flow_check, policy_trajectory_probs, tv_distance
 from .policy import PolicyNet, encode_state, predict_log_z, sample_action
-from .reward_model import RewardModel, mine_hard_negatives, rm_score, rm_train
+from .reward_model import RewardModel, mine_hard_negatives, rm_train
 from .search import SearchConfig, SolveReport, best_first_search, evaluate_split
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "predict_log_z",
     "print_formula",
     "replay_forward",
-    "rm_score",
     "rm_train",
     "sample_action",
     "sample_trajectory",

@@ -18,15 +18,8 @@ import numpy as np
 from .corpus import Theorem
 from .env import ACTION_INDEX
 from .gfn import StepMetrics, TrainConfig, sample_trajectory
-from .nn import NonFiniteGradient, Tape, optim_step
-from .policy import (
-    HISTORY,
-    PolicyNet,
-    encode_from_parts,
-    log_prob_graph,
-    value_graph,
-    value_np,
-)
+from .nn import NonFiniteGradient, Tape, log_softmax_np, mlp_forward_np, optim_step
+from .policy import HISTORY, PolicyNet, encode_from_parts, head_graph, rows_graph
 
 
 @dataclass(frozen=True)
@@ -40,17 +33,13 @@ class PPOConfig:
         assert 0.0 < self.clip_eps < 1.0
 
 
-def gt_step_encodings(thm: Theorem) -> tuple[list[np.ndarray], list[int]]:
-    """History-augmented (encoding, gt action index) pairs along the proof."""
+def gt_step_encodings(thm: Theorem) -> tuple[np.ndarray, np.ndarray]:
+    """History-augmented encodings (one row per step) and gt action indices
+    along the proof."""
     from .gfn import trajectory_from_tactics
 
     gt = trajectory_from_tactics(thm, list(thm.gt_proof))
-    encs, actions = [], []
-    for i, t in enumerate(gt.tactics):
-        encs.append(encode_from_parts(gt.initial_state, gt.tactics[:i],
-                                      gt.proof_states[i], HISTORY))
-        actions.append(ACTION_INDEX[t])
-    return encs, actions
+    return gt.encodings(), np.array([ACTION_INDEX[t] for t in gt.tactics], dtype=np.intp)
 
 
 class SFTTrainer:
@@ -68,9 +57,7 @@ class SFTTrainer:
         self._pairs = {t.name: gt_step_encodings(t) for t in self.theorems}
 
     def train_step(self, thm: Theorem) -> StepMetrics:
-        encs, actions = self._pairs[thm.name]
-        x = np.stack(encs)
-        y = np.asarray(actions, dtype=np.intp)
+        x, y = self._pairs[thm.name]
         tape = Tape()
         from .reward_model import cross_entropy_graph
 
@@ -97,14 +84,12 @@ class SFTTrainer:
 
 def gt_top1_accuracy(net: PolicyNet, theorems: list[Theorem]) -> float:
     """Share of ground-truth steps where the gt action has the top logit."""
-    from .nn import mlp_forward_np
-
     hits = 0
     total = 0
     for thm in theorems:
-        encs, actions = gt_step_encodings(thm)
-        logits, _ = mlp_forward_np(net.store, np.stack(encs))
-        hits += int(np.sum(logits.argmax(axis=-1) == np.asarray(actions)))
+        x, actions = gt_step_encodings(thm)
+        logits, _ = mlp_forward_np(net.store, x)
+        hits += int(np.sum(logits.argmax(axis=-1) == actions))
         total += len(actions)
     return hits / total
 
@@ -112,7 +97,6 @@ def gt_top1_accuracy(net: PolicyNet, theorems: list[Theorem]) -> float:
 def greedy_decode(net: PolicyNet, thm: Theorem, max_depth: int = 3) -> list:
     """Follow argmax actions from the initial state (for overfit checks)."""
     from .env import ACTIONS, apply_tactic
-    from .nn import mlp_forward_np
 
     state = thm.initial_state
     history: list = []
@@ -139,22 +123,21 @@ def ppo_loss_graph(tape: Tape, net: PolicyNet, steps, old_logps, advantages,
     """Clipped-surrogate loss graph for one optimization epoch.
 
     ``steps`` holds (encoding, action index, return) triples collected under
-    the old policy; the ratio uses the stored old log-probs. Gradients pass
-    through the unclipped branch only where it is the smaller one, so a
-    clipped step contributes exactly zero policy gradient.
+    the old policy; the ratio uses the stored old log-probs. One taped
+    forward over the stacked steps feeds both the policy and the value head.
+    Gradients pass through the unclipped branch only where it is the smaller
+    one, so a clipped step contributes exactly zero policy gradient.
     """
-    surrogate_terms = []
-    value_sq_errors = []
-    for (enc, a, ret), old_lp, adv in zip(steps, old_logps, advantages):
-        lp = log_prob_graph(tape, net, enc, a)
-        ratio = tape.exp(tape.shift(lp, -old_lp))
-        unclipped = tape.scale(ratio, adv)
-        clipped = tape.scale(tape.clip(ratio, 1.0 - ppo.clip_eps, 1.0 + ppo.clip_eps), adv)
-        surrogate_terms.append(tape.minimum(unclipped, clipped))
-        v = value_graph(tape, net, enc)
-        value_sq_errors.append(tape.square(tape.shift(v, -ret)))
-    surrogate = tape.mean(tape.stack(surrogate_terms))
-    value_mse = tape.mean(tape.stack(value_sq_errors))
+    x = np.stack([enc for enc, _, _ in steps])
+    returns = np.array([ret for _, _, ret in steps], dtype=np.float64)
+    adv = np.asarray(advantages, dtype=np.float64)
+    lp, hidden = rows_graph(tape, net.store, x, [a for _, a, _ in steps])
+    ratio = tape.exp(tape.shift(lp, -np.asarray(old_logps, dtype=np.float64)))
+    unclipped = tape.scale(ratio, adv)
+    clipped = tape.scale(tape.clip(ratio, 1.0 - ppo.clip_eps, 1.0 + ppo.clip_eps), adv)
+    surrogate = tape.mean(tape.minimum(unclipped, clipped))
+    v = head_graph(tape, net.store, hidden, "wv", "bv")
+    value_mse = tape.mean(tape.square(tape.shift(v, -returns)))
     loss = tape.add(tape.neg(surrogate), tape.scale(value_mse, ppo.value_coef))
     return loss, surrogate, value_mse
 
@@ -198,10 +181,18 @@ class PPOTrainer:
                     # Monte-Carlo return: per-step reward is 0 except the
                     # terminal shaped log-reward
                     ret = self.ppo.discount ** (n - 1 - i) * traj.log_r
-                    enc = encode_from_parts(traj.initial_state, traj.tactics[:i],
-                                            traj.proof_states[i], HISTORY)
-                    steps.append((enc, ACTION_INDEX[t], ret))
+                    steps.append((traj.step_encodings[i], ACTION_INDEX[t], ret))
         return steps, envs[0], rewards, logpfs
+
+    def old_policy_terms(self, steps) -> tuple[np.ndarray, np.ndarray]:
+        """Old log-probs of the taken actions and advantages (return minus
+        the value head), from one tape-free forward over the stacked steps."""
+        store = self.net.store
+        logits, hidden = mlp_forward_np(store, np.stack([enc for enc, _, _ in steps]))
+        actions = np.array([a for _, a, _ in steps], dtype=np.intp)
+        old_logps = log_softmax_np(logits)[np.arange(len(steps)), actions]
+        values = hidden @ store["wv"] + store["bv"]
+        return old_logps, np.array([ret for _, _, ret in steps]) - values
 
     def train_step(self, thms: list[Theorem] | Theorem) -> StepMetrics:
         if isinstance(thms, Theorem):
@@ -210,14 +201,7 @@ class PPOTrainer:
         steps, env_calls, rewards, logpfs = self._collect(thms)
         self.total_env_calls += env_calls
 
-        from .policy import action_log_probs
-
-        old_logps = []
-        advantages = []
-        for enc, a, ret in steps:
-            old_logps.append(float(action_log_probs(self.net, enc)[a]))
-            advantages.append(ret - value_np(self.net, enc))
-
+        old_logps, advantages = self.old_policy_terms(steps)
         last_loss = float("nan")
         skipped = False
         for _ in range(ppo.ppo_epochs):

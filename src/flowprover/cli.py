@@ -8,7 +8,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -128,7 +127,7 @@ def cmd_eval(args) -> int:
         encoding_mode=HISTORY_LESS if args.encoding == "history_less" else HISTORY,
         dedupe=not args.no_dedupe,
     )
-    report = evaluate_split(net, theorems, cfg, workers=args.workers)
+    report = evaluate_split(net, theorems, cfg)
     text = report.to_json()
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -169,24 +168,12 @@ def cmd_mine(args) -> int:
     split = _load_corpus(args.corpus)
     net = _load_policy(args.checkpoint)
     theorems = (split.valid if args.split == "valid" else split.train)[: args.limit or None]
-    tasks = [(net, thm, args.budget, args.rollouts, args.seed) for thm in theorems]
-    if args.workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            per_theorem = list(pool.map(_mine_task, tasks))
-    else:
-        per_theorem = [_mine_task(t) for t in tasks]
-    pairs = [p for chunk in per_theorem for p in chunk]
+    pairs = [p for thm in theorems
+             for p in mine_hard_negatives(net, thm, explore_budget=args.budget,
+                                          n_rollouts=args.rollouts, seed=args.seed)]
     save_labeled(pairs, args.out)
     print(f"wrote {len(pairs)} labeled tactics to {args.out}")
     return 0
-
-
-def _mine_task(task):
-    net, thm, budget, rollouts, seed = task
-    return mine_hard_negatives(net, thm, explore_budget=budget,
-                               n_rollouts=rollouts, seed=seed)
 
 
 def _load_corpus(corpus_dir: str):
@@ -251,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--encoding", choices=["history", "history_less"], default="history")
     p.add_argument("--no-dedupe", action="store_true")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eval)
 
@@ -278,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rollouts", type=int, default=16)
     p.add_argument("--limit", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_mine)
 

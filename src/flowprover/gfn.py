@@ -13,26 +13,35 @@ the batch mean of its square; the backward-policy term vanishes because the
 history-augmented encoding makes every state single-parent. (The loss is
 zero exactly at the reward-proportional optimum, which the enumeration
 oracle certifies.)
+
+The whole batch is one taped forward. Its rows are every step of every
+trajectory, stacked in batch order; log P_F is a segment sum of the rows'
+picked log-probabilities, one segment per trajectory. A trajectory's first
+row is its theorem's initial state with an empty history, which is exactly
+the log-Z head's input, so log Z is a row ``take`` of ``hidden @ wz + bz``
+at each trajectory's first row.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Theorem
 from .env import ACTION_INDEX, ProofState, Tactic, apply_tactic
-from .nn import NonFiniteGradient, OptimConfig, Tape, optim_step
+from .nn import NonFiniteGradient, OptimConfig, Tape, log_softmax_np, optim_step
 from .policy import (
+    ENC_DIM,
     HISTORY,
     PolicyNet,
-    action_log_probs,
+    action_logits,
+    action_mask,
     encode_from_parts,
-    log_prob_graph,
-    log_z_graph,
+    head_graph,
+    rows_graph,
     sample_action,
 )
 
@@ -48,6 +57,10 @@ BINARY = "binary"
 
 class InvalidLength(ValueError):
     """Mean tactic length reached the cap c; the shaping log would blow up."""
+
+
+class InvalidGroundTruth(ValueError):
+    """A theorem's ground-truth proof does not prove it."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,9 @@ class Trajectory:
 
     ``proof_states`` holds the states the tactics were applied in (index i
     is the state before tactic i), plus the resulting state when the rollout
-    did not end in an environment error.
+    did not end in an environment error. ``step_encodings`` optionally
+    carries the (len(tactics), ENC_DIM) history encodings of the steps, so
+    the loss graph need not encode them again; None means encode on use.
     """
 
     theorem_name: str
@@ -78,17 +93,20 @@ class Trajectory:
     log_pf: float
     log_r: float = 0.0
     source: str = "online"
+    step_encodings: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def initial_state(self) -> ProofState:
         return self.proof_states[0]
 
-    @property
-    def states(self) -> tuple[str, ...]:
-        rendered = tuple(s.render() for s in self.proof_states)
-        if self.outcome == ENV_ERROR:
-            return rendered + ("<error>",)
-        return rendered
+    def encodings(self) -> np.ndarray:
+        if self.step_encodings is not None:
+            return self.step_encodings
+        out = np.zeros((len(self.tactics), ENC_DIM))
+        for i in range(len(self.tactics)):
+            out[i] = encode_from_parts(self.initial_state, self.tactics[:i],
+                                       self.proof_states[i], HISTORY)
+        return out
 
     def __len__(self) -> int:
         return len(self.tactics)
@@ -216,12 +234,13 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
 
     tactics: list[Tactic] = []
     visited: list[ProofState] = [thm.initial_state]
+    encs = np.zeros((cfg.max_depth, ENC_DIM))
     state = thm.initial_state
     log_pf = 0.0
     outcome = DEPTH_EXHAUSTED
-    for _ in range(cfg.max_depth):
-        enc = encode_from_parts(thm.initial_state, tactics, state, HISTORY)
-        tactic, step_lp = sample_action(net, enc, temperature, rng, action_set=subset)
+    for i in range(cfg.max_depth):
+        encs[i] = encode_from_parts(thm.initial_state, tactics, state, HISTORY)
+        tactic, step_lp = sample_action(net, encs[i], temperature, rng, action_set=subset)
         log_pf += step_lp
         tactics.append(tactic)
         result = apply_tactic(state, tactic)
@@ -243,6 +262,7 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
         proof_states=tuple(visited),
         outcome=outcome,
         log_pf=log_pf,
+        step_encodings=encs[:len(tactics)],
     )
     traj.log_r = log_reward(traj, cfg.reward_spec, rm=rm)
     return traj
@@ -286,12 +306,11 @@ def replay_forward(net: PolicyNet, traj: Trajectory,
     the stored shape cannot be consistent with any replay.
     """
     _check_shape(traj)
+    mask = action_mask(action_set)
     total = 0.0
-    for i, t in enumerate(traj.tactics):
-        enc = encode_from_parts(traj.initial_state, traj.tactics[:i],
-                                traj.proof_states[i], HISTORY)
-        lps = _log_probs(net, enc, action_set)
-        total += lps[_pos(t, action_set)]
+    for enc, t in zip(traj.encodings(), traj.tactics):
+        logits = action_logits(net, enc)
+        total += log_softmax_np(logits if mask is None else logits + mask)[ACTION_INDEX[t]]
     return float(total)
 
 
@@ -302,19 +321,6 @@ def _check_shape(traj: Trajectory) -> None:
             f"trajectory for {traj.theorem_name!r} has {len(traj.proof_states)} "
             f"states for {len(traj.tactics)} tactics ({traj.outcome})"
         )
-
-
-def _log_probs(net: PolicyNet, enc: np.ndarray, action_set) -> np.ndarray:
-    return action_log_probs(net, enc, action_set=action_set)
-
-
-def _pos(tactic: Tactic, action_set) -> int:
-    idx = ACTION_INDEX[tactic]
-    if action_set is None:
-        return idx
-    where = np.nonzero(np.asarray(action_set) == idx)[0]
-    assert len(where) == 1, f"action {tactic} outside the restricted set"
-    return int(where[0])
 
 
 @dataclass
@@ -350,38 +356,27 @@ def tb_loss(batch: list[Trajectory], net: PolicyNet,
 
 
 def tb_loss_graph(tape: Tape, net: PolicyNet, batch: list[Trajectory],
-                  action_set: np.ndarray | None = None,
-                  encodings: dict | None = None):
-    """Build the TB loss graph; returns (loss Var, per-trajectory info)."""
-    log_z_nodes = {}
-    residuals = []
-    info = {"log_pf": [], "log_z": {}}
-    for traj in batch:
-        if traj.theorem_name not in log_z_nodes:
-            z_key = ("log_z", traj.theorem_name)
-            if encodings is not None and z_key in encodings:
-                enc0 = encodings[z_key]
-            else:
-                enc0 = encode_from_parts(traj.initial_state, (), traj.initial_state, HISTORY)
-            log_z_nodes[traj.theorem_name] = log_z_graph(tape, net, enc0)
-            info["log_z"][traj.theorem_name] = float(log_z_nodes[traj.theorem_name].value)
-        steps = []
-        for i, t in enumerate(traj.tactics):
-            key = (id(traj), i)
-            if encodings is not None and key in encodings:
-                enc = encodings[key]
-            else:
-                enc = encode_from_parts(traj.initial_state, traj.tactics[:i],
-                                        traj.proof_states[i], HISTORY)
-                if encodings is not None:
-                    encodings[key] = enc
-            steps.append(log_prob_graph(tape, net, enc, ACTION_INDEX[t], action_set))
-        log_pf = tape.add_n(steps)
-        info["log_pf"].append(float(log_pf.value))
-        delta = tape.shift(tape.add(log_z_nodes[traj.theorem_name], log_pf), -traj.log_r)
-        residuals.append(tape.square(delta))
-    loss = tape.mean(tape.stack(residuals))
-    return loss, info
+                  action_set: np.ndarray | None = None):
+    """Build the TB loss graph over one taped forward.
+
+    Returns (loss Var, info) where info holds the per-trajectory ``log_pf``
+    and ``log_z`` values. Raises ReplayDiverged on a trajectory whose shape
+    cannot be replayed (no tactics, or states that do not match them).
+    """
+    actions, seg, starts = [], [], []
+    for k, traj in enumerate(batch):
+        _check_shape(traj)
+        starts.append(len(actions))
+        actions += [ACTION_INDEX[t] for t in traj.tactics]
+        seg += [k] * len(traj.tactics)
+    x = np.concatenate([traj.encodings() for traj in batch])
+    picked, hidden = rows_graph(tape, net.store, x, actions, action_mask(action_set))
+    log_pf = tape.segment_sum(picked, seg, len(batch))
+    log_z = tape.take(head_graph(tape, net.store, hidden, "wz", "bz"), starts)
+    log_r = np.array([traj.log_r for traj in batch])
+    residual = tape.shift(tape.add(log_z, log_pf), -log_r)
+    loss = tape.mean(tape.square(residual))
+    return loss, {"log_pf": log_pf.value, "log_z": log_z.value}
 
 
 class GFNTrainer:
@@ -407,22 +402,13 @@ class GFNTrainer:
         self.grad_skips = 0
         # Ground-truth states and encodings never change; cache them up front.
         self._gt: dict[str, Trajectory] = {}
-        self._gt_enc: dict[str, list[np.ndarray]] = {}
-        self._enc0: dict[str, np.ndarray] = {}
         for thm in self.theorems:
             gt = trajectory_from_tactics(thm, list(thm.gt_proof))
-            assert gt.outcome == PROVED, f"ground truth for {thm.name} does not prove"
+            if gt.outcome != PROVED:
+                raise InvalidGroundTruth(f"ground truth for {thm.name} does not prove")
             gt.log_r = 0.0
+            gt.step_encodings = gt.encodings()
             self._gt[thm.name] = gt
-            self._gt_enc[thm.name] = [
-                encode_from_parts(gt.initial_state, gt.tactics[:i], gt.proof_states[i], HISTORY)
-                for i in range(len(gt.tactics))
-            ]
-            self._enc0[thm.name] = encode_from_parts(
-                thm.initial_state, (), thm.initial_state, HISTORY)
-
-    def _gt_trajectory(self, thm: Theorem) -> Trajectory:
-        return self._gt[thm.name]
 
     def train_step(self, thm: Theorem) -> StepMetrics:
         cfg = self.cfg
@@ -453,16 +439,11 @@ class GFNTrainer:
                 batch.append(traj)
                 self.buffer.add(traj)
 
-        encodings: dict = {("log_z", thm.name): self._enc0[thm.name]}
         if cfg.inject_gt:
-            gt = self._gt_trajectory(thm)
-            for i, enc in enumerate(self._gt_enc[thm.name]):
-                encodings[(id(gt), i)] = enc
-            batch.append(gt)
+            batch.append(self._gt[thm.name])
 
         tape = Tape()
-        loss, info = tb_loss_graph(tape, self.net, batch, action_set=subset,
-                                   encodings=encodings)
+        loss, info = tb_loss_graph(tape, self.net, batch, action_set=subset)
         grads = tape.backward(loss)
         skipped = False
         try:
@@ -480,7 +461,7 @@ class GFNTrainer:
             loss=float(loss.value),
             mean_log_r=float(np.mean([t.log_r for t in batch])),
             mean_log_pf=float(np.mean(info["log_pf"])),
-            log_z=info["log_z"][thm.name],
+            log_z=float(info["log_z"][0]),
             env_calls=env_counter[0],
             grad_skipped=skipped,
         )

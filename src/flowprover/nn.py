@@ -31,10 +31,11 @@ class ParamStore:
         self.adam_m: dict[str, np.ndarray] = {}
         self.adam_v: dict[str, np.ndarray] = {}
         self.step_count: int = 0
+        self._work: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def add(self, name: str, value: np.ndarray) -> None:
         assert name not in self.arrays, f"duplicate parameter {name!r}"
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.array(value, dtype=np.float64)  # own copy: updates are in place
         self.arrays[name] = arr
         self.adam_m[name] = np.zeros_like(arr)
         self.adam_v[name] = np.zeros_like(arr)
@@ -44,10 +45,19 @@ class ParamStore:
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
         assert name in self.arrays and self.arrays[name].shape == value.shape
-        self.arrays[name] = np.asarray(value, dtype=np.float64)
+        self.arrays[name] = np.array(value, dtype=np.float64)
 
     def names(self) -> list[str]:
         return list(self.arrays)
+
+    def work(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Two scratch arrays shaped like parameter ``name``, kept between
+        optimizer steps: an update then allocates nothing, and the
+        allocator does not hand pages back and fault them in again."""
+        if name not in self._work:
+            arr = self.arrays[name]
+            self._work[name] = (np.empty_like(arr), np.empty_like(arr))
+        return self._work[name]
 
     def fingerprint(self) -> str:
         import hashlib
@@ -145,18 +155,6 @@ class Tape:
             b._accum(_unbroadcast(g, b.value.shape))
         return self._node(a.value + b.value, bw)
 
-    def sub(self, a: Var, b: Var) -> Var:
-        def bw(g):
-            a._accum(_unbroadcast(g, a.value.shape))
-            b._accum(_unbroadcast(-g, b.value.shape))
-        return self._node(a.value - b.value, bw)
-
-    def mul(self, a: Var, b: Var) -> Var:
-        def bw(g):
-            a._accum(_unbroadcast(g * b.value, a.value.shape))
-            b._accum(_unbroadcast(g * a.value, b.value.shape))
-        return self._node(a.value * b.value, bw)
-
     def scale(self, a: Var, c: float) -> Var:
         def bw(g):
             a._accum(g * c)
@@ -171,21 +169,18 @@ class Tape:
         return self.scale(a, -1.0)
 
     def matmul(self, x: Var, w: Var) -> Var:
-        # x: (d,) or (B, d); w: (d, o)
+        # x: (d,) or (B, d); w: (d, o), or (d,) for a scalar head per row
         def bw(g):
-            if x.value.ndim == 1:
+            if w.value.ndim == 1:
+                x._accum(np.multiply.outer(g, w.value))
+                w._accum(np.dot(x.value.T, g))
+            elif x.value.ndim == 1:
                 x._accum(g @ w.value.T)
                 w._accum(np.outer(x.value, g))
             else:
                 x._accum(g @ w.value.T)
                 w._accum(x.value.T @ g)
         return self._node(x.value @ w.value, bw)
-
-    def dot(self, a: Var, b: Var) -> Var:
-        def bw(g):
-            a._accum(g * b.value)
-            b._accum(g * a.value)
-        return self._node(np.dot(a.value, b.value), bw)
 
     def tanh(self, a: Var) -> Var:
         out = np.tanh(a.value)
@@ -231,8 +226,8 @@ class Tape:
         return self._node(out, bw)
 
     def take(self, y: Var, idx) -> Var:
-        """Subset of a vector's entries (restricted action sets)."""
-        assert y.value.ndim == 1
+        """Entries of a vector, or rows of a matrix, at ``idx``; an index
+        may repeat, and its gradients then add up."""
         idx = np.asarray(idx, dtype=np.intp)
         def bw(g):
             full = np.zeros_like(y.value)
@@ -264,18 +259,13 @@ class Tape:
             a._accum(np.full_like(a.value, float(g) / n))
         return self._node(a.value.mean(), bw)
 
-    def stack(self, items: list[Var]) -> Var:
+    def segment_sum(self, a: Var, seg, n: int) -> Var:
+        """Sums of a vector's entries by segment: out[k] = sum of a[i] with
+        seg[i] == k, for k < n (entries added in index order)."""
+        seg = np.asarray(seg, dtype=np.intp)
         def bw(g):
-            for i, item in enumerate(items):
-                item._accum(g[i])
-        return self._node(np.stack([it.value for it in items]), bw)
-
-    def add_n(self, items: list[Var]) -> Var:
-        """Sum of scalar Vars."""
-        def bw(g):
-            for item in items:
-                item._accum(g)
-        return self._node(np.sum([it.value for it in items], axis=0), bw)
+            a._accum(g[seg])
+        return self._node(np.bincount(seg, weights=a.value, minlength=n), bw)
 
     # -- reverse sweep -------------------------------------------------------
 
@@ -284,7 +274,8 @@ class Tape:
 
         Re-runnable: grads are reset each call, so two calls agree exactly.
         """
-        assert loss.value.ndim == 0, "loss must be scalar"
+        if loss.value.ndim != 0:
+            raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
         for v in self._order:
             v.grad = None
         loss.grad = np.asarray(seed, dtype=np.float64)
@@ -354,11 +345,6 @@ def mlp_forward_np(store: ParamStore, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return h2 @ store["w3"] + store["b3"], h2
 
 
-def backward(tape: Tape, loss: Var, loss_grad: float = 1.0) -> dict[str, np.ndarray]:
-    """Module-level alias for the tape's reverse sweep."""
-    return tape.backward(loss, seed=loss_grad)
-
-
 # ---------------------------------------------------------------------------
 # Optimizer: global-norm clip then AdamW
 
@@ -386,6 +372,10 @@ def optim_step(store: ParamStore, grads: dict[str, np.ndarray],
     update (decoupled weight decay: p -= lr*wd*p in addition to the Adam
     step; bias-corrected moments). Returns the pre-clip gradient norm.
 
+    Parameters and moments are updated in place, through the store's
+    scratch arrays, in the same arithmetic order as
+    ``p - lr*m_hat/(sqrt(v_hat)+eps) - lr*wd*p``.
+
     Raises NonFiniteGradient (and changes nothing) on NaN/Inf gradients.
     """
     for name, g in grads.items():
@@ -399,16 +389,29 @@ def optim_step(store: ParamStore, grads: dict[str, np.ndarray],
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
     for name in store.names():
-        g = grads.get(name)
-        g = np.zeros_like(store[name]) if g is None else g * factor
-        m = store.adam_m[name]
-        v = store.adam_v[name]
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p = store.arrays[name]
-        store.arrays[name] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps) - cfg.lr * cfg.weight_decay * p
+        p, m, v = store.arrays[name], store.adam_m[name], store.adam_v[name]
+        a, b = store.work(name)
+        grad = grads.get(name)
+        if grad is None:
+            a.fill(0.0)
+        else:
+            np.multiply(grad, factor, out=a)  # a = g
+        m *= cfg.beta1
+        np.multiply(a, 1.0 - cfg.beta1, out=b)
+        m += b
+        a *= a
+        a *= 1.0 - cfg.beta2
+        v *= cfg.beta2
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += cfg.eps  # a = sqrt(v_hat) + eps
+        np.divide(m, bc1, out=b)
+        b *= cfg.lr
+        b /= a  # b = lr * m_hat / (sqrt(v_hat) + eps)
+        np.multiply(p, cfg.lr * cfg.weight_decay, out=a)  # a = decay, from p before the update
+        p -= b
+        p -= a
     return norm
 
 

@@ -11,6 +11,7 @@ model and for base-model evaluation) zeroes the last 100 dims.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from .corpus import Theorem
 from .env import ACTION_INDEX, ACTIONS, N_ACTIONS, ProofState, Tactic
-from .formulas import Atom, Formula, Implies
+from .formulas import Atom, Formula, Implies, formula_depth
 from .nn import (
     ParamStore,
     Tape,
@@ -42,6 +43,7 @@ HISTORY_LESS = "history_less"
 _HASH_PERSON = b"featmap1"  # fixed seed for the feature hash
 
 
+@functools.cache  # tokens come from a bounded feature grammar
 def _bin(token: str) -> int:
     digest = hashlib.blake2b(token.encode(), digest_size=8, person=_HASH_PERSON).digest()
     return int.from_bytes(digest, "big") % CUR_DIM
@@ -67,7 +69,7 @@ def _state_tokens(state: ProofState) -> list[str]:
     g = state.goals[0]
     toks.append(f"g0:n_hyps={len(g.hyps)}")
     toks.append(f"g0:tgt:root={_kind(g.target)}")
-    toks.append(f"g0:tgt:depth={_formula_depth(g.target)}")
+    toks.append(f"g0:tgt:depth={formula_depth(g.target)}")
     toks += _formula_tokens("g0:tgt", g.target)
     for k, (_, hf) in enumerate(g.hyps, start=1):
         toks.append(f"g0:h{k}:root={_kind(hf)}")
@@ -82,12 +84,6 @@ def _state_tokens(state: ProofState) -> list[str]:
         toks.append("g+:goal")
         toks.append(f"g+:tgt:root={_kind(g2.target)}")
     return toks
-
-
-def _formula_depth(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 1
-    return 1 + max(_formula_depth(f.lhs), _formula_depth(f.rhs))
 
 
 def _hash_bag(tokens: list[str]) -> np.ndarray:
@@ -198,30 +194,37 @@ def predict_log_z(net: PolicyNet, thm: Theorem) -> float:
     return float(np.dot(net.store["wz"], hidden) + net.store["bz"])
 
 
-# -- taped graph builders (training) ----------------------------------------
+# -- the batched loss-graph builder (training) ------------------------------
 
 
-def log_prob_graph(tape: Tape, net: PolicyNet, encoded: np.ndarray, action_idx: int,
-                   action_set: np.ndarray | None = None) -> Var:
-    """Taped log P(action | encoded state) at temperature 1."""
-    logits, _, _ = mlp_forward(net.store, encoded, tape)
-    if action_set is not None:
-        subset = np.asarray(action_set, dtype=np.intp)
-        pos = int(np.nonzero(subset == action_idx)[0][0])
-        return tape.gather(tape.log_softmax(tape.take(logits, subset)), pos)
-    return tape.gather(tape.log_softmax(logits), action_idx)
+def action_mask(action_set) -> np.ndarray | None:
+    """Additive logit mask over the 36 actions: 0 inside ``action_set``,
+    -inf outside, so a log-softmax renormalises over the subset; None for
+    the full action space."""
+    if action_set is None:
+        return None
+    mask = np.full(N_ACTIONS, -np.inf)
+    mask[np.asarray(action_set, dtype=np.intp)] = 0.0
+    return mask
 
 
-def log_z_graph(tape: Tape, net: PolicyNet, encoded_initial: np.ndarray) -> Var:
-    _, hidden, _ = mlp_forward(net.store, encoded_initial, tape)
-    return tape.add(tape.dot(tape.param(net.store, "wz"), hidden), tape.param(net.store, "bz"))
+def rows_graph(tape: Tape, store: ParamStore, x: np.ndarray, actions,
+               mask: np.ndarray | None = None) -> tuple[Var, Var]:
+    """One taped forward over stacked rows ``x`` (n_rows, ENC_DIM).
+
+    Returns the temperature-1 log-probability of each row's action (under
+    the optional additive logit ``mask``) and the last hidden layer. Every
+    training loss (TB, PPO, SFT, reward model) is built on it. Raises
+    ValueError when an action lies outside the mask's action set.
+    """
+    if mask is not None and np.isneginf(mask[np.asarray(actions, dtype=np.intp)]).any():
+        raise ValueError("an action lies outside the restricted action set")
+    logits, hidden, _ = mlp_forward(store, x, tape)
+    if mask is not None:
+        logits = tape.shift(logits, mask)
+    return tape.gather(tape.log_softmax(logits), actions), hidden
 
 
-def value_graph(tape: Tape, net: PolicyNet, encoded: np.ndarray) -> Var:
-    _, hidden, _ = mlp_forward(net.store, encoded, tape)
-    return tape.add(tape.dot(tape.param(net.store, "wv"), hidden), tape.param(net.store, "bv"))
-
-
-def value_np(net: PolicyNet, encoded: np.ndarray) -> float:
-    _, hidden = mlp_forward_np(net.store, encoded)
-    return float(np.dot(net.store["wv"], hidden) + net.store["bv"])
+def head_graph(tape: Tape, store: ParamStore, hidden: Var, w: str, b: str) -> Var:
+    """Linear scalar head on the last hidden layer: ``hidden @ w + b``."""
+    return tape.add(tape.matmul(hidden, tape.param(store, w)), tape.param(store, b))

@@ -29,11 +29,10 @@ from .nn import (
     Tape,
     init_mlp,
     log_softmax_np,
-    mlp_forward,
     mlp_forward_np,
     optim_step,
 )
-from .policy import ENC_DIM, HISTORY_LESS, encode_from_parts
+from .policy import ENC_DIM, HISTORY_LESS, encode_from_parts, rows_graph
 
 logger = logging.getLogger(__name__)
 
@@ -79,10 +78,6 @@ class RewardModel:
         return cls(store=store, hidden=store["w2"].shape[0])
 
 
-def rm_score(rm: RewardModel, state: ProofState, tactic: Tactic) -> float:
-    return rm.score(state, tactic)
-
-
 def gt_pairs(theorems: list[Theorem]) -> tuple[np.ndarray, np.ndarray]:
     """All (history-less encoded state, ground-truth action index) pairs."""
     xs, ys = [], []
@@ -99,8 +94,7 @@ def gt_pairs(theorems: list[Theorem]) -> tuple[np.ndarray, np.ndarray]:
 
 def cross_entropy_graph(tape: Tape, store: ParamStore, x: np.ndarray, y: np.ndarray):
     """Mean negative log-likelihood over a batch of encoded states."""
-    logits, _, _ = mlp_forward(store, x, tape)
-    picked = tape.gather(tape.log_softmax(logits), y)
+    picked, _ = rows_graph(tape, store, x, y)
     return tape.neg(tape.mean(picked))
 
 

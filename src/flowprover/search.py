@@ -24,6 +24,10 @@ from .policy import HISTORY, HISTORY_LESS, PolicyNet, action_logits, encode_from
 from .nn import log_softmax_np
 
 
+class BogusProof(RuntimeError):
+    """Search returned a proof that does not replay to proved."""
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     branching: int = 8
@@ -104,28 +108,16 @@ def search_from_state(net: PolicyNet, root: ProofState, cfg: SearchConfig) -> Se
     return SearchOutcome(False, None, expansions)
 
 
-def evaluate_split(net: PolicyNet, split: list[Theorem], cfg: SearchConfig,
-                   workers: int = 1) -> SolveReport:
+def evaluate_split(net: PolicyNet, split: list[Theorem], cfg: SearchConfig) -> SolveReport:
     """Run best-first search on every theorem; any returned proof is
-    re-verified through the environment before it counts.
-
-    Searches are independent per theorem; ``workers > 1`` fans them out over
-    processes. Results aggregate in input order, so the report is identical
-    at any worker count.
-    """
-    if workers > 1 and len(split) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_search_task, [(net, thm, cfg) for thm in split]))
-    else:
-        outcomes = [best_first_search(net, thm, cfg) for thm in split]
-
+    re-verified through the environment before it counts (BogusProof if it
+    does not replay to proved)."""
     report = SolveReport(solved=0, total=len(split))
-    for thm, outcome in zip(split, outcomes):
+    for thm in split:
+        outcome = best_first_search(net, thm, cfg)
         if outcome.proved:
-            assert replay(thm.initial_state, list(outcome.proof)).proved, \
-                f"search returned a bogus proof for {thm.name}"
+            if not replay(thm.initial_state, list(outcome.proof)).proved:
+                raise BogusProof(f"search returned a bogus proof for {thm.name}")
             report.solved += 1
         report.per_theorem.append({
             "name": thm.name,
@@ -135,8 +127,3 @@ def evaluate_split(net: PolicyNet, split: list[Theorem], cfg: SearchConfig,
             "proof": [t.render() for t in outcome.proof] if outcome.proof else None,
         })
     return report
-
-
-def _search_task(args) -> SearchOutcome:
-    net, thm, cfg = args
-    return best_first_search(net, thm, cfg)

@@ -183,10 +183,7 @@ class TestPPOTrainer:
         net = PolicyNet.create(seed=9, with_value_head=True)
         trainer = PPOTrainer([thm], net, TrainConfig(mode="ppo"), seed=10)
         steps, _, _, _ = trainer._collect([thm])
-        from flowprover.policy import action_log_probs, value_np
-
-        old_logps = [float(action_log_probs(net, enc)[a]) for enc, a, _ in steps]
-        advantages = [ret - value_np(net, enc) for enc, _, ret in steps]
+        old_logps, advantages = trainer.old_policy_terms(steps)
         tape = Tape()
         _, surrogate, _ = ppo_loss_graph(tape, net, steps, old_logps, advantages,
                                          PPOConfig())

@@ -374,6 +374,16 @@ class TestTrainStep:
         with pytest.raises(ValueError):
             GFNTrainer(thms, PolicyNet.create(seed=0), TrainConfig(mode="gfn"), rm=None)
 
+    def test_ground_truth_that_does_not_prove_is_refused(self):
+        from flowprover.corpus import Theorem
+        from flowprover.gfn import InvalidGroundTruth
+
+        thm = identity_theorem("a -> a")
+        bad = Theorem(name="bad", initial_state=thm.initial_state,
+                      gt_proof=(parse_tactic("intro"),))
+        with pytest.raises(InvalidGroundTruth):
+            GFNTrainer([bad], PolicyNet.create(seed=0), TrainConfig(mode="gfn_br_oo"))
+
     def test_oo_modes_force_replay_p_zero(self):
         assert TrainConfig(mode="gfn_oo", replay_p=0.7).replay_p == 0.0
         assert TrainConfig(mode="gfn_br_oo", replay_p=0.7).replay_p == 0.0

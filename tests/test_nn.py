@@ -60,10 +60,16 @@ class TestBackward:
         coeff = np.arange(5, dtype=float)
         tape = Tape()
         logits, hidden, _ = mlp_forward(store, x, tape)
-        loss = tape.dot(logits, tape.leaf(coeff))
+        loss = tape.matmul(logits, tape.leaf(coeff))
         grads = tape.backward(loss)
         assert np.allclose(grads["w3"], np.outer(hidden.value, coeff))
         assert np.allclose(grads["b3"], coeff)
+
+    def test_non_scalar_loss_raises(self):
+        tape = Tape()
+        logits, _, _ = mlp_forward(tiny_mlp(7), np.ones(7), tape)
+        with pytest.raises(ValueError):
+            tape.backward(logits)
 
     def test_two_backward_calls_identical(self):
         store = tiny_mlp(7)
@@ -91,7 +97,7 @@ class TestBackward:
         assert err < 1e-4
 
     def test_gradient_check_composite_ops(self):
-        # exercises exp, minimum, clip, stack, mean in one graph
+        # exercises exp, minimum, clip and a vector-weight matmul in one graph
         store = tiny_mlp(9)
         x = np.linspace(-1, 1, 7)
 
@@ -102,8 +108,8 @@ class TestBackward:
             lo = tape.scale(tape.clip(r, 0.05, 0.15), 3.0)
             hi = tape.scale(r, 3.0)
             m = tape.minimum(hi, lo)
-            v = tape.square(tape.shift(tape.dot(hidden, tape.leaf(np.ones(9))), -0.7))
-            loss = tape.mean(tape.stack([m, v]))
+            v = tape.square(tape.shift(tape.matmul(hidden, tape.leaf(np.ones(9))), -0.7))
+            loss = tape.scale(tape.add(m, v), 0.5)
             return loss, tape
 
         loss, tape = compute(store)
@@ -173,6 +179,40 @@ class TestOptimizer:
         s1, s2 = run(), run()
         for name in s1.names():
             assert np.array_equal(s1[name], s2[name])
+
+
+    def test_in_place_update_matches_out_of_place_reference(self):
+        def reference_step(params, moments, grads, cfg, t):
+            """The AdamW update written out of place, for comparison."""
+            norm = global_grad_norm(grads)
+            factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
+            bc1 = 1.0 - cfg.beta1 ** t
+            bc2 = 1.0 - cfg.beta2 ** t
+            for name, p in params.items():
+                g = grads[name] * factor
+                m, v = moments[name]
+                m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+                v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+                m_hat = m / bc1
+                v_hat = v / bc2
+                moments[name] = (m, v)
+                params[name] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps) \
+                    - cfg.lr * cfg.weight_decay * p
+
+        store = tiny_mlp(13)
+        store.add("bz", np.asarray(0.3))  # 0-d parameters update in place too
+        params = {k: v.copy() for k, v in store.arrays.items()}
+        moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
+        cfg = OptimConfig(lr=1e-2)
+        rng = np.random.default_rng(14)
+        for t in range(1, 51):
+            grads = {k: rng.normal(scale=0.4, size=v.shape) for k, v in params.items()}
+            optim_step(store, grads, cfg)
+            reference_step(params, moments, grads, cfg, t)
+            for name in params:
+                assert np.array_equal(store[name], params[name]), (t, name)
+                assert np.array_equal(store.adam_m[name], moments[name][0])
+                assert np.array_equal(store.adam_v[name], moments[name][1])
 
 
 class TestCheckpoint:

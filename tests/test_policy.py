@@ -12,8 +12,9 @@ from flowprover.policy import (
     action_log_probs,
     action_logits,
     encode_state,
-    log_z_graph,
+    head_graph,
     predict_log_z,
+    rows_graph,
     sample_action,
 )
 
@@ -160,7 +161,8 @@ class TestLogZ:
 
         def compute(store):
             tape = Tape()
-            z = log_z_graph(tape, net, enc)
+            _, hidden = rows_graph(tape, store, enc[None, :], [0])
+            z = tape.take(head_graph(tape, store, hidden, "wz", "bz"), 0)
             loss = tape.square(tape.shift(z, -1.5))
             return loss, tape
 

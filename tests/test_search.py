@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -93,12 +97,30 @@ class TestEvaluateSplit:
         report = evaluate_split(PolicyNet.create(seed=0), [], SearchConfig())
         assert report.solved == 0 and report.total == 0
 
-    def test_parallel_workers_match_sequential(self, small_corpus):
-        net = PolicyNet.create(seed=11)
-        cfg = SearchConfig()
-        seq = evaluate_split(net, small_corpus.valid, cfg, workers=1)
-        par = evaluate_split(net, small_corpus.valid, cfg, workers=2)
-        assert seq.to_json() == par.to_json()
+    def test_bogus_proof_raises_under_optimized_python(self):
+        # the re-verification must hold with asserts stripped (python -O)
+        script = "\n".join([
+            "import flowprover.search as search",
+            "from flowprover.env import parse_tactic",
+            "from flowprover.policy import PolicyNet",
+            "from conftest import identity_theorem",
+            "assert False, 'asserts are live'",
+            "bogus = (parse_tactic('split'),)",
+            "search.best_first_search = lambda net, thm, cfg: search.SearchOutcome(True, bogus, 1)",
+            "try:",
+            "    search.evaluate_split(PolicyNet.create(seed=0), [identity_theorem('a -> a')],",
+            "                          search.SearchConfig())",
+            "except search.BogusProof as exc:",
+            "    print('BogusProof:', exc)",
+        ])
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = tests_dir.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src_dir), str(tests_dir), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("BogusProof: search returned a bogus proof for thm")
 
     def test_report_rows_match_split(self, small_corpus):
         net = PolicyNet.create(seed=6)
