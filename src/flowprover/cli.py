@@ -11,8 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import build_corpus, load_split, save_split
-from .gfn import RewardSpec, TrainConfig
+from .corpus import build_corpus, save_split
+from .env import N_ACTIONS
+from .gfn import BINARY, FULL_RM, RewardSpec, TrainConfig
 from .oracle import oracle_report, reports_to_json
 from .policy import HISTORY, HISTORY_LESS, PolicyNet
 from .reward_model import RewardModel, mine_hard_negatives, rm_train, save_labeled
@@ -41,18 +42,64 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_rm_train(args) -> int:
-    split = _load_corpus(args.corpus)
+    split, _ = _load_corpus(args.corpus)
     rm = rm_train(split, epochs=args.epochs, seed=args.seed)
     rm.save(args.out)
     print(f"reward model saved to {args.out}")
     return 0
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat key=value config lines, coerced to TrainConfig field types."""
-    import dataclasses
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
 
-    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+
+def _parse_choice(*choices: str):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {text!r}")
+        return text
+    return parse
+
+
+def _parse_action_set(text: str) -> tuple[int, ...]:
+    """Comma-separated distinct action indices, each in [0, N_ACTIONS)."""
+    indices = tuple(int(part) for part in text.split(","))
+    bad = [i for i in indices if not 0 <= i < N_ACTIONS]
+    if bad:
+        raise ValueError(f"action indices must lie in [0, {N_ACTIONS}), got {bad}")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"repeated action index in {text!r}")
+    return indices
+
+
+# One parser per TrainConfig field; each raises ValueError on a bad value.
+_CONFIG_PARSERS = {
+    "lr": float,
+    "clip_norm": float,
+    "total_steps": int,
+    "n_sampled": int,
+    "replay_p": float,
+    "temper_p": float,
+    "temper_low": float,
+    "temper_high": float,
+    "max_depth": int,
+    "mode": _parse_choice(*ALL_MODES),
+    "inject_gt": _parse_bool,
+    "buffer_capacity": int,
+    "reward_mode": _parse_choice(FULL_RM, BINARY),
+    "weight_decay": float,
+    "action_set": lambda text: None if text == "none" else _parse_action_set(text),
+}
+
+
+def _read_config_file(path: str) -> dict:
+    """Flat key=value config lines, each parsed by its TrainConfig field's
+    parser; a bad line is a usage error naming ``file:line``."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -61,19 +108,12 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             _usage_error(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in types:
+        if key not in _CONFIG_PARSERS:
             _usage_error(f"{path}:{lineno}: unknown config key {key!r}")
-        ftype = str(types[key])
-        if key == "action_set":
-            out[key] = tuple(int(x) for x in value.split(",")) if value != "none" else None
-        elif "bool" in ftype:
-            out[key] = value.lower() in ("1", "true", "yes")
-        elif "int" in ftype:
-            out[key] = int(value)
-        elif "float" in ftype:
-            out[key] = float(value)
-        else:
-            out[key] = value
+        try:
+            out[key] = _CONFIG_PARSERS[key](value)
+        except ValueError as exc:
+            _usage_error(f"{path}:{lineno}: bad value for {key}: {exc}")
     return out
 
 
@@ -81,14 +121,10 @@ def cmd_train(args) -> int:
     mode = args.mode.replace("-", "_")
     if mode not in ALL_MODES:
         _usage_error(f"unknown mode {args.mode}")
-    split, digest = _load_corpus_with_hash(args.corpus)
-    rm = None
-    if mode in ("gfn", "gfn_oo"):
-        if not args.rm:
-            _usage_error(f"mode {args.mode} requires --rm (trained reward model checkpoint)")
-        rm = RewardModel.load(args.rm)
-    elif args.rm:
-        rm = RewardModel.load(args.rm)
+    split, digest = _load_corpus(args.corpus)
+    if mode in ("gfn", "gfn_oo") and not args.rm:
+        _usage_error(f"mode {args.mode} requires --rm (trained reward model checkpoint)")
+    rm = _load_reward_model(args.rm) if args.rm else None
 
     overrides = {}
     if args.config:
@@ -118,7 +154,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    split = _load_corpus(args.corpus)
+    split, _ = _load_corpus(args.corpus)
     theorems = split.valid if args.split == "valid" else split.train
     net = _load_policy(args.checkpoint)
     cfg = SearchConfig(
@@ -137,15 +173,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    split = _load_corpus(args.theorems)
+    action_set = None
+    if args.action_set:
+        try:
+            action_set = _parse_action_set(args.action_set)
+        except ValueError as exc:
+            _usage_error(f"--action-set: {exc}")
+    if args.reward == FULL_RM and not args.rm:
+        _usage_error("--reward full_rm requires --rm (trained reward model checkpoint)")
+    split, _ = _load_corpus(args.theorems)
     theorems = split.valid if args.split == "valid" else split.train
     if args.limit:
         theorems = theorems[: args.limit]
     net = _load_policy(args.checkpoint)
-    action_set = tuple(int(i) for i in args.action_set.split(",")) if args.action_set else None
+    rm = _load_reward_model(args.rm) if args.rm else None
     spec = RewardSpec(mode=args.reward)
     reports = [
-        oracle_report(net, thm, max_depth=args.max_depth, spec=spec, action_set=action_set)
+        oracle_report(net, thm, max_depth=args.max_depth, spec=spec, rm=rm,
+                      action_set=action_set)
         for thm in theorems
     ]
     text = reports_to_json(reports)
@@ -165,7 +210,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    split = _load_corpus(args.corpus)
+    split, _ = _load_corpus(args.corpus)
     net = _load_policy(args.checkpoint)
     theorems = (split.valid if args.split == "valid" else split.train)[: args.limit or None]
     pairs = [p for thm in theorems
@@ -177,17 +222,17 @@ def cmd_mine(args) -> int:
 
 
 def _load_corpus(corpus_dir: str):
-    path = Path(corpus_dir)
-    if not (path / "train.jsonl").exists():
-        _usage_error(f"no corpus at {path} (expected train.jsonl)")
-    return load_split(path)
-
-
-def _load_corpus_with_hash(corpus_dir: str):
+    """The corpus split and its content hash; a usage error when absent."""
     path = Path(corpus_dir)
     if not (path / "train.jsonl").exists():
         _usage_error(f"no corpus at {path} (expected train.jsonl)")
     return load_corpus_with_hash(path)
+
+
+def _load_reward_model(checkpoint: str) -> RewardModel:
+    if not Path(checkpoint).exists():
+        _usage_error(f"no reward model at {checkpoint}")
+    return RewardModel.load(checkpoint)
 
 
 def _load_policy(checkpoint: str) -> PolicyNet:
@@ -247,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=["train", "valid"], default="valid")
     p.add_argument("--limit", type=int, default=0)
     p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--reward", choices=["binary", "full_rm"], default="binary")
-    p.add_argument("--action-set", help="comma-separated action indices")
+    p.add_argument("--reward", choices=[BINARY, FULL_RM], default=BINARY)
+    p.add_argument("--rm", help="reward model checkpoint (required for --reward full_rm)")
+    p.add_argument("--action-set", help="comma-separated distinct action indices in 0..35")
     p.add_argument("--assert", dest="assert_proportional", action="store_true",
                    help="exit 1 unless every theorem meets the tolerances")
     p.add_argument("--tv-tol", type=float, default=0.05)

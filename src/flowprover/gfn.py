@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Theorem
-from .env import ACTION_INDEX, ProofState, Tactic, apply_tactic
+from .env import ACTION_INDEX, ACTIONS, ProofState, Tactic, apply_tactic
 from .nn import NonFiniteGradient, OptimConfig, Tape, log_softmax_np, optim_step
 from .policy import (
     ENC_DIM,
@@ -112,9 +112,21 @@ class Trajectory:
         return len(self.tactics)
 
 
+# Rendered length of every action, built once. Lengths are small exact
+# integers, so sums and means over them are exact.
+_TACTIC_CHARS: dict[Tactic, int] = {t: len(t.render()) for t in ACTIONS}
+
+
+def _tactic_chars(tactic) -> int:
+    """Rendered length; from the table for every tactic of the action space."""
+    n = _TACTIC_CHARS.get(tactic)
+    return len(tactic.render()) if n is None else n
+
+
 def mean_tactic_chars(tactics) -> float:
-    assert tactics, "trajectory must contain at least one tactic"
-    return float(np.mean([len(t.render()) for t in tactics]))
+    if not tactics:
+        raise ValueError("trajectory must contain at least one tactic")
+    return sum(map(_tactic_chars, tactics)) / len(tactics)
 
 
 def error_branch_log_reward(tactics, spec: RewardSpec) -> float:
@@ -131,11 +143,13 @@ def log_reward(traj: Trajectory, spec: RewardSpec, rm=None) -> float:
         return 0.0
     if traj.outcome == ENV_ERROR or spec.mode == BINARY:
         return error_branch_log_reward(traj.tactics, spec)
-    assert traj.outcome == DEPTH_EXHAUSTED
-    assert rm is not None, "full-reward mode needs a reward model for partial credit"
+    if traj.outcome != DEPTH_EXHAUSTED:
+        raise ValueError(f"unknown trajectory outcome {traj.outcome!r}")
+    if rm is None:
+        raise ValueError("full-reward mode needs a reward model for partial credit")
     total = 0.0
     for i, t in enumerate(traj.tactics):
-        total += rm.score(traj.proof_states[i], t) / len(t.render())
+        total += rm.score(traj.proof_states[i], t) / _tactic_chars(t)
     return total
 
 

@@ -2,6 +2,12 @@
 distribution R/Z, the policy's exact trajectory distribution, and flow
 consistency checks. This is the instrument that certifies the trained
 policy samples proofs proportionally to reward.
+
+The depth-first walk builds the trajectory tree once, over action indices.
+Everything after the walk reads that tree: one batched policy forward over
+its internal nodes gives every edge's log-probability, trajectory
+probabilities sum those down the tree, and subtree flows accumulate
+bottom-up over the same edges.
 """
 
 from __future__ import annotations
@@ -12,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Theorem
-from .env import ACTION_INDEX, ACTIONS, ProofState, Tactic, apply_tactic, parse_tactic
+from .env import ACTION_INDEX, ACTIONS, N_ACTIONS, ProofState, Tactic, apply_tactic
 from .gfn import DEPTH_EXHAUSTED, ENV_ERROR, PROVED, RewardSpec, Trajectory, log_reward
-from .nn import log_softmax_np
-from .policy import HISTORY, PolicyNet, action_logits, encode_from_parts
+from .nn import log_softmax_np, mlp_forward_np
+from .policy import HISTORY, PolicyNet, action_mask, encode_from_parts
 
 
 class MassLeak(RuntimeError):
@@ -28,6 +34,34 @@ class EnumeratedTrajectory:
     outcome: str
     log_r: float
     proof_states: tuple[ProofState, ...]  # state before each tactic
+    node: int = 0  # internal tree node the last tactic is taken from
+    action: int = -1  # action index of the last tactic
+
+
+@dataclass
+class TrajectoryTree:
+    """The trajectory tree over action indices.
+
+    Internal nodes are numbered parents first (the walk numbers them in
+    depth-first preorder); node 0 is the root, the initial state with an
+    empty history. Each node holds its tactic history and, when built by
+    the walk, its state. Edge e leaves node ``parents[e]`` by action
+    ``actions[e]`` and reaches internal node ``children[e]`` or, where that
+    is negative, the leaf of trajectory ``~children[e]``. A node's edges are
+    in child order.
+    """
+
+    histories: list[tuple[Tactic, ...]]
+    states: list[ProofState]  # empty for a tree rebuilt from a hand-built list
+    parents: np.ndarray
+    actions: np.ndarray
+    children: np.ndarray
+
+    @classmethod
+    def from_edges(cls, histories, states, edges) -> "TrajectoryTree":
+        """From (parent, action, child) triples."""
+        cols = np.array(edges, dtype=np.intp).reshape(-1, 3)
+        return cls(histories, states, cols[:, 0], cols[:, 1], cols[:, 2])
 
 
 @dataclass
@@ -36,6 +70,7 @@ class ExactDist:
 
     ``rewards`` may carry the raw reward values for hand-built toys where
     exp(log r) would lose the exactness the arithmetic checks rely on.
+    ``tree`` is the walk's trajectory tree; hand-built toys leave it None.
     """
 
     theorem: Theorem | None
@@ -46,6 +81,7 @@ class ExactDist:
     action_set: tuple[int, ...] | None = None
     max_depth: int = 3
     rewards: np.ndarray | None = None
+    tree: TrajectoryTree | None = None
 
 
 def enumerate_trajectories(thm: Theorem, max_depth: int = 3,
@@ -55,56 +91,70 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = 3,
     termination semantics as training rollouts (stop on proved / error /
     depth). Rewards go through the trainer's log_reward, so the oracle and
     the trainer can never disagree about R."""
-    actions = [ACTIONS[i] for i in action_set] if action_set is not None else list(ACTIONS)
+    indices = range(N_ACTIONS) if action_set is None else [int(a) for a in action_set]
     found: list[EnumeratedTrajectory] = []
+    histories: list[tuple[Tactic, ...]] = []
+    states: list[ProofState] = []
+    edges: list[tuple[int, int, int]] = []
 
-    def recurse(state: ProofState, prefix: tuple[Tactic, ...],
-                states: tuple[ProofState, ...]) -> None:
-        for tactic in actions:
+    def visit(state: ProofState, history: tuple[Tactic, ...],
+              before: tuple[ProofState, ...]) -> int:
+        node = len(states)
+        histories.append(history)
+        states.append(state)
+        before = before + (state,)
+        for a in indices:
+            tactic = ACTIONS[a]
             result = apply_tactic(state, tactic)
-            tacs = prefix + (tactic,)
-            pre_states = states + (state,)
-            if result.proved:
-                found.append(EnumeratedTrajectory(tacs, PROVED, 0.0, pre_states))
-            elif result.failed:
-                found.append(EnumeratedTrajectory(tacs, ENV_ERROR, 0.0, pre_states))
-            elif len(tacs) >= max_depth:
-                found.append(EnumeratedTrajectory(tacs, DEPTH_EXHAUSTED, 0.0, pre_states))
+            tacs = history + (tactic,)
+            if result.ok and len(tacs) < max_depth:
+                child = visit(result.state, tacs, before)
             else:
-                recurse(result.state, tacs, pre_states)
+                child = ~len(found)
+                if result.failed:
+                    outcome, traj_states = ENV_ERROR, before
+                else:
+                    outcome = PROVED if result.proved else DEPTH_EXHAUSTED
+                    traj_states = before + (ProofState(()) if result.proved else result.state,)
+                log_r = log_reward(Trajectory(thm.name, tacs, traj_states, outcome, 0.0),
+                                   spec, rm=rm)
+                found.append(EnumeratedTrajectory(tacs, outcome, log_r, before, node, a))
+            edges.append((node, a, child))
+        return node
 
-    recurse(thm.initial_state, (), ())
-    for t in found:
-        traj = Trajectory(
-            theorem_name=thm.name,
-            tactics=t.tactics,
-            proof_states=t.proof_states if t.outcome == ENV_ERROR
-            else t.proof_states + (_advance(t),),
-            outcome=t.outcome,
-            log_pf=0.0,
-        )
-        t.log_r = log_reward(traj, spec, rm=rm)
-
+    visit(thm.initial_state, (), ())
+    # The recursive closure refers to itself; dropping it frees the walk's
+    # lists on return instead of at the next cyclic garbage collection.
+    del visit
     log_rs = np.array([t.log_r for t in found])
     log_z = float(_logsumexp(log_rs))
-    target = np.exp(log_rs - log_z)
     return ExactDist(
         theorem=thm,
         trajectories=found,
         log_z=log_z,
-        target_probs=target,
+        target_probs=np.exp(log_rs - log_z),
         action_set=action_set,
         max_depth=max_depth,
+        tree=TrajectoryTree.from_edges(histories, states, edges),
     )
 
 
-def _advance(t: EnumeratedTrajectory) -> ProofState:
-    """Final state after the last tactic (for proved / depth-exhausted)."""
-    result = apply_tactic(t.proof_states[-1], t.tactics[-1])
-    if result.proved:
-        return ProofState(())
-    assert result.ok
-    return result.state
+def _tree_from_trajectories(trajectories: list[EnumeratedTrajectory]) -> TrajectoryTree:
+    """The prefix tree of a hand-built trajectory list, children in order of
+    first appearance; it carries no states."""
+    node_of: dict[tuple[Tactic, ...], int] = {(): 0}
+    edges = []
+    for j, t in enumerate(trajectories):
+        for i, tactic in enumerate(t.tactics):
+            prefix = t.tactics[: i + 1]
+            if i == len(t.tactics) - 1:
+                child = ~j
+            elif prefix not in node_of:
+                child = node_of[prefix] = len(node_of)
+            else:
+                continue
+            edges.append((node_of[t.tactics[:i]], ACTION_INDEX[tactic], child))
+    return TrajectoryTree.from_edges(list(node_of), [], edges)
 
 
 def _logsumexp(xs: np.ndarray) -> float:
@@ -112,33 +162,43 @@ def _logsumexp(xs: np.ndarray) -> float:
     return float(m + np.log(np.exp(xs - m).sum()))
 
 
+def _policy_pass(net: PolicyNet, dist: ExactDist) -> tuple[np.ndarray, np.ndarray]:
+    """Temperature-1 log-probabilities over the 36 actions (-inf outside a
+    restricted action set) and the last hidden layer, one row per internal
+    tree node, from one forward. Row 0 is the root, the log-Z head's input."""
+    if dist.theorem is None or dist.tree is None:
+        raise ValueError("needs a real theorem's enumeration from enumerate_trajectories")
+    tree, initial = dist.tree, dist.theorem.initial_state
+    x = np.stack([encode_from_parts(initial, history, state, HISTORY)
+                  for history, state in zip(tree.histories, tree.states)])
+    logits, hidden = mlp_forward_np(net.store, x)
+    mask = action_mask(dist.action_set)
+    return log_softmax_np(logits if mask is None else logits + mask), hidden
+
+
+def _trajectory_probs(dist: ExactDist, log_probs: np.ndarray) -> np.ndarray:
+    """Each listed trajectory's probability: edge log-probabilities summed
+    down the tree. Raises MassLeak when they do not account for all mass."""
+    tree = dist.tree
+    node_logp = np.zeros(len(tree.histories))
+    inner = np.flatnonzero(tree.children >= 0)
+    for e in inner[np.argsort(tree.children[inner])]:  # parents before children
+        parent = tree.parents[e]
+        node_logp[tree.children[e]] = node_logp[parent] + log_probs[parent, tree.actions[e]]
+    nodes = np.array([t.node for t in dist.trajectories], dtype=np.intp)
+    actions = np.array([t.action for t in dist.trajectories], dtype=np.intp)
+    probs = np.exp(node_logp[nodes] + log_probs[nodes, actions])
+    total = float(probs.sum())
+    if total < 1.0 - 1e-6:
+        raise MassLeak(f"policy probabilities sum to {total}, enumeration must be exhaustive")
+    return probs
+
+
 def policy_trajectory_probs(net: PolicyNet, dist: ExactDist) -> np.ndarray:
     """Exact probability of each enumerated trajectory under the policy at
     temperature 1. Enumeration is exhaustive, so these must account for all
     probability mass; raises MassLeak otherwise."""
-    assert dist.theorem is not None, "needs a real theorem's enumeration"
-    subset = np.asarray(dist.action_set, dtype=np.intp) if dist.action_set is not None else None
-    probs = np.empty(len(dist.trajectories))
-    cache: dict[tuple[Tactic, ...], np.ndarray] = {}
-    for j, t in enumerate(dist.trajectories):
-        logp = 0.0
-        for i, tactic in enumerate(t.tactics):
-            prefix = t.tactics[:i]
-            if prefix in cache:
-                lps = cache[prefix]
-            else:
-                enc = encode_from_parts(dist.theorem.initial_state, prefix,
-                                        t.proof_states[i], HISTORY)
-                logits = action_logits(net, enc)
-                lps = log_softmax_np(logits[subset] if subset is not None else logits)
-                cache[prefix] = lps
-            pos = ACTION_INDEX[tactic] if subset is None else int(
-                np.nonzero(subset == ACTION_INDEX[tactic])[0][0])
-            logp += float(lps[pos])
-        probs[j] = np.exp(logp)
-    total = float(probs.sum())
-    if total < 1.0 - 1e-6:
-        raise MassLeak(f"policy probabilities sum to {total}, enumeration must be exhaustive")
+    probs = _trajectory_probs(dist, _policy_pass(net, dist)[0])
     dist.policy_probs = probs
     return probs
 
@@ -148,11 +208,34 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
+def _flow_residuals(dist: ExactDist, tree: TrajectoryTree, edge_p: np.ndarray) -> np.ndarray:
+    """|F(parent) * P_F(edge) - F(child)| per edge, with leaf flows the
+    terminal rewards and each internal node's flow the sum of its children's
+    in child order, accumulated one depth level at a time from the deepest."""
+    if dist.rewards is not None:
+        leaf_flow = np.asarray(dist.rewards, dtype=np.float64)
+    else:
+        leaf_flow = np.exp(np.array([t.log_r for t in dist.trajectories]))
+    n_nodes = len(tree.histories)
+    level = np.array([len(h) for h in tree.histories], dtype=np.intp)[tree.parents]
+    leaf = tree.children < 0
+    child_flow = np.zeros(len(tree.children))
+    child_flow[leaf] = leaf_flow[~tree.children[leaf]]
+    node_flow = np.zeros(n_nodes)
+    for depth in range(int(level.max(initial=0)), -1, -1):
+        at = level == depth
+        inner = at & ~leaf
+        child_flow[inner] = node_flow[tree.children[inner]]
+        node_flow += np.bincount(tree.parents[at], weights=child_flow[at], minlength=n_nodes)
+    return np.abs(node_flow[tree.parents] * edge_p - child_flow)
+
+
 @dataclass
 class FlowCheckReport:
     max_residual: float
     n_edges: int
-    per_edge: list[tuple[tuple[str, ...], float]] = field(default_factory=list)
+    # (tactics from the root through the edge, residual) per edge
+    per_edge: list[tuple[tuple[Tactic, ...], float]] = field(default_factory=list)
 
 
 def flow_check(dist: ExactDist, net: PolicyNet | None = None,
@@ -166,66 +249,22 @@ def flow_check(dist: ExactDist, net: PolicyNet | None = None,
     probability vector over that node's taken edges, in child order) to
     check a hand-built policy instead of a network.
     """
-    # Build the prefix tree with terminal rewards at the leaves.
-    children: dict[tuple, list] = {(): []}
-    flows: dict[tuple, float] = {}
-    for j, t in enumerate(dist.trajectories):
-        key = tuple(x.render() for x in t.tactics)
-        flows[key] = float(dist.rewards[j]) if dist.rewards is not None \
-            else float(np.exp(t.log_r))
-        for i in range(len(key)):
-            parent, node = key[:i], key[: i + 1]
-            children.setdefault(parent, [])
-            if node not in children[parent]:
-                children[parent].append(node)
-            children.setdefault(node, [])
-
-    def flow(node: tuple) -> float:
-        if node in flows:
-            return flows[node]
-        flows[node] = sum(flow(c) for c in children[node])
-        return flows[node]
-
-    state_of: dict[tuple, ProofState] = {}
-    if net is not None:
-        assert dist.theorem is not None
-        for t in dist.trajectories:
-            key = tuple(x.render() for x in t.tactics)
-            for i, s in enumerate(t.proof_states):
-                state_of[key[:i]] = s
-
-    subset = np.asarray(dist.action_set, dtype=np.intp) if dist.action_set is not None else None
-    report = FlowCheckReport(max_residual=0.0, n_edges=0)
-    for parent in sorted(children, key=lambda k: (len(k), k)):
-        kids = children[parent]
-        if not kids:
-            continue
-        if edge_probs is not None:
-            probs = np.asarray(edge_probs[parent], dtype=np.float64)
-        else:
-            assert net is not None, "flow_check needs a net or explicit edge_probs"
-            tactics = tuple(parse_prefix(parent))
-            enc = encode_from_parts(dist.theorem.initial_state, tactics,
-                                    state_of[parent], HISTORY)
-            logits = action_logits(net, enc)
-            lps = log_softmax_np(logits[subset] if subset is not None else logits)
-            positions = []
-            for kid in kids:
-                idx = ACTION_INDEX[parse_tactic(kid[-1])]
-                positions.append(idx if subset is None else int(
-                    np.nonzero(subset == idx)[0][0]))
-            probs = np.exp(lps[positions])
-        f_parent = flow(parent)
-        for kid, p in zip(kids, probs):
-            residual = abs(f_parent * float(p) - flow(kid))
-            report.per_edge.append((kid, residual))
-            report.max_residual = max(report.max_residual, residual)
-            report.n_edges += 1
-    return report
-
-
-def parse_prefix(key: tuple) -> list[Tactic]:
-    return [parse_tactic(s) for s in key]
+    if net is None and edge_probs is None:
+        raise ValueError("flow_check needs a net or explicit edge_probs")
+    tree = dist.tree if dist.tree is not None else _tree_from_trajectories(dist.trajectories)
+    if edge_probs is not None:
+        edge_p = np.empty(len(tree.parents))
+        for node, history in enumerate(tree.histories):
+            key = tuple(t.render() for t in history)
+            edge_p[tree.parents == node] = np.asarray(edge_probs[key], dtype=np.float64)
+    else:
+        log_probs, _ = _policy_pass(net, dist)
+        edge_p = np.exp(log_probs[tree.parents, tree.actions])
+    residuals = _flow_residuals(dist, tree, edge_p)
+    keys = [tree.histories[c] if c >= 0 else dist.trajectories[~c].tactics
+            for c in tree.children.tolist()]
+    return FlowCheckReport(max_residual=float(residuals.max(initial=0.0)),
+                           n_edges=len(residuals), per_edge=list(zip(keys, residuals.tolist())))
 
 
 @dataclass
@@ -251,20 +290,19 @@ class OracleReport:
 def oracle_report(net: PolicyNet, thm: Theorem, max_depth: int = 3,
                   spec: RewardSpec = RewardSpec(mode="binary"), rm=None,
                   action_set: tuple[int, ...] | None = None) -> OracleReport:
-    """Full verification pass for one theorem."""
-    from .policy import predict_log_z
-
+    """Full verification pass for one theorem: one walk, one policy forward."""
     dist = enumerate_trajectories(thm, max_depth=max_depth, spec=spec, rm=rm,
                                   action_set=action_set)
-    probs = policy_trajectory_probs(net, dist)
-    flow = flow_check(dist, net=net)
+    log_probs, hidden = _policy_pass(net, dist)
+    tree = dist.tree
+    residuals = _flow_residuals(dist, tree, np.exp(log_probs[tree.parents, tree.actions]))
     return OracleReport(
         theorem=thm.name,
         n_trajectories=len(dist.trajectories),
         log_z=dist.log_z,
-        predicted_log_z=predict_log_z(net, thm),
-        tv_distance=tv_distance(probs, dist.target_probs),
-        max_flow_residual=flow.max_residual,
+        predicted_log_z=float(np.dot(net.store["wz"], hidden[0]) + net.store["bz"]),
+        tv_distance=tv_distance(_trajectory_probs(dist, log_probs), dist.target_probs),
+        max_flow_residual=float(residuals.max(initial=0.0)),
     )
 
 

@@ -157,34 +157,41 @@ def action_logits(net: PolicyNet, encoded: np.ndarray) -> np.ndarray:
     return logits
 
 
+def action_mask(action_set) -> np.ndarray | None:
+    """Additive logit mask over the 36 actions: 0 inside ``action_set``,
+    -inf outside, so a log-softmax renormalises over the subset; None for
+    the full action space."""
+    if action_set is None:
+        return None
+    mask = np.full(N_ACTIONS, -np.inf)
+    mask[np.asarray(action_set, dtype=np.intp)] = 0.0
+    return mask
+
+
 def action_log_probs(net: PolicyNet, encoded: np.ndarray,
                      action_set: np.ndarray | None = None) -> np.ndarray:
-    """Log probabilities at temperature 1, optionally renormalized over a
-    restricted action subset (indices into ACTIONS)."""
+    """Log probabilities over the 36 actions at temperature 1. With a
+    restricted ``action_set`` (indices into ACTIONS) the subset is
+    renormalised and every action outside it gets -inf."""
     logits = action_logits(net, encoded)
-    if action_set is None:
-        return log_softmax_np(logits)
-    return log_softmax_np(logits[np.asarray(action_set, dtype=np.intp)])
+    mask = action_mask(action_set)
+    return log_softmax_np(logits if mask is None else logits + mask)
 
 
 def sample_action(net: PolicyNet, encoded: np.ndarray, temperature: float,
                   rng: np.random.Generator,
                   action_set: np.ndarray | None = None) -> tuple[Tactic, float]:
-    """Sample from softmax(logits / T); the returned log-probability is
-    always the temperature-1 value (tempering drives exploration only)."""
-    assert temperature > 0.0
+    """Sample from softmax(logits / T), restricted to ``action_set`` when
+    given; the returned log-probability is always the temperature-1 value
+    (tempering drives exploration only). Raises ValueError unless T > 0."""
+    if not temperature > 0.0:
+        raise ValueError(f"sampling temperature must be positive, got {temperature}")
     logits = action_logits(net, encoded)
-    if action_set is not None:
-        subset = np.asarray(action_set, dtype=np.intp)
-        sub_logits = logits[subset]
-    else:
-        subset = None
-        sub_logits = logits
-    probs_t = softmax_np(sub_logits / temperature)
-    choice = int(rng.choice(len(sub_logits), p=probs_t))
-    log_pf = float(log_softmax_np(sub_logits)[choice])
-    action_idx = int(subset[choice]) if subset is not None else choice
-    return ACTIONS[action_idx], log_pf
+    mask = action_mask(action_set)
+    if mask is not None:
+        logits = logits + mask
+    choice = int(rng.choice(N_ACTIONS, p=softmax_np(logits / temperature)))
+    return ACTIONS[choice], float(log_softmax_np(logits)[choice])
 
 
 def predict_log_z(net: PolicyNet, thm: Theorem) -> float:
@@ -195,17 +202,6 @@ def predict_log_z(net: PolicyNet, thm: Theorem) -> float:
 
 
 # -- the batched loss-graph builder (training) ------------------------------
-
-
-def action_mask(action_set) -> np.ndarray | None:
-    """Additive logit mask over the 36 actions: 0 inside ``action_set``,
-    -inf outside, so a log-softmax renormalises over the subset; None for
-    the full action space."""
-    if action_set is None:
-        return None
-    mask = np.full(N_ACTIONS, -np.inf)
-    mask[np.asarray(action_set, dtype=np.intp)] = 0.0
-    return mask
 
 
 def rows_graph(tape: Tape, store: ParamStore, x: np.ndarray, actions,

@@ -144,6 +144,24 @@ class TestTrain:
                   "--config", str(cfg_file)])
         assert exc.value.code == 2
 
+    def test_config_file_bad_value_exits_2_naming_the_line(self, corpus_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "bad_value.cfg"
+        cfg_file.write_text("n_sampled = 3\nlr=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--mode", "sft", "--corpus", str(corpus_dir),
+                  "--steps", "2", "--out", str(tmp_path / "y"),
+                  "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert f"{cfg_file}:2: bad value for lr" in capsys.readouterr().err
+
+    def test_config_parsers_cover_every_field(self):
+        import dataclasses
+
+        from flowprover.cli import _CONFIG_PARSERS
+        from flowprover.gfn import TrainConfig
+
+        assert set(_CONFIG_PARSERS) == {f.name for f in dataclasses.fields(TrainConfig)}
+
 
 class TestEval:
     def test_budget_zero_solves_nothing(self, corpus_dir, checkpoint, tmp_path):
@@ -179,6 +197,28 @@ class TestOracle:
         assert len(rows) == 2
         assert set(rows[0]) == {"theorem", "n_trajectories", "log_Z", "predicted_log_Z",
                                 "tv_distance", "max_flow_residual"}
+
+    @pytest.mark.parametrize("action_set", ["1,x", "99", "-1", "0,0"])
+    def test_bad_action_set_exits_2(self, corpus_dir, checkpoint, action_set, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--checkpoint", str(checkpoint), "--theorems",
+                  str(corpus_dir), "--limit", "1", "--max-depth", "1",
+                  f"--action-set={action_set}"])
+        assert exc.value.code == 2
+        assert "--action-set" in capsys.readouterr().err
+
+    def test_full_rm_without_reward_model_exits_2(self, corpus_dir, checkpoint):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--checkpoint", str(checkpoint), "--theorems",
+                  str(corpus_dir), "--limit", "1", "--reward", "full_rm"])
+        assert exc.value.code == 2
+
+    def test_full_rm_with_reward_model(self, corpus_dir, checkpoint, rm_path, tmp_path):
+        out = tmp_path / "oracle_rm.json"
+        assert main(["oracle", "--checkpoint", str(checkpoint), "--theorems",
+                     str(corpus_dir), "--limit", "1", "--max-depth", "2",
+                     "--reward", "full_rm", "--rm", str(rm_path), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())) == 1
 
     def test_assert_fails_for_untrained_policy(self, corpus_dir, checkpoint):
         assert main(["oracle", "--checkpoint", str(checkpoint), "--theorems",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowprover.env import ProofState, initial_state, parse_tactic
+from flowprover.env import ACTIONS, ProofState, initial_state, parse_tactic
 from flowprover.gfn import (
     BINARY,
     DEPTH_EXHAUSTED,
@@ -18,6 +18,7 @@ from flowprover.gfn import (
     Trajectory,
     error_branch_log_reward,
     log_reward,
+    mean_tactic_chars,
     replay_forward,
     sample_trajectory,
     tb_loss,
@@ -78,6 +79,16 @@ class TestLogReward:
 
         with pytest.raises(InvalidLength):
             error_branch_log_reward([_FakeTactic(88)], RewardSpec())
+
+    def test_mean_length_table_matches_rendering(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            tactics = [ACTIONS[i] for i in rng.integers(0, len(ACTIONS), int(rng.integers(1, 4)))]
+            assert mean_tactic_chars(tactics) == float(np.mean([len(t.render()) for t in tactics]))
+
+    def test_mean_length_of_no_tactics_raises(self):
+        with pytest.raises(ValueError):
+            mean_tactic_chars([])
 
     def test_binary_mode_maps_depth_exhausted_to_error_branch(self):
         thm = identity_theorem("a -> a")

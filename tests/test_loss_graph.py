@@ -140,12 +140,13 @@ class TestActionMask:
         enc = encode_state(thm, (), thm.initial_state)
         subset = np.asarray(MICRO_ACTION_SET)
         mask = action_mask(MICRO_ACTION_SET)
-        expected = action_log_probs(net, enc, action_set=subset)
+        expected = log_softmax_np(action_logits(net, enc)[subset])  # renormalised subset
 
         masked = log_softmax_np(action_logits(net, enc) + mask)
         assert np.allclose(masked[subset], expected, rtol=0, atol=1e-12)
         outside = np.setdiff1d(np.arange(36), subset)
         assert np.all(masked[outside] == -np.inf)
+        assert np.array_equal(action_log_probs(net, enc, action_set=subset), masked)
 
         picked, _ = rows_graph(Tape(), net.store, np.stack([enc] * len(subset)), subset, mask)
         assert np.allclose(picked.value, expected, rtol=0, atol=1e-12)

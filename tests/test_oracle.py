@@ -1,9 +1,27 @@
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowprover.env import ACTIONS, apply_tactic, parse_tactic
+import flowprover.env as env_mod
+import flowprover.oracle as oracle_mod
+from flowprover.env import ACTION_INDEX, ACTIONS, ProofState, Tactic, apply_tactic, parse_tactic
+from flowprover.gfn import (
+    BINARY,
+    DEPTH_EXHAUSTED,
+    ENV_ERROR,
+    FULL_RM,
+    PROVED,
+    RewardSpec,
+    Trajectory,
+    log_reward,
+)
+from flowprover.nn import log_softmax_np
 from flowprover.oracle import (
     EnumeratedTrajectory,
     ExactDist,
@@ -15,7 +33,8 @@ from flowprover.oracle import (
     policy_trajectory_probs,
     tv_distance,
 )
-from flowprover.policy import PolicyNet
+from flowprover.policy import HISTORY, PolicyNet, action_logits, encode_from_parts, predict_log_z
+from flowprover.reward_model import RewardModel
 
 from conftest import MICRO_ACTION_SET, identity_theorem
 
@@ -154,3 +173,204 @@ class TestOracleReport:
         assert set(d) == {"theorem", "n_trajectories", "log_Z", "predicted_log_Z",
                           "tv_distance", "max_flow_residual"}
         assert 0.0 <= d["tv_distance"] <= 1.0
+
+
+# -- the one-pass oracle against a per-trajectory reference -----------------
+
+
+def reference_report(net, thm, max_depth, spec, rm=None, action_set=None) -> dict:
+    """The oracle the straightforward way: re-walk every trajectory for its
+    final state, encode and forward one tree node at a time, and key the
+    flow tree by rendered tactic prefixes."""
+    actions = [ACTIONS[i] for i in action_set] if action_set is not None else list(ACTIONS)
+    found = []  # (tactics, outcome, state before each tactic)
+
+    def recurse(state, prefix, before):
+        for tactic in actions:
+            result = apply_tactic(state, tactic)
+            tacs, pre = prefix + (tactic,), before + (state,)
+            if result.proved:
+                found.append((tacs, PROVED, pre))
+            elif result.failed:
+                found.append((tacs, ENV_ERROR, pre))
+            elif len(tacs) >= max_depth:
+                found.append((tacs, DEPTH_EXHAUSTED, pre))
+            else:
+                recurse(result.state, tacs, pre)
+
+    recurse(thm.initial_state, (), ())
+    log_rs = []
+    for tacs, outcome, pre in found:
+        states = pre
+        if outcome != ENV_ERROR:
+            last = apply_tactic(pre[-1], tacs[-1])
+            states = pre + (ProofState(()) if last.proved else last.state,)
+        log_rs.append(log_reward(Trajectory(thm.name, tacs, states, outcome, 0.0), spec, rm=rm))
+    log_rs = np.array(log_rs)
+    top = log_rs.max()
+    log_z = float(top + np.log(np.exp(log_rs - top).sum()))
+
+    subset = np.asarray(action_set) if action_set is not None else None
+
+    def node_log_probs(prefix, state):
+        logits = action_logits(net, encode_from_parts(thm.initial_state, prefix, state, HISTORY))
+        return log_softmax_np(logits if subset is None else logits[subset])
+
+    def position(tactic):
+        idx = ACTION_INDEX[tactic]
+        return idx if subset is None else int(np.nonzero(subset == idx)[0][0])
+
+    probs = []
+    for tacs, _, pre in found:
+        logp = 0.0
+        for i, tactic in enumerate(tacs):
+            logp += float(node_log_probs(tacs[:i], pre[i])[position(tactic)])
+        probs.append(np.exp(logp))
+
+    children, flows, state_of = {(): []}, {}, {}
+    for (tacs, _, pre), log_r in zip(found, log_rs):
+        key = tuple(t.render() for t in tacs)
+        flows[key] = float(np.exp(log_r))
+        for i in range(len(key)):
+            state_of[key[:i]] = pre[i]
+            kids = children.setdefault(key[:i], [])
+            if key[: i + 1] not in kids:
+                kids.append(key[: i + 1])
+            children.setdefault(key[: i + 1], [])
+
+    def flow(node):
+        if node not in flows:
+            flows[node] = sum(flow(c) for c in children[node])
+        return flows[node]
+
+    max_residual = 0.0
+    for parent, kids in children.items():
+        if kids:
+            lps = node_log_probs(tuple(parse_tactic(t) for t in parent), state_of[parent])
+            for kid in kids:
+                p = np.exp(lps[position(parse_tactic(kid[-1]))])
+                max_residual = max(max_residual, abs(flow(parent) * float(p) - flow(kid)))
+
+    return {"n_trajectories": len(found), "log_Z": log_z,
+            "predicted_log_Z": predict_log_z(net, thm),
+            "tv_distance": tv_distance(probs, np.exp(log_rs - log_z)),
+            "max_flow_residual": max_residual}
+
+
+def head_net(seed: int) -> PolicyNet:
+    """A random policy whose log-Z head is not zero."""
+    net = PolicyNet.create(seed=seed)
+    net.store["wz"] = np.random.default_rng(seed).normal(scale=0.3, size=net.hidden)
+    net.store["bz"] = np.asarray(0.7)
+    return net
+
+
+class TestOnePassMatchesReference:
+    @pytest.fixture(scope="class")
+    def theorems(self):
+        from flowprover.corpus import build_corpus
+
+        return build_corpus(5, train_size=20, valid_size=2).train
+
+    @pytest.mark.parametrize("action_set", [None, MICRO_ACTION_SET], ids=["full", "micro"])
+    @pytest.mark.parametrize("mode", [BINARY, FULL_RM])
+    def test_reports_agree(self, theorems, action_set, mode):
+        net = head_net(seed=21)
+        rm = RewardModel.create(seed=4) if mode == FULL_RM else None
+        spec = RewardSpec(mode=mode)
+        for thm in theorems:
+            got = oracle_report(net, thm, max_depth=3, spec=spec, rm=rm,
+                                action_set=action_set).to_dict()
+            want = reference_report(net, thm, 3, spec, rm=rm, action_set=action_set)
+            assert got["n_trajectories"] == want["n_trajectories"]
+            assert got["log_Z"] == want["log_Z"]
+            # The oracle reads log Z off row 0 of one batched forward; a
+            # batched matrix product may round a row differently from a
+            # single-row product, so the head output agrees to rounding.
+            assert got["predicted_log_Z"] == pytest.approx(want["predicted_log_Z"],
+                                                           rel=0, abs=1e-12)
+            for key in ("tv_distance", "max_flow_residual"):
+                assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12), key
+
+    @pytest.mark.parametrize("action_set", [None, MICRO_ACTION_SET], ids=["full", "micro"])
+    def test_public_steps_agree_with_the_report(self, theorems, action_set):
+        net = head_net(seed=24)
+        for thm in theorems[:5]:
+            report = oracle_report(net, thm, action_set=action_set)
+            dist = enumerate_trajectories(thm, action_set=action_set)
+            probs = policy_trajectory_probs(net, dist)
+            assert tv_distance(probs, dist.target_probs) == report.tv_distance
+            assert flow_check(dist, net=net).max_residual == report.max_flow_residual
+
+    def test_predicted_log_z_exact_on_a_zero_head(self, theorems):
+        net = PolicyNet.create(seed=22)  # log-Z head starts at zero, as after SFT
+        for thm in theorems[:5]:
+            assert oracle_report(net, thm).predicted_log_z == predict_log_z(net, thm)
+
+
+class TestOnePass:
+    def test_one_forward_one_encoding_per_node_no_rendering(self, monkeypatch):
+        from flowprover.corpus import build_corpus
+
+        net = head_net(seed=23)
+        theorems = build_corpus(6, train_size=6, valid_size=1).train
+        dists = [enumerate_trajectories(thm, max_depth=3) for thm in theorems]
+        calls = Counter()
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("mlp_forward_np", "encode_from_parts", "apply_tactic"):
+            spy(oracle_mod, name)
+        spy(Tactic, "render")
+        spy(env_mod, "parse_tactic")
+        assert not hasattr(oracle_mod, "parse_tactic")
+        for thm, dist in zip(theorems, dists):
+            calls.clear()
+            oracle_report(net, thm, max_depth=3)
+            assert calls["mlp_forward_np"] == 1
+            assert calls["encode_from_parts"] == len(dist.tree.histories)
+            assert calls["apply_tactic"] == len(dist.tree.parents)  # one per tree edge
+            assert calls["render"] == 0 and calls["parse_tactic"] == 0
+
+    def test_tree_edges_cover_every_trajectory_once(self):
+        thm = identity_theorem("a & b -> a & b")
+        dist = enumerate_trajectories(thm, max_depth=3)
+        tree = dist.tree
+        leaves = sorted(~c for c in tree.children.tolist() if c < 0)
+        assert leaves == list(range(len(dist.trajectories)))
+        for j, t in enumerate(dist.trajectories):
+            e = tree.children.tolist().index(~j)
+            assert (tree.parents[e], tree.actions[e]) == (t.node, t.action)
+            assert tree.histories[t.node] + (ACTIONS[t.action],) == t.tactics
+
+    def test_misuse_raises_under_optimized_python(self):
+        # the oracle's argument checks must hold with asserts stripped
+        script = "\n".join([
+            "import numpy as np",
+            "from flowprover.oracle import ExactDist, flow_check, policy_trajectory_probs",
+            "from flowprover.policy import PolicyNet",
+            "assert False, 'asserts are live'",
+            "dist = ExactDist(theorem=None, trajectories=[], log_z=0.0, target_probs=np.zeros(0))",
+            "for call in (lambda: flow_check(dist),",
+            "             lambda: policy_trajectory_probs(PolicyNet.create(seed=0), dist)):",
+            "    try:",
+            "        call()",
+            "    except ValueError as exc:",
+            "        print('ValueError:', exc)",
+        ])
+        src_dir = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src_dir), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "ValueError: flow_check needs a net or explicit edge_probs",
+            "ValueError: needs a real theorem's enumeration from enumerate_trajectories",
+        ]

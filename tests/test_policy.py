@@ -134,6 +134,25 @@ class TestSampling:
         sigma = np.sqrt(n * probs * (1 - probs))
         assert np.all(np.abs(counts - n * probs) <= 3.0 * sigma + 1.0)
 
+    def test_restricted_sampling_stays_in_the_set(self, thm):
+        net = PolicyNet.create(seed=6)
+        enc = encode_state(thm, (), thm.initial_state)
+        subset = np.array([0, 4, 12])
+        lps = action_log_probs(net, enc, action_set=subset)
+        rng = np.random.default_rng(3)
+        for temp in (0.5, 1.0):
+            for _ in range(50):
+                t, lp = sample_action(net, enc, temp, rng, action_set=subset)
+                assert ACTION_INDEX[t] in subset
+                assert lp == float(lps[ACTION_INDEX[t]])
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    def test_non_positive_temperature_raises(self, thm, temperature):
+        net = PolicyNet.create(seed=6)
+        enc = encode_state(thm, (), thm.initial_state)
+        with pytest.raises(ValueError):
+            sample_action(net, enc, temperature, np.random.default_rng(0))
+
     def test_reported_log_prob_is_temperature_one(self, thm):
         net = PolicyNet.create(seed=5)
         enc = encode_state(thm, (), thm.initial_state)
