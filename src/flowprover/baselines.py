@@ -4,9 +4,8 @@ SFT maximizes the likelihood of ground-truth actions under the
 history-augmented encoding (mean-reduced over proof steps, so losses are
 comparable across proof lengths) and never touches the environment. PPO
 collects rollouts at temperature 1, uses the terminal shaped log-reward as
-the Monte-Carlo return for every step (discount 1), advantage = return
-minus a learned state value, and maximizes the clipped surrogate minus a
-value MSE penalty.
+the Monte-Carlo return for every step, advantage = return minus a learned
+state value, and maximizes the clipped surrogate minus a value MSE penalty.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .corpus import Theorem
 from .env import ACTION_INDEX
-from .gfn import StepMetrics, TrainConfig, sample_trajectory
+from .gfn import StepMetrics, TrainConfig, ground_truth, sample_trajectory
 from .nn import NonFiniteGradient, Tape, log_softmax_np, mlp_forward_np, optim_step
 from .policy import HISTORY, PolicyNet, encode_from_parts, head_graph, rows_graph
 
@@ -27,7 +26,6 @@ class PPOConfig:
     clip_eps: float = 0.2
     ppo_epochs: int = 4
     value_coef: float = 0.5
-    discount: float = 1.0
 
     def __post_init__(self):
         assert 0.0 < self.clip_eps < 1.0
@@ -35,10 +33,8 @@ class PPOConfig:
 
 def gt_step_encodings(thm: Theorem) -> tuple[np.ndarray, np.ndarray]:
     """History-augmented encodings (one row per step) and gt action indices
-    along the proof."""
-    from .gfn import trajectory_from_tactics
-
-    gt = trajectory_from_tactics(thm, list(thm.gt_proof))
+    along the proof; raises gfn.InvalidGroundTruth if it does not prove."""
+    gt = ground_truth(thm)
     return gt.encodings(), np.array([ACTION_INDEX[t] for t in gt.tactics], dtype=np.intp)
 
 
@@ -176,12 +172,10 @@ class PPOTrainer:
                                          env_counter=envs)
                 rewards.append(traj.log_r)
                 logpfs.append(traj.log_pf)
-                n = len(traj.tactics)
                 for i, t in enumerate(traj.tactics):
                     # Monte-Carlo return: per-step reward is 0 except the
                     # terminal shaped log-reward
-                    ret = self.ppo.discount ** (n - 1 - i) * traj.log_r
-                    steps.append((traj.step_encodings[i], ACTION_INDEX[t], ret))
+                    steps.append((traj.step_encodings[i], ACTION_INDEX[t], traj.log_r))
         return steps, envs[0], rewards, logpfs
 
     def old_policy_terms(self, steps) -> tuple[np.ndarray, np.ndarray]:

@@ -11,13 +11,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import build_corpus, save_split
+from .corpus import CorpusError, build_corpus, corpus_hash, load_split, save_split
 from .env import N_ACTIONS
 from .gfn import BINARY, FULL_RM, RewardSpec, TrainConfig
+from .nn import CheckpointError
 from .oracle import oracle_report, reports_to_json
 from .policy import HISTORY, HISTORY_LESS, PolicyNet
 from .reward_model import RewardModel, mine_hard_negatives, rm_train, save_labeled
-from .runs import ALL_MODES, load_corpus_with_hash, run_training
+from .runs import ALL_MODES, run_training
 from .search import SearchConfig, evaluate_split
 
 
@@ -124,7 +125,7 @@ def cmd_train(args) -> int:
     split, digest = _load_corpus(args.corpus)
     if mode in ("gfn", "gfn_oo") and not args.rm:
         _usage_error(f"mode {args.mode} requires --rm (trained reward model checkpoint)")
-    rm = _load_reward_model(args.rm) if args.rm else None
+    rm = _load_checkpoint(RewardModel, args.rm) if args.rm else None
 
     overrides = {}
     if args.config:
@@ -156,7 +157,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     split, _ = _load_corpus(args.corpus)
     theorems = split.valid if args.split == "valid" else split.train
-    net = _load_policy(args.checkpoint)
+    net = _load_checkpoint(PolicyNet, args.checkpoint)
     cfg = SearchConfig(
         branching=args.branching,
         expansion_budget=args.budget,
@@ -185,8 +186,8 @@ def cmd_oracle(args) -> int:
     theorems = split.valid if args.split == "valid" else split.train
     if args.limit:
         theorems = theorems[: args.limit]
-    net = _load_policy(args.checkpoint)
-    rm = _load_reward_model(args.rm) if args.rm else None
+    net = _load_checkpoint(PolicyNet, args.checkpoint)
+    rm = _load_checkpoint(RewardModel, args.rm) if args.rm else None
     spec = RewardSpec(mode=args.reward)
     reports = [
         oracle_report(net, thm, max_depth=args.max_depth, spec=spec, rm=rm,
@@ -211,7 +212,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_mine(args) -> int:
     split, _ = _load_corpus(args.corpus)
-    net = _load_policy(args.checkpoint)
+    net = _load_checkpoint(PolicyNet, args.checkpoint)
     theorems = (split.valid if args.split == "valid" else split.train)[: args.limit or None]
     pairs = [p for thm in theorems
              for p in mine_hard_negatives(net, thm, explore_budget=args.budget,
@@ -222,23 +223,22 @@ def cmd_mine(args) -> int:
 
 
 def _load_corpus(corpus_dir: str):
-    """The corpus split and its content hash; a usage error when absent."""
+    """The corpus split and its content hash; a usage error when a file is
+    missing or invalid."""
     path = Path(corpus_dir)
-    if not (path / "train.jsonl").exists():
-        _usage_error(f"no corpus at {path} (expected train.jsonl)")
-    return load_corpus_with_hash(path)
+    try:
+        return load_split(path), corpus_hash(path)
+    except (CorpusError, OSError) as exc:
+        _usage_error(str(exc))
 
 
-def _load_reward_model(checkpoint: str) -> RewardModel:
-    if not Path(checkpoint).exists():
-        _usage_error(f"no reward model at {checkpoint}")
-    return RewardModel.load(checkpoint)
-
-
-def _load_policy(checkpoint: str) -> PolicyNet:
-    if not Path(checkpoint).exists():
-        _usage_error(f"no checkpoint at {checkpoint}")
-    return PolicyNet.load(checkpoint)
+def _load_checkpoint(cls, checkpoint: str):
+    """A PolicyNet or RewardModel; a usage error when the file is missing or
+    not a checkpoint of that network."""
+    try:
+        return cls.load(checkpoint)
+    except CheckpointError as exc:
+        _usage_error(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,6 @@ import numpy as np
 from .env import (
     ProofState,
     Tactic,
-    apply_tactic,
     initial_state,
     parse_tactic,
     replay,
@@ -31,6 +30,10 @@ from .formulas import And, Atom, Formula, Implies, Or, parse_formula, print_form
 
 class GenerationExhausted(RuntimeError):
     """Raised when repeated attempts fail to produce an acceptable theorem."""
+
+
+class CorpusError(ValueError):
+    """A corpus file line is not a theorem whose ground truth proves it."""
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,6 @@ def _random_formula(rng: np.random.Generator, depth: int) -> Formula:
         return _random_atom(rng)
     ctor = (Implies, And, Or)[int(rng.integers(3))]
     return ctor(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
-
-
-def _t(text: str) -> Tactic:
-    return parse_tactic(text)
 
 
 # Each template: (id, proof length, builder). The builder returns
@@ -128,25 +127,14 @@ ACHIEVABLE_PROOF_LENGTHS = tuple(sorted(_TEMPLATES))
 
 
 def filter_theorem(thm: Theorem, caps: FilterCaps = FilterCaps()) -> bool:
-    """True iff the proof and every intermediate state fit the corpus caps."""
+    """True iff the ground truth proves the theorem, and the proof and every
+    state it visits fit the corpus caps."""
     if len(thm.gt_proof) > caps.max_proof_len:
         return False
-    state = thm.initial_state
-    if len(state.render()) > caps.max_state_chars:
+    if any(len(t.render()) > caps.max_tactic_chars for t in thm.gt_proof):
         return False
-    for t in thm.gt_proof:
-        if len(t.render()) > caps.max_tactic_chars:
-            return False
-        step = apply_tactic(state, t)
-        if step.failed:
-            return False
-        if step.proved:
-            state = ProofState(())
-        else:
-            state = step.state
-        if len(state.render()) > caps.max_state_chars:
-            return False
-    return True
+    walk = replay(thm.initial_state, thm.gt_proof)
+    return walk.proved and all(len(s.render()) <= caps.max_state_chars for s in walk.states)
 
 
 def generate_theorem(rng: np.random.Generator, target_len: int, name: str = "thm",
@@ -163,13 +151,11 @@ def generate_theorem(rng: np.random.Generator, target_len: int, name: str = "thm
             break
         builder = templates[int(rng.integers(len(templates)))]
         goal, script = builder(rng)
-        proof = tuple(_t(s) for s in script)
+        proof = tuple(parse_tactic(s) for s in script)
         thm = Theorem(name=name, initial_state=initial_state(goal), gt_proof=proof)
         if len(proof) != target_len:
             continue
         if not filter_theorem(thm, caps):
-            continue
-        if not replay(thm.initial_state, list(proof)).proved:
             continue
         return thm
     raise GenerationExhausted(f"no theorem of proof length {target_len} after 100 attempts")
@@ -247,13 +233,24 @@ def save_split(split: CorpusSplit, out_dir: str | Path) -> str:
 
 
 def load_split(corpus_dir: str | Path) -> CorpusSplit:
+    """Read train.jsonl and valid.jsonl. Raises CorpusError naming
+    ``file:line`` on a line that does not parse, or whose ground truth does
+    not prove its goal."""
     out = Path(corpus_dir)
     split = CorpusSplit()
     for fname, bucket in (("train.jsonl", split.train), ("valid.jsonl", split.valid)):
         with open(out / fname) as fh:
-            for line in fh:
-                if line.strip():
-                    bucket.append(theorem_from_json(line))
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    thm = theorem_from_json(line)
+                except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                    raise CorpusError(f"{out / fname}:{lineno}: bad theorem: {exc!r}") from exc
+                if not replay(thm.initial_state, thm.gt_proof).proved:
+                    raise CorpusError(f"{out / fname}:{lineno}: ground truth for {thm.name} "
+                                      "does not prove it")
+                bucket.append(thm)
     return split
 
 

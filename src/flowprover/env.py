@@ -14,7 +14,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .formulas import And, Formula, Implies, Or, parse_formula, print_formula
+from .formulas import And, Formula, Implies, Or, print_formula
 
 H_MAX = 8  # hypothesis-argument cap; action space = 4 + 4*8 = 36
 
@@ -96,10 +96,6 @@ class Goal:
 @dataclass(frozen=True)
 class ProofState:
     goals: tuple[Goal, ...]
-
-    @property
-    def done(self) -> bool:
-        return not self.goals
 
     def render(self) -> str:
         if not self.goals:
@@ -235,19 +231,25 @@ def state_fingerprint(state: ProofState) -> int:
 PROVED_FINGERPRINT = state_fingerprint(ProofState(()))
 
 
-def replay(state: ProofState, tactics: list[Tactic] | tuple[Tactic, ...]) -> StepResult:
-    """Run a tactic sequence from ``state``; returns the final StepResult.
+@dataclass(frozen=True)
+class Replay(StepResult):
+    """Result of a tactic-list walk: the final kind, state and error, plus
+    ``states``, the state before each applied tactic followed, unless a
+    tactic failed, by the state reached (``ProofState(())`` once proved)."""
 
-    Stops early on error. An empty sequence on an open state returns Ok.
-    """
+    states: tuple[ProofState, ...] = ()
+
+
+def replay(state: ProofState, tactics: list[Tactic] | tuple[Tactic, ...]) -> Replay:
+    """Apply every tactic in order from ``state``, stopping at the first
+    error; a tactic after the proof closes fails with NO_GOALS. An empty
+    sequence returns Ok on ``state``. This is the one walk over a given
+    tactic list; the trainers, the reward model and the corpus read it."""
+    states = [state]
     result = StepResult(StepKind.OK, state=state)
     for t in tactics:
-        if not result.ok:
-            return result
-        result = apply_tactic(result.state, t)
-    return result
-
-
-def parse_goal_formula(text: str) -> ProofState:
-    """Initial proof state for a theorem statement given as formula text."""
-    return initial_state(parse_formula(text))
+        result = apply_tactic(states[-1], t)
+        if result.failed:
+            break
+        states.append(result.state if result.ok else ProofState(()))
+    return Replay(result.kind, result.state, result.error, tuple(states))

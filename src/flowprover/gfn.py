@@ -24,6 +24,7 @@ at each trajectory's first row.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from collections import deque
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Theorem
-from .env import ACTION_INDEX, ACTIONS, ProofState, Tactic, apply_tactic
+from .env import ACTION_INDEX, ACTIONS, ProofState, StepKind, Tactic, apply_tactic, replay
 from .nn import NonFiniteGradient, OptimConfig, Tape, log_softmax_np, optim_step
 from .policy import (
     ENC_DIM,
@@ -193,32 +194,26 @@ class TrainConfig:
         return np.asarray(self.action_set, dtype=np.intp)
 
 
-@dataclass
-class BufferEntry:
-    tactics: tuple[Tactic, ...]
-    proof_states: tuple[ProofState, ...]
-    outcome: str
-    log_r: float  # frozen at insertion; rewards are policy-independent
-
-
 class ReplayBuffer:
-    """Per-theorem FIFO ring buffers of finished trajectories."""
+    """Per-theorem FIFO ring buffers of finished trajectories. The loss graph
+    recomputes log P_F, so the stored log_pf is never read; step encodings
+    are dropped, since they would hold about 4 KB per entry."""
 
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
-        self._buffers: dict[str, deque[BufferEntry]] = {}
+        self._buffers: dict[str, deque[Trajectory]] = {}
         self.reads = 0
         self.writes = 0
 
     def add(self, traj: Trajectory) -> None:
         buf = self._buffers.setdefault(traj.theorem_name, deque(maxlen=self.capacity))
-        buf.append(BufferEntry(traj.tactics, traj.proof_states, traj.outcome, traj.log_r))
+        buf.append(dataclasses.replace(traj, source="replay", step_encodings=None))
         self.writes += 1
 
     def size(self, theorem_name: str) -> int:
         return len(self._buffers.get(theorem_name, ()))
 
-    def sample(self, theorem_name: str, k: int, rng: np.random.Generator) -> list[BufferEntry]:
+    def sample(self, theorem_name: str, k: int, rng: np.random.Generator) -> list[Trajectory]:
         """Uniform with replacement."""
         buf = self._buffers[theorem_name]
         picks = rng.integers(0, len(buf), size=k)
@@ -282,34 +277,33 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
     return traj
 
 
-def trajectory_from_tactics(thm: Theorem, tactics, source: str = "ground_truth",
-                            env_counter: list[int] | None = None) -> Trajectory:
-    """Build a trajectory by replaying a known tactic sequence (log_pf unset)."""
-    visited = [thm.initial_state]
-    state = thm.initial_state
-    outcome = DEPTH_EXHAUSTED
-    for t in tactics:
-        result = apply_tactic(state, t)
-        if env_counter is not None:
-            env_counter[0] += 1
-        if result.proved:
-            visited.append(ProofState(()))
-            outcome = PROVED
-            break
-        if result.failed:
-            outcome = ENV_ERROR
-            break
-        state = result.state
-        visited.append(state)
-    n = len(visited) - (0 if outcome == ENV_ERROR else 1)
+_OUTCOMES = {StepKind.PROVED: PROVED, StepKind.ERROR: ENV_ERROR, StepKind.OK: DEPTH_EXHAUSTED}
+
+
+def trajectory_from_tactics(thm: Theorem, tactics, source: str = "ground_truth") -> Trajectory:
+    """The trajectory of a known tactic sequence, through ``env.replay``
+    (log_pf unset). It holds the applied tactics: all of them, unless one
+    fails, in which case it ends with the failing one."""
+    walk = replay(thm.initial_state, tactics)
+    n = len(walk.states) - (0 if walk.failed else 1)
     return Trajectory(
         theorem_name=thm.name,
         tactics=tuple(tactics[:n]),
-        proof_states=tuple(visited),
-        outcome=outcome,
+        proof_states=walk.states,
+        outcome=_OUTCOMES[walk.kind],
         log_pf=0.0,
         source=source,
     )
+
+
+def ground_truth(thm: Theorem) -> Trajectory:
+    """The theorem's ground-truth trajectory (log_r 0); raises
+    InvalidGroundTruth unless every tactic applies and the last one closes
+    the proof."""
+    gt = trajectory_from_tactics(thm, thm.gt_proof)
+    if gt.outcome != PROVED:
+        raise InvalidGroundTruth(f"ground truth for {thm.name} does not prove it ({gt.outcome})")
+    return gt
 
 
 def replay_forward(net: PolicyNet, traj: Trajectory,
@@ -417,10 +411,7 @@ class GFNTrainer:
         # Ground-truth states and encodings never change; cache them up front.
         self._gt: dict[str, Trajectory] = {}
         for thm in self.theorems:
-            gt = trajectory_from_tactics(thm, list(thm.gt_proof))
-            if gt.outcome != PROVED:
-                raise InvalidGroundTruth(f"ground truth for {thm.name} does not prove")
-            gt.log_r = 0.0
+            gt = ground_truth(thm)
             gt.step_encodings = gt.encodings()
             self._gt[thm.name] = gt
 
@@ -436,16 +427,7 @@ class GFNTrainer:
         )
         batch: list[Trajectory] = []
         if use_replay:
-            for entry in self.buffer.sample(thm.name, cfg.n_sampled, self.rng):
-                batch.append(Trajectory(
-                    theorem_name=thm.name,
-                    tactics=entry.tactics,
-                    proof_states=entry.proof_states,
-                    outcome=entry.outcome,
-                    log_pf=0.0,  # recomputed in the loss graph
-                    log_r=entry.log_r,
-                    source="replay",
-                ))
+            batch += self.buffer.sample(thm.name, cfg.n_sampled, self.rng)
         else:
             for _ in range(cfg.n_sampled):
                 traj = sample_trajectory(thm, self.net, cfg, self.rng, rm=self.rm,

@@ -9,6 +9,7 @@ same operation order, same bits.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +18,15 @@ import numpy as np
 
 class NonFiniteGradient(FloatingPointError):
     """A gradient contained NaN/Inf; the optimizer refuses the update."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is not an npz archive, is not of version 1, or
+    lacks an entry."""
+
+
+# Parameter names of init_mlp's three layers.
+MLP_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +87,35 @@ class ParamStore:
         np.savez(path, **payload)
 
     @classmethod
-    def load(cls, path: str | Path) -> "ParamStore":
-        store = cls()
-        with np.load(path) as data:
-            assert int(data["__version__"][0]) == 1, "unknown checkpoint version"
+    def load(cls, path: str | Path, required: tuple[str, ...] = ()) -> "ParamStore":
+        """Read a checkpoint written by ``save``; raises CheckpointError on
+        anything else, or when a parameter named in ``required`` is absent."""
+        try:
+            data = np.load(path)
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise CheckpointError(f"{path}: not a checkpoint: {exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"{path}: not a checkpoint: not an npz archive")
+        with data:
+            files = set(data.files)
+            if "__version__" not in files:
+                raise CheckpointError(f"{path}: not a checkpoint: no __version__ entry")
+            version = data["__version__"]
+            if not np.array_equal(version, [1]):
+                raise CheckpointError(
+                    f"{path}: checkpoint version {version.tolist()}, expected [1]")
+            names = [key[2:] for key in data.files if key.startswith("p:")]
+            needed = ({"__step__"} | {f"p:{name}" for name in required}
+                      | {f"{kind}:{name}" for name in names for kind in "mv"})
+            missing = sorted(needed - files)
+            if missing:
+                raise CheckpointError(f"{path}: checkpoint lacks {', '.join(missing)}")
+            store = cls()
             store.step_count = int(data["__step__"][0])
-            for key in data.files:
-                if key.startswith("p:"):
-                    name = key[2:]
-                    store.arrays[name] = data[key].astype(np.float64)
-                    store.adam_m[name] = data[f"m:{name}"].astype(np.float64)
-                    store.adam_v[name] = data[f"v:{name}"].astype(np.float64)
+            for name in names:
+                store.arrays[name] = data[f"p:{name}"].astype(np.float64)
+                store.adam_m[name] = data[f"m:{name}"].astype(np.float64)
+                store.adam_v[name] = data[f"v:{name}"].astype(np.float64)
         return store
 
 

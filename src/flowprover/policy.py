@@ -22,6 +22,7 @@ from .corpus import Theorem
 from .env import ACTION_INDEX, ACTIONS, N_ACTIONS, ProofState, Tactic
 from .formulas import Atom, Formula, Implies, formula_depth
 from .nn import (
+    MLP_PARAMS,
     ParamStore,
     Tape,
     Var,
@@ -146,7 +147,7 @@ class PolicyNet:
 
     @classmethod
     def load(cls, path: str | Path) -> "PolicyNet":
-        store = ParamStore.load(path)
+        store = ParamStore.load(path, required=MLP_PARAMS + ("wz", "bz"))
         return cls(store=store, hidden=store["w2"].shape[0])
 
 

@@ -23,7 +23,9 @@ from .env import (
     apply_tactic,
     state_fingerprint,
 )
+from .gfn import PROVED, TrainConfig, ground_truth, sample_trajectory
 from .nn import (
+    MLP_PARAMS,
     OptimConfig,
     ParamStore,
     Tape,
@@ -74,21 +76,19 @@ class RewardModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "RewardModel":
-        store = ParamStore.load(path)
+        store = ParamStore.load(path, required=MLP_PARAMS)
         return cls(store=store, hidden=store["w2"].shape[0])
 
 
 def gt_pairs(theorems: list[Theorem]) -> tuple[np.ndarray, np.ndarray]:
-    """All (history-less encoded state, ground-truth action index) pairs."""
+    """All (history-less encoded state, ground-truth action index) pairs;
+    raises gfn.InvalidGroundTruth on a ground truth that does not prove."""
     xs, ys = [], []
     for thm in theorems:
-        state = thm.initial_state
-        for t in thm.gt_proof:
+        gt = ground_truth(thm)
+        for state, t in zip(gt.proof_states, gt.tactics):
             xs.append(encode_from_parts(state, (), state, HISTORY_LESS))
             ys.append(ACTION_INDEX[t])
-            result = apply_tactic(state, t)
-            assert not result.failed, f"ground truth for {thm.name} fails at {t}"
-            state = result.state if result.ok else ProofState(())
     return np.stack(xs), np.asarray(ys, dtype=np.intp)
 
 
@@ -156,7 +156,6 @@ def mine_hard_negatives(net, thm: Theorem, explore_budget: int,
     contributed nothing); no proof marks it negative. Error tactics are not
     labelable and are skipped.
     """
-    from .gfn import PROVED, TrainConfig, sample_trajectory
     from .search import SearchConfig, search_from_state
 
     cfg = TrainConfig(mode="gfn_br_oo")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import PPOConfig, PPOTrainer, SFTTrainer
-from .corpus import CorpusSplit, corpus_hash, load_split
+from .corpus import CorpusSplit
 from .gfn import GFNTrainer, StepMetrics, TrainConfig
 from .policy import HISTORY, PolicyNet
 from .reward_model import RewardModel
@@ -59,10 +59,6 @@ class RunResult:
     total_env_calls: int
     buffer_reads: int
     val_history: list[tuple[int, int]]  # (step, solved)
-
-    @property
-    def final_val_solved(self) -> int:
-        return self.val_history[-1][1] if self.val_history else 0
 
     @property
     def best_val_solved(self) -> int:
@@ -176,8 +172,3 @@ def _flatten(obj, prefix: str = "") -> dict:
         else:
             flat[name] = value
     return flat
-
-
-def load_corpus_with_hash(corpus_dir: str | Path) -> tuple[CorpusSplit, str]:
-    split = load_split(corpus_dir)
-    return split, corpus_hash(corpus_dir)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -258,3 +261,95 @@ class TestMine:
         assert lines
         row = json.loads(lines[0])
         assert set(row) == {"state", "tactic", "label"}
+
+
+GOOD_LINE = '{"name": "good", "goal": "a -> a", "gt_proof": ["intro", "exact h1"]}'
+BAD_CORPUS_LINES = {
+    "non_proof": '{"name": "bad", "goal": "a -> a", "gt_proof": ["intro", "split"]}',
+    "bad_goal": '{"name": "bad", "goal": "a -> ", "gt_proof": ["intro", "exact h1"]}',
+    "no_proof_key": '{"name": "bad", "goal": "a -> a"}',
+    "deep_goal": json.dumps({"name": "bad", "goal": "(" * 5000 + "a" + ")" * 5000,
+                             "gt_proof": ["intro"]}),
+}
+
+
+def _bad_checkpoint(kind: str, tmp_path: Path) -> Path:
+    path = tmp_path / f"{kind}.npz"
+    if kind == "text":
+        path.write_text("not a checkpoint\n")
+        return path
+    good = tmp_path / "good.npz"
+    PolicyNet.create(seed=0).save(good)
+    arrays = dict(np.load(good))
+    if kind == "no_version":
+        del arrays["__version__"]
+    elif kind == "version_2":
+        arrays["__version__"] = np.array([2])
+    elif kind == "empty_version":
+        arrays["__version__"] = np.array([], dtype=int)
+    else:  # missing_parameter
+        for prefix in "pmv":
+            del arrays[f"{prefix}:w2"]
+    np.savez(path, **arrays)
+    return path
+
+
+def _usage_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+class TestBadInputFiles:
+    """Corpus and checkpoint files come from outside the program: a bad one
+    is a usage error (exit 2, one ``error:`` line), never a traceback."""
+
+    @pytest.mark.parametrize("command", ["rm-train", "sft"])
+    @pytest.mark.parametrize("case", sorted(BAD_CORPUS_LINES))
+    def test_bad_corpus_exits_2_naming_the_line(self, case, command, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "train.jsonl").write_text(GOOD_LINE + "\n" + BAD_CORPUS_LINES[case] + "\n")
+        (corpus / "valid.jsonl").write_text(GOOD_LINE + "\n")
+        argv = (["rm-train", "--corpus", str(corpus), "--epochs", "1"]
+                if command == "rm-train" else
+                ["train", "--mode", "sft", "--corpus", str(corpus), "--steps", "2"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "train.jsonl:2:" in _usage_error_line(capsys)
+
+    @pytest.mark.parametrize("kind", ["text", "no_version", "version_2", "empty_version",
+                                      "missing_parameter"])
+    def test_bad_checkpoint_exits_2(self, kind, corpus_dir, tmp_path, capsys):
+        path = _bad_checkpoint(kind, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_dir)])
+        assert exc.value.code == 2
+        assert str(path) in _usage_error_line(capsys)
+
+    def test_bad_reward_model_exits_2(self, corpus_dir, tmp_path, capsys):
+        path = _bad_checkpoint("version_2", tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm", str(path),
+                  "--steps", "2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "version [2]" in _usage_error_line(capsys)
+
+    def test_bad_files_exit_2_under_optimized_python(self, corpus_dir, tmp_path):
+        # the checks must hold with asserts stripped (python -O)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "train.jsonl").write_text(BAD_CORPUS_LINES["non_proof"] + "\n")
+        (corpus / "valid.jsonl").write_text(GOOD_LINE + "\n")
+        src_dir = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src_dir), os.environ.get("PYTHONPATH", "")]))
+        for argv in (["rm-train", "--corpus", str(corpus), "--out", str(tmp_path / "rm.npz")],
+                     ["eval", "--corpus", str(corpus_dir),
+                      "--checkpoint", str(_bad_checkpoint("version_2", tmp_path))]):
+            proc = subprocess.run([sys.executable, "-O", "-m", "flowprover.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 2, proc.stderr
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines

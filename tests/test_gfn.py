@@ -242,6 +242,20 @@ class TestReplay:
         entry = buf.sample(thm.name, 1, np.random.default_rng(0))[0]
         assert entry.log_r == -1.25
 
+    def test_entries_are_replay_trajectories_without_encodings(self):
+        buf = ReplayBuffer()
+        thm = identity_theorem("a -> a")
+        cfg = TrainConfig(mode="gfn_br_oo")
+        traj = sample_trajectory(thm, PolicyNet.create(seed=0), cfg, np.random.default_rng(1))
+        assert traj.step_encodings is not None
+        buf.add(traj)
+        entry = buf.sample(thm.name, 1, np.random.default_rng(0))[0]
+        assert isinstance(entry, Trajectory)
+        assert entry.source == "replay" and entry.step_encodings is None
+        assert (entry.tactics, entry.proof_states, entry.outcome, entry.log_r) == \
+            (traj.tactics, traj.proof_states, traj.outcome, traj.log_r)
+        assert np.array_equal(entry.encodings(), traj.step_encodings)
+
     def test_replay_diverged_on_corrupt_entry(self):
         thm = identity_theorem("a -> a")
         net = PolicyNet.create(seed=0)
