@@ -17,8 +17,9 @@ import numpy as np
 from .corpus import Theorem
 from .env import ACTION_INDEX
 from .gfn import StepMetrics, TrainConfig, ground_truth, sample_trajectory
-from .nn import NonFiniteGradient, Tape, log_softmax_np, mlp_forward_np, optim_step
+from .nn import Tape, log_softmax_np, mlp_forward_np, update
 from .policy import HISTORY, PolicyNet, encode_from_parts, head_graph, rows_graph
+from .reward_model import cross_entropy_graph
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,8 @@ class PPOConfig:
     value_coef: float = 0.5
 
     def __post_init__(self):
-        assert 0.0 < self.clip_eps < 1.0
+        if not 0.0 < self.clip_eps < 1.0:
+            raise ValueError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
 
 
 def gt_step_encodings(thm: Theorem) -> tuple[np.ndarray, np.ndarray]:
@@ -43,38 +45,27 @@ class SFTTrainer:
 
     def __init__(self, theorems: list[Theorem], net: PolicyNet, cfg: TrainConfig,
                  seed: int = 0):
-        self.theorems = list(theorems)
         self.net = net
         self.cfg = cfg
-        self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.step_index = 0
-        self.total_env_calls = 0
-        self.grad_skips = 0
-        self._pairs = {t.name: gt_step_encodings(t) for t in self.theorems}
+        self._pairs = {t.name: gt_step_encodings(t) for t in theorems}
 
     def train_step(self, thm: Theorem) -> StepMetrics:
         x, y = self._pairs[thm.name]
         tape = Tape()
-        from .reward_model import cross_entropy_graph
-
         loss = cross_entropy_graph(tape, self.net.store, x, y)
-        grads = tape.backward(loss)
-        skipped = False
-        try:
-            optim_step(self.net.store, grads, self.cfg.optim)
-        except NonFiniteGradient:
-            skipped = True
-            self.grad_skips += 1
+        loss_value, grad_norm, skipped = update(self.net.store, tape, loss, self.cfg.optim)
         self.step_index += 1
         return StepMetrics(
             step=self.step_index,
             mode="sft",
-            loss=float(loss.value),
+            loss=loss_value,
             mean_log_r=float("nan"),
             mean_log_pf=float("nan"),
             log_z=float("nan"),
             env_calls=0,
             grad_skipped=skipped,
+            grad_norm=grad_norm,
         )
 
 
@@ -144,17 +135,14 @@ class PPOTrainer:
     def __init__(self, theorems: list[Theorem], net: PolicyNet, cfg: TrainConfig,
                  ppo: PPOConfig = PPOConfig(), rm=None, seed: int = 0):
         net.ensure_value_head()
-        self.theorems = list(theorems)
         self.net = net
         self.cfg = cfg
         self.ppo = ppo
         self.rm = rm
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.step_index = 0
-        self.total_env_calls = 0
-        self.grad_skips = 0
 
-    def _collect(self, thms: list[Theorem]):
+    def _collect(self, thm: Theorem):
         cfg = self.cfg
         # on-policy rollouts at T=1, never tempered
         rollcfg = TrainConfig(
@@ -163,20 +151,17 @@ class PPOTrainer:
             reward_mode=cfg.reward_mode if self.rm is not None else "binary",
         )
         steps = []
-        envs = [0]
         rewards = []
         logpfs = []
-        for thm in thms:
-            for _ in range(cfg.n_sampled):
-                traj = sample_trajectory(thm, self.net, rollcfg, self.rng, rm=self.rm,
-                                         env_counter=envs)
-                rewards.append(traj.log_r)
-                logpfs.append(traj.log_pf)
-                for i, t in enumerate(traj.tactics):
-                    # Monte-Carlo return: per-step reward is 0 except the
-                    # terminal shaped log-reward
-                    steps.append((traj.step_encodings[i], ACTION_INDEX[t], traj.log_r))
-        return steps, envs[0], rewards, logpfs
+        for _ in range(cfg.n_sampled):
+            traj = sample_trajectory(thm, self.net, rollcfg, self.rng, rm=self.rm)
+            rewards.append(traj.log_r)
+            logpfs.append(traj.log_pf)
+            for i, t in enumerate(traj.tactics):
+                # Monte-Carlo return: per-step reward is 0 except the
+                # terminal shaped log-reward
+                steps.append((traj.step_encodings[i], ACTION_INDEX[t], traj.log_r))
+        return steps, rewards, logpfs
 
     def old_policy_terms(self, steps) -> tuple[np.ndarray, np.ndarray]:
         """Old log-probs of the taken actions and advantages (return minus
@@ -188,35 +173,29 @@ class PPOTrainer:
         values = hidden @ store["wv"] + store["bv"]
         return old_logps, np.array([ret for _, _, ret in steps]) - values
 
-    def train_step(self, thms: list[Theorem] | Theorem) -> StepMetrics:
-        if isinstance(thms, Theorem):
-            thms = [thms]
+    def train_step(self, thm: Theorem) -> StepMetrics:
+        """Rollouts of ``thm``, then ``ppo_epochs`` updates. The metrics carry
+        the last epoch's loss and norm; grad_skipped if any epoch skipped."""
         cfg, ppo = self.cfg, self.ppo
-        steps, env_calls, rewards, logpfs = self._collect(thms)
-        self.total_env_calls += env_calls
-
+        steps, rewards, logpfs = self._collect(thm)
         old_logps, advantages = self.old_policy_terms(steps)
-        last_loss = float("nan")
+        loss_value = grad_norm = float("nan")
         skipped = False
         for _ in range(ppo.ppo_epochs):
             tape = Tape()
             loss, _, _ = ppo_loss_graph(tape, self.net, steps, old_logps, advantages, ppo)
-            grads = tape.backward(loss)
-            try:
-                optim_step(self.net.store, grads, cfg.optim)
-            except NonFiniteGradient:
-                skipped = True
-                self.grad_skips += 1
-            last_loss = float(loss.value)
+            loss_value, grad_norm, epoch_skipped = update(self.net.store, tape, loss, cfg.optim)
+            skipped = skipped or epoch_skipped
 
         self.step_index += 1
         return StepMetrics(
             step=self.step_index,
             mode="ppo",
-            loss=last_loss,
-            mean_log_r=float(np.mean(rewards)) if rewards else float("nan"),
-            mean_log_pf=float(np.mean(logpfs)) if logpfs else float("nan"),
+            loss=loss_value,
+            mean_log_r=float(np.mean(rewards)),
+            mean_log_pf=float(np.mean(logpfs)),
             log_z=float("nan"),
-            env_calls=env_calls,
+            env_calls=len(steps),  # one apply_tactic per collected step
             grad_skipped=skipped,
+            grad_norm=grad_norm,
         )

@@ -13,12 +13,12 @@ from pathlib import Path
 
 from .corpus import CorpusError, build_corpus, corpus_hash, load_split, save_split
 from .env import N_ACTIONS
-from .gfn import BINARY, FULL_RM, RewardSpec, TrainConfig
+from .gfn import ALL_MODES, BINARY, FULL_RM, RewardSpec, TrainConfig
 from .nn import CheckpointError
 from .oracle import oracle_report, reports_to_json
 from .policy import HISTORY, HISTORY_LESS, PolicyNet
 from .reward_model import RewardModel, mine_hard_negatives, rm_train, save_labeled
-from .runs import ALL_MODES, run_training
+from .runs import run_training
 from .search import SearchConfig, evaluate_split
 
 
@@ -139,7 +139,10 @@ def cmd_train(args) -> int:
         overrides["replay_p"] = args.replay_p
     if args.no_inject_gt:
         overrides["inject_gt"] = False
-    cfg = TrainConfig(**overrides)
+    try:
+        cfg = TrainConfig(**overrides)
+    except ValueError as exc:  # only a config file can supply a bad combination
+        _usage_error(f"{args.config}: {exc}")
 
     result = run_training(
         mode=mode, corpus=split, seed=args.seed, steps=args.steps,
@@ -158,12 +161,12 @@ def cmd_eval(args) -> int:
     split, _ = _load_corpus(args.corpus)
     theorems = split.valid if args.split == "valid" else split.train
     net = _load_checkpoint(PolicyNet, args.checkpoint)
-    cfg = SearchConfig(
-        branching=args.branching,
-        expansion_budget=args.budget,
-        encoding_mode=HISTORY_LESS if args.encoding == "history_less" else HISTORY,
-        dedupe=not args.no_dedupe,
-    )
+    try:
+        cfg = SearchConfig(branching=args.branching, expansion_budget=args.budget,
+                           encoding_mode=HISTORY_LESS if args.encoding == "history_less"
+                           else HISTORY, dedupe=not args.no_dedupe)
+    except ValueError as exc:
+        _usage_error(str(exc))
     report = evaluate_split(net, theorems, cfg)
     text = report.to_json()
     if args.out:

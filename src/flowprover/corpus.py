@@ -33,7 +33,8 @@ class GenerationExhausted(RuntimeError):
 
 
 class CorpusError(ValueError):
-    """A corpus file line is not a theorem whose ground truth proves it."""
+    """A corpus file line is not a theorem whose ground truth proves it, or
+    repeats the name of an earlier theorem."""
 
 
 @dataclass(frozen=True)
@@ -234,10 +235,12 @@ def save_split(split: CorpusSplit, out_dir: str | Path) -> str:
 
 def load_split(corpus_dir: str | Path) -> CorpusSplit:
     """Read train.jsonl and valid.jsonl. Raises CorpusError naming
-    ``file:line`` on a line that does not parse, or whose ground truth does
-    not prove its goal."""
+    ``file:line`` on a line that does not parse, whose ground truth does not
+    prove its goal, or whose name an earlier line of either file holds
+    (trainers key theorems by name)."""
     out = Path(corpus_dir)
     split = CorpusSplit()
+    seen: dict[str, str] = {}  # name -> file:line
     for fname, bucket in (("train.jsonl", split.train), ("valid.jsonl", split.valid)):
         with open(out / fname) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -247,6 +250,10 @@ def load_split(corpus_dir: str | Path) -> CorpusSplit:
                     thm = theorem_from_json(line)
                 except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                     raise CorpusError(f"{out / fname}:{lineno}: bad theorem: {exc!r}") from exc
+                if thm.name in seen:
+                    raise CorpusError(f"{out / fname}:{lineno}: theorem name {thm.name!r} "
+                                      f"repeats {seen[thm.name]}")
+                seen[thm.name] = f"{out / fname}:{lineno}"
                 if not replay(thm.initial_state, thm.gt_proof).proved:
                     raise CorpusError(f"{out / fname}:{lineno}: ground truth for {thm.name} "
                                       "does not prove it")

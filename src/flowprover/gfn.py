@@ -25,7 +25,6 @@ at each trajectory's first row.
 from __future__ import annotations
 
 import dataclasses
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .corpus import Theorem
 from .env import ACTION_INDEX, ACTIONS, ProofState, StepKind, Tactic, apply_tactic, replay
-from .nn import NonFiniteGradient, OptimConfig, Tape, log_softmax_np, optim_step
+from .nn import OptimConfig, Tape, log_softmax_np, update
 from .policy import (
     ENC_DIM,
     HISTORY,
@@ -46,14 +45,15 @@ from .policy import (
     sample_action,
 )
 
-logger = logging.getLogger(__name__)
-
 PROVED = "proved"
 ENV_ERROR = "env_error"
 DEPTH_EXHAUSTED = "depth_exhausted"
 
 FULL_RM = "full_rm"
 BINARY = "binary"
+
+GFN_MODES = ("gfn", "gfn_oo", "gfn_br_oo")
+ALL_MODES = GFN_MODES + ("sft", "ppo")
 
 
 class InvalidLength(ValueError):
@@ -72,8 +72,11 @@ class RewardSpec:
     mode: str = FULL_RM
 
     def __post_init__(self):
-        assert self.alpha > 0 and self.c_max_tactic_len > 0
-        assert self.mode in (FULL_RM, BINARY)
+        if not (self.alpha > 0 and self.c_max_tactic_len > 0):
+            raise ValueError(f"alpha and c_max_tactic_len must be positive, got "
+                             f"{self.alpha} and {self.c_max_tactic_len}")
+        if self.mode not in (FULL_RM, BINARY):
+            raise ValueError(f"reward mode must be {FULL_RM} or {BINARY}, got {self.mode!r}")
 
 
 @dataclass
@@ -173,7 +176,10 @@ class TrainConfig:
     action_set: tuple[int, ...] | None = None  # restricted subsets are test-only
 
     def __post_init__(self):
-        assert self.mode in ("gfn", "gfn_oo", "gfn_br_oo", "sft", "ppo")
+        if self.mode not in ALL_MODES:
+            raise ValueError(f"mode must be one of {', '.join(ALL_MODES)}, got {self.mode!r}")
+        if self.action_set is not None and self.mode not in GFN_MODES:
+            raise ValueError(f"action_set applies to the GFN modes only, not {self.mode}")
         if self.mode in ("gfn_oo", "gfn_br_oo"):
             self.replay_p = 0.0
         if self.mode == "gfn_br_oo":
@@ -203,12 +209,10 @@ class ReplayBuffer:
         self.capacity = capacity
         self._buffers: dict[str, deque[Trajectory]] = {}
         self.reads = 0
-        self.writes = 0
 
     def add(self, traj: Trajectory) -> None:
         buf = self._buffers.setdefault(traj.theorem_name, deque(maxlen=self.capacity))
         buf.append(dataclasses.replace(traj, source="replay", step_encodings=None))
-        self.writes += 1
 
     def size(self, theorem_name: str) -> int:
         return len(self._buffers.get(theorem_name, ()))
@@ -226,9 +230,9 @@ class ReplayDiverged(RuntimeError):
 
 
 def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
-                      rng: np.random.Generator, rm=None,
-                      env_counter: list[int] | None = None) -> Trajectory:
-    """Roll out the policy from the theorem's initial state.
+                      rng: np.random.Generator, rm=None) -> Trajectory:
+    """Roll out the policy from the theorem's initial state, one
+    ``apply_tactic`` call per tactic.
 
     Generation is tempered with probability ``temper_p`` (T uniform in
     [temper_low, temper_high]); the accumulated log_pf is always the
@@ -253,8 +257,6 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
         log_pf += step_lp
         tactics.append(tactic)
         result = apply_tactic(state, tactic)
-        if env_counter is not None:
-            env_counter[0] += 1
         if result.proved:
             visited.append(ProofState(()))
             outcome = PROVED
@@ -343,6 +345,7 @@ class StepMetrics:
     wall_ms: int = 0
     val_solved: int | None = None
     grad_skipped: bool = False
+    grad_norm: float = float("nan")  # pre-clip; NaN when the update was skipped
 
 
 def tb_loss_value(log_rs, log_zs, log_pfs) -> float:
@@ -399,18 +402,15 @@ class GFNTrainer:
                  rm=None, seed: int = 0):
         if cfg.reward_mode == FULL_RM and rm is None:
             raise ValueError("full-reward mode requires a reward model")
-        self.theorems = list(theorems)
         self.net = net
         self.cfg = cfg
         self.rm = rm
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
-        self.total_env_calls = 0
         self.step_index = 0
-        self.grad_skips = 0
         # Ground-truth states and encodings never change; cache them up front.
         self._gt: dict[str, Trajectory] = {}
-        for thm in self.theorems:
+        for thm in theorems:
             gt = ground_truth(thm)
             gt.step_encodings = gt.encodings()
             self._gt[thm.name] = gt
@@ -418,46 +418,36 @@ class GFNTrainer:
     def train_step(self, thm: Theorem) -> StepMetrics:
         cfg = self.cfg
         subset = cfg.action_subset()
-        env_counter = [0]
-
         use_replay = (
             cfg.replay_p > 0.0
             and self.rng.random() < cfg.replay_p
             and self.buffer.size(thm.name) > 0
         )
-        batch: list[Trajectory] = []
         if use_replay:
-            batch += self.buffer.sample(thm.name, cfg.n_sampled, self.rng)
+            batch = self.buffer.sample(thm.name, cfg.n_sampled, self.rng)
+            env_calls = 0
         else:
-            for _ in range(cfg.n_sampled):
-                traj = sample_trajectory(thm, self.net, cfg, self.rng, rm=self.rm,
-                                         env_counter=env_counter)
-                batch.append(traj)
+            batch = [sample_trajectory(thm, self.net, cfg, self.rng, rm=self.rm)
+                     for _ in range(cfg.n_sampled)]
+            for traj in batch:
                 self.buffer.add(traj)
+            env_calls = sum(map(len, batch))
 
         if cfg.inject_gt:
             batch.append(self._gt[thm.name])
 
         tape = Tape()
         loss, info = tb_loss_graph(tape, self.net, batch, action_set=subset)
-        grads = tape.backward(loss)
-        skipped = False
-        try:
-            optim_step(self.net.store, grads, cfg.optim)
-        except NonFiniteGradient as exc:
-            skipped = True
-            self.grad_skips += 1
-            logger.warning("step %d: %s; update skipped", self.step_index, exc)
-
-        self.total_env_calls += env_counter[0]
+        loss_value, grad_norm, skipped = update(self.net.store, tape, loss, cfg.optim)
         self.step_index += 1
         return StepMetrics(
             step=self.step_index,
             mode=cfg.mode,
-            loss=float(loss.value),
+            loss=loss_value,
             mean_log_r=float(np.mean([t.log_r for t in batch])),
             mean_log_pf=float(np.mean(info["log_pf"])),
             log_z=float(info["log_z"][0]),
-            env_calls=env_counter[0],
+            env_calls=env_calls,
             grad_skipped=skipped,
+            grad_norm=grad_norm,
         )

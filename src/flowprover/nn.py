@@ -9,11 +9,14 @@ same operation order, same bits.
 
 from __future__ import annotations
 
+import logging
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 
 class NonFiniteGradient(FloatingPointError):
@@ -441,6 +444,22 @@ def optim_step(store: ParamStore, grads: dict[str, np.ndarray],
         p -= b
         p -= a
     return norm
+
+
+def update(store: ParamStore, tape: Tape, loss: Var,
+           cfg: OptimConfig) -> tuple[float, float, bool]:
+    """One training update: backward from ``loss``, then ``optim_step``.
+
+    Returns the loss value, the pre-clip gradient norm and whether the
+    update was skipped. A non-finite gradient skips it, leaving the store
+    unchanged, with one warning; the norm is then NaN.
+    """
+    grads = tape.backward(loss)
+    try:
+        return float(loss.value), optim_step(store, grads, cfg), False
+    except NonFiniteGradient as exc:
+        logger.warning("%s; update skipped", exc)
+        return float(loss.value), float("nan"), True
 
 
 # ---------------------------------------------------------------------------

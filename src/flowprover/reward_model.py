@@ -32,7 +32,7 @@ from .nn import (
     init_mlp,
     log_softmax_np,
     mlp_forward_np,
-    optim_step,
+    update,
 )
 from .policy import ENC_DIM, HISTORY_LESS, encode_from_parts, rows_graph
 
@@ -113,9 +113,7 @@ def rm_train(corpus: CorpusSplit, epochs: int = 20, seed: int = 0,
             take = order[start:start + batch_size]
             tape = Tape()
             loss = cross_entropy_graph(tape, rm.store, x[take], y[take])
-            grads = tape.backward(loss)
-            optim_step(rm.store, grads, optim)
-            losses.append(float(loss.value))
+            losses.append(update(rm.store, tape, loss, optim)[0])
         rm.epoch_losses.append(float(np.mean(losses)))
         logger.debug("rm epoch %d: mean loss %.4f", epoch, rm.epoch_losses[-1])
     return rm

@@ -1,5 +1,12 @@
 """Training-run orchestration: schedules, metrics, manifests, checkpoints.
 
+Every trainer keeps one contract. It is built as ``Trainer(theorems, net,
+cfg, seed=...)`` (PPO and GFN also take the reward model), and its own
+class body defines ``train_step(thm) -> StepMetrics``, which makes its
+updates through ``nn.update``. A run holds the metrics of every step and
+sums its totals (environment calls, skipped updates) from them; only the
+replay buffer's read count comes from the trainer.
+
 Every run directory contains an immutable manifest (written before the
 first step), a flat key=value config snapshot, metrics.csv, periodic
 checkpoints, and a final checkpoint plus summary. With ``clock="off"`` the
@@ -12,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +27,7 @@ import numpy as np
 from . import __version__
 from .baselines import PPOConfig, PPOTrainer, SFTTrainer
 from .corpus import CorpusSplit
-from .gfn import GFNTrainer, StepMetrics, TrainConfig
+from .gfn import ALL_MODES, GFNTrainer, StepMetrics, TrainConfig
 from .policy import HISTORY, PolicyNet
 from .reward_model import RewardModel
 from .search import SearchConfig, evaluate_split
@@ -29,9 +36,6 @@ METRICS_COLUMNS = (
     "step", "mode", "loss", "mean_log_r", "mean_log_pf", "log_z_mean",
     "env_calls", "wall_ms", "val_solved",
 )
-
-GFN_MODES = ("gfn", "gfn_oo", "gfn_br_oo")
-ALL_MODES = GFN_MODES + ("sft", "ppo")
 
 
 def _fmt(x) -> str:
@@ -72,17 +76,17 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
                  val_cfg: SearchConfig | None = None,
                  checkpoint_every: int = 100, corpus_digest: str = "",
                  command: str = "") -> RunResult:
-    """Train ``mode`` for ``steps`` gradient steps over the corpus."""
-    assert mode in ALL_MODES, f"unknown mode {mode!r}"
-    assert clock in ("real", "off")
+    """Train ``mode`` for ``steps`` gradient steps over the corpus. ``cfg``
+    is copied with ``mode`` and ``steps`` (which re-applies the settings the
+    mode forces); the caller's object is left as it was."""
+    if mode not in ALL_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if clock not in ("real", "off"):
+        raise ValueError(f"clock must be real or off, got {clock!r}")
+    cfg = replace(cfg or TrainConfig(), mode=mode, total_steps=steps)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg is None:
-        cfg = TrainConfig(mode=mode, total_steps=steps)
-    cfg.mode = mode
-    cfg.total_steps = steps
-    cfg.__post_init__()  # re-apply mode-forced settings after overrides
     if mode in ("gfn", "gfn_oo") and cfg.reward_mode == "full_rm" and rm is None:
         raise ValueError(f"mode {mode} needs a trained reward model")
     if val_cfg is None:
@@ -144,12 +148,13 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
     net.save(out / "checkpoint_final.npz")
 
+    total_env_calls = sum(m.env_calls for m in metrics)
     buffer_reads = getattr(getattr(trainer, "buffer", None), "reads", 0)
     summary = {
         "ended_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "total_env_calls": trainer.total_env_calls,
+        "total_env_calls": total_env_calls,
         "buffer_reads": buffer_reads,
-        "grad_skips": trainer.grad_skips,
+        "grad_skips": sum(m.grad_skipped for m in metrics),
         "val_history": val_history,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -157,7 +162,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
         out_dir=out,
         metrics=metrics,
         net=net,
-        total_env_calls=trainer.total_env_calls,
+        total_env_calls=total_env_calls,
         buffer_reads=buffer_reads,
         val_history=val_history,
     )

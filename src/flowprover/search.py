@@ -4,8 +4,7 @@ Nodes are ordered by cumulative policy log-probability. Expanding a node
 queries the policy once, keeps the top-`branching` actions by logit, and
 pushes the children that survive the environment (errors are dropped, a
 proved child ends the search). Ties break FIFO by insertion order so runs
-are bit-reproducible; the expansion budget is the deterministic analog of a
-wall-clock limit, which remains available as an optional mode.
+are bit-reproducible; the expansion budget bounds the work.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,14 +30,16 @@ class BogusProof(RuntimeError):
 class SearchConfig:
     branching: int = 8
     expansion_budget: int = 100
-    wall_clock_ms: int | None = None
     encoding_mode: str = HISTORY
     dedupe: bool = True
     max_depth: int = 3
 
     def __post_init__(self):
-        assert 1 <= self.branching <= len(ACTIONS)
-        assert self.encoding_mode in (HISTORY, HISTORY_LESS)
+        if not 1 <= self.branching <= len(ACTIONS):
+            raise ValueError(f"branching must lie in 1..{len(ACTIONS)}, got {self.branching}")
+        if self.encoding_mode not in (HISTORY, HISTORY_LESS):
+            raise ValueError(f"encoding mode must be {HISTORY} or {HISTORY_LESS}, "
+                             f"got {self.encoding_mode!r}")
 
 
 @dataclass
@@ -73,13 +73,7 @@ def search_from_state(net: PolicyNet, root: ProofState, cfg: SearchConfig) -> Se
     heapq.heappush(heap, (0.0, next(counter), 0.0, (), root))
     seen = {state_fingerprint(root)}
     expansions = 0
-    deadline = None
-    if cfg.wall_clock_ms is not None:
-        deadline = time.monotonic() + cfg.wall_clock_ms / 1000.0
-
     while heap and expansions < cfg.expansion_budget:
-        if deadline is not None and time.monotonic() > deadline:
-            break
         _, _, logp, history, state = heapq.heappop(heap)
         expansions += 1
         enc = encode_from_parts(root, history, state, cfg.encoding_mode)

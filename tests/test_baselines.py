@@ -39,7 +39,6 @@ class TestSFT:
         trainer = SFTTrainer([thm], net, TrainConfig(mode="sft"), seed=3)
         for _ in range(20):
             assert trainer.train_step(thm).env_calls == 0
-        assert trainer.total_env_calls == 0
 
     def test_overfit_single_theorem_greedy_decodes_gt(self):
         thm = identity_theorem("a | b -> a | b")
@@ -182,7 +181,7 @@ class TestPPOTrainer:
         thm = identity_theorem("b -> b")
         net = PolicyNet.create(seed=9, with_value_head=True)
         trainer = PPOTrainer([thm], net, TrainConfig(mode="ppo"), seed=10)
-        steps, _, _, _ = trainer._collect([thm])
+        steps, _, _ = trainer._collect(thm)
         old_logps, advantages = trainer.old_policy_terms(steps)
         tape = Tape()
         _, surrogate, _ = ppo_loss_graph(tape, net, steps, old_logps, advantages,

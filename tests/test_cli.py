@@ -157,6 +157,17 @@ class TestTrain:
         assert exc.value.code == 2
         assert f"{cfg_file}:2: bad value for lr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["sft", "ppo"])
+    def test_action_set_outside_gfn_modes_exits_2(self, mode, corpus_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "subset.cfg"
+        cfg_file.write_text("action_set = 0,1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--mode", mode, "--corpus", str(corpus_dir), "--steps", "2",
+                  "--out", str(tmp_path / "z"), "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert str(cfg_file) in _usage_error_line(capsys)
+        assert not (tmp_path / "z").exists()
+
     def test_config_parsers_cover_every_field(self):
         import dataclasses
 
@@ -270,6 +281,7 @@ BAD_CORPUS_LINES = {
     "no_proof_key": '{"name": "bad", "goal": "a -> a"}',
     "deep_goal": json.dumps({"name": "bad", "goal": "(" * 5000 + "a" + ")" * 5000,
                              "gt_proof": ["intro"]}),
+    "repeated_name": GOOD_LINE,
 }
 
 
@@ -336,18 +348,29 @@ class TestBadInputFiles:
         assert exc.value.code == 2
         assert "version [2]" in _usage_error_line(capsys)
 
-    def test_bad_files_exit_2_under_optimized_python(self, corpus_dir, tmp_path):
+    def test_bad_files_exit_2_under_optimized_python(self, corpus_dir, checkpoint, tmp_path):
         # the checks must hold with asserts stripped (python -O)
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "train.jsonl").write_text(BAD_CORPUS_LINES["non_proof"] + "\n")
         (corpus / "valid.jsonl").write_text(GOOD_LINE + "\n")
+        repeated = tmp_path / "repeated"
+        repeated.mkdir()
+        (repeated / "train.jsonl").write_text(GOOD_LINE + "\n")
+        (repeated / "valid.jsonl").write_text(GOOD_LINE + "\n")
+        subset_cfg = tmp_path / "subset.cfg"
+        subset_cfg.write_text("action_set = 0,1\n")
         src_dir = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src_dir), os.environ.get("PYTHONPATH", "")]))
         for argv in (["rm-train", "--corpus", str(corpus), "--out", str(tmp_path / "rm.npz")],
                      ["eval", "--corpus", str(corpus_dir),
-                      "--checkpoint", str(_bad_checkpoint("version_2", tmp_path))]):
+                      "--checkpoint", str(_bad_checkpoint("version_2", tmp_path))],
+                     ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(checkpoint),
+                      "--branching", "0"],
+                     ["rm-train", "--corpus", str(repeated), "--out", str(tmp_path / "rm2.npz")],
+                     ["train", "--mode", "ppo", "--corpus", str(corpus_dir), "--steps", "2",
+                      "--out", str(tmp_path / "ppo"), "--config", str(subset_cfg)]):
             proc = subprocess.run([sys.executable, "-O", "-m", "flowprover.cli", *argv],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 2, proc.stderr

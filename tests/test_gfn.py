@@ -1,8 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from flowprover.baselines import PPOConfig, PPOTrainer, SFTTrainer
+from flowprover.corpus import CorpusSplit, build_corpus
 from flowprover.env import ACTIONS, ProofState, initial_state, parse_tactic
 from flowprover.gfn import (
     BINARY,
@@ -25,8 +28,11 @@ from flowprover.gfn import (
     tb_loss_value,
     trajectory_from_tactics,
 )
+from flowprover.nn import Tape, global_grad_norm
 from flowprover.policy import PolicyNet
-from flowprover.reward_model import RewardModel
+from flowprover.reward_model import RewardModel, rm_train
+from flowprover.runs import run_training
+from flowprover.search import SearchConfig
 
 from conftest import MICRO_ACTION_SET, identity_theorem
 
@@ -294,6 +300,24 @@ class TestTBLoss:
         assert tb_loss([traj], net) == pytest.approx(expected, abs=1e-9)
 
 
+def _update_case(kind):
+    """Parameters before, and a run of one step of ``kind`` returning
+    (StepMetrics or None, parameters after, number of updates made)."""
+    thms = [identity_theorem("a -> a"), identity_theorem("b -> b", name="t2")]
+    if kind == "rm_train":
+        before = RewardModel.create(seed=0).store
+        return before, lambda: (None, rm_train(CorpusSplit(train=thms), epochs=2).store, 2)
+    net = PolicyNet.create(seed=1)
+    if kind == "gfn":
+        trainer = GFNTrainer(thms, net, TrainConfig(mode="gfn_br_oo"), seed=0)
+    elif kind == "sft":
+        trainer = SFTTrainer(thms, net, TrainConfig(mode="sft"), seed=0)
+    else:
+        trainer = PPOTrainer(thms, net, TrainConfig(mode="ppo"), seed=0)
+    updates = PPOConfig().ppo_epochs if kind == "ppo" else 1
+    return net.store, lambda: (trainer.train_step(thms[0]), net.store, updates)
+
+
 class TestTrainStep:
     def _trainer(self, mode, thms=None, seed=0, **kw):
         thms = thms or [identity_theorem("a -> a"), identity_theorem("b -> b", name="t2")]
@@ -372,11 +396,14 @@ class TestTrainStep:
         rows = [trainer.train_step(thms[i % 2]) for i in range(25)]
         assert [m.step for m in rows] == list(range(1, 26))
 
-    def test_nonfinite_gradient_skips_and_continues(self, monkeypatch):
-        from flowprover.nn import Tape
-
-        trainer, thms = self._trainer("gfn_br_oo")
+    @pytest.mark.parametrize("kind", ["gfn", "sft", "ppo", "rm_train"])
+    def test_nonfinite_gradient_skips_and_continues(self, kind, monkeypatch, caplog):
+        # Every trainer updates through nn.update: a poisoned gradient leaves
+        # the parameters as they were and logs one warning per skipped
+        # update; a clean step reports the pre-clip norm of its gradients.
+        store, step = _update_case(kind)
         original = Tape.backward
+        grads_seen = []
 
         def poisoned(self, loss, seed=1.0):
             grads = original(self, loss, seed)
@@ -384,15 +411,33 @@ class TestTrainStep:
             grads[first] = np.full_like(grads[first], np.nan)
             return grads
 
+        def recorded(self, loss, seed=1.0):
+            grads_seen.append(original(self, loss, seed))
+            return grads_seen[-1]
+
+        def warnings():
+            return [r for r in caplog.records
+                    if r.name == "flowprover.nn" and r.levelno == logging.WARNING]
+
         monkeypatch.setattr(Tape, "backward", poisoned)
-        params_before = {k: v.copy() for k, v in trainer.net.store.arrays.items()}
-        m = trainer.train_step(thms[0])
-        assert m.grad_skipped
+        params_before = {k: v.copy() for k, v in store.arrays.items()}
+        with caplog.at_level(logging.WARNING):
+            m, after, updates = step()
+            assert len(warnings()) == updates
         for k, v in params_before.items():
-            assert np.array_equal(trainer.net.store[k], v)
-        monkeypatch.setattr(Tape, "backward", original)
-        m2 = trainer.train_step(thms[0])
-        assert not m2.grad_skipped
+            assert np.array_equal(after[k], v)
+        if m is not None:
+            assert m.grad_skipped and math.isnan(m.grad_norm)
+
+        monkeypatch.setattr(Tape, "backward", recorded)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            m2, _, _ = step()
+            assert warnings() == []
+        if m2 is not None:
+            assert not m2.grad_skipped
+            assert math.isfinite(m2.grad_norm)
+            assert m2.grad_norm == global_grad_norm(grads_seen[-1])
 
     def test_full_rm_mode_requires_rm(self):
         thms = [identity_theorem("a -> a")]
@@ -408,6 +453,34 @@ class TestTrainStep:
                       gt_proof=(parse_tactic("intro"),))
         with pytest.raises(InvalidGroundTruth):
             GFNTrainer([bad], PolicyNet.create(seed=0), TrainConfig(mode="gfn_br_oo"))
+
+    def test_run_training_leaves_the_callers_config_alone(self, tmp_path):
+        cfg = TrainConfig(mode="gfn", replay_p=0.5)
+        run_training("gfn_br_oo", build_corpus(1, 4, 2), seed=7, steps=2, out_dir=tmp_path,
+                     cfg=cfg, clock="off", val_every=0, checkpoint_every=0)
+        assert cfg == TrainConfig(mode="gfn", replay_p=0.5)
+        assert cfg.total_steps == 2000 and cfg.reward_mode == FULL_RM
+
+    @pytest.mark.parametrize("make", [
+        lambda: TrainConfig(mode="reinforce"),
+        lambda: TrainConfig(mode="sft", action_set=(0, 1)),
+        lambda: TrainConfig(mode="ppo", action_set=(0, 1)),
+        lambda: PPOConfig(clip_eps=1.5),
+        lambda: RewardSpec(alpha=0.0),
+        lambda: RewardSpec(mode="dense"),
+        lambda: SearchConfig(branching=0),
+        lambda: SearchConfig(branching=37),
+        lambda: SearchConfig(encoding_mode="flat"),
+    ])
+    def test_bad_config_raises_value_error(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_run_training_refuses_bad_mode_and_clock(self, tmp_path):
+        split = build_corpus(1, 4, 2)
+        for mode, clock in (("reinforce", "off"), ("sft", "wall")):
+            with pytest.raises(ValueError):
+                run_training(mode, split, seed=0, steps=1, out_dir=tmp_path, clock=clock)
 
     def test_oo_modes_force_replay_p_zero(self):
         assert TrainConfig(mode="gfn_oo", replay_p=0.7).replay_p == 0.0

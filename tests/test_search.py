@@ -84,13 +84,6 @@ class TestBestFirstSearch:
         assert outcome.proved
         assert outcome.proof == (parse_tactic("exact h1"),)
 
-    def test_wall_clock_mode_terminates(self):
-        thm = identity_theorem("(a -> b) -> (a -> b)")
-        net = PolicyNet.create(seed=5)
-        cfg = SearchConfig(expansion_budget=10_000_000, wall_clock_ms=50)
-        outcome = best_first_search(net, thm, cfg)
-        assert outcome.expansions >= 0  # just needs to return
-
 
 class TestEvaluateSplit:
     def test_empty_split(self):
