@@ -10,7 +10,7 @@ state value, and maximizes the clipped surrogate minus a value MSE penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,25 +136,19 @@ class PPOTrainer:
                  ppo: PPOConfig = PPOConfig(), rm=None, seed: int = 0):
         net.ensure_value_head()
         self.net = net
-        self.cfg = cfg
+        self.cfg = cfg.for_reward_model(rm is not None)
+        self._rollout_cfg = replace(self.cfg, temper_p=0.0)  # on-policy rollouts at T=1
         self.ppo = ppo
         self.rm = rm
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.step_index = 0
 
     def _collect(self, thm: Theorem):
-        cfg = self.cfg
-        # on-policy rollouts at T=1, never tempered
-        rollcfg = TrainConfig(
-            mode="gfn_oo", temper_p=0.0, max_depth=cfg.max_depth,
-            n_sampled=cfg.n_sampled,
-            reward_mode=cfg.reward_mode if self.rm is not None else "binary",
-        )
         steps = []
         rewards = []
         logpfs = []
-        for _ in range(cfg.n_sampled):
-            traj = sample_trajectory(thm, self.net, rollcfg, self.rng, rm=self.rm)
+        for _ in range(self.cfg.n_sampled):
+            traj = sample_trajectory(thm, self.net, self._rollout_cfg, self.rng, rm=self.rm)
             rewards.append(traj.log_r)
             logpfs.append(traj.log_pf)
             for i, t in enumerate(traj.tactics):

@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 
 from .corpus import CorpusError, build_corpus, corpus_hash, load_split, save_split
-from .env import N_ACTIONS
-from .gfn import ALL_MODES, BINARY, FULL_RM, RewardSpec, TrainConfig
+from .gfn import ALL_MODES, BINARY, FULL_RM, RewardSpec, TrainConfig, parse_action_set
 from .nn import CheckpointError
 from .oracle import oracle_report, reports_to_json
 from .policy import HISTORY, HISTORY_LESS, PolicyNet
@@ -50,99 +49,21 @@ def cmd_rm_train(args) -> int:
     return 0
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes"):
-        return True
-    if lowered in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _parse_choice(*choices: str):
-    def parse(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, got {text!r}")
-        return text
-    return parse
-
-
-def _parse_action_set(text: str) -> tuple[int, ...]:
-    """Comma-separated distinct action indices, each in [0, N_ACTIONS)."""
-    indices = tuple(int(part) for part in text.split(","))
-    bad = [i for i in indices if not 0 <= i < N_ACTIONS]
-    if bad:
-        raise ValueError(f"action indices must lie in [0, {N_ACTIONS}), got {bad}")
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"repeated action index in {text!r}")
-    return indices
-
-
-# One parser per TrainConfig field; each raises ValueError on a bad value.
-_CONFIG_PARSERS = {
-    "lr": float,
-    "clip_norm": float,
-    "total_steps": int,
-    "n_sampled": int,
-    "replay_p": float,
-    "temper_p": float,
-    "temper_low": float,
-    "temper_high": float,
-    "max_depth": int,
-    "mode": _parse_choice(*ALL_MODES),
-    "inject_gt": _parse_bool,
-    "buffer_capacity": int,
-    "reward_mode": _parse_choice(FULL_RM, BINARY),
-    "weight_decay": float,
-    "action_set": lambda text: None if text == "none" else _parse_action_set(text),
-}
-
-
-def _read_config_file(path: str) -> dict:
-    """Flat key=value config lines, each parsed by its TrainConfig field's
-    parser; a bad line is a usage error naming ``file:line``."""
-    out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            _usage_error(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_PARSERS:
-            _usage_error(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            out[key] = _CONFIG_PARSERS[key](value)
-        except ValueError as exc:
-            _usage_error(f"{path}:{lineno}: bad value for {key}: {exc}")
-    return out
-
-
 def cmd_train(args) -> int:
     mode = args.mode.replace("-", "_")
-    if mode not in ALL_MODES:
-        _usage_error(f"unknown mode {args.mode}")
     split, digest = _load_corpus(args.corpus)
-    if mode in ("gfn", "gfn_oo") and not args.rm:
-        _usage_error(f"mode {args.mode} requires --rm (trained reward model checkpoint)")
-    rm = _load_checkpoint(RewardModel, args.rm) if args.rm else None
-
-    overrides = {}
-    if args.config:
-        if not Path(args.config).exists():
-            _usage_error(f"no config file at {args.config}")
-        overrides = _read_config_file(args.config)
-    overrides["mode"] = mode
-    overrides["total_steps"] = args.steps
     # explicit flags take precedence over config-file values
+    overrides = {"mode": mode}
     if args.replay_p is not None:
         overrides["replay_p"] = args.replay_p
     if args.no_inject_gt:
         overrides["inject_gt"] = False
     try:
-        cfg = TrainConfig(**overrides)
-    except ValueError as exc:  # only a config file can supply a bad combination
-        _usage_error(f"{args.config}: {exc}")
+        cfg = (TrainConfig.read(args.config, **overrides) if args.config
+               else TrainConfig(**overrides)).for_reward_model(args.rm is not None)
+    except (ValueError, OSError) as exc:
+        _usage_error(str(exc))
+    rm = _load_checkpoint(RewardModel, args.rm) if args.rm else None
 
     result = run_training(
         mode=mode, corpus=split, seed=args.seed, steps=args.steps,
@@ -180,7 +101,7 @@ def cmd_oracle(args) -> int:
     action_set = None
     if args.action_set:
         try:
-            action_set = _parse_action_set(args.action_set)
+            action_set = parse_action_set(args.action_set)
         except ValueError as exc:
             _usage_error(f"--action-set: {exc}")
     if args.reward == FULL_RM and not args.rm:
@@ -263,19 +184,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_rm_train)
 
     p = sub.add_parser("train", help="run a training mode")
-    p.add_argument("--mode", required=True,
-                   choices=["gfn", "gfn-oo", "gfn-br-oo", "sft", "ppo"])
+    p.add_argument("--mode", required=True, choices=[m.replace("_", "-") for m in ALL_MODES])
     p.add_argument("--corpus", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--out", required=True)
-    p.add_argument("--rm", help="reward model checkpoint (required for gfn / gfn-oo)")
+    p.add_argument("--rm", help="reward model checkpoint (required for gfn / gfn-oo under "
+                   "the full reward; ppo without it trains on the binary reward)")
     p.add_argument("--replay-p", type=float, default=None)
     p.add_argument("--no-inject-gt", action="store_true")
     p.add_argument("--val-every", type=int, default=20)
     p.add_argument("--clock", choices=["real", "off"], default="real",
                    help="'off' zeroes wall_ms for byte-reproducible metrics")
-    p.add_argument("--config", help="flat key=value config file; explicit flags win")
+    p.add_argument("--config", help="key = value file of TrainConfig fields (a run's "
+                   "config.txt is one); explicit flags win")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="best-first-search evaluation of a checkpoint")

@@ -44,9 +44,10 @@ class Tactic:
 
     def __post_init__(self):
         if self.kind in _ARGLESS:
-            assert self.arg is None, f"{self.kind.value} takes no argument"
-        else:
-            assert self.arg is not None and 1 <= self.arg <= H_MAX
+            if self.arg is not None:
+                raise ValueError(f"{self.kind.value} takes no argument, got {self.arg}")
+        elif self.arg is None or not 1 <= self.arg <= H_MAX:
+            raise ValueError(f"{self.kind.value} needs a hypothesis in 1..{H_MAX}, got {self.arg}")
 
     def render(self) -> str:
         if self.arg is None:
@@ -186,7 +187,8 @@ def apply_tactic(state: ProofState, tactic: Tactic) -> StepResult:
 
     # Hypothesis tactics: 1-based positional argument.
     k = tactic.arg
-    assert k is not None
+    if k is None:
+        raise ValueError(f"{kind.value} needs a hypothesis argument")
     if k > len(goal.hyps):
         return _err(ErrorReason.NO_SUCH_HYPOTHESIS)
     hname, hform = goal.hyps[k - 1]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -157,11 +158,51 @@ def log_reward(traj: Trajectory, spec: RewardSpec, rm=None) -> float:
     return total
 
 
+def check_action_set(indices) -> tuple[int, ...]:
+    """The indices as a tuple; ValueError unless they are distinct action
+    indices in [0, 36), at least one."""
+    out = tuple(indices)
+    bad = [i for i in out if not 0 <= i < len(ACTIONS)]
+    if not out or bad or len(set(out)) != len(out):
+        raise ValueError(f"action set must be distinct indices in [0, {len(ACTIONS)}), "
+                         f"at least one; got {out}")
+    return out
+
+
+def parse_action_set(text: str) -> tuple[int, ...] | None:
+    """``none`` (the full action space) or comma-separated action indices."""
+    return None if text == "none" else check_action_set(int(part) for part in text.split(","))
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# A config-file value's parser, by its field's annotation.
+_PARSE = {"float": float, "int": int, "bool": _parse_bool, "str": str,
+          "tuple[int, ...] | None": parse_action_set}
+
+
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return "none" if value is None else str(value)
+
+
 @dataclass
 class TrainConfig:
+    """A training run's settings. Every field is checked when the config is
+    made (ValueError), and the settings a mode forces are applied: the
+    online-only modes never replay, and gfn_br_oo trains on the binary
+    reward. ``write`` and ``read`` are the ``--config`` file format."""
+
     lr: float = 1e-4
     clip_norm: float = 0.5
-    total_steps: int = 2000
     n_sampled: int = 5
     replay_p: float = 0.5
     temper_p: float = 0.666
@@ -176,14 +217,72 @@ class TrainConfig:
     action_set: tuple[int, ...] | None = None  # restricted subsets are test-only
 
     def __post_init__(self):
-        if self.mode not in ALL_MODES:
-            raise ValueError(f"mode must be one of {', '.join(ALL_MODES)}, got {self.mode!r}")
-        if self.action_set is not None and self.mode not in GFN_MODES:
-            raise ValueError(f"action_set applies to the GFN modes only, not {self.mode}")
+        for name, ok, rule in (
+            ("mode", self.mode in ALL_MODES, f"one of {', '.join(ALL_MODES)}"),
+            ("reward_mode", self.reward_mode in (FULL_RM, BINARY), f"{FULL_RM} or {BINARY}"),
+            ("lr", 0 < self.lr < np.inf, "positive and finite"),
+            ("clip_norm", 0 < self.clip_norm < np.inf, "positive and finite"),
+            ("weight_decay", 0 <= self.weight_decay < np.inf, "non-negative and finite"),
+            ("replay_p", 0 <= self.replay_p <= 1, "in [0, 1]"),
+            ("temper_p", 0 <= self.temper_p <= 1, "in [0, 1]"),
+            ("temper_low", 0 < self.temper_low <= self.temper_high, "in (0, temper_high]"),
+            ("temper_high", self.temper_high < np.inf, "finite"),
+            ("n_sampled", self.n_sampled >= 1, "at least 1"),
+            ("max_depth", self.max_depth >= 1, "at least 1"),
+            ("buffer_capacity", self.buffer_capacity >= 1, "at least 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if self.action_set is not None:
+            if self.mode not in GFN_MODES:
+                raise ValueError(f"action_set applies to the GFN modes only, not {self.mode}")
+            self.action_set = check_action_set(self.action_set)
         if self.mode in ("gfn_oo", "gfn_br_oo"):
             self.replay_p = 0.0
         if self.mode == "gfn_br_oo":
             self.reward_mode = BINARY
+
+    def for_reward_model(self, present: bool) -> TrainConfig:
+        """The config a run trains on with (``present``) or without a reward
+        model. A GFN mode under the full reward needs one (ValueError); PPO
+        without one trains on the binary reward."""
+        if present or self.reward_mode == BINARY or self.mode == "sft":
+            return self
+        if self.mode == "ppo":
+            return dataclasses.replace(self, reward_mode=BINARY)
+        raise ValueError(f"mode {self.mode} under the {FULL_RM} reward needs a trained "
+                         "reward model (--rm)")
+
+    def write(self, path) -> None:
+        """Write the config as a ``--config`` file: one ``key = value`` line
+        per field, which ``read`` turns back into an equal config."""
+        Path(path).write_text("".join(f"{f.name} = {_format(getattr(self, f.name))}\n"
+                                      for f in dataclasses.fields(self)))
+
+    @classmethod
+    def read(cls, path, **overrides) -> TrainConfig:
+        """The config of a ``--config`` file: ``key = value`` lines (``#``
+        starts a comment) whose keys are the fields, with ``overrides`` on
+        top. Raises ValueError naming ``path:line`` for a bad line, or
+        ``path`` for a bad combination."""
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        values = {}
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
+            if not (key or eq or value):
+                continue
+            if not eq or key not in types:
+                problem = (f"unknown config key {key!r}" if eq
+                           else f"expected key=value, got {raw!r}")
+                raise ValueError(f"{path}:{lineno}: {problem}")
+            try:
+                values[key] = _PARSE[types[key]](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        try:
+            return cls(**{**values, **overrides})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     @property
     def reward_spec(self) -> RewardSpec:
@@ -193,11 +292,6 @@ class TrainConfig:
     def optim(self) -> OptimConfig:
         return OptimConfig(lr=self.lr, clip_norm=self.clip_norm,
                            weight_decay=self.weight_decay)
-
-    def action_subset(self) -> np.ndarray | None:
-        if self.action_set is None:
-            return None
-        return np.asarray(self.action_set, dtype=np.intp)
 
 
 class ReplayBuffer:
@@ -243,8 +337,6 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
         temperature = float(rng.uniform(cfg.temper_low, cfg.temper_high))
     else:
         temperature = 1.0
-    subset = cfg.action_subset()
-
     tactics: list[Tactic] = []
     visited: list[ProofState] = [thm.initial_state]
     encs = np.zeros((cfg.max_depth, ENC_DIM))
@@ -253,7 +345,7 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
     outcome = DEPTH_EXHAUSTED
     for i in range(cfg.max_depth):
         encs[i] = encode_from_parts(thm.initial_state, tactics, state, HISTORY)
-        tactic, step_lp = sample_action(net, encs[i], temperature, rng, action_set=subset)
+        tactic, step_lp = sample_action(net, encs[i], temperature, rng, action_set=cfg.action_set)
         log_pf += step_lp
         tactics.append(tactic)
         result = apply_tactic(state, tactic)
@@ -400,10 +492,8 @@ class GFNTrainer:
 
     def __init__(self, theorems: list[Theorem], net: PolicyNet, cfg: TrainConfig,
                  rm=None, seed: int = 0):
-        if cfg.reward_mode == FULL_RM and rm is None:
-            raise ValueError("full-reward mode requires a reward model")
         self.net = net
-        self.cfg = cfg
+        self.cfg = cfg.for_reward_model(rm is not None)
         self.rm = rm
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
@@ -417,7 +507,6 @@ class GFNTrainer:
 
     def train_step(self, thm: Theorem) -> StepMetrics:
         cfg = self.cfg
-        subset = cfg.action_subset()
         use_replay = (
             cfg.replay_p > 0.0
             and self.rng.random() < cfg.replay_p
@@ -437,7 +526,7 @@ class GFNTrainer:
             batch.append(self._gt[thm.name])
 
         tape = Tape()
-        loss, info = tb_loss_graph(tape, self.net, batch, action_set=subset)
+        loss, info = tb_loss_graph(tape, self.net, batch, action_set=cfg.action_set)
         loss_value, grad_norm, skipped = update(self.net.store, tape, loss, cfg.optim)
         self.step_index += 1
         return StepMetrics(

@@ -47,7 +47,8 @@ class ParamStore:
         self._work: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def add(self, name: str, value: np.ndarray) -> None:
-        assert name not in self.arrays, f"duplicate parameter {name!r}"
+        if name in self.arrays:
+            raise ValueError(f"duplicate parameter {name!r}")
         arr = np.array(value, dtype=np.float64)  # own copy: updates are in place
         self.arrays[name] = arr
         self.adam_m[name] = np.zeros_like(arr)
@@ -57,7 +58,11 @@ class ParamStore:
         return self.arrays[name]
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
-        assert name in self.arrays and self.arrays[name].shape == value.shape
+        if name not in self.arrays:
+            raise KeyError(f"unknown parameter {name!r}")
+        if self.arrays[name].shape != np.shape(value):
+            raise ValueError(f"parameter {name!r} has shape {self.arrays[name].shape}, "
+                             f"got {np.shape(value)}")
         self.arrays[name] = np.array(value, dtype=np.float64)
 
     def names(self) -> list[str]:
@@ -359,8 +364,8 @@ def mlp_forward(store: ParamStore, x: np.ndarray, tape: Tape | None = None):
     if tape is None:
         tape = Tape()
     x = np.asarray(x, dtype=np.float64)
-    assert x.shape[-1] == store["w1"].shape[0], \
-        f"input dim {x.shape[-1]} != {store['w1'].shape[0]}"
+    if x.shape[-1] != store["w1"].shape[0]:
+        raise ValueError(f"input dim {x.shape[-1]} != {store['w1'].shape[0]}")
     xv = tape.leaf(x)
     h1 = tape.tanh(tape.add(tape.matmul(xv, tape.param(store, "w1")), tape.param(store, "b1")))
     h2 = tape.tanh(tape.add(tape.matmul(h1, tape.param(store, "w2")), tape.param(store, "b2")))

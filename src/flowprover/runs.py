@@ -7,12 +7,16 @@ updates through ``nn.update``. A run holds the metrics of every step and
 sums its totals (environment calls, skipped updates) from them; only the
 replay buffer's read count comes from the trainer.
 
-Every run directory contains an immutable manifest (written before the
-first step), a flat key=value config snapshot, metrics.csv, periodic
-checkpoints, and a final checkpoint plus summary. With ``clock="off"`` the
-wall_ms column is zeroed, making metrics.csv byte-identical across reruns
-of the same (seed, config, corpus); the default real clock leaves every
-other column untouched.
+Every run directory contains an immutable manifest and config.txt (both
+written before the first step), metrics.csv, periodic checkpoints, and a
+final checkpoint plus summary. config.txt is the TrainConfig the run trained
+on, written by ``TrainConfig.write`` as a ``--config`` file, so ``train
+--config RUN/config.txt`` with the run's mode, seed and steps reruns it.
+metrics.csv gets its header before the first step and each row right after
+its step, flushed, so a run that stops early keeps the rows of the steps it
+finished. With ``clock="off"`` the wall_ms column is zeroed, making
+metrics.csv byte-identical across reruns of the same (seed, config, corpus);
+the default real clock leaves every other column untouched.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from . import __version__
 from .baselines import PPOConfig, PPOTrainer, SFTTrainer
 from .corpus import CorpusSplit
-from .gfn import ALL_MODES, GFNTrainer, StepMetrics, TrainConfig
+from .gfn import GFNTrainer, StepMetrics, TrainConfig
 from .policy import HISTORY, PolicyNet
 from .reward_model import RewardModel
 from .search import SearchConfig, evaluate_split
@@ -77,18 +81,15 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
                  checkpoint_every: int = 100, corpus_digest: str = "",
                  command: str = "") -> RunResult:
     """Train ``mode`` for ``steps`` gradient steps over the corpus. ``cfg``
-    is copied with ``mode`` and ``steps`` (which re-applies the settings the
-    mode forces); the caller's object is left as it was."""
-    if mode not in ALL_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    is copied with ``mode`` (which re-applies the settings the mode forces)
+    and resolved against ``rm`` by ``TrainConfig.for_reward_model``; the
+    caller's object is left as it was."""
     if clock not in ("real", "off"):
         raise ValueError(f"clock must be real or off, got {clock!r}")
-    cfg = replace(cfg or TrainConfig(), mode=mode, total_steps=steps)
+    cfg = replace(cfg or TrainConfig(), mode=mode).for_reward_model(rm is not None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if mode in ("gfn", "gfn_oo") and cfg.reward_mode == "full_rm" and rm is None:
-        raise ValueError(f"mode {mode} needs a trained reward model")
     if val_cfg is None:
         val_cfg = SearchConfig(branching=8, expansion_budget=100, encoding_mode=HISTORY)
 
@@ -112,8 +113,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    (out / "config.txt").write_text(
-        "".join(f"{k}={v}\n" for k, v in sorted(_flatten(manifest).items())))
+    cfg.write(out / "config.txt")
 
     if mode == "sft":
         trainer = SFTTrainer(corpus.train, net, cfg, seed=trainer_seed)
@@ -131,21 +131,23 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
 
     metrics: list[StepMetrics] = []
     val_history: list[tuple[int, int]] = []
-    lines = [",".join(METRICS_COLUMNS)]
-    for i, thm_idx in enumerate(schedule, start=1):
-        t0 = time.monotonic()
-        m = trainer.train_step(corpus.train[thm_idx])
-        if clock == "real":
-            m.wall_ms = int((time.monotonic() - t0) * 1000)
-        if val_every and i % val_every == 0:
-            report = evaluate_split(net, corpus.valid, val_cfg)
-            m.val_solved = report.solved
-            val_history.append((i, report.solved))
-        metrics.append(m)
-        lines.append(metrics_row(m))
-        if checkpoint_every and i % checkpoint_every == 0:
-            net.save(out / f"ckpt_{i:06d}.npz")
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    with (out / "metrics.csv").open("w") as csv_file:
+        csv_file.write(",".join(METRICS_COLUMNS) + "\n")
+        csv_file.flush()
+        for i, thm_idx in enumerate(schedule, start=1):
+            t0 = time.monotonic()
+            m = trainer.train_step(corpus.train[thm_idx])
+            if clock == "real":
+                m.wall_ms = int((time.monotonic() - t0) * 1000)
+            if val_every and i % val_every == 0:
+                report = evaluate_split(net, corpus.valid, val_cfg)
+                m.val_solved = report.solved
+                val_history.append((i, report.solved))
+            metrics.append(m)
+            csv_file.write(metrics_row(m) + "\n")
+            csv_file.flush()
+            if checkpoint_every and i % checkpoint_every == 0:
+                net.save(out / f"ckpt_{i:06d}.npz")
     net.save(out / "checkpoint_final.npz")
 
     total_env_calls = sum(m.env_calls for m in metrics)
@@ -166,14 +168,3 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
         buffer_reads=buffer_reads,
         val_history=val_history,
     )
-
-
-def _flatten(obj, prefix: str = "") -> dict:
-    flat = {}
-    for key, value in obj.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten(value, prefix=f"{name}."))
-        else:
-            flat[name] = value
-    return flat

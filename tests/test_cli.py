@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,16 @@ import pytest
 
 from flowprover.cli import main
 from flowprover.corpus import build_corpus, save_split
+from flowprover.gfn import BINARY, TrainConfig
 from flowprover.policy import PolicyNet
+
+# (mode, key, value) of one-line --config files that TrainConfig refuses
+BAD_CONFIG_FILES = [
+    ("ppo", "n_sampled", "0"),
+    ("ppo", "max_depth", "0"),
+    ("gfn-br-oo", "max_depth", "0"),
+    ("gfn-br-oo", "action_set", "99"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -168,13 +178,60 @@ class TestTrain:
         assert str(cfg_file) in _usage_error_line(capsys)
         assert not (tmp_path / "z").exists()
 
-    def test_config_parsers_cover_every_field(self):
-        import dataclasses
+    def test_config_file_round_trips_every_field(self, tmp_path):
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        every = TrainConfig(lr=1e-3 / 3, clip_norm=1.5, n_sampled=7, replay_p=0.0,
+                            temper_p=0.1, temper_low=0.5, temper_high=2.0, max_depth=4,
+                            mode="gfn_oo", inject_gt=False, buffer_capacity=9,
+                            reward_mode=BINARY, weight_decay=0.0, action_set=(12, 0, 4))
+        assert all(getattr(every, name) != getattr(TrainConfig(), name) for name in names)
+        for k, cfg in enumerate((every, TrainConfig(mode="ppo", lr=2.5e-5),
+                                 TrainConfig(mode="gfn_br_oo", action_set=(35,)))):
+            path = tmp_path / f"config{k}.txt"
+            cfg.write(path)
+            assert [line.split(" = ")[0] for line in path.read_text().splitlines()] == names
+            assert TrainConfig.read(path) == cfg
 
-        from flowprover.cli import _CONFIG_PARSERS
-        from flowprover.gfn import TrainConfig
+    @pytest.mark.parametrize("mode", ["ppo", "gfn"])
+    def test_config_txt_reruns_the_run(self, mode, corpus_dir, rm_path, tmp_path):
+        rm = ["--rm", str(rm_path)] if mode == "gfn" else []
+        flags = ["train", "--mode", mode, "--corpus", str(corpus_dir), "--seed", "4",
+                 "--steps", "6", "--clock", "off", "--val-every", "3", *rm]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([*flags, "--out", str(first)]) == 0
+        assert main([*flags, "--out", str(second), "--config", str(first / "config.txt")]) == 0
+        for name in ("metrics.csv", "config.txt", "checkpoint_final.npz"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
-        assert set(_CONFIG_PARSERS) == {f.name for f in dataclasses.fields(TrainConfig)}
+    def test_ppo_without_rm_records_the_binary_reward(self, corpus_dir, tmp_path):
+        out = tmp_path / "ppo"
+        assert main(["train", "--mode", "ppo", "--corpus", str(corpus_dir), "--steps", "2",
+                     "--out", str(out), "--clock", "off", "--val-every", "0"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["reward_mode"] == BINARY
+        assert "reward_mode = binary\n" in (out / "config.txt").read_text()
+
+    def test_gfn_with_binary_reward_runs_without_rm(self, corpus_dir, tmp_path):
+        cfg_file = tmp_path / "binary.cfg"
+        cfg_file.write_text("reward_mode = binary\n")
+        out = tmp_path / "gfn"
+        assert main(["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--steps", "2",
+                     "--out", str(out), "--clock", "off", "--val-every", "0",
+                     "--config", str(cfg_file)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["mode"] == "gfn"
+        assert manifest["config"]["reward_mode"] == BINARY
+
+    @pytest.mark.parametrize("mode,key,value", BAD_CONFIG_FILES)
+    def test_bad_config_value_exits_2_naming_the_file(self, mode, key, value, corpus_dir,
+                                                       tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--mode", mode, "--corpus", str(corpus_dir), "--steps", "2",
+                  "--out", str(tmp_path / "run"), "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert str(cfg_file) in _usage_error_line(capsys)
+        assert not (tmp_path / "run").exists()
 
 
 class TestEval:
@@ -363,7 +420,15 @@ class TestBadInputFiles:
         src_dir = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src_dir), os.environ.get("PYTHONPATH", "")]))
-        for argv in (["rm-train", "--corpus", str(corpus), "--out", str(tmp_path / "rm.npz")],
+        config_argvs = []
+        for k, (mode, key, value) in enumerate(BAD_CONFIG_FILES):
+            cfg_file = tmp_path / f"bad{k}.cfg"
+            cfg_file.write_text(f"{key} = {value}\n")
+            config_argvs.append(["train", "--mode", mode, "--corpus", str(corpus_dir),
+                                 "--steps", "2", "--out", str(tmp_path / f"run{k}"),
+                                 "--config", str(cfg_file)])
+        for argv in (*config_argvs,
+                     ["rm-train", "--corpus", str(corpus), "--out", str(tmp_path / "rm.npz")],
                      ["eval", "--corpus", str(corpus_dir),
                       "--checkpoint", str(_bad_checkpoint("version_2", tmp_path))],
                      ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(checkpoint),
@@ -376,3 +441,6 @@ class TestBadInputFiles:
             assert proc.returncode == 2, proc.stderr
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            if "--config" in argv:
+                assert argv[-1] in lines[0]
+                assert not Path(argv[argv.index("--out") + 1]).exists()

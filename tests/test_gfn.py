@@ -459,7 +459,7 @@ class TestTrainStep:
         run_training("gfn_br_oo", build_corpus(1, 4, 2), seed=7, steps=2, out_dir=tmp_path,
                      cfg=cfg, clock="off", val_every=0, checkpoint_every=0)
         assert cfg == TrainConfig(mode="gfn", replay_p=0.5)
-        assert cfg.total_steps == 2000 and cfg.reward_mode == FULL_RM
+        assert cfg.reward_mode == FULL_RM
 
     @pytest.mark.parametrize("make", [
         lambda: TrainConfig(mode="reinforce"),
@@ -471,10 +471,51 @@ class TestTrainStep:
         lambda: SearchConfig(branching=0),
         lambda: SearchConfig(branching=37),
         lambda: SearchConfig(encoding_mode="flat"),
+        lambda: TrainConfig(mode="gfn", reward_mode="dense"),
+        lambda: TrainConfig(action_set=(99,)),
+        lambda: TrainConfig(action_set=(0, 0)),
+        lambda: TrainConfig(action_set=()),
+        lambda: TrainConfig(n_sampled=0),
+        lambda: TrainConfig(max_depth=0),
+        lambda: TrainConfig(replay_p=1.5),
+        lambda: TrainConfig(temper_low=0),
+        lambda: TrainConfig(buffer_capacity=0),
     ])
     def test_bad_config_raises_value_error(self, make):
         with pytest.raises(ValueError):
             make()
+
+    def test_reward_model_rule(self):
+        with pytest.raises(ValueError):
+            TrainConfig(mode="gfn_oo").for_reward_model(False)
+        for mode in ("gfn", "gfn_oo", "ppo"):
+            cfg = TrainConfig(mode=mode)
+            assert cfg.for_reward_model(True) == cfg
+        for cfg in (TrainConfig(mode="gfn", reward_mode=BINARY), TrainConfig(mode="gfn_br_oo"),
+                    TrainConfig(mode="sft")):
+            assert cfg.for_reward_model(False) == cfg
+        assert TrainConfig(mode="ppo").for_reward_model(False) == \
+            TrainConfig(mode="ppo", reward_mode=BINARY)
+
+    def test_metrics_rows_are_on_disk_after_each_step(self, tmp_path, monkeypatch):
+        split = build_corpus(1, 4, 2)
+        run_training("sft", split, seed=3, steps=6, out_dir=tmp_path / "full", clock="off",
+                     val_every=2, checkpoint_every=0)
+        full = (tmp_path / "full" / "metrics.csv").read_text().splitlines(keepends=True)
+        inner, k, seen = SFTTrainer.train_step, 4, []
+
+        def failing(trainer, thm):
+            if trainer.step_index == k - 1:
+                seen.append((tmp_path / "cut" / "metrics.csv").read_text())
+                raise RuntimeError("stop")
+            return inner(trainer, thm)
+
+        monkeypatch.setattr(SFTTrainer, "train_step", failing)
+        with pytest.raises(RuntimeError):
+            run_training("sft", split, seed=3, steps=6, out_dir=tmp_path / "cut", clock="off",
+                         val_every=2, checkpoint_every=0)
+        assert seen == ["".join(full[:k])]  # the header and k - 1 rows, written by step k
+        assert (tmp_path / "cut" / "metrics.csv").read_text() == seen[0]
 
     def test_run_training_refuses_bad_mode_and_clock(self, tmp_path):
         split = build_corpus(1, 4, 2)
