@@ -10,9 +10,13 @@ same operation order, same bits.
 from __future__ import annotations
 
 import logging
+import math
+import os
 import zipfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -37,22 +41,48 @@ MLP_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 class ParamStore:
-    """Named float64 arrays plus AdamW first/second moment buffers."""
+    """Named float64 parameters plus AdamW first/second moment buffers, held
+    in three flat vectors: ``flat_p`` (the parameters), ``flat_m`` and
+    ``flat_v`` (the moments). ``arrays[name]``, ``adam_m[name]`` and
+    ``adam_v[name]`` are reshaped views of the parameter's segment
+    (``segments[name]``) of each, so ``optim_step`` updates every parameter
+    with whole-vector operations while callers read and write by name.
 
-    def __init__(self):
+    Segments follow the order parameters were added in. A store built from
+    a dict is packed once; ``extend`` and ``add`` repack, so they suit a
+    rare late addition such as a value head."""
+
+    def __init__(self, params: dict[str, np.ndarray] | None = None):
         self.arrays: dict[str, np.ndarray] = {}
         self.adam_m: dict[str, np.ndarray] = {}
         self.adam_v: dict[str, np.ndarray] = {}
+        self.segments: dict[str, slice] = {}
+        self.flat_p = self.flat_m = self.flat_v = np.zeros(0)
         self.step_count: int = 0
-        self._work: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.extend(params or {})
+
+    def extend(self, params: dict[str, np.ndarray]) -> None:
+        """Append ``params``, with zero moments, after the current segments.
+        The flat vectors are rebuilt once; earlier values and moments are
+        kept bit for bit, and earlier views go stale."""
+        values = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
+        for name in values:
+            if name in self.arrays:
+                raise ValueError(f"duplicate parameter {name!r}")
+        added = sum(arr.size for arr in values.values())
+        self.flat_p = np.concatenate([self.flat_p, *(arr.ravel() for arr in values.values())])
+        self.flat_m = np.concatenate([self.flat_m, np.zeros(added)])
+        self.flat_v = np.concatenate([self.flat_v, np.zeros(added)])
+        start = 0
+        for name, arr in {**self.arrays, **values}.items():
+            seg = self.segments[name] = slice(start, start + arr.size)
+            self.arrays[name] = self.flat_p[seg].reshape(arr.shape)
+            self.adam_m[name] = self.flat_m[seg].reshape(arr.shape)
+            self.adam_v[name] = self.flat_v[seg].reshape(arr.shape)
+            start = seg.stop
 
     def add(self, name: str, value: np.ndarray) -> None:
-        if name in self.arrays:
-            raise ValueError(f"duplicate parameter {name!r}")
-        arr = np.array(value, dtype=np.float64)  # own copy: updates are in place
-        self.arrays[name] = arr
-        self.adam_m[name] = np.zeros_like(arr)
-        self.adam_v[name] = np.zeros_like(arr)
+        self.extend({name: value})
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -63,19 +93,10 @@ class ParamStore:
         if self.arrays[name].shape != np.shape(value):
             raise ValueError(f"parameter {name!r} has shape {self.arrays[name].shape}, "
                              f"got {np.shape(value)}")
-        self.arrays[name] = np.array(value, dtype=np.float64)
+        self.arrays[name][...] = value
 
     def names(self) -> list[str]:
         return list(self.arrays)
-
-    def work(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Two scratch arrays shaped like parameter ``name``, kept between
-        optimizer steps: an update then allocates nothing, and the
-        allocator does not hand pages back and fault them in again."""
-        if name not in self._work:
-            arr = self.arrays[name]
-            self._work[name] = (np.empty_like(arr), np.empty_like(arr))
-        return self._work[name]
 
     def fingerprint(self) -> str:
         import hashlib
@@ -86,16 +107,26 @@ class ParamStore:
             h.update(self.arrays[name].tobytes())
         return h.hexdigest()
 
-    def save(self, path: str | Path) -> None:
+    def save(self, path: str | Path | BinaryIO) -> None:
+        """Write parameters, moments and step count as an npz archive. A
+        path gets ``.npz`` appended if it lacks it (as ``np.savez`` does) and
+        is written atomically; an open binary file is written directly."""
         payload = {"__version__": np.array([1]), "__step__": np.array([self.step_count])}
         for name, arr in self.arrays.items():
             payload[f"p:{name}"] = arr
             payload[f"m:{name}"] = self.adam_m[name]
             payload[f"v:{name}"] = self.adam_v[name]
-        np.savez(path, **payload)
+        if hasattr(path, "write"):
+            np.savez(path, **payload)
+            return
+        path = Path(path)
+        if path.suffix != ".npz":
+            path = path.with_name(path.name + ".npz")
+        write_atomic(path, lambda fh: np.savez(fh, **payload))
 
     @classmethod
-    def load(cls, path: str | Path, required: tuple[str, ...] = ()) -> "ParamStore":
+    def load(cls, path: str | Path | BinaryIO,
+             required: tuple[str, ...] = ()) -> "ParamStore":
         """Read a checkpoint written by ``save``; raises CheckpointError on
         anything else, or when a parameter named in ``required`` is absent."""
         try:
@@ -118,13 +149,31 @@ class ParamStore:
             missing = sorted(needed - files)
             if missing:
                 raise CheckpointError(f"{path}: checkpoint lacks {', '.join(missing)}")
-            store = cls()
+            store = cls({name: data[f"p:{name}"] for name in names})
             store.step_count = int(data["__step__"][0])
             for name in names:
-                store.arrays[name] = data[f"p:{name}"].astype(np.float64)
-                store.adam_m[name] = data[f"m:{name}"].astype(np.float64)
-                store.adam_v[name] = data[f"v:{name}"].astype(np.float64)
+                for kind, moments in (("m", store.adam_m), ("v", store.adam_v)):
+                    value = data[f"{kind}:{name}"]
+                    if value.shape != moments[name].shape:
+                        raise CheckpointError(f"{path}: {kind}:{name} has shape {value.shape}, "
+                                              f"expected {moments[name].shape}")
+                    moments[name][...] = value
         return store
+
+
+def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Create ``path`` through ``write(binary_file)`` on a temporary file in
+    the same directory, renamed over ``path`` once complete: a reader, or a
+    run stopped midway, finds the old file or the new one, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +192,7 @@ class Var:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.asarray(g, dtype=np.float64)  # gradients are never mutated
         else:
             self.grad = self.grad + g
 
@@ -343,17 +392,23 @@ def softmax_np(z: np.ndarray) -> np.ndarray:
 # MLP (two tanh hidden layers, linear head)
 
 
-def init_mlp(rng: np.random.Generator, in_dim: int, hidden: int, out_dim: int,
-             scale: float | None = None) -> ParamStore:
-    """Fresh MLP parameters. ``scale=0.0`` gives the all-zero net used in
-    uniform-policy tests."""
-    store = ParamStore()
+def mlp_params(rng: np.random.Generator, in_dim: int, hidden: int, out_dim: int,
+               scale: float | None = None) -> dict[str, np.ndarray]:
+    """Fresh MLP parameter arrays, by name. ``scale=0.0`` gives the all-zero
+    net used in uniform-policy tests."""
+    params = {}
     dims = [(in_dim, hidden), (hidden, hidden), (hidden, out_dim)]
     for i, (d_in, d_out) in enumerate(dims, start=1):
         s = scale if scale is not None else 1.0 / np.sqrt(d_in)
-        store.add(f"w{i}", rng.normal(0.0, 1.0, size=(d_in, d_out)) * s)
-        store.add(f"b{i}", np.zeros(d_out))
-    return store
+        params[f"w{i}"] = rng.normal(0.0, 1.0, size=(d_in, d_out)) * s
+        params[f"b{i}"] = np.zeros(d_out)
+    return params
+
+
+def init_mlp(rng: np.random.Generator, in_dim: int, hidden: int, out_dim: int,
+             scale: float | None = None) -> ParamStore:
+    """A store holding fresh ``mlp_params``."""
+    return ParamStore(mlp_params(rng, in_dim, hidden, out_dim, scale))
 
 
 def mlp_forward(store: ParamStore, x: np.ndarray, tape: Tape | None = None):
@@ -402,52 +457,82 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
+# The optimizer's two scratch rows, shared by every store (one update runs
+# at a time) and grown to the largest. Kept between steps, an update
+# allocates nothing, so the allocator does not hand pages back and fault them
+# in again; shared, a process that makes and drops many stores leaves fewer
+# freed blocks in its heap.
+_scratch = np.empty((2, 0))
+
+
+def _scratch_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    global _scratch
+    if _scratch.shape[1] < n:
+        _scratch = np.empty((2, n))
+    return _scratch[0, :n], _scratch[1, :n]
+
+
 def optim_step(store: ParamStore, grads: dict[str, np.ndarray],
                cfg: OptimConfig = OptimConfig()) -> float:
     """Clip gradients to ``clip_norm`` global norm, then apply one AdamW
     update (decoupled weight decay: p -= lr*wd*p in addition to the Adam
     step; bias-corrected moments). Returns the pre-clip gradient norm.
 
-    Parameters and moments are updated in place, through the store's
-    scratch arrays, in the same arithmetic order as
+    The gradients are copied into one of the optimizer's two flat scratch
+    rows (zeros for a parameter without one). The norm is
+    ``global_grad_norm(grads)`` to the bit: each gradient's sum of squares
+    is taken over its own segment and the sums are added in ``grads``
+    order. The update then runs once over the flat parameter and moment
+    vectors, in place, in the same arithmetic order as
     ``p - lr*m_hat/(sqrt(v_hat)+eps) - lr*wd*p``.
 
-    Raises NonFiniteGradient (and changes nothing) on NaN/Inf gradients.
+    Raises KeyError for a gradient of an unknown parameter, ValueError for
+    one shaped unlike its parameter, and NonFiniteGradient for NaN/Inf;
+    each before anything in the store changes.
     """
+    a, b = _scratch_rows(store.flat_p.size)
+    if grads.keys() != store.segments.keys():
+        a.fill(0.0)
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient for {name!r}")
-    norm = global_grad_norm(grads)
-    factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
+        if name not in store.segments:
+            raise KeyError(f"gradient for unknown parameter {name!r}")
+        if np.shape(g) != store.arrays[name].shape:
+            raise ValueError(f"gradient for {name!r} has shape {np.shape(g)}, "
+                             f"parameter has {store.arrays[name].shape}")
+        a[store.segments[name]] = np.ravel(g)
+    np.multiply(a, a, out=b)
+    total = 0.0
+    for name in grads:  # np.add.reduce is np.sum without its Python wrapper
+        total += float(np.add.reduce(b[store.segments[name]]))
+    if not math.isfinite(total):  # a finite sum of squares has finite terms
+        for name in grads:
+            if not np.all(np.isfinite(a[store.segments[name]])):
+                raise NonFiniteGradient(f"non-finite gradient for {name!r}")
+    norm = float(np.sqrt(total))
+    if norm > cfg.clip_norm:
+        a *= cfg.clip_norm / norm  # a = the clipped gradient
 
     store.step_count += 1
     t = store.step_count
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for name in store.names():
-        p, m, v = store.arrays[name], store.adam_m[name], store.adam_v[name]
-        a, b = store.work(name)
-        grad = grads.get(name)
-        if grad is None:
-            a.fill(0.0)
-        else:
-            np.multiply(grad, factor, out=a)  # a = g
-        m *= cfg.beta1
-        np.multiply(a, 1.0 - cfg.beta1, out=b)
-        m += b
-        a *= a
-        a *= 1.0 - cfg.beta2
-        v *= cfg.beta2
-        v += a
-        np.divide(v, bc2, out=a)
-        np.sqrt(a, out=a)
-        a += cfg.eps  # a = sqrt(v_hat) + eps
-        np.divide(m, bc1, out=b)
-        b *= cfg.lr
-        b /= a  # b = lr * m_hat / (sqrt(v_hat) + eps)
-        np.multiply(p, cfg.lr * cfg.weight_decay, out=a)  # a = decay, from p before the update
-        p -= b
-        p -= a
+    p, m, v = store.flat_p, store.flat_m, store.flat_v
+    m *= cfg.beta1
+    np.multiply(a, 1.0 - cfg.beta1, out=b)
+    m += b
+    a *= a
+    a *= 1.0 - cfg.beta2
+    v *= cfg.beta2
+    v += a
+    np.divide(v, bc2, out=a)
+    np.sqrt(a, out=a)
+    a += cfg.eps  # a = sqrt(v_hat) + eps
+    np.divide(m, bc1, out=b)
+    b *= cfg.lr
+    b /= a  # b = lr * m_hat / (sqrt(v_hat) + eps)
+    np.multiply(p, cfg.lr * cfg.weight_decay, out=a)  # a = decay, from p before the update
+    p -= b
+    p -= a
     return norm
 
 

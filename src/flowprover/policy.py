@@ -26,10 +26,10 @@ from .nn import (
     ParamStore,
     Tape,
     Var,
-    init_mlp,
     log_softmax_np,
     mlp_forward,
     mlp_forward_np,
+    mlp_params,
     softmax_np,
 )
 
@@ -129,18 +129,16 @@ class PolicyNet:
     def create(cls, seed: int, hidden: int = 128, scale: float | None = None,
                with_value_head: bool = False) -> "PolicyNet":
         rng = np.random.default_rng(seed)
-        store = init_mlp(rng, ENC_DIM, hidden, N_ACTIONS, scale=scale)
-        store.add("wz", np.zeros(hidden))
-        store.add("bz", np.zeros(()))
+        params = mlp_params(rng, ENC_DIM, hidden, N_ACTIONS, scale=scale)
+        params.update(_head(hidden, "z"))
         if with_value_head:
-            store.add("wv", np.zeros(hidden))
-            store.add("bv", np.zeros(()))
-        return cls(store=store, hidden=hidden)
+            params.update(_head(hidden, "v"))
+        return cls(store=ParamStore(params), hidden=hidden)
 
     def ensure_value_head(self) -> None:
+        """Add a zero value head to a net made without one."""
         if "wv" not in self.store.arrays:
-            self.store.add("wv", np.zeros(self.hidden))
-            self.store.add("bv", np.zeros(()))
+            self.store.extend(_head(self.hidden, "v"))
 
     def save(self, path: str | Path) -> None:
         self.store.save(path)
@@ -149,6 +147,11 @@ class PolicyNet:
     def load(cls, path: str | Path) -> "PolicyNet":
         store = ParamStore.load(path, required=MLP_PARAMS + ("wz", "bz"))
         return cls(store=store, hidden=store["w2"].shape[0])
+
+
+def _head(hidden: int, key: str) -> dict[str, np.ndarray]:
+    """A zero linear head on the last hidden layer: weights w<key>, bias b<key>."""
+    return {f"w{key}": np.zeros(hidden), f"b{key}": np.zeros(())}
 
 
 def action_logits(net: PolicyNet, encoded: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ replay buffer's read count comes from the trainer.
 
 Every run directory contains an immutable manifest and config.txt (both
 written before the first step), metrics.csv, periodic checkpoints, and a
-final checkpoint plus summary. config.txt is the TrainConfig the run trained
+final checkpoint plus summary; checkpoints and summary.json are written
+atomically (``nn.write_atomic``). config.txt is the TrainConfig the run trained
 on, written by ``TrainConfig.write`` as a ``--config`` file, so ``train
 --config RUN/config.txt`` with the run's mode, seed and steps reruns it.
 metrics.csv gets its header before the first step and each row right after
@@ -32,6 +33,7 @@ from . import __version__
 from .baselines import PPOConfig, PPOTrainer, SFTTrainer
 from .corpus import CorpusSplit
 from .gfn import GFNTrainer, StepMetrics, TrainConfig
+from .nn import write_atomic
 from .policy import HISTORY, PolicyNet
 from .reward_model import RewardModel
 from .search import SearchConfig, evaluate_split
@@ -95,7 +97,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
 
     ss = np.random.SeedSequence(seed)
     net_seed, trainer_seed, sched_seed = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
-    net = PolicyNet.create(seed=net_seed)
+    net = PolicyNet.create(seed=net_seed, with_value_head=mode == "ppo")
 
     manifest = {
         "command": command,
@@ -159,7 +161,8 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
         "grad_skips": sum(m.grad_skipped for m in metrics),
         "val_history": val_history,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    text = json.dumps(summary, indent=2) + "\n"
+    write_atomic(out / "summary.json", lambda fh: fh.write(text.encode()))
     return RunResult(
         out_dir=out,
         metrics=metrics,

@@ -356,6 +356,8 @@ def _bad_checkpoint(kind: str, tmp_path: Path) -> Path:
         arrays["__version__"] = np.array([2])
     elif kind == "empty_version":
         arrays["__version__"] = np.array([], dtype=int)
+    elif kind == "moment_shape":
+        arrays["m:w2"] = arrays["m:w2"][:3]
     else:  # missing_parameter
         for prefix in "pmv":
             del arrays[f"{prefix}:w2"]
@@ -389,7 +391,7 @@ class TestBadInputFiles:
         assert "train.jsonl:2:" in _usage_error_line(capsys)
 
     @pytest.mark.parametrize("kind", ["text", "no_version", "version_2", "empty_version",
-                                      "missing_parameter"])
+                                      "missing_parameter", "moment_shape"])
     def test_bad_checkpoint_exits_2(self, kind, corpus_dir, tmp_path, capsys):
         path = _bad_checkpoint(kind, tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -15,10 +15,37 @@ from flowprover.nn import (
     optim_step,
     softmax_np,
 )
+from flowprover.policy import PolicyNet
 
 
 def tiny_mlp(seed=0, in_dim=7, hidden=9, out_dim=5, scale=None):
     return init_mlp(np.random.default_rng(seed), in_dim, hidden, out_dim, scale=scale)
+
+
+def reference_step(params, moments, grads, cfg, t):
+    """The AdamW update written out of place, for comparison."""
+    norm = global_grad_norm(grads)
+    factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for name, p in params.items():
+        g = grads[name] * factor
+        m, v = moments[name]
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        moments[name] = (m, v)
+        params[name] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps) \
+            - cfg.lr * cfg.weight_decay * p
+
+
+def assert_store_equals(store, params, moments, t):
+    assert list(store.arrays) == list(params)
+    for name in params:
+        assert np.array_equal(store[name], params[name]), (t, name)
+        assert np.array_equal(store.adam_m[name], moments[name][0]), (t, name)
+        assert np.array_equal(store.adam_v[name], moments[name][1]), (t, name)
 
 
 class TestForward:
@@ -182,23 +209,6 @@ class TestOptimizer:
 
 
     def test_in_place_update_matches_out_of_place_reference(self):
-        def reference_step(params, moments, grads, cfg, t):
-            """The AdamW update written out of place, for comparison."""
-            norm = global_grad_norm(grads)
-            factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
-            bc1 = 1.0 - cfg.beta1 ** t
-            bc2 = 1.0 - cfg.beta2 ** t
-            for name, p in params.items():
-                g = grads[name] * factor
-                m, v = moments[name]
-                m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-                v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-                m_hat = m / bc1
-                v_hat = v / bc2
-                moments[name] = (m, v)
-                params[name] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps) \
-                    - cfg.lr * cfg.weight_decay * p
-
         store = tiny_mlp(13)
         store.add("bz", np.asarray(0.3))  # 0-d parameters update in place too
         params = {k: v.copy() for k, v in store.arrays.items()}
@@ -209,10 +219,27 @@ class TestOptimizer:
             grads = {k: rng.normal(scale=0.4, size=v.shape) for k, v in params.items()}
             optim_step(store, grads, cfg)
             reference_step(params, moments, grads, cfg, t)
-            for name in params:
-                assert np.array_equal(store[name], params[name]), (t, name)
-                assert np.array_equal(store.adam_m[name], moments[name][0])
-                assert np.array_equal(store.adam_v[name], moments[name][1])
+            assert_store_equals(store, params, moments, t)
+
+    @pytest.mark.parametrize("scale,clipped", [(0.001, False), (0.1, True), (3.0, True)])
+    def test_policy_net_update_matches_out_of_place_reference(self, scale, clipped):
+        # the full policy with its value head: 10 segments of 42,534 values,
+        # some starting at odd offsets; every other step hands the gradients
+        # over in reverse order, which sets the order the norm is summed in
+        store = PolicyNet.create(seed=15, with_value_head=True).store
+        params = {k: v.copy() for k, v in store.arrays.items()}
+        moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
+        cfg = OptimConfig(lr=1e-2)
+        rng = np.random.default_rng(16)
+        for t in range(1, 9):
+            grads = {k: rng.normal(scale=scale, size=v.shape) for k, v in params.items()}
+            if t % 2:
+                grads = dict(reversed(grads.items()))
+            norm = optim_step(store, grads, cfg)
+            assert norm == global_grad_norm(grads)
+            assert (norm > cfg.clip_norm) == clipped
+            reference_step(params, moments, grads, cfg, t)
+            assert_store_equals(store, params, moments, t)
 
 
 class TestCheckpoint:
@@ -230,6 +257,101 @@ class TestCheckpoint:
             assert np.array_equal(loaded.adam_m[name], store.adam_m[name])
             assert np.array_equal(loaded.adam_v[name], store.adam_v[name])
         assert loaded.fingerprint() == store.fingerprint()
+
+    def test_save_load_save_gives_identical_bytes(self, tmp_path):
+        store = PolicyNet.create(seed=17, with_value_head=True).store
+        rng = np.random.default_rng(18)
+        for _ in range(3):
+            optim_step(store, {k: rng.normal(size=v.shape) for k, v in store.arrays.items()})
+        store.save(tmp_path / "a.npz")
+        ParamStore.load(tmp_path / "a.npz").save(tmp_path / "b.npz")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        store = tiny_mlp(19)
+        path = tmp_path / "ckpt.npz"
+        store.save(path)
+        before = path.read_bytes()
+        store["b1"] = np.ones(9)
+
+        def savez_then_fail(file, **arrays):
+            file.write(b"PK partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz"]
+
+
+class TestFlatStore:
+    def test_every_array_is_a_view_of_its_flat_vector(self):
+        store = PolicyNet.create(seed=20, with_value_head=True).store
+        optim_step(store, {k: np.ones(v.shape) for k, v in store.arrays.items()})
+        assert store.flat_p.size == sum(v.size for v in store.arrays.values())
+        for views, flat in ((store.arrays, store.flat_p), (store.adam_m, store.flat_m),
+                            (store.adam_v, store.flat_v)):
+            assert list(views) == list(store.segments)
+            for name, view in views.items():
+                assert np.shares_memory(view, flat)
+                assert np.array_equal(view.reshape(-1), flat[store.segments[name]])
+
+    def test_setitem_writes_through_and_refuses_a_shape_change(self):
+        store = tiny_mlp(21)
+        view = store["b2"]
+        store["b2"] = np.arange(9.0)
+        assert store["b2"] is view
+        assert np.array_equal(store.flat_p[store.segments["b2"]], np.arange(9.0))
+        with pytest.raises(ValueError):
+            store["b2"] = np.zeros(8)
+        assert np.array_equal(store["b2"], np.arange(9.0))
+
+    def test_add_after_steps_keeps_earlier_values_and_moments(self):
+        store = tiny_mlp(22)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            optim_step(store, {k: rng.normal(size=v.shape) for k, v in store.arrays.items()},
+                       OptimConfig(lr=1e-2))
+        before = {k: (store[k].copy(), store.adam_m[k].copy(), store.adam_v[k].copy())
+                  for k in store.names()}
+        flat_before = store.flat_p.copy()
+        store.add("wv", np.full(9, 0.5))
+        assert store.step_count == 3
+        assert np.array_equal(store.flat_p[:flat_before.size], flat_before)
+        for name, (p, m, v) in before.items():
+            assert np.array_equal(store[name], p)
+            assert np.array_equal(store.adam_m[name], m)
+            assert np.array_equal(store.adam_v[name], v)
+        assert np.array_equal(store["wv"], np.full(9, 0.5))
+        assert not store.adam_m["wv"].any() and not store.adam_v["wv"].any()
+        with pytest.raises(ValueError):
+            store.add("wv", np.zeros(9))
+
+    def test_norm_with_a_missing_gradient_equals_global_grad_norm(self):
+        store = tiny_mlp(24)
+        rng = np.random.default_rng(25)
+        grads = {k: rng.normal(size=v.shape) for k, v in store.arrays.items() if k != "w2"}
+        w2 = store["w2"].copy()
+        norm = optim_step(store, grads, OptimConfig(weight_decay=0.0))
+        assert norm == global_grad_norm(grads)
+        assert np.array_equal(store["w2"], w2)  # zero gradient, no decay: unchanged
+        assert not store.adam_m["w2"].any()
+
+    @pytest.mark.parametrize("grads,error", [
+        ({"b1": np.ones(1)}, ValueError),  # would broadcast over all 9 entries
+        ({"b1": np.ones((9, 1))}, ValueError),
+        ({"w9": np.ones(3)}, KeyError),
+    ])
+    def test_misfit_gradient_raises_and_changes_nothing(self, grads, error):
+        store = tiny_mlp(26)
+        optim_step(store, {k: np.ones(v.shape) for k, v in store.arrays.items()})
+        flats = [store.flat_p.copy(), store.flat_m.copy(), store.flat_v.copy()]
+        with pytest.raises(error):
+            optim_step(store, {"w1": np.ones((7, 9)), **grads})
+        assert store.step_count == 1
+        for flat, before in zip((store.flat_p, store.flat_m, store.flat_v), flats):
+            assert np.array_equal(flat, before)
 
 
 def test_log_softmax_is_normalized():

@@ -18,6 +18,8 @@ MISUSES = {
     "store.add('w', np.zeros(2))": "ValueError",
     "store.__setitem__('w', np.zeros(5))": "ValueError",
     "store.__setitem__('u', np.zeros(2))": "KeyError",
+    "optim_step(store, {'w': np.zeros(1)})": "ValueError",
+    "optim_step(store, {'u': np.zeros(2)})": "KeyError",
     "mlp_forward(PolicyNet.create(seed=0).store, np.zeros(5))": "ValueError",
 }
 
@@ -36,7 +38,7 @@ def test_misuse_raises_typed_exceptions(flags):
         "import numpy as np",
         "from flowprover.env import Tactic, TacticKind, apply_tactic, initial_state",
         "from flowprover.formulas import parse_formula",
-        "from flowprover.nn import ParamStore, mlp_forward",
+        "from flowprover.nn import ParamStore, mlp_forward, optim_step",
         "from flowprover.policy import PolicyNet",
         "EXACT, INTRO = TacticKind.EXACT, TacticKind.INTRO",
         "hypless = object.__new__(Tactic)  # skips the constructor's own check",
