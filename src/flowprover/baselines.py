@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Theorem
 from .env import ACTION_INDEX
-from .gfn import StepMetrics, TrainConfig, ground_truth, sample_trajectory
+from .gfn import RolloutTree, StepMetrics, TrainConfig, ground_truth, sample_trajectory
 from .nn import Tape, log_softmax_np, mlp_forward_np, update
 from .policy import HISTORY, PolicyNet, encode_from_parts, head_graph, rows_graph
 from .reward_model import cross_entropy_graph
@@ -147,8 +147,10 @@ class PPOTrainer:
         steps = []
         rewards = []
         logpfs = []
+        tree = RolloutTree(thm, self.net)
         for _ in range(self.cfg.n_sampled):
-            traj = sample_trajectory(thm, self.net, self._rollout_cfg, self.rng, rm=self.rm)
+            traj = sample_trajectory(thm, self.net, self._rollout_cfg, self.rng, rm=self.rm,
+                                     tree=tree)
             rewards.append(traj.log_r)
             logpfs.append(traj.log_pf)
             for i, t in enumerate(traj.tactics):
@@ -189,7 +191,7 @@ class PPOTrainer:
             mean_log_r=float(np.mean(rewards)),
             mean_log_pf=float(np.mean(logpfs)),
             log_z=float("nan"),
-            env_calls=len(steps),  # one apply_tactic per collected step
+            env_calls=len(steps),  # tactic steps of the rollouts, as in GFN
             grad_skipped=skipped,
             grad_norm=grad_norm,
         )

@@ -26,6 +26,7 @@ from .env import (
     state_fingerprint,
 )
 from .formulas import And, Atom, Formula, Implies, Or, parse_formula, print_formula
+from .nn import write_atomic
 
 
 class GenerationExhausted(RuntimeError):
@@ -222,14 +223,15 @@ def theorem_from_json(line: str) -> Theorem:
 
 
 def save_split(split: CorpusSplit, out_dir: str | Path) -> str:
-    """Write train.jsonl / valid.jsonl / corpus.hash; returns the hash."""
+    """Write train.jsonl / valid.jsonl / corpus.hash, each atomically
+    (``nn.write_atomic``); returns the hash."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for fname, thms in (("train.jsonl", split.train), ("valid.jsonl", split.valid)):
         text = "".join(theorem_to_json(t) + "\n" for t in sorted(thms, key=lambda t: t.name))
-        (out / fname).write_text(text)
+        write_atomic(out / fname, lambda fh: fh.write(text.encode()))
     digest = corpus_hash(out)
-    (out / "corpus.hash").write_text(digest + "\n")
+    write_atomic(out / "corpus.hash", lambda fh: fh.write(f"{digest}\n".encode()))
     return digest
 
 

@@ -32,7 +32,16 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Theorem
-from .env import ACTION_INDEX, ACTIONS, ProofState, StepKind, Tactic, apply_tactic, replay
+from .env import (
+    ACTION_INDEX,
+    ACTIONS,
+    ProofState,
+    StepKind,
+    StepResult,
+    Tactic,
+    apply_tactic,
+    replay,
+)
 from .nn import OptimConfig, Tape, log_softmax_np, update
 from .policy import (
     ENC_DIM,
@@ -40,10 +49,10 @@ from .policy import (
     PolicyNet,
     action_logits,
     action_mask,
+    draw_action,
     encode_from_parts,
     head_graph,
     rows_graph,
-    sample_action,
 )
 
 PROVED = "proved"
@@ -323,16 +332,85 @@ class ReplayDiverged(RuntimeError):
     """A buffered trajectory is structurally inconsistent with its tactics."""
 
 
+class _Prefix:
+    """One node of a RolloutTree: the state a tactic prefix reaches, its
+    history encoding, its masked logits and their temperature-1
+    log-probabilities, and the ``apply_tactic`` result of each tactic
+    already taken from it."""
+
+    __slots__ = ("state", "enc", "logits", "log_probs", "results")
+
+    def __init__(self, state: ProofState, enc: np.ndarray, logits: np.ndarray):
+        self.state = state
+        self.enc = enc
+        self.logits = logits
+        self.log_probs = log_softmax_np(logits)
+        self.results: dict[Tactic, StepResult] = {}
+
+    def apply(self, tactic: Tactic) -> StepResult:
+        result = self.results.get(tactic)
+        if result is None:
+            result = self.results[tactic] = apply_tactic(self.state, tactic)
+        return result
+
+
+class RolloutTree:
+    """The tactic prefixes a batch of rollouts of one theorem has reached,
+    keyed by tactic history, so each distinct prefix is encoded and scored
+    once and each distinct (prefix, tactic) applied once. A tree holds the
+    scores of one frozen net under one action set; ``sample_trajectory``
+    refuses it for another theorem, net or action set, or once the net has
+    been updated."""
+
+    def __init__(self, thm: Theorem, net: PolicyNet, action_set=None):
+        self.thm = thm
+        self.net = net
+        self.action_set = action_set
+        self.step_count = net.store.step_count
+        self._mask = action_mask(action_set)
+        self._nodes: dict[tuple[Tactic, ...], _Prefix] = {}
+
+    def check(self, thm: Theorem, net: PolicyNet, action_set) -> None:
+        """ValueError unless the tree holds ``thm`` under ``net`` as it is
+        now, restricted to ``action_set``."""
+        if thm != self.thm:
+            raise ValueError(f"rollout tree of theorem {self.thm.name!r} used for {thm.name!r}")
+        if net is not self.net:
+            raise ValueError("rollout tree used with another net")
+        if action_set != self.action_set:
+            raise ValueError(f"rollout tree of action set {self.action_set} used with "
+                             f"{action_set}")
+        if net.store.step_count != self.step_count:
+            raise ValueError(f"rollout tree made at optimizer step {self.step_count} used at "
+                             f"step {net.store.step_count}")
+
+    def node(self, history: tuple[Tactic, ...], state: ProofState) -> _Prefix:
+        """The node of ``history``, which reaches ``state``."""
+        node = self._nodes.get(history)
+        if node is None:
+            enc = encode_from_parts(self.thm.initial_state, history, state, HISTORY)
+            logits = action_logits(self.net, enc)
+            if self._mask is not None:
+                logits = logits + self._mask
+            node = self._nodes[history] = _Prefix(state, enc, logits)
+        return node
+
+
 def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
-                      rng: np.random.Generator, rm=None) -> Trajectory:
-    """Roll out the policy from the theorem's initial state, one
-    ``apply_tactic`` call per tactic.
+                      rng: np.random.Generator, rm=None,
+                      tree: RolloutTree | None = None) -> Trajectory:
+    """Roll out the policy from the theorem's initial state.
 
     Generation is tempered with probability ``temper_p`` (T uniform in
     [temper_low, temper_high]); the accumulated log_pf is always the
     temperature-1 policy probability. The rollout ends on proof completion,
-    on environment error, or at max_depth.
+    on environment error, or at max_depth. Rollouts of one batch share a
+    ``tree`` (a private one when None), which changes no bit of the result
+    and no draw of ``rng``; ValueError for a tree that does not fit.
     """
+    if tree is None:
+        tree = RolloutTree(thm, net, cfg.action_set)
+    tree.check(thm, net, cfg.action_set)
     if rng.random() < cfg.temper_p:
         temperature = float(rng.uniform(cfg.temper_low, cfg.temper_high))
     else:
@@ -340,15 +418,15 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
     tactics: list[Tactic] = []
     visited: list[ProofState] = [thm.initial_state]
     encs = np.zeros((cfg.max_depth, ENC_DIM))
-    state = thm.initial_state
     log_pf = 0.0
     outcome = DEPTH_EXHAUSTED
     for i in range(cfg.max_depth):
-        encs[i] = encode_from_parts(thm.initial_state, tactics, state, HISTORY)
-        tactic, step_lp = sample_action(net, encs[i], temperature, rng, action_set=cfg.action_set)
+        node = tree.node(tuple(tactics), visited[-1])
+        encs[i] = node.enc
+        tactic, step_lp = draw_action(node.logits, node.log_probs, temperature, rng)
         log_pf += step_lp
         tactics.append(tactic)
-        result = apply_tactic(state, tactic)
+        result = node.apply(tactic)
         if result.proved:
             visited.append(ProofState(()))
             outcome = PROVED
@@ -356,8 +434,7 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
         if result.failed:
             outcome = ENV_ERROR
             break
-        state = result.state
-        visited.append(state)
+        visited.append(result.state)
 
     traj = Trajectory(
         theorem_name=thm.name,
@@ -433,6 +510,8 @@ class StepMetrics:
     mean_log_r: float
     mean_log_pf: float
     log_z: float
+    # tactic steps of the step's sampled trajectories (0 on a replay step);
+    # the sampler applies each distinct (prefix, tactic) of the batch once
     env_calls: int
     wall_ms: int = 0
     val_solved: int | None = None
@@ -516,7 +595,8 @@ class GFNTrainer:
             batch = self.buffer.sample(thm.name, cfg.n_sampled, self.rng)
             env_calls = 0
         else:
-            batch = [sample_trajectory(thm, self.net, cfg, self.rng, rm=self.rm)
+            tree = RolloutTree(thm, self.net, cfg.action_set)
+            batch = [sample_trajectory(thm, self.net, cfg, self.rng, rm=self.rm, tree=tree)
                      for _ in range(cfg.n_sampled)]
             for traj in batch:
                 self.buffer.add(traj)

@@ -28,8 +28,8 @@ class NonFiniteGradient(FloatingPointError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is not an npz archive, is not of version 1, or
-    lacks an entry."""
+    """A checkpoint file is not an npz archive, is not of version 1, lacks
+    an entry, or holds an entry that is not a numeric array."""
 
 
 # Parameter names of init_mlp's three layers.
@@ -128,18 +128,29 @@ class ParamStore:
     def load(cls, path: str | Path | BinaryIO,
              required: tuple[str, ...] = ()) -> "ParamStore":
         """Read a checkpoint written by ``save``; raises CheckpointError on
-        anything else, or when a parameter named in ``required`` is absent."""
+        anything else, when a parameter named in ``required`` is absent, or
+        when an entry is not a numeric array."""
         try:
             data = np.load(path)
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: not a checkpoint: {exc}") from exc
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise CheckpointError(f"{path}: not a checkpoint: not an npz archive")
+
+        def entry(key: str) -> np.ndarray:
+            try:
+                value = data[key]
+            except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+                raise CheckpointError(f"{path}: entry {key} does not load: {exc}") from exc
+            if value.dtype.kind not in "biuf":
+                raise CheckpointError(f"{path}: entry {key} is not numeric ({value.dtype})")
+            return value
+
         with data:
             files = set(data.files)
             if "__version__" not in files:
                 raise CheckpointError(f"{path}: not a checkpoint: no __version__ entry")
-            version = data["__version__"]
+            version = entry("__version__")
             if not np.array_equal(version, [1]):
                 raise CheckpointError(
                     f"{path}: checkpoint version {version.tolist()}, expected [1]")
@@ -149,11 +160,15 @@ class ParamStore:
             missing = sorted(needed - files)
             if missing:
                 raise CheckpointError(f"{path}: checkpoint lacks {', '.join(missing)}")
-            store = cls({name: data[f"p:{name}"] for name in names})
-            store.step_count = int(data["__step__"][0])
+            store = cls({name: entry(f"p:{name}") for name in names})
+            step = entry("__step__")
+            if step.shape != (1,) or step.dtype.kind not in "iu":
+                raise CheckpointError(f"{path}: __step__ must hold one integer, got "
+                                      f"{step.dtype} of shape {step.shape}")
+            store.step_count = int(step[0])
             for name in names:
                 for kind, moments in (("m", store.adam_m), ("v", store.adam_v)):
-                    value = data[f"{kind}:{name}"]
+                    value = entry(f"{kind}:{name}")
                     if value.shape != moments[name].shape:
                         raise CheckpointError(f"{path}: {kind}:{name} has shape {value.shape}, "
                                               f"expected {moments[name].shape}")

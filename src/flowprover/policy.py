@@ -182,20 +182,28 @@ def action_log_probs(net: PolicyNet, encoded: np.ndarray,
     return log_softmax_np(logits if mask is None else logits + mask)
 
 
+def draw_action(logits: np.ndarray, log_probs: np.ndarray, temperature: float,
+                rng: np.random.Generator) -> tuple[Tactic, float]:
+    """Draw an action from softmax(logits / T) and return it with its
+    temperature-1 log-probability ``log_probs[action]`` (tempering drives
+    exploration only); ``log_probs`` is ``log_softmax_np(logits)``. Raises
+    ValueError unless T > 0."""
+    if not temperature > 0.0:
+        raise ValueError(f"sampling temperature must be positive, got {temperature}")
+    choice = int(rng.choice(N_ACTIONS, p=softmax_np(logits / temperature)))
+    return ACTIONS[choice], float(log_probs[choice])
+
+
 def sample_action(net: PolicyNet, encoded: np.ndarray, temperature: float,
                   rng: np.random.Generator,
                   action_set: np.ndarray | None = None) -> tuple[Tactic, float]:
-    """Sample from softmax(logits / T), restricted to ``action_set`` when
-    given; the returned log-probability is always the temperature-1 value
-    (tempering drives exploration only). Raises ValueError unless T > 0."""
-    if not temperature > 0.0:
-        raise ValueError(f"sampling temperature must be positive, got {temperature}")
+    """``draw_action`` over the policy's logits at one encoded state,
+    restricted to ``action_set`` when given."""
     logits = action_logits(net, encoded)
     mask = action_mask(action_set)
     if mask is not None:
         logits = logits + mask
-    choice = int(rng.choice(N_ACTIONS, p=softmax_np(logits / temperature)))
-    return ACTIONS[choice], float(log_softmax_np(logits)[choice])
+    return draw_action(logits, log_softmax_np(logits), temperature, rng)
 
 
 def predict_log_z(net: PolicyNet, thm: Theorem) -> float:

@@ -23,7 +23,7 @@ from .env import (
     apply_tactic,
     state_fingerprint,
 )
-from .gfn import PROVED, TrainConfig, ground_truth, sample_trajectory
+from .gfn import PROVED, RolloutTree, TrainConfig, ground_truth, sample_trajectory
 from .nn import (
     MLP_PARAMS,
     OptimConfig,
@@ -162,8 +162,9 @@ def mine_hard_negatives(net, thm: Theorem, explore_budget: int,
     # the sampler's action ranking
     search_cfg = SearchConfig(expansion_budget=explore_budget, branching=36)
     out: list[LabeledTactic] = []
+    tree = RolloutTree(thm, net)
     for _ in range(n_rollouts):
-        traj = sample_trajectory(thm, net, cfg, rng, rm=rm)
+        traj = sample_trajectory(thm, net, cfg, rng, rm=rm, tree=tree)
         if traj.outcome == PROVED:
             for i, t in enumerate(traj.tactics):
                 out.append(LabeledTactic(traj.proof_states[i], t, POSITIVE))

@@ -358,6 +358,12 @@ def _bad_checkpoint(kind: str, tmp_path: Path) -> Path:
         arrays["__version__"] = np.array([], dtype=int)
     elif kind == "moment_shape":
         arrays["m:w2"] = arrays["m:w2"][:3]
+    elif kind == "object_entry":
+        arrays["p:w2"] = np.array([{"not": "numbers"}], dtype=object)
+    elif kind == "string_entry":
+        arrays["p:w2"] = np.array(["not", "numbers"])
+    elif kind == "empty_step":
+        arrays["__step__"] = np.array([], dtype=int)
     else:  # missing_parameter
         for prefix in "pmv":
             del arrays[f"{prefix}:w2"]
@@ -391,13 +397,17 @@ class TestBadInputFiles:
         assert "train.jsonl:2:" in _usage_error_line(capsys)
 
     @pytest.mark.parametrize("kind", ["text", "no_version", "version_2", "empty_version",
-                                      "missing_parameter", "moment_shape"])
+                                      "missing_parameter", "moment_shape", "object_entry",
+                                      "string_entry", "empty_step"])
     def test_bad_checkpoint_exits_2(self, kind, corpus_dir, tmp_path, capsys):
         path = _bad_checkpoint(kind, tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_dir)])
         assert exc.value.code == 2
-        assert str(path) in _usage_error_line(capsys)
+        line = _usage_error_line(capsys)
+        assert str(path) in line
+        if kind.endswith("_entry"):
+            assert "p:w2" in line
 
     def test_bad_reward_model_exits_2(self, corpus_dir, tmp_path, capsys):
         path = _bad_checkpoint("version_2", tmp_path)
@@ -431,8 +441,9 @@ class TestBadInputFiles:
                                  "--config", str(cfg_file)])
         for argv in (*config_argvs,
                      ["rm-train", "--corpus", str(corpus), "--out", str(tmp_path / "rm.npz")],
-                     ["eval", "--corpus", str(corpus_dir),
-                      "--checkpoint", str(_bad_checkpoint("version_2", tmp_path))],
+                     *(["eval", "--corpus", str(corpus_dir),
+                        "--checkpoint", str(_bad_checkpoint(kind, tmp_path))]
+                       for kind in ("version_2", "object_entry", "string_entry")),
                      ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(checkpoint),
                       "--branching", "0"],
                      ["rm-train", "--corpus", str(repeated), "--out", str(tmp_path / "rm2.npz")],

@@ -1,8 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
+from flowprover import nn
 from flowprover.corpus import (
     ACHIEVABLE_PROOF_LENGTHS,
     FilterCaps,
@@ -134,3 +136,17 @@ class TestSerialization:
         save_split(small_corpus, tmp_path)
         names = [json.loads(l)["name"] for l in (tmp_path / "train.jsonl").read_text().splitlines()]
         assert names == sorted(names)
+
+    def test_failed_write_keeps_the_earlier_files(self, small_corpus, tmp_path, monkeypatch):
+        save_split(small_corpus, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        class FailingFile(io.FileIO):
+            def write(self, data):
+                super().write(data[:7])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(nn, "open", FailingFile, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_split(build_corpus(4, train_size=10, valid_size=2), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -17,6 +17,7 @@ from flowprover.gfn import (
     ReplayBuffer,
     ReplayDiverged,
     RewardSpec,
+    RolloutTree,
     TrainConfig,
     Trajectory,
     error_branch_log_reward,
@@ -195,6 +196,103 @@ class TestSampleTrajectory:
             from flowprover.env import ACTION_INDEX
 
             assert all(ACTION_INDEX[t] in MICRO_ACTION_SET for t in traj.tactics)
+
+
+def _batch(thm, net, cfg, rm, seed, n, shared):
+    """n rollouts from one seeded generator, sharing one RolloutTree or each
+    with a fresh one, and the generator's state afterwards."""
+    rng = np.random.default_rng(seed)
+    tree = RolloutTree(thm, net, cfg.action_set) if shared else None
+    trajs = [sample_trajectory(thm, net, cfg, rng, rm=rm, tree=tree) for _ in range(n)]
+    return trajs, rng.bit_generator.state
+
+
+def _tempered_gfn_rollouts():
+    return TrainConfig(mode="gfn", action_set=MICRO_ACTION_SET), RewardModel.create(seed=2)
+
+
+def _ppo_rollouts():
+    trainer = PPOTrainer([], PolicyNet.create(seed=0), TrainConfig(mode="ppo"),
+                         rm=RewardModel.create(seed=2))
+    return trainer._rollout_cfg, trainer.rm
+
+
+def _biased_net(seed):
+    """A random net whose output bias favours tactics that apply to the
+    theorems below, so their rollouts share prefixes, branch after ``intro``
+    and end in each of the three outcomes."""
+    net = PolicyNet.create(seed=seed)
+    bias = np.zeros(len(ACTIONS))
+    for text, value in (("intro", 5.0), ("left", 4.0), ("right", 4.0), ("apply h1", 4.0),
+                        ("exact h1", 3.0)):
+        bias[ACTIONS.index(parse_tactic(text))] = value
+    net.store["b3"] = bias
+    return net
+
+
+class TestRolloutTree:
+    @pytest.mark.parametrize("make", [_tempered_gfn_rollouts, _ppo_rollouts])
+    def test_shared_tree_changes_no_bit(self, make):
+        cfg, rm = make()
+        outcomes = set()
+        for goal in ("(a -> b) -> (a -> b)", "a | b -> a | b"):
+            thm = identity_theorem(goal)
+            for seed in range(3):
+                net = _biased_net(10 + seed)
+                shared, shared_rng = _batch(thm, net, cfg, rm, seed, 40, shared=True)
+                fresh, fresh_rng = _batch(thm, net, cfg, rm, seed, 40, shared=False)
+                assert shared_rng == fresh_rng
+                for x, y in zip(shared, fresh, strict=True):
+                    assert x.tactics == y.tactics
+                    assert x.proof_states == y.proof_states
+                    assert x.outcome == y.outcome
+                    assert np.float64(x.log_pf).tobytes() == np.float64(y.log_pf).tobytes()
+                    assert np.float64(x.log_r).tobytes() == np.float64(y.log_r).tobytes()
+                    assert x.step_encodings.tobytes() == y.step_encodings.tobytes()
+                    outcomes.add(x.outcome)
+        assert outcomes == {PROVED, ENV_ERROR, DEPTH_EXHAUSTED}
+
+    @pytest.mark.parametrize("mode", ["gfn_oo", "ppo"])
+    def test_each_prefix_is_scored_once_and_each_step_applied_once(self, mode, monkeypatch):
+        import flowprover.baselines as baselines_mod
+        import flowprover.gfn as gfn_mod
+        import flowprover.policy as policy_mod
+
+        thm = identity_theorem("a | b -> a | b")
+        cfg = TrainConfig(mode=mode, n_sampled=12)
+        net, rm = _biased_net(12), RewardModel.create(seed=2)
+        if mode == "ppo":
+            trainer, module = PPOTrainer([thm], net, cfg, rm=rm, seed=3), baselines_mod
+        else:
+            trainer, module = GFNTrainer([thm], net, cfg, rm=rm, seed=3), gfn_mod
+        calls = {"encode": 0, "forward": 0, "apply": 0}
+        trajs = []
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        sample = module.sample_trajectory
+
+        def kept(*args, **kwargs):
+            trajs.append(sample(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(module, "sample_trajectory", kept)
+        monkeypatch.setattr(gfn_mod, "encode_from_parts",
+                            counted("encode", gfn_mod.encode_from_parts))
+        monkeypatch.setattr(policy_mod, "mlp_forward_np",
+                            counted("forward", policy_mod.mlp_forward_np))
+        monkeypatch.setattr(gfn_mod, "apply_tactic", counted("apply", gfn_mod.apply_tactic))
+        m = trainer.train_step(thm)
+        prefixes = {t.tactics[:i] for t in trajs for i in range(len(t))}
+        steps = {t.tactics[:i + 1] for t in trajs for i in range(len(t))}
+        assert len(trajs) == 12
+        assert len(prefixes) > len({len(prefix) for prefix in prefixes})  # they branch
+        assert calls == {"encode": len(prefixes), "forward": len(prefixes), "apply": len(steps)}
+        assert m.env_calls == sum(map(len, trajs)) > len(steps)
 
 
 class TestReplay:

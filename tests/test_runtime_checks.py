@@ -21,6 +21,11 @@ MISUSES = {
     "optim_step(store, {'w': np.zeros(1)})": "ValueError",
     "optim_step(store, {'u': np.zeros(2)})": "KeyError",
     "mlp_forward(PolicyNet.create(seed=0).store, np.zeros(5))": "ValueError",
+    # a rollout tree refuses another theorem, net or action set, and a net updated since
+    "sample_trajectory(other_thm, net, cfg, rng, tree=tree)": "ValueError",
+    "sample_trajectory(thm, PolicyNet.create(seed=0), cfg, rng, tree=tree)": "ValueError",
+    "sample_trajectory(thm, net, replace(cfg, action_set=(0, 1)), rng, tree=tree)": "ValueError",
+    "sample_trajectory(thm, stale.net, cfg, rng, tree=stale)": "ValueError",
 }
 
 
@@ -46,6 +51,16 @@ def test_misuse_raises_typed_exceptions(flags):
         "object.__setattr__(hypless, 'arg', None)",
         "store = ParamStore()",
         "store.add('w', np.zeros(2))",
+        "from dataclasses import replace",
+        "from flowprover.corpus import Theorem",
+        "from flowprover.gfn import RolloutTree, TrainConfig, sample_trajectory",
+        "thm = Theorem('t', initial_state(parse_formula('a -> a')), ())",
+        "other_thm = Theorem('u', initial_state(parse_formula('b -> b')), ())",
+        "net, cfg = PolicyNet.create(seed=0), TrainConfig(mode='gfn_br_oo')",
+        "rng = None  # a tree is checked before the first draw",
+        "tree = RolloutTree(thm, net)",
+        "stale = RolloutTree(thm, PolicyNet.create(seed=1))",
+        "optim_step(stale.net.store, {'b3': np.ones(36)})",
         f"for call in {list(MISUSES)!r}:",
         "    try:",
         "        eval(call)",
