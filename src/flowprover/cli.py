@@ -106,6 +106,9 @@ def cmd_oracle(args) -> int:
             _usage_error(f"--action-set: {exc}")
     if args.reward == FULL_RM and not args.rm:
         _usage_error("--reward full_rm requires --rm (trained reward model checkpoint)")
+    if args.max_depth < 1:
+        _usage_error(f"--max-depth must be at least 1, got {args.max_depth}")
+    _check_limit(args.limit)
     split, _ = _load_corpus(args.theorems)
     theorems = split.valid if args.split == "valid" else split.train
     if args.limit:
@@ -135,6 +138,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    if args.budget < 0:
+        _usage_error(f"--budget must be non-negative, got {args.budget}")
+    _check_limit(args.limit)
     split, _ = _load_corpus(args.corpus)
     net = _load_checkpoint(PolicyNet, args.checkpoint)
     theorems = (split.valid if args.split == "valid" else split.train)[: args.limit or None]
@@ -144,6 +150,12 @@ def cmd_mine(args) -> int:
     save_labeled(pairs, args.out)
     print(f"wrote {len(pairs)} labeled tactics to {args.out}")
     return 0
+
+
+def _check_limit(limit: int) -> None:
+    """A usage error for a negative ``--limit``; 0 means every theorem."""
+    if limit < 0:
+        _usage_error(f"--limit must be non-negative, got {limit}")
 
 
 def _load_corpus(corpus_dir: str):

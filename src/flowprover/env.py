@@ -139,13 +139,17 @@ class StepResult:
         return self.kind is StepKind.ERROR
 
 
-def _err(reason: ErrorReason) -> StepResult:
-    return StepResult(StepKind.ERROR, error=reason)
+# One shared result per outcome without a state. StepResult is frozen, so
+# every failing or proving call can return the same object, not a new one.
+_NO_GOALS = StepResult(StepKind.ERROR, error=ErrorReason.NO_GOALS)
+_SHAPE_MISMATCH = StepResult(StepKind.ERROR, error=ErrorReason.SHAPE_MISMATCH)
+_NO_SUCH_HYPOTHESIS = StepResult(StepKind.ERROR, error=ErrorReason.NO_SUCH_HYPOTHESIS)
+_PROVED = StepResult(StepKind.PROVED)
 
 
 def _finish(goals: tuple[Goal, ...]) -> StepResult:
     if not goals:
-        return StepResult(StepKind.PROVED)
+        return _PROVED
     return StepResult(StepKind.OK, state=ProofState(goals))
 
 
@@ -162,26 +166,26 @@ def apply_tactic(state: ProofState, tactic: Tactic) -> StepResult:
     """Apply one tactic to the first goal. Total: always returns exactly one
     of Ok / Proved / EnvError; never raises on modeled inputs."""
     if not state.goals:
-        return _err(ErrorReason.NO_GOALS)
+        return _NO_GOALS
     goal, rest = state.goals[0], state.goals[1:]
     kind = tactic.kind
 
     if kind is TacticKind.INTRO:
         if not isinstance(goal.target, Implies):
-            return _err(ErrorReason.SHAPE_MISMATCH)
+            return _SHAPE_MISMATCH
         hyps = goal.hyps + ((_fresh_name(goal.hyps), goal.target.lhs),)
         return _finish((Goal(hyps, goal.target.rhs),) + rest)
 
     if kind is TacticKind.SPLIT:
         if not isinstance(goal.target, And):
-            return _err(ErrorReason.SHAPE_MISMATCH)
+            return _SHAPE_MISMATCH
         return _finish(
             (Goal(goal.hyps, goal.target.lhs), Goal(goal.hyps, goal.target.rhs)) + rest
         )
 
     if kind in (TacticKind.LEFT, TacticKind.RIGHT):
         if not isinstance(goal.target, Or):
-            return _err(ErrorReason.SHAPE_MISMATCH)
+            return _SHAPE_MISMATCH
         side = goal.target.lhs if kind is TacticKind.LEFT else goal.target.rhs
         return _finish((Goal(goal.hyps, side),) + rest)
 
@@ -190,22 +194,22 @@ def apply_tactic(state: ProofState, tactic: Tactic) -> StepResult:
     if k is None:
         raise ValueError(f"{kind.value} needs a hypothesis argument")
     if k > len(goal.hyps):
-        return _err(ErrorReason.NO_SUCH_HYPOTHESIS)
+        return _NO_SUCH_HYPOTHESIS
     hname, hform = goal.hyps[k - 1]
 
     if kind is TacticKind.EXACT:
         if hform != goal.target:
-            return _err(ErrorReason.SHAPE_MISMATCH)
+            return _SHAPE_MISMATCH
         return _finish(rest)
 
     if kind is TacticKind.APPLY:
         if not (isinstance(hform, Implies) and hform.rhs == goal.target):
-            return _err(ErrorReason.SHAPE_MISMATCH)
+            return _SHAPE_MISMATCH
         return _finish((Goal(goal.hyps, hform.lhs),) + rest)
 
     if kind is TacticKind.CASES:
         if not isinstance(hform, Or):
-            return _err(ErrorReason.SHAPE_MISMATCH)
+            return _SHAPE_MISMATCH
         def with_hyp(f: Formula) -> Goal:
             hyps = goal.hyps[: k - 1] + ((hname, f),) + goal.hyps[k:]
             return Goal(hyps, goal.target)
@@ -213,7 +217,7 @@ def apply_tactic(state: ProofState, tactic: Tactic) -> StepResult:
 
     if kind is TacticKind.DESTRUCT:
         if not isinstance(hform, And):
-            return _err(ErrorReason.SHAPE_MISMATCH)
+            return _SHAPE_MISMATCH
         hyps = goal.hyps[: k - 1] + goal.hyps[k:]
         n1 = _fresh_name(hyps)
         n2 = _fresh_name(hyps, bump=1)

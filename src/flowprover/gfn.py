@@ -126,9 +126,10 @@ class Trajectory:
         return len(self.tactics)
 
 
-# Rendered length of every action, built once. Lengths are small exact
-# integers, so sums and means over them are exact.
-_TACTIC_CHARS: dict[Tactic, int] = {t: len(t.render()) for t in ACTIONS}
+# Rendered length of every action, by action index and by tactic, built
+# once. Lengths are small exact integers, so sums over them are exact.
+ACTION_CHARS: tuple[int, ...] = tuple(len(t.render()) for t in ACTIONS)
+_TACTIC_CHARS: dict[Tactic, int] = dict(zip(ACTIONS, ACTION_CHARS))
 
 
 def _tactic_chars(tactic) -> int:
@@ -137,14 +138,17 @@ def _tactic_chars(tactic) -> int:
     return len(tactic.render()) if n is None else n
 
 
-def mean_tactic_chars(tactics) -> float:
-    if not tactics:
-        raise ValueError("trajectory must contain at least one tactic")
-    return sum(map(_tactic_chars, tactics)) / len(tactics)
-
-
 def error_branch_log_reward(tactics, spec: RewardSpec) -> float:
-    l = mean_tactic_chars(tactics)
+    return error_log_reward(sum(map(_tactic_chars, tactics)), len(tactics), spec)
+
+
+def error_log_reward(total_chars: int, n_tactics: int, spec: RewardSpec) -> float:
+    """The error-branch log reward of ``n_tactics`` tactics whose rendered
+    lengths sum to ``total_chars``. The mean length is one division of exact
+    integers, so a caller that keeps the running sum gets the same bits."""
+    if n_tactics < 1:
+        raise ValueError("trajectory must contain at least one tactic")
+    l = total_chars / n_tactics
     c = spec.c_max_tactic_len
     if l >= c:
         raise InvalidLength(f"mean tactic length {l} >= cap {c}")

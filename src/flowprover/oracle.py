@@ -19,7 +19,17 @@ import numpy as np
 
 from .corpus import Theorem
 from .env import ACTION_INDEX, ACTIONS, N_ACTIONS, ProofState, Tactic, apply_tactic
-from .gfn import DEPTH_EXHAUSTED, ENV_ERROR, PROVED, RewardSpec, Trajectory, log_reward
+from .gfn import (
+    ACTION_CHARS,
+    BINARY,
+    DEPTH_EXHAUSTED,
+    ENV_ERROR,
+    PROVED,
+    RewardSpec,
+    Trajectory,
+    error_log_reward,
+    log_reward,
+)
 from .nn import log_softmax_np, mlp_forward_np
 from .policy import HISTORY, PolicyNet, action_mask, encode_from_parts
 
@@ -89,40 +99,55 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = 3,
                            action_set: tuple[int, ...] | None = None) -> ExactDist:
     """Depth-first enumeration of all terminal trajectories, with the same
     termination semantics as training rollouts (stop on proved / error /
-    depth). Rewards go through the trainer's log_reward, so the oracle and
-    the trainer can never disagree about R."""
+    depth). Rewards are the trainer's: a proved leaf scores 0, an error
+    leaf (an environment error, or depth exhausted under the binary reward)
+    goes through ``gfn.error_log_reward`` on the walk's running sum of
+    tactic lengths, the one function behind ``log_reward``'s error branch,
+    and a depth-exhausted leaf under the full reward through ``log_reward``
+    itself, so the oracle and the trainer can never disagree about R.
+    ValueError unless ``max_depth`` is at least 1."""
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     indices = range(N_ACTIONS) if action_set is None else [int(a) for a in action_set]
     found: list[EnumeratedTrajectory] = []
     histories: list[tuple[Tactic, ...]] = []
     states: list[ProofState] = []
     edges: list[tuple[int, int, int]] = []
+    error_log_rs: dict[tuple[int, int], float] = {}  # by (length sum, tactic count)
+    partial_credit = spec.mode != BINARY
 
     def visit(state: ProofState, history: tuple[Tactic, ...],
-              before: tuple[ProofState, ...]) -> int:
+              before: tuple[ProofState, ...], chars: int) -> int:
         node = len(states)
         histories.append(history)
         states.append(state)
         before = before + (state,)
+        depth = len(history) + 1
         for a in indices:
             tactic = ACTIONS[a]
             result = apply_tactic(state, tactic)
             tacs = history + (tactic,)
-            if result.ok and len(tacs) < max_depth:
-                child = visit(result.state, tacs, before)
+            if result.ok and depth < max_depth:
+                child = visit(result.state, tacs, before, chars + ACTION_CHARS[a])
             else:
                 child = ~len(found)
-                if result.failed:
-                    outcome, traj_states = ENV_ERROR, before
+                if result.proved:
+                    outcome, log_r = PROVED, 0.0
+                elif result.ok and partial_credit:
+                    outcome = DEPTH_EXHAUSTED
+                    log_r = log_reward(Trajectory(thm.name, tacs, before + (result.state,),
+                                                  outcome, 0.0), spec, rm=rm)
                 else:
-                    outcome = PROVED if result.proved else DEPTH_EXHAUSTED
-                    traj_states = before + (ProofState(()) if result.proved else result.state,)
-                log_r = log_reward(Trajectory(thm.name, tacs, traj_states, outcome, 0.0),
-                                   spec, rm=rm)
+                    outcome = ENV_ERROR if result.failed else DEPTH_EXHAUSTED
+                    key = (chars + ACTION_CHARS[a], depth)
+                    log_r = error_log_rs.get(key)
+                    if log_r is None:
+                        log_r = error_log_rs[key] = error_log_reward(*key, spec)
                 found.append(EnumeratedTrajectory(tacs, outcome, log_r, before, node, a))
             edges.append((node, a, child))
         return node
 
-    visit(thm.initial_state, (), ())
+    visit(thm.initial_state, (), (), 0)
     # The recursive closure refers to itself; dropping it frees the walk's
     # lists on return instead of at the next cyclic garbage collection.
     del visit
@@ -290,7 +315,8 @@ class OracleReport:
 def oracle_report(net: PolicyNet, thm: Theorem, max_depth: int = 3,
                   spec: RewardSpec = RewardSpec(mode="binary"), rm=None,
                   action_set: tuple[int, ...] | None = None) -> OracleReport:
-    """Full verification pass for one theorem: one walk, one policy forward."""
+    """Full verification pass for one theorem: one walk, one policy forward.
+    ValueError unless ``max_depth`` is at least 1, before the walk."""
     dist = enumerate_trajectories(thm, max_depth=max_depth, spec=spec, rm=rm,
                                   action_set=action_set)
     log_probs, hidden = _policy_pass(net, dist)

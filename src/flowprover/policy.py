@@ -100,12 +100,27 @@ def encode_state(thm: Theorem, history: list[Tactic] | tuple[Tactic, ...],
     return encode_from_parts(thm.initial_state, history, state, mode)
 
 
+# The last initial state encoded and its features. Callers encode many
+# prefixes of one theorem in a row. The memo holds the state itself, so its
+# identity cannot be reused by another object, and states are immutable.
+_last_initial: tuple[ProofState | None, np.ndarray] = (None, np.zeros(INIT_DIM))
+
+
+def _initial_features(initial: ProofState) -> np.ndarray:
+    global _last_initial
+    state, feats = _last_initial
+    if state is not initial:
+        feats = _hash_bag(_state_tokens(initial))
+        _last_initial = (initial, feats)
+    return feats
+
+
 def encode_from_parts(initial: ProofState, history, state: ProofState,
                       mode: str = HISTORY) -> np.ndarray:
     vec = np.zeros(ENC_DIM)
     vec[:CUR_DIM] = _hash_bag(_state_tokens(state))
     if mode == HISTORY:
-        vec[CUR_DIM:CUR_DIM + INIT_DIM] = _hash_bag(_state_tokens(initial))
+        vec[CUR_DIM:CUR_DIM + INIT_DIM] = _initial_features(initial)
         for t in history:
             vec[CUR_DIM + INIT_DIM + ACTION_INDEX[t]] += 1.0
     elif mode != HISTORY_LESS:

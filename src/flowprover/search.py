@@ -37,6 +37,10 @@ class SearchConfig:
     def __post_init__(self):
         if not 1 <= self.branching <= len(ACTIONS):
             raise ValueError(f"branching must lie in 1..{len(ACTIONS)}, got {self.branching}")
+        if self.expansion_budget < 0:
+            raise ValueError(f"expansion budget must be non-negative, got {self.expansion_budget}")
+        if self.max_depth < 1:
+            raise ValueError(f"max_depth must be at least 1, got {self.max_depth}")
         if self.encoding_mode not in (HISTORY, HISTORY_LESS):
             raise ValueError(f"encoding mode must be {HISTORY} or {HISTORY_LESS}, "
                              f"got {self.encoding_mode!r}")

@@ -248,6 +248,13 @@ class TestEval:
             main(["eval", "--checkpoint", "/nonexistent.npz", "--corpus", str(corpus_dir)])
         assert exc.value.code == 2
 
+    def test_negative_budget_exits_2(self, corpus_dir, checkpoint, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus_dir),
+                  "--budget", "-3"])
+        assert exc.value.code == 2
+        assert "budget" in _usage_error_line(capsys)
+
     def test_identical_invocations_identical_reports(self, corpus_dir, checkpoint, tmp_path):
         outs = []
         for sub in ("r1.json", "r2.json"):
@@ -277,6 +284,17 @@ class TestOracle:
                   f"--action-set={action_set}"])
         assert exc.value.code == 2
         assert "--action-set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--max-depth", "0"], ["--max-depth", "-1"],
+                                       ["--limit", "-1"]])
+    def test_bad_depth_or_limit_exits_2(self, corpus_dir, checkpoint, flags, tmp_path, capsys):
+        out = tmp_path / "oracle.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--checkpoint", str(checkpoint), "--theorems",
+                  str(corpus_dir), *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert flags[0] in _usage_error_line(capsys)
+        assert not out.exists()
 
     def test_full_rm_without_reward_model_exits_2(self, corpus_dir, checkpoint):
         with pytest.raises(SystemExit) as exc:
@@ -329,6 +347,17 @@ class TestMine:
         assert lines
         row = json.loads(lines[0])
         assert set(row) == {"state", "tactic", "label"}
+
+    @pytest.mark.parametrize("flags", [["--budget", "-1"], ["--limit", "-1"]])
+    def test_negative_budget_or_limit_exits_2(self, corpus_dir, biased_checkpoint, flags,
+                                              tmp_path, capsys):
+        out = tmp_path / "pairs.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", "--checkpoint", str(biased_checkpoint), "--corpus",
+                  str(corpus_dir), *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert flags[0] in _usage_error_line(capsys)
+        assert not out.exists()
 
 
 GOOD_LINE = '{"name": "good", "goal": "a -> a", "gt_proof": ["intro", "exact h1"]}'
@@ -446,6 +475,11 @@ class TestBadInputFiles:
                        for kind in ("version_2", "object_entry", "string_entry")),
                      ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(checkpoint),
                       "--branching", "0"],
+                     ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(checkpoint),
+                      "--budget", "-3"],
+                     *(["oracle", "--theorems", str(corpus_dir), "--checkpoint",
+                        str(checkpoint), *flags]
+                       for flags in (["--max-depth", "0"], ["--limit", "-1"])),
                      ["rm-train", "--corpus", str(repeated), "--out", str(tmp_path / "rm2.npz")],
                      ["train", "--mode", "ppo", "--corpus", str(corpus_dir), "--steps", "2",
                       "--out", str(tmp_path / "ppo"), "--config", str(subset_cfg)]):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,18 @@ class TestTacticSemantics:
         assert apply_tactic(state("a"), parse_tactic("intro")).failed
         assert apply_tactic(state("a | b"), parse_tactic("split")).failed
         assert apply_tactic(state("a & b"), parse_tactic("left")).failed
+
+    def test_error_results_are_shared_and_frozen(self):
+        # one result object per error reason, so none may change
+        first = apply_tactic(state("a | b"), parse_tactic("split"))
+        again = apply_tactic(state("a & b"), parse_tactic("left"))
+        assert first is again and first.error is ErrorReason.SHAPE_MISMATCH
+        for field, value in (("kind", StepKind.OK), ("error", None), ("state", state("a"))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(first, field, value)
+        assert first.failed and first.state is None
+        assert apply_tactic(ProofState(()), parse_tactic("intro")) is \
+            apply_tactic(ProofState(()), parse_tactic("exact h1"))
 
 
 def _formula_st():

@@ -8,6 +8,7 @@ from flowprover.baselines import PPOConfig, PPOTrainer, SFTTrainer
 from flowprover.corpus import CorpusSplit, build_corpus
 from flowprover.env import ACTIONS, ProofState, initial_state, parse_tactic
 from flowprover.gfn import (
+    ACTION_CHARS,
     BINARY,
     DEPTH_EXHAUSTED,
     ENV_ERROR,
@@ -21,8 +22,8 @@ from flowprover.gfn import (
     TrainConfig,
     Trajectory,
     error_branch_log_reward,
+    error_log_reward,
     log_reward,
-    mean_tactic_chars,
     replay_forward,
     sample_trajectory,
     tb_loss,
@@ -88,14 +89,23 @@ class TestLogReward:
             error_branch_log_reward([_FakeTactic(88)], RewardSpec())
 
     def test_mean_length_table_matches_rendering(self):
+        assert ACTION_CHARS == tuple(len(t.render()) for t in ACTIONS)
+        spec = RewardSpec()
         rng = np.random.default_rng(0)
         for _ in range(300):
-            tactics = [ACTIONS[i] for i in rng.integers(0, len(ACTIONS), int(rng.integers(1, 4)))]
-            assert mean_tactic_chars(tactics) == float(np.mean([len(t.render()) for t in tactics]))
+            indices = rng.integers(0, len(ACTIONS), int(rng.integers(1, 4)))
+            tactics = [ACTIONS[i] for i in indices]
+            mean = float(np.mean([len(t.render()) for t in tactics]))
+            want = spec.error_base + spec.alpha * float(np.log((88.0 - mean) / 88.0))
+            assert error_branch_log_reward(tactics, spec) == want
+            total = sum(ACTION_CHARS[i] for i in indices)
+            assert error_log_reward(total, len(tactics), spec) == want
 
     def test_mean_length_of_no_tactics_raises(self):
         with pytest.raises(ValueError):
-            mean_tactic_chars([])
+            error_branch_log_reward([], RewardSpec())
+        with pytest.raises(ValueError):
+            error_log_reward(0, 0, RewardSpec())
 
     def test_binary_mode_maps_depth_exhausted_to_error_branch(self):
         thm = identity_theorem("a -> a")
@@ -569,6 +579,8 @@ class TestTrainStep:
         lambda: SearchConfig(branching=0),
         lambda: SearchConfig(branching=37),
         lambda: SearchConfig(encoding_mode="flat"),
+        lambda: SearchConfig(expansion_budget=-1),
+        lambda: SearchConfig(max_depth=0),
         lambda: TrainConfig(mode="gfn", reward_mode="dense"),
         lambda: TrainConfig(action_set=(99,)),
         lambda: TrainConfig(action_set=(0, 0)),

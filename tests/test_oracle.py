@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 
 import flowprover.env as env_mod
+import flowprover.gfn as gfn_mod
 import flowprover.oracle as oracle_mod
-from flowprover.env import ACTION_INDEX, ACTIONS, ProofState, Tactic, apply_tactic, parse_tactic
+from flowprover.env import (
+    ACTION_INDEX,
+    ACTIONS,
+    ProofState,
+    Tactic,
+    apply_tactic,
+    parse_tactic,
+    replay,
+)
 from flowprover.gfn import (
     BINARY,
     DEPTH_EXHAUSTED,
@@ -306,6 +315,77 @@ class TestOnePassMatchesReference:
         net = PolicyNet.create(seed=22)  # log-Z head starts at zero, as after SFT
         for thm in theorems[:5]:
             assert oracle_report(net, thm).predicted_log_z == predict_log_z(net, thm)
+
+
+class TestLeavesAgreeWithTheTrainer:
+    """Every leaf's outcome and log R against a plain walk of its tactics
+    and the trainer's ``log_reward`` on that walk's states."""
+
+    @pytest.fixture(scope="class")
+    def theorems(self):
+        from flowprover.corpus import build_corpus
+
+        return build_corpus(7, train_size=10, valid_size=1).train
+
+    @pytest.mark.parametrize("action_set", [None, MICRO_ACTION_SET], ids=["full", "micro"])
+    @pytest.mark.parametrize("mode", [BINARY, FULL_RM])
+    @pytest.mark.parametrize("max_depth", [3, 4])
+    def test_every_leaf(self, theorems, max_depth, mode, action_set):
+        rm = RewardModel.create(seed=4) if mode == FULL_RM else None
+        spec = RewardSpec(mode=mode)
+        outcomes = Counter()
+        for thm in theorems:
+            dist = enumerate_trajectories(thm, max_depth=max_depth, spec=spec, rm=rm,
+                                          action_set=action_set)
+            for leaf in dist.trajectories:
+                walk = replay(thm.initial_state, leaf.tactics)
+                outcome = (PROVED if walk.proved else ENV_ERROR if walk.failed
+                           else DEPTH_EXHAUSTED)
+                assert leaf.outcome == outcome, leaf.tactics
+                assert outcome != DEPTH_EXHAUSTED or len(leaf.tactics) == max_depth
+                assert leaf.proof_states == walk.states[:len(leaf.tactics)]
+                want = log_reward(Trajectory(thm.name, leaf.tactics, walk.states, outcome, 0.0),
+                                  spec, rm=rm)
+                assert leaf.log_r == want, leaf.tactics
+                outcomes[outcome] += 1
+        assert set(outcomes) == {PROVED, ENV_ERROR, DEPTH_EXHAUSTED}
+
+    @pytest.mark.parametrize("mode", [BINARY, FULL_RM])
+    def test_log_reward_only_for_partial_credit(self, theorems, mode, monkeypatch):
+        rm = RewardModel.create(seed=4) if mode == FULL_RM else None
+        spec = RewardSpec(mode=mode)
+        net = head_net(seed=25)
+        dists = [enumerate_trajectories(thm, spec=spec, rm=rm) for thm in theorems]
+        calls = Counter()
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(gfn_mod, "log_reward")
+        spy(oracle_mod, "log_reward")
+        spy(oracle_mod, "apply_tactic")
+        for thm, dist in zip(theorems, dists):
+            calls.clear()
+            oracle_report(net, thm, spec=spec, rm=rm)
+            exhausted = sum(t.outcome == DEPTH_EXHAUSTED for t in dist.trajectories)
+            assert calls["log_reward"] == (exhausted if mode == FULL_RM else 0)
+            assert calls["apply_tactic"] == len(dist.tree.parents)  # one per tree edge
+
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    def test_depth_below_one_raises_before_the_walk(self, max_depth, monkeypatch):
+        def walked(*args):
+            raise AssertionError("walked")
+        monkeypatch.setattr(oracle_mod, "apply_tactic", walked)
+        thm = identity_theorem("a -> a")
+        with pytest.raises(ValueError, match="max_depth"):
+            enumerate_trajectories(thm, max_depth=max_depth)
+        with pytest.raises(ValueError, match="max_depth"):
+            oracle_report(PolicyNet.create(seed=0), thm, max_depth=max_depth)
 
 
 class TestOnePass:

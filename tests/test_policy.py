@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
 
-from flowprover.env import ACTIONS, ACTION_INDEX, N_ACTIONS, apply_tactic, parse_tactic
+from flowprover.env import (
+    ACTIONS,
+    ACTION_INDEX,
+    N_ACTIONS,
+    apply_tactic,
+    initial_state,
+    parse_tactic,
+)
+from flowprover.formulas import parse_formula
 from flowprover.nn import Tape, finite_difference_check, softmax_np
 from flowprover.policy import (
     CUR_DIM,
     ENC_DIM,
     HISTORY,
     HISTORY_LESS,
+    INIT_DIM,
     PolicyNet,
+    _hash_bag,
+    _state_tokens,
     action_log_probs,
     action_logits,
+    encode_from_parts,
     encode_state,
     head_graph,
     predict_log_z,
@@ -84,6 +96,39 @@ class TestEncoding:
                         seen[enc] = h2
                         nxt.append((h2, r.state))
             frontier = nxt
+
+
+def direct_encoding(initial, history, state, mode) -> np.ndarray:
+    """The encoding built from the feature hash alone, with no memo."""
+    vec = np.zeros(ENC_DIM)
+    vec[:CUR_DIM] = _hash_bag(_state_tokens(state))
+    if mode == HISTORY:
+        vec[CUR_DIM:CUR_DIM + INIT_DIM] = _hash_bag(_state_tokens(initial))
+        for t in history:
+            vec[CUR_DIM + INIT_DIM + ACTION_INDEX[t]] += 1.0
+    return vec
+
+
+class TestInitialStateMemo:
+    """encode_from_parts keeps the last initial state's features; no order
+    of theorems may make it read another state's features."""
+
+    @pytest.mark.parametrize("mode", [HISTORY, HISTORY_LESS])
+    def test_encodings_match_a_direct_encoding(self, mode):
+        goal_a, goal_b = "(a -> b) -> a -> b", "a & b -> b & a"
+        thm_a, thm_b = identity_theorem(goal_a, "A"), identity_theorem(goal_b, "B")
+        fresh_a = initial_state(parse_formula(goal_a))
+        assert fresh_a == thm_a.initial_state and fresh_a is not thm_a.initial_state
+        assert not np.array_equal(_hash_bag(_state_tokens(thm_a.initial_state)),
+                                  _hash_bag(_state_tokens(thm_b.initial_state)))
+        intro = parse_tactic("intro")
+        for initial in (thm_a.initial_state, thm_b.initial_state, thm_a.initial_state,
+                        fresh_a):
+            prefixes = [((), initial), ((intro,), apply_tactic(initial, intro).state)]
+            for history, state in prefixes:
+                got = encode_from_parts(initial, history, state, mode)
+                assert got.tobytes() == direct_encoding(initial, history, state, mode).tobytes()
+                got[:] = -1.0  # a caller may write to its vector; the memo must not see it
 
 
 class TestLogits:

@@ -26,6 +26,7 @@ MISUSES = {
     "sample_trajectory(thm, PolicyNet.create(seed=0), cfg, rng, tree=tree)": "ValueError",
     "sample_trajectory(thm, net, replace(cfg, action_set=(0, 1)), rng, tree=tree)": "ValueError",
     "sample_trajectory(thm, stale.net, cfg, rng, tree=stale)": "ValueError",
+    "enumerate_trajectories(thm, max_depth=0)": "ValueError",
 }
 
 
@@ -54,6 +55,7 @@ def test_misuse_raises_typed_exceptions(flags):
         "from dataclasses import replace",
         "from flowprover.corpus import Theorem",
         "from flowprover.gfn import RolloutTree, TrainConfig, sample_trajectory",
+        "from flowprover.oracle import enumerate_trajectories",
         "thm = Theorem('t', initial_state(parse_formula('a -> a')), ())",
         "other_thm = Theorem('u', initial_state(parse_formula('b -> b')), ())",
         "net, cfg = PolicyNet.create(seed=0), TrainConfig(mode='gfn_br_oo')",
