@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Theorem
 from .env import ACTION_INDEX
-from .gfn import RolloutTree, StepMetrics, TrainConfig, ground_truth, sample_trajectory
+from .gfn import ProofTree, StepMetrics, TrainConfig, ground_truth, sample_trajectories
 from .nn import Tape, log_softmax_np, mlp_forward_np, update
 from .policy import HISTORY, PolicyNet, encode_from_parts, head_graph, rows_graph
 from .reward_model import cross_entropy_graph
@@ -142,22 +142,16 @@ class PPOTrainer:
         self.rm = rm
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.step_index = 0
+        self._trees = {thm.name: ProofTree(thm) for thm in theorems}  # one per theorem per run
 
     def _collect(self, thm: Theorem):
-        steps = []
-        rewards = []
-        logpfs = []
-        tree = RolloutTree(thm, self.net)
-        for _ in range(self.cfg.n_sampled):
-            traj = sample_trajectory(thm, self.net, self._rollout_cfg, self.rng, rm=self.rm,
-                                     tree=tree)
-            rewards.append(traj.log_r)
-            logpfs.append(traj.log_pf)
-            for i, t in enumerate(traj.tactics):
-                # Monte-Carlo return: per-step reward is 0 except the
-                # terminal shaped log-reward
-                steps.append((traj.step_encodings[i], ACTION_INDEX[t], traj.log_r))
-        return steps, rewards, logpfs
+        batch = sample_trajectories(self._trees[thm.name], self.net, self._rollout_cfg,
+                                    self.rng, self.cfg.n_sampled, rm=self.rm)
+        # Monte-Carlo return: per-step reward is 0 except the terminal
+        # shaped log-reward
+        steps = [(node.encoding(), ACTION_INDEX[t], traj.log_r)
+                 for traj in batch for node, t in zip(traj.nodes, traj.tactics)]
+        return steps, [t.log_r for t in batch], [t.log_pf for t in batch]
 
     def old_policy_terms(self, steps) -> tuple[np.ndarray, np.ndarray]:
         """Old log-probs of the taken actions and advantages (return minus

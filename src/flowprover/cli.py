@@ -31,10 +31,13 @@ def cmd_datagen(args) -> int:
     if out.exists() and not out.is_dir():
         _usage_error(f"--out {out} exists and is not a directory")
     try:
+        split = build_corpus(args.seed, train_size=args.train_size, valid_size=args.valid_size)
+    except ValueError as exc:
+        _usage_error(str(exc))
+    try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _usage_error(f"cannot create --out {out}: {exc}")
-    split = build_corpus(args.seed, train_size=args.train_size, valid_size=args.valid_size)
     digest = save_split(split, out)
     print(f"wrote {len(split.train)} train / {len(split.valid)} valid theorems to {out}")
     print(f"corpus hash {digest}")
@@ -43,7 +46,10 @@ def cmd_datagen(args) -> int:
 
 def cmd_rm_train(args) -> int:
     split, _ = _load_corpus(args.corpus)
-    rm = rm_train(split, epochs=args.epochs, seed=args.seed)
+    try:
+        rm = rm_train(split, epochs=args.epochs, seed=args.seed)
+    except ValueError as exc:
+        _usage_error(str(exc))
     rm.save(args.out)
     print(f"reward model saved to {args.out}")
     return 0
@@ -65,12 +71,15 @@ def cmd_train(args) -> int:
         _usage_error(str(exc))
     rm = _load_checkpoint(RewardModel, args.rm) if args.rm else None
 
-    result = run_training(
-        mode=mode, corpus=split, seed=args.seed, steps=args.steps,
-        out_dir=args.out, rm=rm, cfg=cfg, clock=args.clock,
-        val_every=args.val_every, corpus_digest=digest,
-        command=" ".join(sys.argv),
-    )
+    try:
+        result = run_training(
+            mode=mode, corpus=split, seed=args.seed, steps=args.steps,
+            out_dir=args.out, rm=rm, cfg=cfg, clock=args.clock,
+            val_every=args.val_every, corpus_digest=digest,
+            command=" ".join(sys.argv),
+        )
+    except ValueError as exc:
+        _usage_error(str(exc))
     print(f"run complete: {result.out_dir}")
     print(f"total env calls {result.total_env_calls}, buffer reads {result.buffer_reads}")
     if result.val_history:
@@ -144,9 +153,12 @@ def cmd_mine(args) -> int:
     split, _ = _load_corpus(args.corpus)
     net = _load_checkpoint(PolicyNet, args.checkpoint)
     theorems = (split.valid if args.split == "valid" else split.train)[: args.limit or None]
-    pairs = [p for thm in theorems
-             for p in mine_hard_negatives(net, thm, explore_budget=args.budget,
-                                          n_rollouts=args.rollouts, seed=args.seed)]
+    try:
+        pairs = [p for thm in theorems
+                 for p in mine_hard_negatives(net, thm, explore_budget=args.budget,
+                                              n_rollouts=args.rollouts, seed=args.seed)]
+    except ValueError as exc:
+        _usage_error(str(exc))
     save_labeled(pairs, args.out)
     print(f"wrote {len(pairs)} labeled tactics to {args.out}")
     return 0

@@ -38,6 +38,13 @@ class CorpusError(ValueError):
     repeats the name of an earlier theorem."""
 
 
+def check_non_negative(**values: int) -> None:
+    """ValueError naming the first of ``values`` that is negative."""
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class FilterCaps:
     max_proof_len: int = 3
@@ -165,7 +172,9 @@ def generate_theorem(rng: np.random.Generator, target_len: int, name: str = "thm
 
 def build_corpus(seed: int, train_size: int = 1000, valid_size: int = 20) -> CorpusSplit:
     """Deterministic train/valid split, disjoint by name and by initial-state
-    fingerprint, balanced over the achievable proof lengths {2, 3}."""
+    fingerprint, balanced over the achievable proof lengths {2, 3}.
+    ValueError for a negative seed or size."""
+    check_non_negative(seed=seed, train_size=train_size, valid_size=valid_size)
     root = np.random.SeedSequence(seed)
     seen: set[int] = set()
     split = CorpusSplit()

@@ -95,9 +95,10 @@ class Trajectory:
 
     ``proof_states`` holds the states the tactics were applied in (index i
     is the state before tactic i), plus the resulting state when the rollout
-    did not end in an environment error. ``step_encodings`` optionally
-    carries the (len(tactics), ENC_DIM) history encodings of the steps, so
-    the loss graph need not encode them again; None means encode on use.
+    did not end in an environment error. ``nodes`` holds, for a trajectory
+    walked in a ProofTree, the node each tactic is taken from; their rows
+    are the encodings. A trajectory without nodes is encoded from its
+    states on use.
     """
 
     theorem_name: str
@@ -107,15 +108,15 @@ class Trajectory:
     log_pf: float
     log_r: float = 0.0
     source: str = "online"
-    step_encodings: np.ndarray | None = field(default=None, repr=False, compare=False)
+    nodes: tuple[ProofNode, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def initial_state(self) -> ProofState:
         return self.proof_states[0]
 
     def encodings(self) -> np.ndarray:
-        if self.step_encodings is not None:
-            return self.step_encodings
+        if self.nodes is not None:
+            return np.stack([node.encoding() for node in self.nodes])
         out = np.zeros((len(self.tactics), ENC_DIM))
         for i in range(len(self.tactics)):
             out[i] = encode_from_parts(self.initial_state, self.tactics[:i],
@@ -124,6 +125,67 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.tactics)
+
+
+class ProofNode:
+    """One tactic prefix of a theorem: the state it reaches, its HISTORY
+    encoding (made on first use, read-only), and the ``apply_tactic`` result
+    of each tactic tried from it, with the node of each one that applies."""
+
+    __slots__ = ("initial", "history", "state", "_enc", "results", "children")
+
+    def __init__(self, initial: ProofState, history: tuple[Tactic, ...], state: ProofState):
+        self.initial = initial
+        self.history = history
+        self.state = state
+        self._enc: np.ndarray | None = None
+        self.results: dict[Tactic, StepResult] = {}
+        self.children: dict[Tactic, ProofNode] = {}
+
+    def encoding(self) -> np.ndarray:
+        if self._enc is None:
+            self._enc = encode_from_parts(self.initial, self.history, self.state, HISTORY)
+            self._enc.flags.writeable = False
+        return self._enc
+
+    def apply(self, tactic: Tactic, known: StepResult | None = None) -> StepResult:
+        """The result of ``tactic`` from here, recorded on first use: the
+        ``known`` one when the caller has it, else ``apply_tactic``'s."""
+        result = self.results.get(tactic)
+        if result is None:
+            if known is None:
+                known = apply_tactic(self.state, tactic)
+            result = self.results[tactic] = known
+            if result.ok:
+                self.children[tactic] = ProofNode(self.initial, self.history + (tactic,),
+                                                  result.state)
+        return result
+
+
+class ProofTree:
+    """The tactic prefixes of one theorem reached so far, from ``root`` (the
+    initial state, empty history) down by tactic. It holds no net and no
+    action set, so one tree serves every batch of a run: each distinct
+    prefix is encoded once and each (prefix, tactic) applied once."""
+
+    def __init__(self, thm: Theorem):
+        self.thm = thm
+        self.root = ProofNode(thm.initial_state, (), thm.initial_state)
+
+    def add_walk(self, tactics, states) -> tuple[ProofNode, ...]:
+        """Record a walk whose every tactic applies, from its states (the
+        state before each tactic, then the one reached, as ``env.replay``
+        gives them), so the tree applies none of its tactics again. Returns
+        the node each tactic is taken from."""
+        if len(states) != len(tactics) + 1:
+            raise ValueError(f"{len(tactics)} applied tactics need {len(tactics) + 1} states")
+        node, nodes = self.root, []
+        for tactic, reached in zip(tactics, states[1:]):
+            nodes.append(node)
+            node.apply(tactic, StepResult(StepKind.OK, state=reached) if reached.goals
+                       else StepResult(StepKind.PROVED))
+            node = node.children.get(tactic)
+        return tuple(nodes)
 
 
 # Rendered length of every action, by action index and by tactic, built
@@ -309,8 +371,8 @@ class TrainConfig:
 
 class ReplayBuffer:
     """Per-theorem FIFO ring buffers of finished trajectories. The loss graph
-    recomputes log P_F, so the stored log_pf is never read; step encodings
-    are dropped, since they would hold about 4 KB per entry."""
+    recomputes log P_F, so the stored log_pf is never read; an entry keeps
+    its tree nodes, whose encodings are made already."""
 
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
@@ -319,7 +381,7 @@ class ReplayBuffer:
 
     def add(self, traj: Trajectory) -> None:
         buf = self._buffers.setdefault(traj.theorem_name, deque(maxlen=self.capacity))
-        buf.append(dataclasses.replace(traj, source="replay", step_encodings=None))
+        buf.append(dataclasses.replace(traj, source="replay"))
 
     def size(self, theorem_name: str) -> int:
         return len(self._buffers.get(theorem_name, ()))
@@ -336,120 +398,58 @@ class ReplayDiverged(RuntimeError):
     """A buffered trajectory is structurally inconsistent with its tactics."""
 
 
-class _Prefix:
-    """One node of a RolloutTree: the state a tactic prefix reaches, its
-    history encoding, its masked logits and their temperature-1
-    log-probabilities, and the ``apply_tactic`` result of each tactic
-    already taken from it."""
+def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
+                        rng: np.random.Generator, n: int, rm=None) -> list[Trajectory]:
+    """``n`` rollouts of the policy from the tree's root.
 
-    __slots__ = ("state", "enc", "logits", "log_probs", "results")
+    Each rollout is tempered with probability ``temper_p`` (T uniform in
+    [temper_low, temper_high]); the accumulated log_pf is always the
+    temperature-1 policy probability. A rollout ends on proof completion,
+    on environment error, or at max_depth. The masked logits of each prefix
+    the batch reaches are computed once, for this call only, since the net
+    changes between batches and the tree does not.
+    """
+    mask = action_mask(cfg.action_set)
+    scores: dict[ProofNode, tuple[np.ndarray, np.ndarray]] = {}
+    batch = []
+    for _ in range(n):
+        temperature = (float(rng.uniform(cfg.temper_low, cfg.temper_high))
+                       if rng.random() < cfg.temper_p else 1.0)
+        node, nodes, tactics, visited = tree.root, [], [], [tree.root.state]
+        log_pf, outcome = 0.0, DEPTH_EXHAUSTED
+        for _ in range(cfg.max_depth):
+            score = scores.get(node)
+            if score is None:
+                logits = action_logits(net, node.encoding())
+                if mask is not None:
+                    logits = logits + mask
+                score = scores[node] = (logits, log_softmax_np(logits))
+            tactic, step_lp = draw_action(*score, temperature, rng)
+            log_pf += step_lp
+            nodes.append(node)
+            tactics.append(tactic)
+            result = node.apply(tactic)
+            if result.proved:
+                visited.append(ProofState(()))
+                outcome = PROVED
+                break
+            if result.failed:
+                outcome = ENV_ERROR
+                break
+            node = node.children[tactic]
+            visited.append(node.state)
 
-    def __init__(self, state: ProofState, enc: np.ndarray, logits: np.ndarray):
-        self.state = state
-        self.enc = enc
-        self.logits = logits
-        self.log_probs = log_softmax_np(logits)
-        self.results: dict[Tactic, StepResult] = {}
-
-    def apply(self, tactic: Tactic) -> StepResult:
-        result = self.results.get(tactic)
-        if result is None:
-            result = self.results[tactic] = apply_tactic(self.state, tactic)
-        return result
-
-
-class RolloutTree:
-    """The tactic prefixes a batch of rollouts of one theorem has reached,
-    keyed by tactic history, so each distinct prefix is encoded and scored
-    once and each distinct (prefix, tactic) applied once. A tree holds the
-    scores of one frozen net under one action set; ``sample_trajectory``
-    refuses it for another theorem, net or action set, or once the net has
-    been updated."""
-
-    def __init__(self, thm: Theorem, net: PolicyNet, action_set=None):
-        self.thm = thm
-        self.net = net
-        self.action_set = action_set
-        self.step_count = net.store.step_count
-        self._mask = action_mask(action_set)
-        self._nodes: dict[tuple[Tactic, ...], _Prefix] = {}
-
-    def check(self, thm: Theorem, net: PolicyNet, action_set) -> None:
-        """ValueError unless the tree holds ``thm`` under ``net`` as it is
-        now, restricted to ``action_set``."""
-        if thm != self.thm:
-            raise ValueError(f"rollout tree of theorem {self.thm.name!r} used for {thm.name!r}")
-        if net is not self.net:
-            raise ValueError("rollout tree used with another net")
-        if action_set != self.action_set:
-            raise ValueError(f"rollout tree of action set {self.action_set} used with "
-                             f"{action_set}")
-        if net.store.step_count != self.step_count:
-            raise ValueError(f"rollout tree made at optimizer step {self.step_count} used at "
-                             f"step {net.store.step_count}")
-
-    def node(self, history: tuple[Tactic, ...], state: ProofState) -> _Prefix:
-        """The node of ``history``, which reaches ``state``."""
-        node = self._nodes.get(history)
-        if node is None:
-            enc = encode_from_parts(self.thm.initial_state, history, state, HISTORY)
-            logits = action_logits(self.net, enc)
-            if self._mask is not None:
-                logits = logits + self._mask
-            node = self._nodes[history] = _Prefix(state, enc, logits)
-        return node
+        traj = Trajectory(tree.thm.name, tuple(tactics), tuple(visited), outcome, log_pf,
+                          nodes=tuple(nodes))
+        traj.log_r = log_reward(traj, cfg.reward_spec, rm=rm)
+        batch.append(traj)
+    return batch
 
 
 def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
-                      rng: np.random.Generator, rm=None,
-                      tree: RolloutTree | None = None) -> Trajectory:
-    """Roll out the policy from the theorem's initial state.
-
-    Generation is tempered with probability ``temper_p`` (T uniform in
-    [temper_low, temper_high]); the accumulated log_pf is always the
-    temperature-1 policy probability. The rollout ends on proof completion,
-    on environment error, or at max_depth. Rollouts of one batch share a
-    ``tree`` (a private one when None), which changes no bit of the result
-    and no draw of ``rng``; ValueError for a tree that does not fit.
-    """
-    if tree is None:
-        tree = RolloutTree(thm, net, cfg.action_set)
-    tree.check(thm, net, cfg.action_set)
-    if rng.random() < cfg.temper_p:
-        temperature = float(rng.uniform(cfg.temper_low, cfg.temper_high))
-    else:
-        temperature = 1.0
-    tactics: list[Tactic] = []
-    visited: list[ProofState] = [thm.initial_state]
-    encs = np.zeros((cfg.max_depth, ENC_DIM))
-    log_pf = 0.0
-    outcome = DEPTH_EXHAUSTED
-    for i in range(cfg.max_depth):
-        node = tree.node(tuple(tactics), visited[-1])
-        encs[i] = node.enc
-        tactic, step_lp = draw_action(node.logits, node.log_probs, temperature, rng)
-        log_pf += step_lp
-        tactics.append(tactic)
-        result = node.apply(tactic)
-        if result.proved:
-            visited.append(ProofState(()))
-            outcome = PROVED
-            break
-        if result.failed:
-            outcome = ENV_ERROR
-            break
-        visited.append(result.state)
-
-    traj = Trajectory(
-        theorem_name=thm.name,
-        tactics=tuple(tactics),
-        proof_states=tuple(visited),
-        outcome=outcome,
-        log_pf=log_pf,
-        step_encodings=encs[:len(tactics)],
-    )
-    traj.log_r = log_reward(traj, cfg.reward_spec, rm=rm)
-    return traj
+                      rng: np.random.Generator, rm=None) -> Trajectory:
+    """One rollout of ``thm`` (see ``sample_trajectories``) in a fresh tree."""
+    return sample_trajectories(ProofTree(thm), net, cfg, rng, 1, rm=rm)[0]
 
 
 _OUTCOMES = {StepKind.PROVED: PROVED, StepKind.ERROR: ENV_ERROR, StepKind.OK: DEPTH_EXHAUSTED}
@@ -515,7 +515,7 @@ class StepMetrics:
     mean_log_pf: float
     log_z: float
     # tactic steps of the step's sampled trajectories (0 on a replay step);
-    # the sampler applies each distinct (prefix, tactic) of the batch once
+    # the sampler applies each distinct (prefix, tactic) of the run once
     env_calls: int
     wall_ms: int = 0
     val_solved: int | None = None
@@ -581,12 +581,13 @@ class GFNTrainer:
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.step_index = 0
-        # Ground-truth states and encodings never change; cache them up front.
+        # One tree per theorem for the run, holding its ground truth's walk.
+        self._trees: dict[str, ProofTree] = {}
         self._gt: dict[str, Trajectory] = {}
         for thm in theorems:
-            gt = ground_truth(thm)
-            gt.step_encodings = gt.encodings()
-            self._gt[thm.name] = gt
+            tree = self._trees[thm.name] = ProofTree(thm)
+            gt = self._gt[thm.name] = ground_truth(thm)
+            gt.nodes = tree.add_walk(gt.tactics, gt.proof_states)
 
     def train_step(self, thm: Theorem) -> StepMetrics:
         cfg = self.cfg
@@ -599,9 +600,8 @@ class GFNTrainer:
             batch = self.buffer.sample(thm.name, cfg.n_sampled, self.rng)
             env_calls = 0
         else:
-            tree = RolloutTree(thm, self.net, cfg.action_set)
-            batch = [sample_trajectory(thm, self.net, cfg, self.rng, rm=self.rm, tree=tree)
-                     for _ in range(cfg.n_sampled)]
+            batch = sample_trajectories(self._trees[thm.name], self.net, cfg, self.rng,
+                                        cfg.n_sampled, rm=self.rm)
             for traj in batch:
                 self.buffer.add(traj)
             env_calls = sum(map(len, batch))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusSplit, Theorem
+from .corpus import CorpusSplit, Theorem, check_non_negative
 from .env import (
     ACTION_INDEX,
     ProofState,
@@ -23,7 +23,7 @@ from .env import (
     apply_tactic,
     state_fingerprint,
 )
-from .gfn import PROVED, RolloutTree, TrainConfig, ground_truth, sample_trajectory
+from .gfn import PROVED, ProofTree, TrainConfig, ground_truth, sample_trajectories
 from .nn import (
     MLP_PARAMS,
     OptimConfig,
@@ -100,7 +100,11 @@ def cross_entropy_graph(tape: Tape, store: ParamStore, x: np.ndarray, y: np.ndar
 
 def rm_train(corpus: CorpusSplit, epochs: int = 20, seed: int = 0,
              batch_size: int = 64, optim: OptimConfig = OptimConfig()) -> RewardModel:
-    """Cross-entropy training on the train split's ground-truth pairs."""
+    """Cross-entropy training on the train split's ground-truth pairs.
+    ValueError for a negative seed or epoch count, or an empty train split."""
+    check_non_negative(seed=seed, epochs=epochs)
+    if not corpus.train:
+        raise ValueError("the corpus has no train theorems to fit the reward model on")
     rm = RewardModel.create(seed=seed)
     x, y = gt_pairs(corpus.train)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -152,19 +156,19 @@ def mine_hard_negatives(net, thm: Theorem, explore_budget: int,
     tactic positive, unless the proof's first step leads straight back to
     the pre-tactic state (those are uncertain, since the tactic plainly
     contributed nothing); no proof marks it negative. Error tactics are not
-    labelable and are skipped.
+    labelable and are skipped. ValueError for a negative seed or rollout
+    count.
     """
     from .search import SearchConfig, search_from_state
 
+    check_non_negative(seed=seed, n_rollouts=n_rollouts)
     cfg = TrainConfig(mode="gfn_br_oo")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # exhaustive per-node branching: labels should reflect provability, not
     # the sampler's action ranking
     search_cfg = SearchConfig(expansion_budget=explore_budget, branching=36)
     out: list[LabeledTactic] = []
-    tree = RolloutTree(thm, net)
-    for _ in range(n_rollouts):
-        traj = sample_trajectory(thm, net, cfg, rng, rm=rm, tree=tree)
+    for traj in sample_trajectories(ProofTree(thm), net, cfg, rng, n_rollouts, rm=rm):
         if traj.outcome == PROVED:
             for i, t in enumerate(traj.tactics):
                 out.append(LabeledTactic(traj.proof_states[i], t, POSITIVE))

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import PPOConfig, PPOTrainer, SFTTrainer
-from .corpus import CorpusSplit
+from .corpus import CorpusSplit, check_non_negative
 from .gfn import GFNTrainer, StepMetrics, TrainConfig
 from .nn import write_atomic
 from .policy import HISTORY, PolicyNet
@@ -85,9 +85,14 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
     """Train ``mode`` for ``steps`` gradient steps over the corpus. ``cfg``
     is copied with ``mode`` (which re-applies the settings the mode forces)
     and resolved against ``rm`` by ``TrainConfig.for_reward_model``; the
-    caller's object is left as it was."""
+    caller's object is left as it was. ValueError, before anything is
+    written, for a negative count, or for steps on an empty train split."""
     if clock not in ("real", "off"):
         raise ValueError(f"clock must be real or off, got {clock!r}")
+    check_non_negative(seed=seed, steps=steps, val_every=val_every,
+                       checkpoint_every=checkpoint_every)
+    if steps and not corpus.train:
+        raise ValueError(f"cannot take {steps} steps: the corpus has no train theorems")
     cfg = replace(cfg or TrainConfig(), mode=mode).for_reward_model(rm is not None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

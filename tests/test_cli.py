@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowprover.cli import main
+from flowprover.cli import build_parser, main
 from flowprover.corpus import build_corpus, save_split
 from flowprover.gfn import BINARY, TrainConfig
 from flowprover.policy import PolicyNet
@@ -491,3 +492,90 @@ class TestBadInputFiles:
             if "--config" in argv:
                 assert argv[-1] in lines[0]
                 assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+# Runs each argv (a JSON list) through ``main`` in one interpreter and prints,
+# per argv, a JSON pair: the exit code and the lines written to stderr.
+_CASES_SCRIPT = """
+import contextlib, io, json, sys
+from flowprover.cli import main
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([code, err.getvalue().splitlines()]))
+"""
+
+
+def _run_cli_cases(argvs: list[list[str]], flags: list[str]) -> list[tuple[int, list[str]]]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", _CASES_SCRIPT, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+def _int_options():
+    """(command, flag, value) for every ``type=int`` option of the parser:
+    -1 for each, and also 0 for the two that must be at least 1."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.type is int:
+                flag = action.option_strings[0]
+                for value in ("-1", "0") if flag in ("--max-depth", "--branching") else ("-1",):
+                    yield command, flag, value
+
+
+class TestIntegerOptions:
+    """Every integer option refuses an out-of-range value as a usage error,
+    found by walking the parser, so an option added later is covered."""
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_out_of_range_value_exits_2(self, flags, corpus_dir, checkpoint, tmp_path):
+        out = tmp_path / "out"
+        corpus, ckpt = str(corpus_dir), str(checkpoint)
+        valid = {  # otherwise-valid, cheap arguments of each command
+            "datagen": ["--out", str(out), "--train-size", "2", "--valid-size", "2"],
+            "rm-train": ["--corpus", corpus, "--epochs", "1", "--out", str(out)],
+            "train": ["--mode", "sft", "--corpus", corpus, "--steps", "1", "--out", str(out)],
+            "eval": ["--checkpoint", ckpt, "--corpus", corpus],
+            "oracle": ["--checkpoint", ckpt, "--theorems", corpus, "--limit", "1"],
+            "mine": ["--checkpoint", ckpt, "--corpus", corpus, "--limit", "1",
+                     "--rollouts", "1", "--budget", "1", "--out", str(out)],
+        }
+        cases = list(_int_options())
+        assert {command for command, _, _ in cases} == set(valid)
+        assert len(cases) >= 18
+        results = _run_cli_cases([[command, *valid[command], flag, value]
+                                  for command, flag, value in cases], flags)
+        for (command, flag, value), (code, lines) in zip(cases, results, strict=True):
+            assert code == 2, (command, flag, value, lines)
+            assert len(lines) == 1 and lines[0].startswith("error: "), (command, flag, lines)
+            assert flag[2:].replace("-", "_") in lines[0].replace("-", "_"), lines
+        assert not out.exists()
+
+
+class TestEmptyTrainSplit:
+    def test_train_and_rm_train_exit_2(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        save_split(build_corpus(3, train_size=0, valid_size=2), corpus)
+        run, rm = tmp_path / "run", tmp_path / "rm.npz"
+        # in a subprocess with a timeout: a train loop over no theorems never ends
+        results = _run_cli_cases([
+            ["train", "--mode", "sft", "--steps", "5", "--corpus", str(corpus), "--out", str(run)],
+            ["rm-train", "--corpus", str(corpus), "--out", str(rm)],
+        ], [])
+        for code, lines in results:
+            assert code == 2
+            assert len(lines) == 1 and "no train theorems" in lines[0], lines
+        assert not run.exists() and not rm.exists()
+        assert main(["train", "--mode", "sft", "--steps", "0", "--corpus", str(corpus),
+                     "--out", str(run)]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -15,22 +16,24 @@ from flowprover.gfn import (
     FULL_RM,
     GFNTrainer,
     PROVED,
+    ProofTree,
     ReplayBuffer,
     ReplayDiverged,
     RewardSpec,
-    RolloutTree,
     TrainConfig,
     Trajectory,
     error_branch_log_reward,
     error_log_reward,
     log_reward,
     replay_forward,
+    sample_trajectories,
     sample_trajectory,
     tb_loss,
+    tb_loss_graph,
     tb_loss_value,
     trajectory_from_tactics,
 )
-from flowprover.nn import Tape, global_grad_norm
+from flowprover.nn import Tape, global_grad_norm, update
 from flowprover.policy import PolicyNet
 from flowprover.reward_model import RewardModel, rm_train
 from flowprover.runs import run_training
@@ -208,12 +211,24 @@ class TestSampleTrajectory:
             assert all(ACTION_INDEX[t] in MICRO_ACTION_SET for t in traj.tactics)
 
 
-def _batch(thm, net, cfg, rm, seed, n, shared):
-    """n rollouts from one seeded generator, sharing one RolloutTree or each
-    with a fresh one, and the generator's state afterwards."""
+def _rollouts_over_updates(thm, net, cfg, rm, seed, trees):
+    """Four batches of ten rollouts from one seeded generator, each followed
+    by an optimizer step on its TB loss. The rollouts share one tree for the
+    run (``trees="run"``) or take a fresh one per batch (``"batch"``) or per
+    rollout (``"rollout"``). Returns them and the generator's state after."""
     rng = np.random.default_rng(seed)
-    tree = RolloutTree(thm, net, cfg.action_set) if shared else None
-    trajs = [sample_trajectory(thm, net, cfg, rng, rm=rm, tree=tree) for _ in range(n)]
+    run_tree = ProofTree(thm)
+    trajs = []
+    for _ in range(4):
+        if trees == "rollout":
+            batch = [sample_trajectory(thm, net, cfg, rng, rm=rm) for _ in range(10)]
+        else:
+            tree = run_tree if trees == "run" else ProofTree(thm)
+            batch = sample_trajectories(tree, net, cfg, rng, 10, rm=rm)
+        tape = Tape()
+        loss, _ = tb_loss_graph(tape, net, batch, action_set=cfg.action_set)
+        update(net.store, tape, loss, cfg.optim)
+        trajs += batch
     return trajs, rng.bit_generator.state
 
 
@@ -241,6 +256,9 @@ def _biased_net(seed):
 
 
 class TestRolloutTree:
+    """Rollouts over a theorem's ProofTree, which one run keeps for all of
+    its batches."""
+
     @pytest.mark.parametrize("make", [_tempered_gfn_rollouts, _ppo_rollouts])
     def test_shared_tree_changes_no_bit(self, make):
         cfg, rm = make()
@@ -248,35 +266,44 @@ class TestRolloutTree:
         for goal in ("(a -> b) -> (a -> b)", "a | b -> a | b"):
             thm = identity_theorem(goal)
             for seed in range(3):
-                net = _biased_net(10 + seed)
-                shared, shared_rng = _batch(thm, net, cfg, rm, seed, 40, shared=True)
-                fresh, fresh_rng = _batch(thm, net, cfg, rm, seed, 40, shared=False)
-                assert shared_rng == fresh_rng
-                for x, y in zip(shared, fresh, strict=True):
-                    assert x.tactics == y.tactics
-                    assert x.proof_states == y.proof_states
-                    assert x.outcome == y.outcome
-                    assert np.float64(x.log_pf).tobytes() == np.float64(y.log_pf).tobytes()
-                    assert np.float64(x.log_r).tobytes() == np.float64(y.log_r).tobytes()
-                    assert x.step_encodings.tobytes() == y.step_encodings.tobytes()
-                    outcomes.add(x.outcome)
+                nets = {trees: _biased_net(10 + seed) for trees in ("run", "batch", "rollout")}
+                runs = {trees: _rollouts_over_updates(thm, net, cfg, rm, seed, trees)
+                        for trees, net in nets.items()}
+                shared, shared_rng = runs["run"]
+                for fresh, fresh_rng in (runs["batch"], runs["rollout"]):
+                    assert shared_rng == fresh_rng
+                    for x, y in zip(shared, fresh, strict=True):
+                        assert x.tactics == y.tactics
+                        assert x.proof_states == y.proof_states
+                        assert x.outcome == y.outcome
+                        assert np.float64(x.log_pf).tobytes() == np.float64(y.log_pf).tobytes()
+                        assert np.float64(x.log_r).tobytes() == np.float64(y.log_r).tobytes()
+                        assert x.encodings().tobytes() == y.encodings().tobytes()
+                        outcomes.add(x.outcome)
+                # the updates moved the policy the first batch was drawn from
+                assert replay_forward(nets["run"], shared[0], cfg.action_set) != shared[0].log_pf
         assert outcomes == {PROVED, ENV_ERROR, DEPTH_EXHAUSTED}
 
-    @pytest.mark.parametrize("mode", ["gfn_oo", "ppo"])
+    @pytest.mark.parametrize("mode", ["gfn_oo", "gfn", "ppo"])
     def test_each_prefix_is_scored_once_and_each_step_applied_once(self, mode, monkeypatch):
+        """Over a run: one encoding per distinct prefix, one apply per
+        distinct (prefix, tactic) not on the ground truth's walk (which
+        ``env.replay`` made), one forward per distinct prefix of each batch,
+        and nothing at all on a replay step."""
         import flowprover.baselines as baselines_mod
         import flowprover.gfn as gfn_mod
         import flowprover.policy as policy_mod
 
-        thm = identity_theorem("a | b -> a | b")
+        thms = [identity_theorem("a | b -> a | b", name="t1"),
+                identity_theorem("(a -> b) -> (a -> b)", name="t2")]
         cfg = TrainConfig(mode=mode, n_sampled=12)
         net, rm = _biased_net(12), RewardModel.create(seed=2)
         if mode == "ppo":
-            trainer, module = PPOTrainer([thm], net, cfg, rm=rm, seed=3), baselines_mod
+            trainer, module = PPOTrainer(thms, net, cfg, rm=rm, seed=3), baselines_mod
         else:
-            trainer, module = GFNTrainer([thm], net, cfg, rm=rm, seed=3), gfn_mod
+            trainer, module = GFNTrainer(thms, net, cfg, rm=rm, seed=3), gfn_mod
         calls = {"encode": 0, "forward": 0, "apply": 0}
-        trajs = []
+        batches = []
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -284,25 +311,45 @@ class TestRolloutTree:
                 return fn(*args, **kwargs)
             return wrapper
 
-        sample = module.sample_trajectory
+        sample = module.sample_trajectories
 
         def kept(*args, **kwargs):
-            trajs.append(sample(*args, **kwargs))
-            return trajs[-1]
+            batch = sample(*args, **kwargs)
+            batches.append(list(batch))  # the GFN trainer appends its ground truth
+            return batch
 
-        monkeypatch.setattr(module, "sample_trajectory", kept)
+        monkeypatch.setattr(module, "sample_trajectories", kept)
         monkeypatch.setattr(gfn_mod, "encode_from_parts",
                             counted("encode", gfn_mod.encode_from_parts))
         monkeypatch.setattr(policy_mod, "mlp_forward_np",
                             counted("forward", policy_mod.mlp_forward_np))
         monkeypatch.setattr(gfn_mod, "apply_tactic", counted("apply", gfn_mod.apply_tactic))
-        m = trainer.train_step(thm)
-        prefixes = {t.tactics[:i] for t in trajs for i in range(len(t))}
-        steps = {t.tactics[:i + 1] for t in trajs for i in range(len(t))}
-        assert len(trajs) == 12
-        assert len(prefixes) > len({len(prefix) for prefix in prefixes})  # they branch
-        assert calls == {"encode": len(prefixes), "forward": len(prefixes), "apply": len(steps)}
-        assert m.env_calls == sum(map(len, trajs)) > len(steps)
+        prefixes, steps, replay_steps = set(), set(), 0
+        gt_prefixes = {(t.name, t.gt_proof[:i]) for t in thms for i in range(len(t.gt_proof))}
+        gt_steps = {(t.name, t.gt_proof[:i + 1]) for t in thms for i in range(len(t.gt_proof))}
+        for k in range(12):
+            thm = thms[k % 2]
+            before, n_batches = dict(calls), len(batches)
+            m = trainer.train_step(thm)
+            if len(batches) == n_batches:
+                replay_steps += 1
+                assert calls == before and m.env_calls == 0
+                continue
+            trajs = batches[-1]
+            batch_prefixes = {t.tactics[:i] for t in trajs for i in range(len(t))}
+            prefixes |= {(thm.name, p) for p in batch_prefixes}
+            steps |= {(thm.name, t.tactics[:i + 1]) for t in trajs for i in range(len(t))}
+            assert len(trajs) == 12
+            assert calls["forward"] - before["forward"] == len(batch_prefixes)
+            assert m.env_calls == sum(map(len, trajs))
+        if mode != "ppo":  # the injected ground truth is encoded, never applied
+            prefixes |= gt_prefixes
+            steps -= gt_steps
+        assert len(prefixes) > len({(name, len(p)) for name, p in prefixes})  # they branch
+        assert calls["encode"] == len(prefixes)
+        assert calls["apply"] == len(steps)
+        assert sum(map(len, (t for b in batches for t in b))) > len(steps)
+        assert (replay_steps > 0) == (mode == "gfn")  # only gfn replays
 
 
 class TestReplay:
@@ -356,19 +403,20 @@ class TestReplay:
         entry = buf.sample(thm.name, 1, np.random.default_rng(0))[0]
         assert entry.log_r == -1.25
 
-    def test_entries_are_replay_trajectories_without_encodings(self):
+    def test_entries_are_replay_trajectories_that_keep_their_nodes(self):
         buf = ReplayBuffer()
         thm = identity_theorem("a -> a")
         cfg = TrainConfig(mode="gfn_br_oo")
         traj = sample_trajectory(thm, PolicyNet.create(seed=0), cfg, np.random.default_rng(1))
-        assert traj.step_encodings is not None
+        assert len(traj.nodes) == len(traj.tactics)
         buf.add(traj)
         entry = buf.sample(thm.name, 1, np.random.default_rng(0))[0]
         assert isinstance(entry, Trajectory)
-        assert entry.source == "replay" and entry.step_encodings is None
+        assert entry.source == "replay" and entry.nodes is traj.nodes
         assert (entry.tactics, entry.proof_states, entry.outcome, entry.log_r) == \
             (traj.tactics, traj.proof_states, traj.outcome, traj.log_r)
-        assert np.array_equal(entry.encodings(), traj.step_encodings)
+        stateless = dataclasses.replace(entry, nodes=None)  # encoded from its states
+        assert entry.encodings().tobytes() == stateless.encodings().tobytes()
 
     def test_replay_diverged_on_corrupt_entry(self):
         thm = identity_theorem("a -> a")

@@ -15,6 +15,7 @@ from flowprover.gfn import (
     ENV_ERROR,
     GFNTrainer,
     PROVED,
+    ProofTree,
     TrainConfig,
     replay_forward,
     sample_trajectory,
@@ -40,12 +41,12 @@ from conftest import MICRO_ACTION_SET, biased_net, identity_theorem
 
 def _mixed_batch(net):
     """Two theorems; proved, error and depth-exhausted outcomes; a replay
-    entry drawn twice (no carried encodings); online rollouts (carried
-    encodings); and the injected ground truth."""
+    entry drawn twice (no tree nodes); online rollouts (tree nodes); and the
+    injected ground truth (its walk's nodes)."""
     thm1 = identity_theorem("a -> a", name="t1")
     thm2 = identity_theorem("a & b -> a & b", name="t2")
     gt = trajectory_from_tactics(thm1, list(thm1.gt_proof))
-    gt.step_encodings = gt.encodings()
+    gt.nodes = ProofTree(thm1).add_walk(gt.tactics, gt.proof_states)
     error = trajectory_from_tactics(thm1, [parse_tactic("split")], source="replay")
     exhausted = trajectory_from_tactics(thm2, [parse_tactic("intro")], source="replay")
     assert (gt.outcome, error.outcome, exhausted.outcome) == (PROVED, ENV_ERROR,
@@ -54,7 +55,7 @@ def _mixed_batch(net):
     cfg = TrainConfig(mode="gfn_br_oo", max_depth=3)
     rng = np.random.default_rng(4)
     online = [sample_trajectory(thm, net, cfg, rng) for thm in (thm2, thm1, thm2)]
-    assert all(t.step_encodings is not None for t in online)
+    assert all(t.nodes is not None for t in online)
     batch = [online[0], exhausted, error, exhausted, online[1], online[2], gt]
     return batch, {"t1": thm1, "t2": thm2}
 

@@ -454,3 +454,37 @@ class TestOnePass:
             "ValueError: flow_check needs a net or explicit edge_probs",
             "ValueError: needs a real theorem's enumeration from enumerate_trajectories",
         ]
+
+
+class TestTargetIsRepresentable:
+    """The history encoding can represent R/Z: internal nodes that share an
+    encoding have the same target conditionals P(a|s) = F(child) / F(s),
+    where F is the sum of the rewards below. Otherwise no policy over the
+    encoding could sample proportionally to reward."""
+
+    def test_nodes_sharing_an_encoding_share_target_conditionals(self):
+        from flowprover.corpus import build_corpus
+
+        conditionals: dict[bytes, list[np.ndarray]] = {}
+        for thm in build_corpus(1, 1000, 20).train:
+            dist = enumerate_trajectories(thm, max_depth=3)
+            tree = dist.tree
+            leaf = tree.children < 0
+            edge_flow = np.zeros(len(tree.children))
+            edge_flow[leaf] = np.exp([dist.trajectories[~c].log_r for c in tree.children[leaf]])
+            node_flow = np.zeros(len(tree.histories))
+            # nodes are numbered parents first, so this pass meets children first
+            for node in range(len(tree.histories) - 1, -1, -1):
+                out = tree.parents == node
+                inner = out & ~leaf
+                edge_flow[inner] = node_flow[tree.children[inner]]
+                node_flow[node] = edge_flow[out].sum()
+                target = np.zeros(len(ACTIONS))
+                target[tree.actions[out]] = edge_flow[out] / node_flow[node]
+                key = encode_from_parts(thm.initial_state, tree.histories[node],
+                                        tree.states[node], HISTORY).tobytes()
+                conditionals.setdefault(key, []).append(target)
+        shared = [group for group in conditionals.values() if len(group) > 1]
+        assert sum(map(len, conditionals.values())) == 3786
+        assert shared  # 24 groups with the features as they are
+        assert max(np.abs(t - group[0]).max() for group in shared for t in group) == 0.0

@@ -21,12 +21,22 @@ MISUSES = {
     "optim_step(store, {'w': np.zeros(1)})": "ValueError",
     "optim_step(store, {'u': np.zeros(2)})": "KeyError",
     "mlp_forward(PolicyNet.create(seed=0).store, np.zeros(5))": "ValueError",
-    # a rollout tree refuses another theorem, net or action set, and a net updated since
-    "sample_trajectory(other_thm, net, cfg, rng, tree=tree)": "ValueError",
-    "sample_trajectory(thm, PolicyNet.create(seed=0), cfg, rng, tree=tree)": "ValueError",
-    "sample_trajectory(thm, net, replace(cfg, action_set=(0, 1)), rng, tree=tree)": "ValueError",
-    "sample_trajectory(thm, stale.net, cfg, rng, tree=stale)": "ValueError",
     "enumerate_trajectories(thm, max_depth=0)": "ValueError",
+    "ProofTree(thm).add_walk(thm.gt_proof, (thm.initial_state,))": "ValueError",
+    # negative counts, and an empty train split, are refused before any work
+    "build_corpus(-1, 1, 1)": "ValueError",
+    "build_corpus(0, -1, 1)": "ValueError",
+    "build_corpus(0, 1, -1)": "ValueError",
+    "rm_train(CorpusSplit([thm]), seed=-1)": "ValueError",
+    "rm_train(CorpusSplit([thm]), epochs=-1)": "ValueError",
+    "rm_train(CorpusSplit())": "ValueError",
+    "run_training('sft', CorpusSplit([thm]), -1, 1, out)": "ValueError",
+    "run_training('sft', CorpusSplit([thm]), 0, -1, out)": "ValueError",
+    "run_training('sft', CorpusSplit([thm]), 0, 1, out, val_every=-1)": "ValueError",
+    "run_training('sft', CorpusSplit([thm]), 0, 1, out, checkpoint_every=-1)": "ValueError",
+    "run_training('sft', CorpusSplit(), 0, 1, out)": "ValueError",
+    "mine_hard_negatives(net, thm, 4, seed=-1)": "ValueError",
+    "mine_hard_negatives(net, thm, 4, n_rollouts=-1)": "ValueError",
 }
 
 
@@ -41,6 +51,7 @@ def test_no_assert_statements_in_the_package():
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_misuse_raises_typed_exceptions(flags):
     script = "\n".join([
+        "import os",
         "import numpy as np",
         "from flowprover.env import Tactic, TacticKind, apply_tactic, initial_state",
         "from flowprover.formulas import parse_formula",
@@ -52,17 +63,16 @@ def test_misuse_raises_typed_exceptions(flags):
         "object.__setattr__(hypless, 'arg', None)",
         "store = ParamStore()",
         "store.add('w', np.zeros(2))",
-        "from dataclasses import replace",
-        "from flowprover.corpus import Theorem",
-        "from flowprover.gfn import RolloutTree, TrainConfig, sample_trajectory",
+        "from flowprover.corpus import CorpusSplit, Theorem, build_corpus",
+        "from flowprover.env import parse_tactic",
+        "from flowprover.gfn import ProofTree",
         "from flowprover.oracle import enumerate_trajectories",
-        "thm = Theorem('t', initial_state(parse_formula('a -> a')), ())",
-        "other_thm = Theorem('u', initial_state(parse_formula('b -> b')), ())",
-        "net, cfg = PolicyNet.create(seed=0), TrainConfig(mode='gfn_br_oo')",
-        "rng = None  # a tree is checked before the first draw",
-        "tree = RolloutTree(thm, net)",
-        "stale = RolloutTree(thm, PolicyNet.create(seed=1))",
-        "optim_step(stale.net.store, {'b3': np.ones(36)})",
+        "from flowprover.reward_model import mine_hard_negatives, rm_train",
+        "from flowprover.runs import run_training",
+        "gt = (parse_tactic('intro'), parse_tactic('exact h1'))",
+        "thm = Theorem('t', initial_state(parse_formula('a -> a')), gt)",
+        "net = PolicyNet.create(seed=0)",
+        "out = os.path.join(os.devnull, 'run')  # a run that wrote anything would fail here",
         f"for call in {list(MISUSES)!r}:",
         "    try:",
         "        eval(call)",
