@@ -162,6 +162,26 @@ def _fresh_name(hyps: tuple[tuple[str, Formula], ...], bump: int = 0) -> str:
     return f"h{top + 1 + bump}"
 
 
+# The live actions for each hypothesis count of the first goal, 0..H_MAX;
+# with H_MAX hypotheses every action is live.
+_LIVE: tuple[tuple[int, ...], ...] = tuple(
+    tuple(i for i, t in enumerate(ACTIONS) if t.arg is None or t.arg <= n)
+    for n in range(H_MAX + 1)
+)
+
+
+def live_actions(state: ProofState) -> tuple[int, ...]:
+    """The action indices, in index order, whose outcome ``apply_tactic``
+    has to work out: the 4 argument-less actions and every hypothesis action
+    whose position exists in the first goal, 4 + 4 * min(#hyps, 8) in all.
+    ``apply_tactic`` fails any other action, one with ``k > len(goal.hyps)``,
+    with the shared NO_SUCH_HYPOTHESIS result. A state without goals fails
+    every action with NO_GOALS, so all of them are live there."""
+    if not state.goals:
+        return _LIVE[H_MAX]
+    return _LIVE[min(len(state.goals[0].hyps), H_MAX)]
+
+
 def apply_tactic(state: ProofState, tactic: Tactic) -> StepResult:
     """Apply one tactic to the first goal. Total: always returns exactly one
     of Ok / Proved / EnvError; never raises on modeled inputs."""

@@ -114,14 +114,15 @@ class Trajectory:
     def initial_state(self) -> ProofState:
         return self.proof_states[0]
 
-    def encodings(self) -> np.ndarray:
+    def encoding_rows(self) -> list[np.ndarray]:
+        """One HISTORY encoding per tactic, of the state it is taken from."""
         if self.nodes is not None:
-            return np.stack([node.encoding() for node in self.nodes])
-        out = np.zeros((len(self.tactics), ENC_DIM))
-        for i in range(len(self.tactics)):
-            out[i] = encode_from_parts(self.initial_state, self.tactics[:i],
-                                       self.proof_states[i], HISTORY)
-        return out
+            return [node.encoding() for node in self.nodes]
+        return [encode_from_parts(self.initial_state, self.tactics[:i], self.proof_states[i],
+                                  HISTORY) for i in range(len(self.tactics))]
+
+    def encodings(self) -> np.ndarray:
+        return np.stack(self.encoding_rows()) if self.tactics else np.zeros((0, ENC_DIM))
 
     def __len__(self) -> int:
         return len(self.tactics)
@@ -204,17 +205,27 @@ def error_branch_log_reward(tactics, spec: RewardSpec) -> float:
     return error_log_reward(sum(map(_tactic_chars, tactics)), len(tactics), spec)
 
 
-def error_log_reward(total_chars: int, n_tactics: int, spec: RewardSpec) -> float:
+def error_log_reward(total_chars, n_tactics, spec: RewardSpec):
     """The error-branch log reward of ``n_tactics`` tactics whose rendered
     lengths sum to ``total_chars``. The mean length is one division of exact
-    integers, so a caller that keeps the running sum gets the same bits."""
-    if n_tactics < 1:
+    integers, so a caller that keeps the running sum gets the same bits.
+    Either argument may be an integer array (they broadcast): the result is
+    then the array of the same rewards, elementwise the same bits."""
+    if _any(n_tactics < 1):
         raise ValueError("trajectory must contain at least one tactic")
     l = total_chars / n_tactics
     c = spec.c_max_tactic_len
-    if l >= c:
-        raise InvalidLength(f"mean tactic length {l} >= cap {c}")
-    return spec.error_base + spec.alpha * float(np.log((c - l) / c))
+    if _any(l >= c):
+        raise InvalidLength(f"mean tactic length {np.max(l)} >= cap {c}")
+    log_ratio = np.log((c - l) / c)
+    if not isinstance(log_ratio, np.ndarray):
+        log_ratio = float(log_ratio)
+    return spec.error_base + spec.alpha * log_ratio
+
+
+def _any(flags) -> bool:
+    """A flag, or whether any entry of an array of flags is set."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
 
 
 def log_reward(traj: Trajectory, spec: RewardSpec, rm=None) -> float:
@@ -555,7 +566,7 @@ def tb_loss_graph(tape: Tape, net: PolicyNet, batch: list[Trajectory],
         starts.append(len(actions))
         actions += [ACTION_INDEX[t] for t in traj.tactics]
         seg += [k] * len(traj.tactics)
-    x = np.concatenate([traj.encodings() for traj in batch])
+    x = np.stack([row for traj in batch for row in traj.encoding_rows()])
     picked, hidden = rows_graph(tape, net.store, x, actions, action_mask(action_set))
     log_pf = tape.segment_sum(picked, seg, len(batch))
     log_z = tape.take(head_graph(tape, net.store, hidden, "wz", "bz"), starts)

@@ -3,22 +3,38 @@ distribution R/Z, the policy's exact trajectory distribution, and flow
 consistency checks. This is the instrument that certifies the trained
 policy samples proofs proportionally to reward.
 
-The depth-first walk builds the trajectory tree once, over action indices.
-Everything after the walk reads that tree: one batched policy forward over
-its internal nodes gives every edge's log-probability, trajectory
-probabilities sum those down the tree, and subtree flows accumulate
-bottom-up over the same edges.
+One depth-first walk builds the trajectory tree as a node x action table.
+It calls ``apply_tactic`` only for a node's live actions
+(``env.live_actions``): every other action fails with the shared
+NO_SUCH_HYPOTHESIS result, so the walk records it as an error without a
+call. The error leaves of the whole table are scored by one call to
+``gfn.error_log_reward``. Everything after the walk reads the table: one
+batched policy forward over its internal nodes gives every cell's
+log-probability, trajectory probabilities sum those down the tree, and
+subtree flows accumulate bottom-up, each node's children in action order.
+``oracle_report`` reads the table alone; ``enumerate_trajectories`` also
+lists its leaves as ``EnumeratedTrajectory`` objects.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Theorem
-from .env import ACTION_INDEX, ACTIONS, N_ACTIONS, ProofState, Tactic, apply_tactic
+from .env import (
+    ACTION_INDEX,
+    ACTIONS,
+    N_ACTIONS,
+    ProofState,
+    StepKind,
+    Tactic,
+    apply_tactic,
+    live_actions,
+)
 from .gfn import (
     ACTION_CHARS,
     BINARY,
@@ -27,6 +43,7 @@ from .gfn import (
     PROVED,
     RewardSpec,
     Trajectory,
+    check_action_set,
     error_log_reward,
     log_reward,
 )
@@ -48,30 +65,30 @@ class EnumeratedTrajectory:
     action: int = -1  # action index of the last tactic
 
 
+# Marks an action that no trajectory of a hand-built list takes.
+ABSENT = np.iinfo(np.intp).min
+
+
 @dataclass
 class TrajectoryTree:
-    """The trajectory tree over action indices.
+    """The trajectory tree as a node x action table.
 
     Internal nodes are numbered parents first (the walk numbers them in
     depth-first preorder); node 0 is the root, the initial state with an
     empty history. Each node holds its tactic history and, when built by
-    the walk, its state. Edge e leaves node ``parents[e]`` by action
-    ``actions[e]`` and reaches internal node ``children[e]`` or, where that
-    is negative, the leaf of trajectory ``~children[e]``. A node's edges are
-    in child order.
+    the walk, its state. Column j is action ``actions[j]`` at every node.
+    Cell ``n * K + j`` of ``cells`` holds the internal node that action
+    reaches from node n or, where negative, ``~i`` for the leaf of
+    trajectory i; a tree rebuilt from a hand-built list holds ``ABSENT``
+    for an action it does not take. ``inbound[c]`` is the cell through
+    which node c is reached, -1 for the root.
     """
 
     histories: list[tuple[Tactic, ...]]
     states: list[ProofState]  # empty for a tree rebuilt from a hand-built list
-    parents: np.ndarray
     actions: np.ndarray
-    children: np.ndarray
-
-    @classmethod
-    def from_edges(cls, histories, states, edges) -> "TrajectoryTree":
-        """From (parent, action, child) triples."""
-        cols = np.array(edges, dtype=np.intp).reshape(-1, 3)
-        return cls(histories, states, cols[:, 0], cols[:, 1], cols[:, 2])
+    cells: np.ndarray
+    inbound: np.ndarray
 
 
 @dataclass
@@ -94,6 +111,112 @@ class ExactDist:
     tree: TrajectoryTree | None = None
 
 
+# A table cell holds the child node its action reaches, or a leaf outcome.
+_PROVED, _ERROR, _EXHAUSTED = -1, -2, -3
+_OUTCOME = {_ERROR: ENV_ERROR, _PROVED: PROVED, _EXHAUSTED: DEPTH_EXHAUSTED}
+
+
+@functools.lru_cache(maxsize=1024)
+def _live_columns(columns: tuple[int, ...], live: tuple[int, ...]) -> tuple[int, ...]:
+    """The columns, in order, whose action is among ``live``."""
+    return tuple(j for j, a in enumerate(columns) if a in live)
+
+
+@dataclass
+class _Walk:
+    """The walk's tree, with ``leaves`` its leaf cells in depth-first order
+    (leaf i is trajectory i), ``outcomes`` and ``log_r`` theirs in that
+    order, and ``paths[n]`` the states from the root to node n."""
+
+    tree: TrajectoryTree
+    leaves: np.ndarray
+    outcomes: np.ndarray
+    log_r: np.ndarray
+    paths: list[tuple[ProofState, ...]]
+
+
+def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
+          action_set: tuple[int, ...] | None) -> _Walk:
+    """The one depth-first walk, with the same termination semantics as
+    training rollouts (stop on proved / error / depth). Its columns are the
+    action space, or ``action_set`` in its order. ValueError, before the
+    walk, unless ``max_depth`` is at least 1 and ``action_set`` is None or
+    distinct action indices in [0, 36)."""
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
+    columns = (tuple(range(N_ACTIONS)) if action_set is None
+               else check_action_set(int(a) for a in action_set))
+    column_chars = [ACTION_CHARS[a] for a in columns]
+    width = len(columns)
+    histories: list[tuple[Tactic, ...]] = []
+    states: list[ProofState] = []
+    paths: list[tuple[ProofState, ...]] = []
+    node_chars: list[int] = []  # running sum of tactic lengths at each node
+    inbound = [-1]
+    live_cells: list[int] = []  # the cells of live actions that did not fail
+    live_codes: list[int] = []
+    leaves: list[int] = []  # in depth-first order
+    exhausted: dict[int, float] = {}  # partial-credit log R by cell
+    partial_credit = spec.mode != BINARY
+
+    def visit(state: ProofState, history: tuple[Tactic, ...],
+              path: tuple[ProofState, ...], chars: int) -> None:
+        histories.append(history)
+        states.append(state)
+        path = path + (state,)
+        paths.append(path)
+        node_chars.append(chars)
+        row = run = (len(states) - 1) * width
+        inner = len(history) + 1 < max_depth
+        for j in _live_columns(columns, live_actions(state)):
+            tactic = ACTIONS[columns[j]]
+            result = apply_tactic(state, tactic)
+            kind = result.kind
+            if kind is StepKind.ERROR:
+                continue
+            live_cells.append(row + j)
+            if kind is StepKind.PROVED:
+                live_codes.append(_PROVED)
+            elif inner:
+                live_codes.append(len(states))
+                inbound.append(row + j)
+                leaves.extend(range(run, row + j))
+                run = row + j + 1
+                visit(result.state, history + (tactic,), path, chars + column_chars[j])
+            else:
+                live_codes.append(_EXHAUSTED)
+                if partial_credit:
+                    exhausted[row + j] = log_reward(
+                        Trajectory(thm.name, history + (tactic,), path + (result.state,),
+                                   DEPTH_EXHAUSTED, 0.0), spec, rm=rm)
+        leaves.extend(range(run, row + width))
+
+    visit(thm.initial_state, (), (), 0)
+    # The recursive closure refers to itself; dropping it frees the walk's
+    # lists on return instead of at the next cyclic garbage collection.
+    del visit
+    n_nodes = len(states)
+    cells = np.full(n_nodes * width, _ERROR, dtype=np.intp)
+    cells[live_cells] = live_codes
+    # Error leaves, and depth-exhausted ones under the binary reward, take
+    # the error branch; a proved leaf scores 0.
+    errors = np.flatnonzero(cells == _ERROR if partial_credit else cells <= _ERROR)
+    nodes = errors // width
+    depths = np.array([len(h) + 1 for h in histories], dtype=np.intp)
+    log_r = np.zeros(len(cells))
+    log_r[errors] = error_log_reward(np.array(node_chars, dtype=np.intp)[nodes]
+                                     + np.array(column_chars)[errors - nodes * width],
+                                     depths[nodes], spec)
+    if exhausted:
+        log_r[list(exhausted)] = list(exhausted.values())
+    leaves = np.array(leaves, dtype=np.intp)
+    outcomes = cells[leaves]
+    cells[leaves] = ~np.arange(len(leaves))
+    tree = TrajectoryTree(histories, states, np.array(columns, dtype=np.intp), cells,
+                          np.array(inbound, dtype=np.intp))
+    return _Walk(tree, leaves, outcomes, log_r[leaves], paths)
+
+
 def enumerate_trajectories(thm: Theorem, max_depth: int = 3,
                            spec: RewardSpec = RewardSpec(mode="binary"), rm=None,
                            action_set: tuple[int, ...] | None = None) -> ExactDist:
@@ -105,81 +228,51 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = 3,
     tactic lengths, the one function behind ``log_reward``'s error branch,
     and a depth-exhausted leaf under the full reward through ``log_reward``
     itself, so the oracle and the trainer can never disagree about R.
-    ValueError unless ``max_depth`` is at least 1."""
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
-    indices = range(N_ACTIONS) if action_set is None else [int(a) for a in action_set]
-    found: list[EnumeratedTrajectory] = []
-    histories: list[tuple[Tactic, ...]] = []
-    states: list[ProofState] = []
-    edges: list[tuple[int, int, int]] = []
-    error_log_rs: dict[tuple[int, int], float] = {}  # by (length sum, tactic count)
-    partial_credit = spec.mode != BINARY
-
-    def visit(state: ProofState, history: tuple[Tactic, ...],
-              before: tuple[ProofState, ...], chars: int) -> int:
-        node = len(states)
-        histories.append(history)
-        states.append(state)
-        before = before + (state,)
-        depth = len(history) + 1
-        for a in indices:
-            tactic = ACTIONS[a]
-            result = apply_tactic(state, tactic)
-            tacs = history + (tactic,)
-            if result.ok and depth < max_depth:
-                child = visit(result.state, tacs, before, chars + ACTION_CHARS[a])
-            else:
-                child = ~len(found)
-                if result.proved:
-                    outcome, log_r = PROVED, 0.0
-                elif result.ok and partial_credit:
-                    outcome = DEPTH_EXHAUSTED
-                    log_r = log_reward(Trajectory(thm.name, tacs, before + (result.state,),
-                                                  outcome, 0.0), spec, rm=rm)
-                else:
-                    outcome = ENV_ERROR if result.failed else DEPTH_EXHAUSTED
-                    key = (chars + ACTION_CHARS[a], depth)
-                    log_r = error_log_rs.get(key)
-                    if log_r is None:
-                        log_r = error_log_rs[key] = error_log_reward(*key, spec)
-                found.append(EnumeratedTrajectory(tacs, outcome, log_r, before, node, a))
-            edges.append((node, a, child))
-        return node
-
-    visit(thm.initial_state, (), (), 0)
-    # The recursive closure refers to itself; dropping it frees the walk's
-    # lists on return instead of at the next cyclic garbage collection.
-    del visit
-    log_rs = np.array([t.log_r for t in found])
-    log_z = float(_logsumexp(log_rs))
+    ValueError unless ``max_depth`` is at least 1 and ``action_set`` is
+    None or distinct action indices in [0, 36)."""
+    walk = _walk(thm, max_depth, spec, rm, action_set)
+    tree = walk.tree
+    columns = tree.actions.tolist()
+    trajectories = []
+    for cell, code, log_r in zip(walk.leaves.tolist(), walk.outcomes.tolist(),
+                                 walk.log_r.tolist()):
+        node, j = divmod(cell, len(columns))
+        a = columns[j]
+        trajectories.append(EnumeratedTrajectory(tree.histories[node] + (ACTIONS[a],),
+                                                  _OUTCOME[code], log_r, walk.paths[node],
+                                                  node, a))
+    log_z = _logsumexp(walk.log_r)
     return ExactDist(
         theorem=thm,
-        trajectories=found,
+        trajectories=trajectories,
         log_z=log_z,
-        target_probs=np.exp(log_rs - log_z),
+        target_probs=np.exp(walk.log_r - log_z),
         action_set=action_set,
         max_depth=max_depth,
-        tree=TrajectoryTree.from_edges(histories, states, edges),
+        tree=tree,
     )
 
 
 def _tree_from_trajectories(trajectories: list[EnumeratedTrajectory]) -> TrajectoryTree:
-    """The prefix tree of a hand-built trajectory list, children in order of
-    first appearance; it carries no states."""
+    """The prefix tree of a hand-built trajectory list over the whole action
+    space, nodes numbered in order of first appearance; it carries no
+    states."""
     node_of: dict[tuple[Tactic, ...], int] = {(): 0}
-    edges = []
-    for j, t in enumerate(trajectories):
-        for i, tactic in enumerate(t.tactics):
-            prefix = t.tactics[: i + 1]
-            if i == len(t.tactics) - 1:
-                child = ~j
+    codes: dict[int, int] = {}  # by cell
+    inbound = [-1]
+    for i, t in enumerate(trajectories):
+        for depth, tactic in enumerate(t.tactics):
+            cell = node_of[t.tactics[:depth]] * N_ACTIONS + ACTION_INDEX[tactic]
+            prefix = t.tactics[: depth + 1]
+            if depth == len(t.tactics) - 1:
+                codes[cell] = ~i
             elif prefix not in node_of:
-                child = node_of[prefix] = len(node_of)
-            else:
-                continue
-            edges.append((node_of[t.tactics[:i]], ACTION_INDEX[tactic], child))
-    return TrajectoryTree.from_edges(list(node_of), [], edges)
+                codes[cell] = node_of[prefix] = len(node_of)
+                inbound.append(cell)
+    cells = np.full(len(node_of) * N_ACTIONS, ABSENT, dtype=np.intp)
+    cells[list(codes)] = list(codes.values())
+    return TrajectoryTree(list(node_of), [], np.arange(N_ACTIONS), cells,
+                          np.array(inbound, dtype=np.intp))
 
 
 def _logsumexp(xs: np.ndarray) -> float:
@@ -187,32 +280,35 @@ def _logsumexp(xs: np.ndarray) -> float:
     return float(m + np.log(np.exp(xs - m).sum()))
 
 
-def _policy_pass(net: PolicyNet, dist: ExactDist) -> tuple[np.ndarray, np.ndarray]:
-    """Temperature-1 log-probabilities over the 36 actions (-inf outside a
-    restricted action set) and the last hidden layer, one row per internal
+def _policy_pass(net: PolicyNet, initial: ProofState, tree: TrajectoryTree,
+                 action_set) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's temperature-1 log-probability (renormalised over a
+    restricted action set), and the last hidden layer, one row per internal
     tree node, from one forward. Row 0 is the root, the log-Z head's input."""
-    if dist.theorem is None or dist.tree is None:
-        raise ValueError("needs a real theorem's enumeration from enumerate_trajectories")
-    tree, initial = dist.tree, dist.theorem.initial_state
     x = np.stack([encode_from_parts(initial, history, state, HISTORY)
                   for history, state in zip(tree.histories, tree.states)])
     logits, hidden = mlp_forward_np(net.store, x)
-    mask = action_mask(dist.action_set)
-    return log_softmax_np(logits if mask is None else logits + mask), hidden
+    mask = action_mask(action_set)
+    log_probs = log_softmax_np(logits if mask is None else logits + mask)
+    return log_probs[:, tree.actions].ravel(), hidden
 
 
-def _trajectory_probs(dist: ExactDist, log_probs: np.ndarray) -> np.ndarray:
-    """Each listed trajectory's probability: edge log-probabilities summed
-    down the tree. Raises MassLeak when they do not account for all mass."""
-    tree = dist.tree
-    node_logp = np.zeros(len(tree.histories))
-    inner = np.flatnonzero(tree.children >= 0)
-    for e in inner[np.argsort(tree.children[inner])]:  # parents before children
-        parent = tree.parents[e]
-        node_logp[tree.children[e]] = node_logp[parent] + log_probs[parent, tree.actions[e]]
-    nodes = np.array([t.node for t in dist.trajectories], dtype=np.intp)
-    actions = np.array([t.action for t in dist.trajectories], dtype=np.intp)
-    probs = np.exp(node_logp[nodes] + log_probs[nodes, actions])
+def _dist_policy_pass(net: PolicyNet, dist: ExactDist) -> np.ndarray:
+    if dist.theorem is None or dist.tree is None:
+        raise ValueError("needs a real theorem's enumeration from enumerate_trajectories")
+    return _policy_pass(net, dist.theorem.initial_state, dist.tree, dist.action_set)[0]
+
+
+def _trajectory_probs(tree: TrajectoryTree, cell_logp: np.ndarray,
+                      leaf_cells: np.ndarray) -> np.ndarray:
+    """The probability of the trajectory that ends at each leaf cell: cell
+    log-probabilities summed down the tree. Raises MassLeak when they do
+    not account for all mass."""
+    width = len(tree.actions)
+    node_logp = [0.0]
+    for cell in tree.inbound.tolist()[1:]:  # parents before children
+        node_logp.append(node_logp[cell // width] + cell_logp[cell])
+    probs = np.exp(np.array(node_logp)[leaf_cells // width] + cell_logp[leaf_cells])
     total = float(probs.sum())
     if total < 1.0 - 1e-6:
         raise MassLeak(f"policy probabilities sum to {total}, enumeration must be exhaustive")
@@ -223,7 +319,12 @@ def policy_trajectory_probs(net: PolicyNet, dist: ExactDist) -> np.ndarray:
     """Exact probability of each enumerated trajectory under the policy at
     temperature 1. Enumeration is exhaustive, so these must account for all
     probability mass; raises MassLeak otherwise."""
-    probs = _trajectory_probs(dist, _policy_pass(net, dist)[0])
+    cell_logp = _dist_policy_pass(net, dist)
+    column = {a: j for j, a in enumerate(dist.tree.actions.tolist())}
+    width = len(column)
+    leaf_cells = np.array([t.node * width + column[t.action] for t in dist.trajectories],
+                          dtype=np.intp)
+    probs = _trajectory_probs(dist.tree, cell_logp, leaf_cells)
     dist.policy_probs = probs
     return probs
 
@@ -233,26 +334,22 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def _flow_residuals(dist: ExactDist, tree: TrajectoryTree, edge_p: np.ndarray) -> np.ndarray:
-    """|F(parent) * P_F(edge) - F(child)| per edge, with leaf flows the
-    terminal rewards and each internal node's flow the sum of its children's
-    in child order, accumulated one depth level at a time from the deepest."""
-    if dist.rewards is not None:
-        leaf_flow = np.asarray(dist.rewards, dtype=np.float64)
-    else:
-        leaf_flow = np.exp(np.array([t.log_r for t in dist.trajectories]))
-    n_nodes = len(tree.histories)
-    level = np.array([len(h) for h in tree.histories], dtype=np.intp)[tree.parents]
-    leaf = tree.children < 0
-    child_flow = np.zeros(len(tree.children))
-    child_flow[leaf] = leaf_flow[~tree.children[leaf]]
-    node_flow = np.zeros(n_nodes)
-    for depth in range(int(level.max(initial=0)), -1, -1):
-        at = level == depth
-        inner = at & ~leaf
-        child_flow[inner] = node_flow[tree.children[inner]]
-        node_flow += np.bincount(tree.parents[at], weights=child_flow[at], minlength=n_nodes)
-    return np.abs(node_flow[tree.parents] * edge_p - child_flow)
+def _flow_residuals(tree: TrajectoryTree, leaf_flow: np.ndarray, cell_p: np.ndarray) -> np.ndarray:
+    """|F(s) * P_F(a|s) - F(child)| per cell, with ``leaf_flow`` the leaves'
+    terminal rewards and each internal node's flow the sum of its row, added
+    one cell at a time in column order; an absent cell has flow 0."""
+    width = len(tree.actions)
+    leaf = (tree.cells < 0) & (tree.cells != ABSENT)
+    flow = np.zeros(len(tree.cells))
+    flow[leaf] = leaf_flow[~tree.cells[leaf]]
+    rows = flow.reshape(-1, width)
+    node_flow = np.zeros(len(rows))
+    inbound = tree.inbound.tolist()
+    for node in range(len(rows) - 1, -1, -1):  # children before parents
+        node_flow[node] = np.cumsum(rows[node])[-1]
+        if node:
+            flow[inbound[node]] = node_flow[node]
+    return np.abs(np.repeat(node_flow, width) * cell_p - flow)
 
 
 @dataclass
@@ -270,24 +367,30 @@ def flow_check(dist: ExactDist, net: PolicyNet | None = None,
     With subtree flows F(s) = sum of terminal rewards below s and the
     backward policy identically 1 on a tree, balance demands
     F(s) * P_F(child|s) = F(child); the report carries the worst absolute
-    residual. Pass ``edge_probs`` (prefix tuple of rendered tactics ->
-    probability vector over that node's taken edges, in child order) to
-    check a hand-built policy instead of a network.
+    residual, and each edge's, node by node in column order. Pass
+    ``edge_probs`` (prefix tuple of rendered tactics -> probability vector
+    over that node's taken actions, in action-index order for a hand-built
+    list) to check a hand-built policy instead of a network.
     """
     if net is None and edge_probs is None:
         raise ValueError("flow_check needs a net or explicit edge_probs")
     tree = dist.tree if dist.tree is not None else _tree_from_trajectories(dist.trajectories)
+    taken = tree.cells != ABSENT
     if edge_probs is not None:
-        edge_p = np.empty(len(tree.parents))
+        cell_p = np.zeros(len(tree.cells))
+        p_rows, taken_rows = (a.reshape(-1, len(tree.actions)) for a in (cell_p, taken))
         for node, history in enumerate(tree.histories):
             key = tuple(t.render() for t in history)
-            edge_p[tree.parents == node] = np.asarray(edge_probs[key], dtype=np.float64)
+            p_rows[node, taken_rows[node]] = np.asarray(edge_probs[key], dtype=np.float64)
     else:
-        log_probs, _ = _policy_pass(net, dist)
-        edge_p = np.exp(log_probs[tree.parents, tree.actions])
-    residuals = _flow_residuals(dist, tree, edge_p)
+        cell_p = np.exp(_dist_policy_pass(net, dist))
+    if dist.rewards is not None:
+        leaf_flow = np.asarray(dist.rewards, dtype=np.float64)
+    else:
+        leaf_flow = np.exp(np.array([t.log_r for t in dist.trajectories]))
+    residuals = _flow_residuals(tree, leaf_flow, cell_p)[taken]
     keys = [tree.histories[c] if c >= 0 else dist.trajectories[~c].tactics
-            for c in tree.children.tolist()]
+            for c in tree.cells[taken].tolist()]
     return FlowCheckReport(max_residual=float(residuals.max(initial=0.0)),
                            n_edges=len(residuals), per_edge=list(zip(keys, residuals.tolist())))
 
@@ -315,19 +418,22 @@ class OracleReport:
 def oracle_report(net: PolicyNet, thm: Theorem, max_depth: int = 3,
                   spec: RewardSpec = RewardSpec(mode="binary"), rm=None,
                   action_set: tuple[int, ...] | None = None) -> OracleReport:
-    """Full verification pass for one theorem: one walk, one policy forward.
-    ValueError unless ``max_depth`` is at least 1, before the walk."""
-    dist = enumerate_trajectories(thm, max_depth=max_depth, spec=spec, rm=rm,
-                                  action_set=action_set)
-    log_probs, hidden = _policy_pass(net, dist)
-    tree = dist.tree
-    residuals = _flow_residuals(dist, tree, np.exp(log_probs[tree.parents, tree.actions]))
+    """Full verification pass for one theorem: one walk, one policy forward,
+    no per-trajectory object. ValueError, before the walk, unless
+    ``max_depth`` is at least 1 and ``action_set`` is None or distinct
+    action indices in [0, 36)."""
+    walk = _walk(thm, max_depth, spec, rm, action_set)
+    tree = walk.tree
+    cell_logp, hidden = _policy_pass(net, thm.initial_state, tree, action_set)
+    log_z = _logsumexp(walk.log_r)
+    probs = _trajectory_probs(tree, cell_logp, walk.leaves)
+    residuals = _flow_residuals(tree, np.exp(walk.log_r), np.exp(cell_logp))
     return OracleReport(
         theorem=thm.name,
-        n_trajectories=len(dist.trajectories),
-        log_z=dist.log_z,
+        n_trajectories=len(walk.leaves),
+        log_z=log_z,
         predicted_log_z=float(np.dot(net.store["wz"], hidden[0]) + net.store["bz"]),
-        tv_distance=tv_distance(_trajectory_probs(dist, log_probs), dist.target_probs),
+        tv_distance=tv_distance(probs, np.exp(walk.log_r - log_z)),
         max_flow_residual=float(residuals.max(initial=0.0)),
     )
 

@@ -3,8 +3,10 @@
 Nodes are ordered by cumulative policy log-probability. Expanding a node
 queries the policy once, keeps the top-`branching` actions by logit, and
 pushes the children that survive the environment (errors are dropped, a
-proved child ends the search). Ties break FIFO by insertion order so runs
-are bit-reproducible; the expansion budget bounds the work.
+proved child ends the search). An action outside ``env.live_actions`` can
+only fail, so it is dropped without an ``apply_tactic`` call. Ties break
+FIFO by insertion order so runs are bit-reproducible; the expansion budget
+bounds the work.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Theorem
-from .env import ACTIONS, ProofState, Tactic, apply_tactic, replay, state_fingerprint
+from .env import (
+    ACTIONS,
+    ProofState,
+    Tactic,
+    apply_tactic,
+    live_actions,
+    replay,
+    state_fingerprint,
+)
 from .policy import HISTORY, HISTORY_LESS, PolicyNet, action_logits, encode_from_parts
 from .nn import log_softmax_np
 
@@ -85,8 +95,11 @@ def search_from_state(net: PolicyNet, root: ProofState, cfg: SearchConfig) -> Se
         log_probs = log_softmax_np(logits)
         # top-k by logit; equal logits break by action index
         order = np.argsort(-logits, kind="stable")[: cfg.branching]
-        for action_idx in order:
-            tactic = ACTIONS[int(action_idx)]
+        live = live_actions(state)
+        for action_idx in order.tolist():
+            if action_idx not in live:
+                continue  # fails with NO_SUCH_HYPOTHESIS, like an applied error
+            tactic = ACTIONS[action_idx]
             result = apply_tactic(state, tactic)
             if result.proved:
                 return SearchOutcome(True, history + (tactic,), expansions)
@@ -99,7 +112,7 @@ def search_from_state(net: PolicyNet, root: ProofState, cfg: SearchConfig) -> Se
                 if fp in seen:
                     continue
                 seen.add(fp)
-            child_logp = logp + float(log_probs[int(action_idx)])
+            child_logp = logp + float(log_probs[action_idx])
             heapq.heappush(
                 heap, (-child_logp, next(counter), child_logp, history + (tactic,), result.state)
             )

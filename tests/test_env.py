@@ -15,6 +15,7 @@ from flowprover.env import (
     TacticKind,
     apply_tactic,
     initial_state,
+    live_actions,
     parse_tactic,
     replay,
     state_fingerprint,
@@ -134,6 +135,29 @@ class TestTacticSemantics:
         assert first.failed and first.state is None
         assert apply_tactic(ProofState(()), parse_tactic("intro")) is \
             apply_tactic(ProofState(()), parse_tactic("exact h1"))
+
+
+class TestLiveActions:
+    def test_every_other_action_fails_with_the_shared_no_such_hypothesis(self):
+        shared = apply_tactic(state("a"), parse_tactic("exact h1"))
+        assert shared.error is ErrorReason.NO_SUCH_HYPOTHESIS
+        many = Goal(tuple((f"h{i}", a) for i in range(1, 10)), b)
+        rng = np.random.default_rng(2)
+        states = [random_proof_state(rng) for _ in range(300)] + [ProofState((many,))]
+        for s in states:
+            live = live_actions(s)
+            n_hyps = len(s.goals[0].hyps)
+            assert live == tuple(sorted(set(live)))
+            assert len(live) == 4 + 4 * min(n_hyps, 8)
+            for i, t in enumerate(ACTIONS):
+                result = apply_tactic(s, t)
+                if i not in live:
+                    assert result is shared, (s.render(), t.render())
+                else:
+                    assert result.error is not ErrorReason.NO_SUCH_HYPOTHESIS
+
+    def test_without_goals_every_action_is_live(self):
+        assert live_actions(ProofState(())) == tuple(range(N_ACTIONS))
 
 
 def _formula_st():

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -17,10 +18,12 @@ from flowprover.env import (
     ProofState,
     Tactic,
     apply_tactic,
+    live_actions,
     parse_tactic,
     replay,
 )
 from flowprover.gfn import (
+    ACTION_CHARS,
     BINARY,
     DEPTH_EXHAUSTED,
     ENV_ERROR,
@@ -28,9 +31,10 @@ from flowprover.gfn import (
     PROVED,
     RewardSpec,
     Trajectory,
+    error_log_reward,
     log_reward,
 )
-from flowprover.nn import log_softmax_np
+from flowprover.nn import log_softmax_np, mlp_forward_np
 from flowprover.oracle import (
     EnumeratedTrajectory,
     ExactDist,
@@ -42,7 +46,14 @@ from flowprover.oracle import (
     policy_trajectory_probs,
     tv_distance,
 )
-from flowprover.policy import HISTORY, PolicyNet, action_logits, encode_from_parts, predict_log_z
+from flowprover.policy import (
+    HISTORY,
+    PolicyNet,
+    action_logits,
+    action_mask,
+    encode_from_parts,
+    predict_log_z,
+)
 from flowprover.reward_model import RewardModel
 
 from conftest import MICRO_ACTION_SET, identity_theorem
@@ -317,6 +328,122 @@ class TestOnePassMatchesReference:
             assert oracle_report(net, thm).predicted_log_z == predict_log_z(net, thm)
 
 
+def per_leaf_walk(thm, max_depth, spec, rm=None, action_set=None):
+    """The reference for the table walk, one leaf at a time: every action
+    of every node goes through ``apply_tactic``, every leaf becomes an
+    object as it is found, and an error leaf is scored by a scalar
+    ``error_log_reward`` call. Returns the leaves and the tree's nodes
+    (history, state) and edges (parent, action, child, or ~leaf)."""
+    indices = range(len(ACTIONS)) if action_set is None else list(action_set)
+    found, nodes, edges = [], [], []
+
+    def visit(state, history, before, chars):
+        node = len(nodes)
+        nodes.append((history, state))
+        before = before + (state,)
+        depth = len(history) + 1
+        for a in indices:
+            tactic = ACTIONS[a]
+            result = apply_tactic(state, tactic)
+            tacs = history + (tactic,)
+            if result.ok and depth < max_depth:
+                child = visit(result.state, tacs, before, chars + ACTION_CHARS[a])
+            else:
+                child = ~len(found)
+                if result.proved:
+                    outcome, log_r = PROVED, 0.0
+                elif result.ok and spec.mode != BINARY:
+                    outcome = DEPTH_EXHAUSTED
+                    log_r = log_reward(Trajectory(thm.name, tacs, before + (result.state,),
+                                                  outcome, 0.0), spec, rm=rm)
+                else:
+                    outcome = ENV_ERROR if result.failed else DEPTH_EXHAUSTED
+                    log_r = error_log_reward(chars + ACTION_CHARS[a], depth, spec)
+                found.append(EnumeratedTrajectory(tacs, outcome, log_r, before, node, a))
+            edges.append((node, a, child))
+        return node
+
+    visit(thm.initial_state, (), (), 0)
+    return found, nodes, np.array(edges, dtype=np.intp)
+
+
+def per_leaf_report(net, thm, found, nodes, edges, action_set=None) -> dict:
+    """An oracle report over the per-leaf walk's edge list: one batched
+    forward over its nodes in walk order, log-probabilities summed down the
+    edges, and node flows summed per depth level by ``np.bincount`` over
+    each node's edges in walk order."""
+    parents, actions, children = edges.T
+    log_rs = np.array([t.log_r for t in found])
+    top = log_rs.max()
+    log_z = float(top + np.log(np.exp(log_rs - top).sum()))
+    x = np.stack([encode_from_parts(thm.initial_state, history, state, HISTORY)
+                  for history, state in nodes])
+    logits, hidden = mlp_forward_np(net.store, x)
+    mask = action_mask(action_set)
+    log_probs = log_softmax_np(logits if mask is None else logits + mask)
+    node_logp = np.zeros(len(nodes))
+    inner = np.flatnonzero(children >= 0)
+    for e in inner[np.argsort(children[inner])]:  # parents before children
+        node_logp[children[e]] = node_logp[parents[e]] + log_probs[parents[e], actions[e]]
+    leaf_nodes = np.array([t.node for t in found])
+    probs = np.exp(node_logp[leaf_nodes] + log_probs[leaf_nodes, [t.action for t in found]])
+    level = np.array([len(history) for history, _ in nodes])[parents]
+    leaf = children < 0
+    child_flow = np.zeros(len(children))
+    child_flow[leaf] = np.exp(log_rs)[~children[leaf]]
+    node_flow = np.zeros(len(nodes))
+    for depth in range(level.max(), -1, -1):
+        at = level == depth
+        child_flow[at & ~leaf] = node_flow[children[at & ~leaf]]
+        node_flow += np.bincount(parents[at], weights=child_flow[at], minlength=len(nodes))
+    residuals = np.abs(node_flow[parents] * np.exp(log_probs[parents, actions]) - child_flow)
+    return {"theorem": thm.name, "n_trajectories": len(found), "log_Z": log_z,
+            "predicted_log_Z": float(np.dot(net.store["wz"], hidden[0]) + net.store["bz"]),
+            "tv_distance": tv_distance(probs, np.exp(log_rs - log_z)),
+            "max_flow_residual": float(residuals.max())}
+
+
+def leaf_bits(leaves: list[EnumeratedTrajectory]) -> list[tuple]:
+    return [(t.tactics, t.outcome, t.log_r.hex(), t.proof_states, t.node, t.action)
+            for t in leaves]
+
+
+class TestTableWalkMatchesPerLeafWalk:
+    """The node x action table walk against a walk that goes one leaf at a
+    time, with the report's arithmetic over its edge list: the same leaves
+    and the same report, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def theorems(self):
+        from flowprover.corpus import build_corpus
+
+        return build_corpus(8, train_size=30, valid_size=1).train
+
+    @pytest.mark.parametrize("action_set", [None, MICRO_ACTION_SET, (12, 4, 3, 0, 1, 2, 20, 5)],
+                             ids=["full", "micro", "reordered"])
+    @pytest.mark.parametrize("mode", [BINARY, FULL_RM])
+    @pytest.mark.parametrize("max_depth", [3, 4])
+    def test_leaves_and_reports(self, theorems, max_depth, mode, action_set):
+        net = head_net(seed=26)
+        rm = RewardModel.create(seed=4) if mode == FULL_RM else None
+        spec = RewardSpec(mode=mode)
+        outcomes = set()
+        for thm in theorems:
+            found, nodes, edges = per_leaf_walk(thm, max_depth, spec, rm=rm,
+                                                action_set=action_set)
+            outcomes.update(t.outcome for t in found)
+            dist = enumerate_trajectories(thm, max_depth=max_depth, spec=spec, rm=rm,
+                                          action_set=action_set)
+            assert leaf_bits(dist.trajectories) == leaf_bits(found)
+            assert dist.tree.histories == [history for history, _ in nodes]
+            want = per_leaf_report(net, thm, found, nodes, edges, action_set)
+            assert dist.log_z.hex() == want["log_Z"].hex()
+            report = oracle_report(net, thm, max_depth=max_depth, spec=spec, rm=rm,
+                                   action_set=action_set).to_dict()
+            assert json.dumps(report) == json.dumps(want)
+        assert outcomes == {PROVED, ENV_ERROR, DEPTH_EXHAUSTED}
+
+
 class TestLeavesAgreeWithTheTrainer:
     """Every leaf's outcome and log R against a plain walk of its tactics
     and the trainer's ``log_reward`` on that walk's states."""
@@ -374,7 +501,19 @@ class TestLeavesAgreeWithTheTrainer:
             oracle_report(net, thm, spec=spec, rm=rm)
             exhausted = sum(t.outcome == DEPTH_EXHAUSTED for t in dist.trajectories)
             assert calls["log_reward"] == (exhausted if mode == FULL_RM else 0)
-            assert calls["apply_tactic"] == len(dist.tree.parents)  # one per tree edge
+            # one per (node, live action)
+            assert calls["apply_tactic"] == sum(map(len, map(live_actions, dist.tree.states)))
+
+    @pytest.mark.parametrize("action_set", [(0, 0, 1, 2, 3, 4), (-1, 0, 1, 2, 3), (0, 36), ()])
+    def test_bad_action_set_raises_before_the_walk(self, action_set, monkeypatch):
+        def walked(*args):
+            raise AssertionError("walked")
+        monkeypatch.setattr(oracle_mod, "apply_tactic", walked)
+        thm = identity_theorem("a -> a")
+        with pytest.raises(ValueError, match="action set"):
+            enumerate_trajectories(thm, action_set=action_set)
+        with pytest.raises(ValueError, match="action set"):
+            oracle_report(PolicyNet.create(seed=0), thm, action_set=action_set)
 
     @pytest.mark.parametrize("max_depth", [0, -1])
     def test_depth_below_one_raises_before_the_walk(self, max_depth, monkeypatch):
@@ -405,7 +544,8 @@ class TestOnePass:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
-        for name in ("mlp_forward_np", "encode_from_parts", "apply_tactic"):
+        for name in ("mlp_forward_np", "encode_from_parts", "apply_tactic",
+                     "EnumeratedTrajectory"):
             spy(oracle_mod, name)
         spy(Tactic, "render")
         spy(env_mod, "parse_tactic")
@@ -415,19 +555,27 @@ class TestOnePass:
             oracle_report(net, thm, max_depth=3)
             assert calls["mlp_forward_np"] == 1
             assert calls["encode_from_parts"] == len(dist.tree.histories)
-            assert calls["apply_tactic"] == len(dist.tree.parents)  # one per tree edge
+            # one per (node, live action); every other action is a known error
+            live = sum(map(len, map(live_actions, dist.tree.states)))
+            assert calls["apply_tactic"] == live < len(dist.tree.cells)
+            assert calls["EnumeratedTrajectory"] == 0
             assert calls["render"] == 0 and calls["parse_tactic"] == 0
 
     def test_tree_edges_cover_every_trajectory_once(self):
         thm = identity_theorem("a & b -> a & b")
         dist = enumerate_trajectories(thm, max_depth=3)
         tree = dist.tree
-        leaves = sorted(~c for c in tree.children.tolist() if c < 0)
+        cells = tree.cells.tolist()
+        assert len(cells) == len(tree.histories) * len(ACTIONS)
+        leaves = sorted(~c for c in cells if c < 0)
         assert leaves == list(range(len(dist.trajectories)))
         for j, t in enumerate(dist.trajectories):
-            e = tree.children.tolist().index(~j)
-            assert (tree.parents[e], tree.actions[e]) == (t.node, t.action)
+            node, column = divmod(cells.index(~j), len(tree.actions))
+            assert (node, tree.actions[column]) == (t.node, t.action)
             assert tree.histories[t.node] + (ACTIONS[t.action],) == t.tactics
+        assert tree.inbound[0] == -1
+        for node in range(1, len(tree.histories)):
+            assert cells[tree.inbound[node]] == node
 
     def test_misuse_raises_under_optimized_python(self):
         # the oracle's argument checks must hold with asserts stripped
@@ -469,18 +617,18 @@ class TestTargetIsRepresentable:
         for thm in build_corpus(1, 1000, 20).train:
             dist = enumerate_trajectories(thm, max_depth=3)
             tree = dist.tree
-            leaf = tree.children < 0
-            edge_flow = np.zeros(len(tree.children))
-            edge_flow[leaf] = np.exp([dist.trajectories[~c].log_r for c in tree.children[leaf]])
+            leaf = tree.cells < 0
+            cell_flow = np.zeros(len(tree.cells))
+            cell_flow[leaf] = np.exp([dist.trajectories[~c].log_r for c in tree.cells[leaf]])
+            rows = cell_flow.reshape(len(tree.histories), len(ACTIONS))
             node_flow = np.zeros(len(tree.histories))
             # nodes are numbered parents first, so this pass meets children first
             for node in range(len(tree.histories) - 1, -1, -1):
-                out = tree.parents == node
-                inner = out & ~leaf
-                edge_flow[inner] = node_flow[tree.children[inner]]
-                node_flow[node] = edge_flow[out].sum()
+                node_flow[node] = rows[node].sum()
+                if node:
+                    cell_flow[tree.inbound[node]] = node_flow[node]
                 target = np.zeros(len(ACTIONS))
-                target[tree.actions[out]] = edge_flow[out] / node_flow[node]
+                target[tree.actions] = rows[node] / node_flow[node]
                 key = encode_from_parts(thm.initial_state, tree.histories[node],
                                         tree.states[node], HISTORY).tobytes()
                 conditionals.setdefault(key, []).append(target)

@@ -22,6 +22,13 @@ MISUSES = {
     "optim_step(store, {'u': np.zeros(2)})": "KeyError",
     "mlp_forward(PolicyNet.create(seed=0).store, np.zeros(5))": "ValueError",
     "enumerate_trajectories(thm, max_depth=0)": "ValueError",
+    # an action set must be distinct indices in [0, 36), checked before the walk
+    "enumerate_trajectories(thm, action_set=(0, 0, 1, 2, 3, 4))": "ValueError",
+    "enumerate_trajectories(thm, action_set=(-1, 0, 1, 2, 3))": "ValueError",
+    "enumerate_trajectories(thm, action_set=(0, 36))": "ValueError",
+    "oracle_report(net, thm, action_set=(0, 0, 1, 2, 3, 4))": "ValueError",
+    "oracle_report(net, thm, action_set=(-1, 0, 1, 2, 3))": "ValueError",
+    "oracle_report(net, thm, action_set=(0, 36))": "ValueError",
     "ProofTree(thm).add_walk(thm.gt_proof, (thm.initial_state,))": "ValueError",
     # negative counts, and an empty train split, are refused before any work
     "build_corpus(-1, 1, 1)": "ValueError",
@@ -66,7 +73,7 @@ def test_misuse_raises_typed_exceptions(flags):
         "from flowprover.corpus import CorpusSplit, Theorem, build_corpus",
         "from flowprover.env import parse_tactic",
         "from flowprover.gfn import ProofTree",
-        "from flowprover.oracle import enumerate_trajectories",
+        "from flowprover.oracle import enumerate_trajectories, oracle_report",
         "from flowprover.reward_model import mine_hard_negatives, rm_train",
         "from flowprover.runs import run_training",
         "gt = (parse_tactic('intro'), parse_tactic('exact h1'))",

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from flowprover.env import ACTION_INDEX, parse_tactic, replay
+import flowprover.search as search_mod
+from flowprover.env import ACTION_INDEX, N_ACTIONS, live_actions, parse_tactic, replay
 from flowprover.policy import HISTORY, HISTORY_LESS, PolicyNet
 from flowprover.search import SearchConfig, best_first_search, evaluate_split, search_from_state
 
@@ -83,6 +84,29 @@ class TestBestFirstSearch:
         outcome = search_from_state(rigged_net(), child, SearchConfig())
         assert outcome.proved
         assert outcome.proof == (parse_tactic("exact h1"),)
+
+
+class TestLiveActions:
+    def test_only_live_actions_are_applied_and_reports_are_unchanged(self, small_corpus,
+                                                                      monkeypatch):
+        net = PolicyNet.create(seed=5)
+        theorems = small_corpus.valid + small_corpus.train[:20]
+        applied = []
+        apply = search_mod.apply_tactic
+
+        def spy(state, tactic):
+            applied.append(ACTION_INDEX[tactic] in live_actions(state))
+            return apply(state, tactic)
+        monkeypatch.setattr(search_mod, "apply_tactic", spy)
+        got = evaluate_split(net, theorems, SearchConfig())
+        assert applied and all(applied)
+        n_live = len(applied)
+        # the same search with every top-k action sent through apply_tactic
+        monkeypatch.setattr(search_mod, "live_actions", lambda state: tuple(range(N_ACTIONS)))
+        applied.clear()
+        want = evaluate_split(net, theorems, SearchConfig())
+        assert got.to_json() == want.to_json()
+        assert len(applied) > n_live
 
 
 class TestEvaluateSplit:
