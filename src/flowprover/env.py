@@ -14,7 +14,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .formulas import And, Formula, Implies, Or, print_formula
+from .formulas import And, Atom, Formula, Implies, Or, print_formula
 
 H_MAX = 8  # hypothesis-argument cap; action space = 4 + 4*8 = 36
 
@@ -162,24 +162,62 @@ def _fresh_name(hyps: tuple[tuple[str, Formula], ...], bump: int = 0) -> str:
     return f"h{top + 1 + bump}"
 
 
-# The live actions for each hypothesis count of the first goal, 0..H_MAX;
-# with H_MAX hypotheses every action is live.
-_LIVE: tuple[tuple[int, ...], ...] = tuple(
-    tuple(i for i, t in enumerate(ACTIONS) if t.arg is None or t.arg <= n)
-    for n in range(H_MAX + 1)
-)
+# The shape each tactic needs; apply_tactic and applicable_actions both read
+# these two rules.
+def _target_fits(kind: TacticKind, target: Formula) -> bool:
+    """Whether argument-less tactic ``kind`` applies to ``target``: intro
+    needs an implication, split a conjunction, left and right a
+    disjunction."""
+    if kind is TacticKind.INTRO:
+        return isinstance(target, Implies)
+    if kind is TacticKind.SPLIT:
+        return isinstance(target, And)
+    return isinstance(target, Or)
 
 
-def live_actions(state: ProofState) -> tuple[int, ...]:
-    """The action indices, in index order, whose outcome ``apply_tactic``
-    has to work out: the 4 argument-less actions and every hypothesis action
-    whose position exists in the first goal, 4 + 4 * min(#hyps, 8) in all.
-    ``apply_tactic`` fails any other action, one with ``k > len(goal.hyps)``,
-    with the shared NO_SUCH_HYPOTHESIS result. A state without goals fails
-    every action with NO_GOALS, so all of them are live there."""
+def _hyp_fits(kind: TacticKind, hform: Formula, target: Formula) -> bool:
+    """Whether hypothesis tactic ``kind`` applies to ``hform`` under
+    ``target``: exact needs the target itself, apply an implication that
+    concludes it, cases a disjunction and destruct a conjunction."""
+    if kind is TacticKind.EXACT:
+        return hform == target
+    if kind is TacticKind.APPLY:
+        return isinstance(hform, Implies) and hform.rhs == target
+    if kind is TacticKind.CASES:
+        return isinstance(hform, Or)
+    return isinstance(hform, And)
+
+
+# The argument-less actions that fit a target, by the target's class.
+_ARGLESS_FITTING: dict[type, tuple[int, ...]] = {
+    type(f): tuple(i for i, kind in enumerate(_ARGLESS) if _target_fits(kind, f))
+    for f in (Atom("a"), Implies(Atom("a"), Atom("a")), And(Atom("a"), Atom("a")),
+              Or(Atom("a"), Atom("a")))
+}
+
+# The first action index of each hypothesis tactic, with its kind.
+_HYP_BLOCKS = tuple((len(_ARGLESS) + H_MAX * b, kind) for b, kind in enumerate(_WITH_ARG))
+
+
+def applicable_actions(state: ProofState) -> tuple[int, ...]:
+    """The action indices, in index order, that ``apply_tactic`` does not
+    fail on ``state``: the argument-less actions that fit the first goal's
+    target, and exact, apply, cases and destruct at each of its first
+    ``H_MAX`` hypotheses that fits. A state without goals has none."""
     if not state.goals:
-        return _LIVE[H_MAX]
-    return _LIVE[min(len(state.goals[0].hyps), H_MAX)]
+        return ()
+    goal = state.goals[0]
+    target = goal.target
+    fitting = _ARGLESS_FITTING[type(target)]
+    if not goal.hyps:
+        return fitting
+    hforms = [hform for _, hform in goal.hyps[:H_MAX]]
+    fitting = list(fitting)
+    for first, kind in _HYP_BLOCKS:
+        for k, hform in enumerate(hforms):
+            if _hyp_fits(kind, hform, target):
+                fitting.append(first + k)
+    return tuple(fitting)
 
 
 def apply_tactic(state: ProofState, tactic: Tactic) -> StepResult:
@@ -190,22 +228,16 @@ def apply_tactic(state: ProofState, tactic: Tactic) -> StepResult:
     goal, rest = state.goals[0], state.goals[1:]
     kind = tactic.kind
 
-    if kind is TacticKind.INTRO:
-        if not isinstance(goal.target, Implies):
+    if kind in _ARGLESS:
+        if not _target_fits(kind, goal.target):
             return _SHAPE_MISMATCH
-        hyps = goal.hyps + ((_fresh_name(goal.hyps), goal.target.lhs),)
-        return _finish((Goal(hyps, goal.target.rhs),) + rest)
-
-    if kind is TacticKind.SPLIT:
-        if not isinstance(goal.target, And):
-            return _SHAPE_MISMATCH
-        return _finish(
-            (Goal(goal.hyps, goal.target.lhs), Goal(goal.hyps, goal.target.rhs)) + rest
-        )
-
-    if kind in (TacticKind.LEFT, TacticKind.RIGHT):
-        if not isinstance(goal.target, Or):
-            return _SHAPE_MISMATCH
+        if kind is TacticKind.INTRO:
+            hyps = goal.hyps + ((_fresh_name(goal.hyps), goal.target.lhs),)
+            return _finish((Goal(hyps, goal.target.rhs),) + rest)
+        if kind is TacticKind.SPLIT:
+            return _finish(
+                (Goal(goal.hyps, goal.target.lhs), Goal(goal.hyps, goal.target.rhs)) + rest
+            )
         side = goal.target.lhs if kind is TacticKind.LEFT else goal.target.rhs
         return _finish((Goal(goal.hyps, side),) + rest)
 
@@ -216,28 +248,22 @@ def apply_tactic(state: ProofState, tactic: Tactic) -> StepResult:
     if k > len(goal.hyps):
         return _NO_SUCH_HYPOTHESIS
     hname, hform = goal.hyps[k - 1]
+    if not _hyp_fits(kind, hform, goal.target):
+        return _SHAPE_MISMATCH
 
     if kind is TacticKind.EXACT:
-        if hform != goal.target:
-            return _SHAPE_MISMATCH
         return _finish(rest)
 
     if kind is TacticKind.APPLY:
-        if not (isinstance(hform, Implies) and hform.rhs == goal.target):
-            return _SHAPE_MISMATCH
         return _finish((Goal(goal.hyps, hform.lhs),) + rest)
 
     if kind is TacticKind.CASES:
-        if not isinstance(hform, Or):
-            return _SHAPE_MISMATCH
         def with_hyp(f: Formula) -> Goal:
             hyps = goal.hyps[: k - 1] + ((hname, f),) + goal.hyps[k:]
             return Goal(hyps, goal.target)
         return _finish((with_hyp(hform.lhs), with_hyp(hform.rhs)) + rest)
 
     if kind is TacticKind.DESTRUCT:
-        if not isinstance(hform, And):
-            return _SHAPE_MISMATCH
         hyps = goal.hyps[: k - 1] + goal.hyps[k:]
         n1 = _fresh_name(hyps)
         n2 = _fresh_name(hyps, bump=1)

@@ -4,10 +4,10 @@ consistency checks. This is the instrument that certifies the trained
 policy samples proofs proportionally to reward.
 
 One depth-first walk builds the trajectory tree as a node x action table.
-It calls ``apply_tactic`` only for a node's live actions
-(``env.live_actions``): every other action fails with the shared
-NO_SUCH_HYPOTHESIS result, so the walk records it as an error without a
-call. The error leaves of the whole table are scored by one call to
+It calls ``apply_tactic`` only for a node's applicable actions
+(``env.applicable_actions``, the actions whose shape fits the state): every
+other action fails, so the walk records it as an error without a call. The
+error leaves of the whole table are scored by one call to
 ``gfn.error_log_reward``. Everything after the walk reads the table: one
 batched policy forward over its internal nodes gives every cell's
 log-probability, trajectory probabilities sum those down the tree, and
@@ -18,7 +18,6 @@ lists its leaves as ``EnumeratedTrajectory`` objects.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 
@@ -33,7 +32,7 @@ from .env import (
     StepKind,
     Tactic,
     apply_tactic,
-    live_actions,
+    applicable_actions,
 )
 from .gfn import (
     ACTION_CHARS,
@@ -116,12 +115,6 @@ _PROVED, _ERROR, _EXHAUSTED = -1, -2, -3
 _OUTCOME = {_ERROR: ENV_ERROR, _PROVED: PROVED, _EXHAUSTED: DEPTH_EXHAUSTED}
 
 
-@functools.lru_cache(maxsize=1024)
-def _live_columns(columns: tuple[int, ...], live: tuple[int, ...]) -> tuple[int, ...]:
-    """The columns, in order, whose action is among ``live``."""
-    return tuple(j for j, a in enumerate(columns) if a in live)
-
-
 @dataclass
 class _Walk:
     """The walk's tree, with ``leaves`` its leaf cells in depth-first order
@@ -147,14 +140,17 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     columns = (tuple(range(N_ACTIONS)) if action_set is None
                else check_action_set(int(a) for a in action_set))
     column_chars = [ACTION_CHARS[a] for a in columns]
+    # an action's column: its index for the action space, else its place in
+    # the restricted set
+    column_of = None if action_set is None else {a: j for j, a in enumerate(columns)}
     width = len(columns)
     histories: list[tuple[Tactic, ...]] = []
     states: list[ProofState] = []
     paths: list[tuple[ProofState, ...]] = []
     node_chars: list[int] = []  # running sum of tactic lengths at each node
     inbound = [-1]
-    live_cells: list[int] = []  # the cells of live actions that did not fail
-    live_codes: list[int] = []
+    applied_cells: list[int] = []  # the cells of the applicable actions
+    applied_codes: list[int] = []
     leaves: list[int] = []  # in depth-first order
     exhausted: dict[int, float] = {}  # partial-credit log R by cell
     partial_credit = spec.mode != BINARY
@@ -168,23 +164,26 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
         node_chars.append(chars)
         row = run = (len(states) - 1) * width
         inner = len(history) + 1 < max_depth
-        for j in _live_columns(columns, live_actions(state)):
+        applicable = applicable_actions(state)
+        if column_of is not None:
+            applicable = sorted(column_of[a] for a in applicable if a in column_of)
+        for j in applicable:
             tactic = ACTIONS[columns[j]]
             result = apply_tactic(state, tactic)
             kind = result.kind
             if kind is StepKind.ERROR:
                 continue
-            live_cells.append(row + j)
+            applied_cells.append(row + j)
             if kind is StepKind.PROVED:
-                live_codes.append(_PROVED)
+                applied_codes.append(_PROVED)
             elif inner:
-                live_codes.append(len(states))
+                applied_codes.append(len(states))
                 inbound.append(row + j)
                 leaves.extend(range(run, row + j))
                 run = row + j + 1
                 visit(result.state, history + (tactic,), path, chars + column_chars[j])
             else:
-                live_codes.append(_EXHAUSTED)
+                applied_codes.append(_EXHAUSTED)
                 if partial_credit:
                     exhausted[row + j] = log_reward(
                         Trajectory(thm.name, history + (tactic,), path + (result.state,),
@@ -197,7 +196,7 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     del visit
     n_nodes = len(states)
     cells = np.full(n_nodes * width, _ERROR, dtype=np.intp)
-    cells[live_cells] = live_codes
+    cells[applied_cells] = applied_codes
     # Error leaves, and depth-exhausted ones under the binary reward, take
     # the error branch; a proved leaf scores 0.
     errors = np.flatnonzero(cells == _ERROR if partial_credit else cells <= _ERROR)

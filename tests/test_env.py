@@ -13,9 +13,9 @@ from flowprover.env import (
     StepKind,
     Tactic,
     TacticKind,
+    applicable_actions,
     apply_tactic,
     initial_state,
-    live_actions,
     parse_tactic,
     replay,
     state_fingerprint,
@@ -137,27 +137,48 @@ class TestTacticSemantics:
             apply_tactic(ProofState(()), parse_tactic("exact h1"))
 
 
-class TestLiveActions:
-    def test_every_other_action_fails_with_the_shared_no_such_hypothesis(self):
+def assert_applicable_actions_agree(s: ProofState) -> int:
+    """Every action outside ``applicable_actions(s)`` fails and every action
+    inside does not; returns the number of (state, action) pairs checked."""
+    fitting = applicable_actions(s)
+    assert fitting == tuple(sorted(set(fitting)))
+    for i, t in enumerate(ACTIONS):
+        assert apply_tactic(s, t).failed == (i not in fitting), (s.render(), t.render())
+    return N_ACTIONS
+
+
+class TestApplicableActions:
+    def test_every_action_outside_fails_and_every_action_inside_does_not(self):
+        # nine hypotheses, each shape at a position, the ninth out of reach
+        hyps = (a, Implies(b, a), Or(a, b), And(a, b), c, a, Implies(c, a), Or(b, c), a)
+        many = Goal(tuple((f"h{i}", f) for i, f in enumerate(hyps, start=1)), a)
+        rng = np.random.default_rng(2)
+        states = [random_proof_state(rng) for _ in range(300)]
+        states += [ProofState((many,)), ProofState(())]
         shared = apply_tactic(state("a"), parse_tactic("exact h1"))
         assert shared.error is ErrorReason.NO_SUCH_HYPOTHESIS
-        many = Goal(tuple((f"h{i}", a) for i in range(1, 10)), b)
-        rng = np.random.default_rng(2)
-        states = [random_proof_state(rng) for _ in range(300)] + [ProofState((many,))]
         for s in states:
-            live = live_actions(s)
-            n_hyps = len(s.goals[0].hyps)
-            assert live == tuple(sorted(set(live)))
-            assert len(live) == 4 + 4 * min(n_hyps, 8)
-            for i, t in enumerate(ACTIONS):
-                result = apply_tactic(s, t)
-                if i not in live:
-                    assert result is shared, (s.render(), t.render())
-                else:
-                    assert result.error is not ErrorReason.NO_SUCH_HYPOTHESIS
+            assert_applicable_actions_agree(s)
+            # a position the first goal lacks fails with the one shared result
+            for t in ACTIONS:
+                if s.goals and t.arg is not None and t.arg > len(s.goals[0].hyps):
+                    assert apply_tactic(s, t) is shared
+        fitting = applicable_actions(ProofState((many,)))
+        # exact h1 h6, apply h2 h7, cases h3 h8, destruct h4
+        assert fitting == (4, 9, 13, 18, 22, 27, 31)
 
-    def test_without_goals_every_action_is_live(self):
-        assert live_actions(ProofState(())) == tuple(range(N_ACTIONS))
+    def test_without_goals_no_action_applies(self):
+        assert applicable_actions(ProofState(())) == ()
+
+    def test_every_node_state_of_a_corpus_at_depth_4(self):
+        from flowprover.corpus import build_corpus
+        from flowprover.oracle import enumerate_trajectories
+
+        pairs = 0
+        for thm in build_corpus(3, 1000, 20).train:
+            for s in enumerate_trajectories(thm, max_depth=4).tree.states:
+                pairs += assert_applicable_actions_agree(s)
+        assert pairs == 240_804  # 6,689 node states
 
 
 def _formula_st():

@@ -18,7 +18,7 @@ from flowprover.env import (
     ProofState,
     Tactic,
     apply_tactic,
-    live_actions,
+    applicable_actions,
     parse_tactic,
     replay,
 )
@@ -501,8 +501,9 @@ class TestLeavesAgreeWithTheTrainer:
             oracle_report(net, thm, spec=spec, rm=rm)
             exhausted = sum(t.outcome == DEPTH_EXHAUSTED for t in dist.trajectories)
             assert calls["log_reward"] == (exhausted if mode == FULL_RM else 0)
-            # one per (node, live action)
-            assert calls["apply_tactic"] == sum(map(len, map(live_actions, dist.tree.states)))
+            # one per (node, applicable action)
+            assert calls["apply_tactic"] == sum(map(len, map(applicable_actions,
+                                                              dist.tree.states)))
 
     @pytest.mark.parametrize("action_set", [(0, 0, 1, 2, 3, 4), (-1, 0, 1, 2, 3), (0, 36), ()])
     def test_bad_action_set_raises_before_the_walk(self, action_set, monkeypatch):
@@ -555,9 +556,9 @@ class TestOnePass:
             oracle_report(net, thm, max_depth=3)
             assert calls["mlp_forward_np"] == 1
             assert calls["encode_from_parts"] == len(dist.tree.histories)
-            # one per (node, live action); every other action is a known error
-            live = sum(map(len, map(live_actions, dist.tree.states)))
-            assert calls["apply_tactic"] == live < len(dist.tree.cells)
+            # one per (node, applicable action); every other action is a known error
+            applicable = sum(map(len, map(applicable_actions, dist.tree.states)))
+            assert calls["apply_tactic"] == applicable < len(dist.tree.cells)
             assert calls["EnumeratedTrajectory"] == 0
             assert calls["render"] == 0 and calls["parse_tactic"] == 0
 

@@ -1,16 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import flowprover.policy as policy_mod
 from flowprover.env import (
     ACTIONS,
     ACTION_INDEX,
     N_ACTIONS,
+    Goal,
+    ProofState,
     apply_tactic,
     initial_state,
     parse_tactic,
 )
-from flowprover.formulas import parse_formula
-from flowprover.nn import Tape, finite_difference_check, softmax_np
+from flowprover.formulas import And, Atom, Formula, Implies, Or, formula_depth, parse_formula
+from flowprover.nn import Tape, finite_difference_check, log_softmax_np, softmax_np
 from flowprover.policy import (
     CUR_DIM,
     ENC_DIM,
@@ -18,10 +23,9 @@ from flowprover.policy import (
     HISTORY_LESS,
     INIT_DIM,
     PolicyNet,
-    _hash_bag,
-    _state_tokens,
     action_log_probs,
     action_logits,
+    draw_action,
     encode_from_parts,
     encode_state,
     head_graph,
@@ -30,7 +34,7 @@ from flowprover.policy import (
     sample_action,
 )
 
-from conftest import identity_theorem
+from conftest import identity_theorem, random_formula, random_proof_state
 
 
 @pytest.fixture
@@ -98,8 +102,60 @@ class TestEncoding:
             frontier = nxt
 
 
+# The feature hash spelled out token by token: the reference the encoder's
+# bin tables must reproduce bit for bit.
+
+
+def _kind(f: Formula) -> str:
+    return type(f).__name__
+
+
+def _formula_tokens(prefix: str, f: Formula) -> list[str]:
+    if isinstance(f, Atom):
+        return [f"{prefix}:atom={f.name}"]
+    return ([f"{prefix}:conn={_kind(f)}"] + _formula_tokens(prefix, f.lhs)
+            + _formula_tokens(prefix, f.rhs))
+
+
+def _state_tokens(state: ProofState) -> list[str]:
+    toks = [f"n_goals={len(state.goals)}"]
+    if not state.goals:
+        return toks
+    g = state.goals[0]
+    toks.append(f"g0:n_hyps={len(g.hyps)}")
+    toks.append(f"g0:tgt:root={_kind(g.target)}")
+    toks.append(f"g0:tgt:depth={formula_depth(g.target)}")
+    toks += _formula_tokens("g0:tgt", g.target)
+    for k, (_, hf) in enumerate(g.hyps, start=1):
+        toks.append(f"g0:h{k}:root={_kind(hf)}")
+        toks += _formula_tokens(f"g0:h{k}", hf)
+        if hf == g.target:
+            toks.append(f"g0:h{k}:eq_tgt")
+        if isinstance(hf, Implies) and hf.rhs == g.target:
+            toks.append(f"g0:h{k}:concl_eq_tgt")
+    for g2 in state.goals[1:]:
+        toks.append("g+:goal")
+        toks.append(f"g+:tgt:root={_kind(g2.target)}")
+    return toks
+
+
+def _hash_bag(tokens: list[str]) -> np.ndarray:
+    vec = np.zeros(CUR_DIM)
+    for tok in tokens:
+        digest = hashlib.blake2b(tok.encode(), digest_size=8, person=b"featmap1").digest()
+        vec[int.from_bytes(digest, "big") % CUR_DIM] += 1.0
+    return vec
+
+
+def _nodes(f: Formula):
+    yield f
+    if not isinstance(f, Atom):
+        yield from _nodes(f.lhs)
+        yield from _nodes(f.rhs)
+
+
 def direct_encoding(initial, history, state, mode) -> np.ndarray:
-    """The encoding built from the feature hash alone, with no memo."""
+    """The encoding built from the feature hash alone, with no table or memo."""
     vec = np.zeros(ENC_DIM)
     vec[:CUR_DIM] = _hash_bag(_state_tokens(state))
     if mode == HISTORY:
@@ -109,9 +165,75 @@ def direct_encoding(initial, history, state, mode) -> np.ndarray:
     return vec
 
 
+@pytest.fixture(scope="module")
+def reference_states() -> list[tuple[ProofState, tuple, ProofState]]:
+    """(initial, history, state) triples: 301 random states (one or two
+    goals), a goal-less state and a ten-hypothesis state with three goals,
+    each the initial state of the next with a random history; then every
+    node state of corpus seed 1's depth-3 train trees."""
+    from flowprover.corpus import build_corpus
+    from flowprover.oracle import enumerate_trajectories
+
+    rng = np.random.default_rng(7)
+    randoms = [random_proof_state(rng) for _ in range(301)]
+    target = random_formula(rng, 3)
+    many = Goal(tuple((f"h{i}", random_formula(rng, 3)) for i in range(1, 10))
+                + (("h10", target),), target)
+    randoms += [ProofState(()), ProofState((many, many, Goal((), Implies(target, target))))]
+    triples = []
+    for initial, state in zip(randoms, randoms[1:]):
+        history = tuple(ACTIONS[i] for i in rng.integers(N_ACTIONS, size=rng.integers(4)))
+        triples.append((initial, history, state))
+    for thm in build_corpus(1, 1000, 20).train:
+        tree = enumerate_trajectories(thm, max_depth=3).tree
+        triples += [(thm.initial_state, h, s) for h, s in zip(tree.histories, tree.states)]
+    return triples
+
+
+class TestEncoderMatchesTheReference:
+    @pytest.mark.parametrize("mode", [HISTORY, HISTORY_LESS])
+    def test_bit_identical(self, reference_states, mode):
+        triples = reference_states
+        assert len(triples) == 302 + 3786
+        for initial, history, state in triples:
+            got = encode_from_parts(initial, history, state, mode)
+            want = direct_encoding(initial, history, state, mode)
+            assert got.tobytes() == want.tobytes(), state.render()
+
+    def test_tables_stay_within_the_grammar(self, reference_states, monkeypatch):
+        # fresh tables, so the count covers these states alone
+        for name in ("_N_GOALS", "_N_HYPS", "_TGT_DEPTH", "_MORE_ROOT"):
+            monkeypatch.setattr(policy_mod, name,
+                                policy_mod._Bins(getattr(policy_mod, name).token))
+        monkeypatch.setattr(policy_mod, "_TGT", policy_mod._Prefix("g0:tgt"))
+        monkeypatch.setattr(policy_mod, "_HYPS", [])
+        triples = reference_states
+        for initial, history, state in triples:
+            encode_from_parts(initial, history, state, HISTORY)
+        states = {s for initial, _, state in triples for s in (initial, state)}
+        formulas = {f for s in states for g in s.goals
+                    for f in (g.target, *(h for _, h in g.hyps))}
+        firsts = [s.goals[0] for s in states if s.goals]
+        atoms = {n.name for f in formulas for n in _nodes(f) if isinstance(n, Atom)}
+        n_hyps = max(len(g.hyps) for g in firsts)
+        n_goals = max(len(s.goals) for s in states)
+        depth = max(formula_depth(g.target) for g in firsts)
+        # per prefix (the target, each hypothesis position): the atoms and 3
+        # connectives, and 4 root classes; then the goal counts, hypothesis
+        # counts, target depths and 4 root classes of further goals
+        bound = ((1 + n_hyps) * (len(atoms) + 3 + 4) + (n_goals + 1) + (n_hyps + 1)
+                 + depth + 4)
+        tables = [policy_mod._N_GOALS, policy_mod._N_HYPS, policy_mod._TGT_DEPTH,
+                  policy_mod._MORE_ROOT, policy_mod._TGT.nodes, policy_mod._TGT.root]
+        tables += [t for p in policy_mod._HYPS for t in (p.nodes, p.root)]
+        assert len(policy_mod._HYPS) == n_hyps == 10
+        # a memo per formula or per state would hold more entries than the bound
+        assert sum(map(len, tables)) <= bound < len(formulas) < len(states)
+
+
 class TestInitialStateMemo:
-    """encode_from_parts keeps the last initial state's features; no order
-    of theorems may make it read another state's features."""
+    """encode_from_parts keeps the last initial state's bins; no order of
+    theorems may make it read another state's bins."""
 
     @pytest.mark.parametrize("mode", [HISTORY, HISTORY_LESS])
     def test_encodings_match_a_direct_encoding(self, mode):
@@ -197,6 +319,34 @@ class TestSampling:
         enc = encode_state(thm, (), thm.initial_state)
         with pytest.raises(ValueError):
             sample_action(net, enc, temperature, np.random.default_rng(0))
+
+    def test_draws_match_generator_choice(self):
+        # the reference: Generator.choice over the tempered softmax
+        data = np.random.default_rng(11)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for i in range(20_000):
+            logits = data.normal(scale=3.0, size=N_ACTIONS)
+            logits[data.random(N_ACTIONS) < 0.3] = -np.inf  # a restricted action set
+            logits[data.integers(N_ACTIONS)] = data.normal()
+            temperature = 1.0 if i % 2 else float(data.uniform(0.25, 1.0))
+            log_probs = log_softmax_np(logits)
+            tactic, lp = draw_action(logits, log_probs, temperature, rng)
+            want = int(ref.choice(N_ACTIONS, p=softmax_np(logits / temperature)))
+            assert ACTION_INDEX[tactic] == want and lp == log_probs[want]
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5])
+    def test_nan_or_no_mass_raises_as_choice_does(self, temperature):
+        rng = np.random.default_rng(0)
+        nan = np.zeros(N_ACTIONS)
+        nan[3] = np.nan
+        for logits in (nan, np.full(N_ACTIONS, -np.inf)):
+            with np.errstate(invalid="ignore"):
+                log_probs = log_softmax_np(logits)
+                with pytest.raises(ValueError):
+                    rng.choice(N_ACTIONS, p=softmax_np(logits / temperature))
+                with pytest.raises(ValueError):
+                    draw_action(logits, log_probs, temperature, rng)
 
     def test_reported_log_prob_is_temperature_one(self, thm):
         net = PolicyNet.create(seed=5)

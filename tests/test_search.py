@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 
 import flowprover.search as search_mod
-from flowprover.env import ACTION_INDEX, N_ACTIONS, live_actions, parse_tactic, replay
+from flowprover.env import ACTION_INDEX, N_ACTIONS, applicable_actions, parse_tactic, replay
 from flowprover.policy import HISTORY, HISTORY_LESS, PolicyNet
 from flowprover.search import SearchConfig, best_first_search, evaluate_split, search_from_state
 
-from conftest import identity_theorem
+from conftest import biased_net, identity_theorem
 
 
 def rigged_net() -> PolicyNet:
@@ -86,27 +86,29 @@ class TestBestFirstSearch:
         assert outcome.proof == (parse_tactic("exact h1"),)
 
 
-class TestLiveActions:
-    def test_only_live_actions_are_applied_and_reports_are_unchanged(self, small_corpus,
-                                                                      monkeypatch):
-        net = PolicyNet.create(seed=5)
+class TestApplicableActions:
+    def test_only_applicable_actions_are_applied_and_reports_are_unchanged(self, small_corpus,
+                                                                            monkeypatch):
+        net = biased_net(jitter_seed=5)
         theorems = small_corpus.valid + small_corpus.train[:20]
         applied = []
         apply = search_mod.apply_tactic
 
         def spy(state, tactic):
-            applied.append(ACTION_INDEX[tactic] in live_actions(state))
+            applied.append(ACTION_INDEX[tactic] in applicable_actions(state))
             return apply(state, tactic)
         monkeypatch.setattr(search_mod, "apply_tactic", spy)
         got = evaluate_split(net, theorems, SearchConfig())
         assert applied and all(applied)
-        n_live = len(applied)
+        n_applicable = len(applied)
         # the same search with every top-k action sent through apply_tactic
-        monkeypatch.setattr(search_mod, "live_actions", lambda state: tuple(range(N_ACTIONS)))
+        monkeypatch.setattr(search_mod, "applicable_actions",
+                            lambda state: tuple(range(N_ACTIONS)))
         applied.clear()
         want = evaluate_split(net, theorems, SearchConfig())
         assert got.to_json() == want.to_json()
-        assert len(applied) > n_live
+        assert len(applied) > n_applicable
+        assert 0 < got.solved < got.total
 
 
 class TestEvaluateSplit:
