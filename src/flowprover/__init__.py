@@ -29,12 +29,11 @@ from .gfn import (
     TrainConfig,
     Trajectory,
     log_reward,
-    replay_forward,
     sample_trajectory,
     tb_loss,
 )
 from .oracle import ExactDist, enumerate_trajectories, flow_check, policy_trajectory_probs, tv_distance
-from .policy import PolicyNet, encode_state, predict_log_z, sample_action
+from .policy import PolicyNet, encode_state, predict_log_z
 from .reward_model import RewardModel, mine_hard_negatives, rm_train
 from .search import SearchConfig, SolveReport, best_first_search, evaluate_split
 
@@ -73,9 +72,7 @@ __all__ = [
     "policy_trajectory_probs",
     "predict_log_z",
     "print_formula",
-    "replay_forward",
     "rm_train",
-    "sample_action",
     "sample_trajectory",
     "save_split",
     "state_fingerprint",

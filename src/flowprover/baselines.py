@@ -18,7 +18,7 @@ from .corpus import Theorem
 from .env import ACTION_INDEX
 from .gfn import ProofTree, StepMetrics, TrainConfig, ground_truth, sample_trajectories
 from .nn import Tape, log_softmax_np, mlp_forward_np, update
-from .policy import HISTORY, PolicyNet, encode_from_parts, head_graph, rows_graph
+from .policy import PolicyNet, head_graph, rows_graph
 from .reward_model import cross_entropy_graph
 
 
@@ -79,24 +79,6 @@ def gt_top1_accuracy(net: PolicyNet, theorems: list[Theorem]) -> float:
         hits += int(np.sum(logits.argmax(axis=-1) == actions))
         total += len(actions)
     return hits / total
-
-
-def greedy_decode(net: PolicyNet, thm: Theorem, max_depth: int = 3) -> list:
-    """Follow argmax actions from the initial state (for overfit checks)."""
-    from .env import ACTIONS, apply_tactic
-
-    state = thm.initial_state
-    history: list = []
-    for _ in range(max_depth):
-        enc = encode_from_parts(thm.initial_state, history, state, HISTORY)
-        logits, _ = mlp_forward_np(net.store, enc)
-        tactic = ACTIONS[int(np.argmax(logits))]
-        history.append(tactic)
-        result = apply_tactic(state, tactic)
-        if not result.ok:
-            break
-        state = result.state
-    return history
 
 
 def ppo_surrogate_terms(ratio: float, advantage: float, clip_eps: float) -> float:

@@ -39,13 +39,16 @@ from .env import (
     StepKind,
     StepResult,
     Tactic,
+    applicable_actions,
     apply_tactic,
     replay,
+    state_fingerprint,
 )
 from .nn import OptimConfig, Tape, log_softmax_np, update
 from .policy import (
     ENC_DIM,
     HISTORY,
+    HISTORY_LESS,
     PolicyNet,
     action_logits,
     action_mask,
@@ -129,45 +132,82 @@ class Trajectory:
 
 
 class ProofNode:
-    """One tactic prefix of a theorem: the state it reaches, its HISTORY
-    encoding (made on first use, read-only), and the ``apply_tactic`` result
-    of each tactic tried from it, with the node of each one that applies."""
+    """One tactic prefix of a theorem: the state it reaches and what the
+    trainers and search read of it, each made on first use and read-only
+    afterwards: its encoding under either mode, its applicable actions, its
+    dedupe key (``env.state_fingerprint``), the ``apply_tactic`` result of
+    each action tried from it, and the node of each one that applies, both
+    by action index."""
 
-    __slots__ = ("initial", "history", "state", "_enc", "results", "children")
+    __slots__ = ("initial", "history", "state", "_enc", "_enc_less", "_applicable",
+                 "_fingerprint", "results", "children")
 
     def __init__(self, initial: ProofState, history: tuple[Tactic, ...], state: ProofState):
         self.initial = initial
         self.history = history
         self.state = state
         self._enc: np.ndarray | None = None
-        self.results: dict[Tactic, StepResult] = {}
-        self.children: dict[Tactic, ProofNode] = {}
+        self._enc_less: np.ndarray | None = None
+        self._applicable: tuple[int, ...] | None = None
+        self._fingerprint: int | None = None
+        self.results: dict[int, StepResult] = {}  # by action index
+        self.children: dict[int, ProofNode] = {}
 
-    def encoding(self) -> np.ndarray:
-        if self._enc is None:
-            self._enc = encode_from_parts(self.initial, self.history, self.state, HISTORY)
-            self._enc.flags.writeable = False
-        return self._enc
+    def encoding(self, mode: str = HISTORY) -> np.ndarray:
+        if mode == HISTORY:
+            enc = self._enc
+        elif mode == HISTORY_LESS:
+            enc = self._enc_less
+        else:
+            raise ValueError(f"unknown encoding mode {mode!r}")
+        if enc is None:
+            enc = encode_from_parts(self.initial, self.history, self.state, mode)
+            enc.flags.writeable = False
+            if mode == HISTORY:
+                self._enc = enc
+            else:
+                self._enc_less = enc
+        return enc
 
-    def apply(self, tactic: Tactic, known: StepResult | None = None) -> StepResult:
-        """The result of ``tactic`` from here, recorded on first use: the
-        ``known`` one when the caller has it, else ``apply_tactic``'s."""
-        result = self.results.get(tactic)
+    def applicable(self) -> tuple[int, ...]:
+        """``env.applicable_actions`` of the state."""
+        if self._applicable is None:
+            self._applicable = applicable_actions(self.state)
+        return self._applicable
+
+    def fingerprint(self) -> int:
+        """``env.state_fingerprint`` of the state: search's dedupe key."""
+        if self._fingerprint is None:
+            self._fingerprint = state_fingerprint(self.state)
+        return self._fingerprint
+
+    def apply(self, action: int, known: StepResult | None = None) -> StepResult:
+        """The result of action ``action`` (an index into ACTIONS) from
+        here, recorded on first use: the ``known`` one when the caller has
+        it, else ``apply_tactic``'s."""
+        result = self.results.get(action)
         if result is None:
             if known is None:
-                known = apply_tactic(self.state, tactic)
-            result = self.results[tactic] = known
-            if result.ok:
-                self.children[tactic] = ProofNode(self.initial, self.history + (tactic,),
-                                                  result.state)
+                known = apply_tactic(self.state, ACTIONS[action])
+            result = self.results[action] = known
         return result
+
+    def child(self, action: int) -> ProofNode:
+        """The node ``action`` reaches from here, made on first use; the
+        action must have been applied (``apply``) and be OK."""
+        node = self.children.get(action)
+        if node is None:
+            node = self.children[action] = ProofNode(
+                self.initial, self.history + (ACTIONS[action],), self.results[action].state)
+        return node
 
 
 class ProofTree:
     """The tactic prefixes of one theorem reached so far, from ``root`` (the
     initial state, empty history) down by tactic. It holds no net and no
-    action set, so one tree serves every batch of a run: each distinct
-    prefix is encoded once and each (prefix, tactic) applied once."""
+    action set, so one tree serves every batch, or every validation search,
+    of a run: each distinct prefix is encoded once and each (prefix,
+    tactic) applied once."""
 
     def __init__(self, thm: Theorem):
         self.thm = thm
@@ -183,9 +223,12 @@ class ProofTree:
         node, nodes = self.root, []
         for tactic, reached in zip(tactics, states[1:]):
             nodes.append(node)
-            node.apply(tactic, StepResult(StepKind.OK, state=reached) if reached.goals
-                       else StepResult(StepKind.PROVED))
-            node = node.children.get(tactic)
+            action = ACTION_INDEX[tactic]
+            if reached.goals:
+                node.apply(action, StepResult(StepKind.OK, state=reached))
+                node = node.child(action)
+            else:
+                node.apply(action, StepResult(StepKind.PROVED))
         return tuple(nodes)
 
 
@@ -435,11 +478,11 @@ def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
                 if mask is not None:
                     logits = logits + mask
                 score = scores[node] = (logits, log_softmax_np(logits))
-            tactic, step_lp = draw_action(*score, temperature, rng)
+            action, step_lp = draw_action(*score, temperature, rng)
             log_pf += step_lp
             nodes.append(node)
-            tactics.append(tactic)
-            result = node.apply(tactic)
+            tactics.append(ACTIONS[action])
+            result = node.apply(action)
             if result.proved:
                 visited.append(ProofState(()))
                 outcome = PROVED
@@ -447,7 +490,7 @@ def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
             if result.failed:
                 outcome = ENV_ERROR
                 break
-            node = node.children[tactic]
+            node = node.child(action)
             visited.append(node.state)
 
         traj = Trajectory(tree.thm.name, tuple(tactics), tuple(visited), outcome, log_pf,
@@ -490,22 +533,6 @@ def ground_truth(thm: Theorem) -> Trajectory:
     if gt.outcome != PROVED:
         raise InvalidGroundTruth(f"ground truth for {thm.name} does not prove it ({gt.outcome})")
     return gt
-
-
-def replay_forward(net: PolicyNet, traj: Trajectory,
-                   action_set: np.ndarray | None = None) -> float:
-    """Recompute the trajectory's log P_F under the current policy at T=1.
-
-    Uses the stored states; no environment calls. Raises ReplayDiverged if
-    the stored shape cannot be consistent with any replay.
-    """
-    _check_shape(traj)
-    mask = action_mask(action_set)
-    total = 0.0
-    for enc, t in zip(traj.encodings(), traj.tactics):
-        logits = action_logits(net, enc)
-        total += log_softmax_np(logits if mask is None else logits + mask)[ACTION_INDEX[t]]
-    return float(total)
 
 
 def _check_shape(traj: Trajectory) -> None:

@@ -26,14 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Theorem
-from .env import ACTION_INDEX, ACTIONS, N_ACTIONS, ProofState, Tactic
+from .env import ACTION_INDEX, N_ACTIONS, ProofState, Tactic
 from .formulas import Atom, Formula, Implies
 from .nn import (
     MLP_PARAMS,
     ParamStore,
     Tape,
     Var,
-    log_softmax_np,
     mlp_forward,
     mlp_forward_np,
     mlp_params,
@@ -232,19 +231,9 @@ def action_mask(action_set) -> np.ndarray | None:
     return mask
 
 
-def action_log_probs(net: PolicyNet, encoded: np.ndarray,
-                     action_set: np.ndarray | None = None) -> np.ndarray:
-    """Log probabilities over the 36 actions at temperature 1. With a
-    restricted ``action_set`` (indices into ACTIONS) the subset is
-    renormalised and every action outside it gets -inf."""
-    logits = action_logits(net, encoded)
-    mask = action_mask(action_set)
-    return log_softmax_np(logits if mask is None else logits + mask)
-
-
 def draw_action(logits: np.ndarray, log_probs: np.ndarray, temperature: float,
-                rng: np.random.Generator) -> tuple[Tactic, float]:
-    """Draw an action from softmax(logits / T) and return it with its
+                rng: np.random.Generator) -> tuple[int, float]:
+    """Draw an action index from softmax(logits / T) and return it with its
     temperature-1 log-probability ``log_probs[action]`` (tempering drives
     exploration only); ``log_probs`` is ``log_softmax_np(logits)``. The
     draw is ``Generator.choice``'s own: one uniform double searched in the
@@ -261,19 +250,7 @@ def draw_action(logits: np.ndarray, log_probs: np.ndarray, temperature: float,
                          f"got a total of {cdf[-1]}")
     cdf /= cdf[-1]
     choice = int(cdf.searchsorted(rng.random(), side="right"))
-    return ACTIONS[choice], float(log_probs[choice])
-
-
-def sample_action(net: PolicyNet, encoded: np.ndarray, temperature: float,
-                  rng: np.random.Generator,
-                  action_set: np.ndarray | None = None) -> tuple[Tactic, float]:
-    """``draw_action`` over the policy's logits at one encoded state,
-    restricted to ``action_set`` when given."""
-    logits = action_logits(net, encoded)
-    mask = action_mask(action_set)
-    if mask is not None:
-        logits = logits + mask
-    return draw_action(logits, log_softmax_np(logits), temperature, rng)
+    return choice, float(log_probs[choice])
 
 
 def predict_log_z(net: PolicyNet, thm: Theorem) -> float:

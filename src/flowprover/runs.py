@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .baselines import PPOConfig, PPOTrainer, SFTTrainer
 from .corpus import CorpusSplit, check_non_negative
-from .gfn import GFNTrainer, StepMetrics, TrainConfig
+from .gfn import GFNTrainer, ProofTree, StepMetrics, TrainConfig
 from .nn import write_atomic
 from .policy import HISTORY, PolicyNet
 from .reward_model import RewardModel
@@ -136,6 +136,9 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
         schedule.extend(sched_rng.permutation(len(corpus.train)).tolist())
     schedule = schedule[:steps]
 
+    # One search tree per validation theorem for the run: each prefix is
+    # encoded, applied and fingerprinted once, whatever the net.
+    val_trees = [ProofTree(thm) for thm in corpus.valid]
     metrics: list[StepMetrics] = []
     val_history: list[tuple[int, int]] = []
     with (out / "metrics.csv").open("w") as csv_file:
@@ -147,7 +150,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
             if clock == "real":
                 m.wall_ms = int((time.monotonic() - t0) * 1000)
             if val_every and i % val_every == 0:
-                report = evaluate_split(net, corpus.valid, val_cfg)
+                report = evaluate_split(net, val_trees, val_cfg)
                 m.val_solved = report.solved
                 val_history.append((i, report.solved))
             metrics.append(m)

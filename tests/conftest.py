@@ -2,12 +2,36 @@ import numpy as np
 import pytest
 
 from flowprover.corpus import Theorem, build_corpus
-from flowprover.env import Goal, ProofState, initial_state, parse_tactic
+from flowprover.env import ACTION_INDEX, Goal, ProofState, initial_state, parse_tactic
 from flowprover.formulas import And, Atom, Implies, Or, parse_formula
+from flowprover.gfn import _check_shape
+from flowprover.nn import log_softmax_np
+from flowprover.policy import action_logits, action_mask
 
 # restricted action subset used by micro-suite convergence tests:
 # intro, split, left, right, exact h1, apply h1
 MICRO_ACTION_SET = (0, 1, 2, 3, 4, 12)
+
+
+def action_log_probs(net, encoded: np.ndarray, action_set=None) -> np.ndarray:
+    """Reference: log probabilities over the 36 actions at temperature 1 of
+    one encoded state, from a single-row forward. With a restricted
+    ``action_set`` the subset is renormalised and every action outside it
+    gets -inf."""
+    logits = action_logits(net, encoded)
+    mask = action_mask(action_set)
+    return log_softmax_np(logits if mask is None else logits + mask)
+
+
+def replay_forward(net, traj, action_set=None) -> float:
+    """Reference: a trajectory's log P_F under the current policy at T=1,
+    one single-row forward per step over its encodings; no environment
+    calls. Raises ReplayDiverged on a shape no replay could give."""
+    _check_shape(traj)
+    total = 0.0
+    for enc, t in zip(traj.encodings(), traj.tactics):
+        total += action_log_probs(net, enc, action_set)[ACTION_INDEX[t]]
+    return float(total)
 
 
 def random_formula(rng: np.random.Generator, depth: int):

@@ -9,16 +9,33 @@ from flowprover.baselines import (
     SFTTrainer,
     gt_step_encodings,
     gt_top1_accuracy,
-    greedy_decode,
     ppo_loss_graph,
     ppo_surrogate_terms,
 )
+from flowprover.env import ACTIONS, apply_tactic
 from flowprover.gfn import TrainConfig
-from flowprover.nn import Tape, finite_difference_check
-from flowprover.policy import PolicyNet, encode_state
+from flowprover.nn import Tape, finite_difference_check, mlp_forward_np
+from flowprover.policy import HISTORY, PolicyNet, encode_from_parts, encode_state
 from flowprover.reward_model import cross_entropy_graph
 
 from conftest import identity_theorem
+
+
+def greedy_decode(net, thm, max_depth=3) -> list:
+    """Reference: follow argmax actions from the initial state."""
+    state = thm.initial_state
+    history: list = []
+    for _ in range(max_depth):
+        enc = encode_from_parts(thm.initial_state, history, state, HISTORY)
+        logits, _ = mlp_forward_np(net.store, enc)
+        tactic = ACTIONS[int(np.argmax(logits))]
+        history.append(tactic)
+        result = apply_tactic(state, tactic)
+        if not result.ok:
+            break
+        state = result.state
+    return history
+
 
 LN36 = math.log(36.0)
 

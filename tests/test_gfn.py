@@ -7,7 +7,14 @@ import pytest
 
 from flowprover.baselines import PPOConfig, PPOTrainer, SFTTrainer
 from flowprover.corpus import CorpusSplit, build_corpus
-from flowprover.env import ACTIONS, ProofState, initial_state, parse_tactic
+from flowprover.env import (
+    ACTIONS,
+    ProofState,
+    applicable_actions,
+    initial_state,
+    parse_tactic,
+    state_fingerprint,
+)
 from flowprover.gfn import (
     ACTION_CHARS,
     BINARY,
@@ -25,7 +32,6 @@ from flowprover.gfn import (
     error_branch_log_reward,
     error_log_reward,
     log_reward,
-    replay_forward,
     sample_trajectories,
     sample_trajectory,
     tb_loss,
@@ -34,12 +40,12 @@ from flowprover.gfn import (
     trajectory_from_tactics,
 )
 from flowprover.nn import Tape, global_grad_norm, update
-from flowprover.policy import PolicyNet
+from flowprover.policy import HISTORY, HISTORY_LESS, PolicyNet, encode_from_parts
 from flowprover.reward_model import RewardModel, rm_train
 from flowprover.runs import run_training
 from flowprover.search import SearchConfig
 
-from conftest import MICRO_ACTION_SET, identity_theorem
+from conftest import MICRO_ACTION_SET, identity_theorem, replay_forward
 
 LN36 = math.log(36.0)
 
@@ -253,6 +259,35 @@ def _biased_net(seed):
         bias[ACTIONS.index(parse_tactic(text))] = value
     net.store["b3"] = bias
     return net
+
+
+class TestProofNode:
+    def test_each_view_is_made_once_and_matches_its_source(self, monkeypatch):
+        import flowprover.gfn as gfn_mod
+
+        calls = []
+        for name in ("encode_from_parts", "applicable_actions", "state_fingerprint"):
+            original = getattr(gfn_mod, name)
+            monkeypatch.setattr(gfn_mod, name, lambda *a, _f=original, _n=name:
+                                calls.append(_n) or _f(*a))
+        thm = identity_theorem("(a -> b) -> (a -> b)")
+        node = ProofTree(thm).root
+        intro = parse_tactic("intro")
+        assert node.apply(ACTIONS.index(intro)).ok and node.children == {}  # made on use only
+        child = node.child(ACTIONS.index(intro))
+        assert child is node.child(ACTIONS.index(intro)) and child.history == (intro,)
+        for _ in range(2):
+            for mode in (HISTORY, HISTORY_LESS):
+                enc = child.encoding(mode)
+                want = encode_from_parts(thm.initial_state, (intro,), child.state, mode)
+                assert enc.tobytes() == want.tobytes() and not enc.flags.writeable
+            assert child.applicable() == applicable_actions(child.state)
+            assert child.fingerprint() == state_fingerprint(child.state)
+        assert sorted(calls) == ["applicable_actions", "encode_from_parts", "encode_from_parts",
+                                 "state_fingerprint"]
+        assert child.encoding(HISTORY).tobytes() != child.encoding(HISTORY_LESS).tobytes()
+        with pytest.raises(ValueError, match="unknown encoding mode"):
+            child.encoding("bogus")
 
 
 class TestRolloutTree:

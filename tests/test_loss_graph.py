@@ -17,7 +17,6 @@ from flowprover.gfn import (
     PROVED,
     ProofTree,
     TrainConfig,
-    replay_forward,
     sample_trajectory,
     tb_loss,
     tb_loss_graph,
@@ -27,7 +26,6 @@ from flowprover.gfn import (
 from flowprover.nn import ParamStore, Tape, finite_difference_check, log_softmax_np
 from flowprover.policy import (
     PolicyNet,
-    action_log_probs,
     action_logits,
     action_mask,
     encode_state,
@@ -36,7 +34,13 @@ from flowprover.policy import (
 )
 from flowprover.reward_model import RewardModel
 
-from conftest import MICRO_ACTION_SET, biased_net, identity_theorem
+from conftest import (
+    MICRO_ACTION_SET,
+    action_log_probs,
+    biased_net,
+    identity_theorem,
+    replay_forward,
+)
 
 
 def _mixed_batch(net):

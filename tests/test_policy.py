@@ -23,18 +23,28 @@ from flowprover.policy import (
     HISTORY_LESS,
     INIT_DIM,
     PolicyNet,
-    action_log_probs,
     action_logits,
+    action_mask,
     draw_action,
     encode_from_parts,
     encode_state,
     head_graph,
     predict_log_z,
     rows_graph,
-    sample_action,
 )
 
-from conftest import identity_theorem, random_formula, random_proof_state
+from conftest import action_log_probs, identity_theorem, random_formula, random_proof_state
+
+
+def sample_action(net, encoded, temperature, rng, action_set=None):
+    """Reference: ``draw_action`` over the policy's logits at one encoded
+    state, restricted to ``action_set`` when given."""
+    logits = action_logits(net, encoded)
+    mask = action_mask(action_set)
+    if mask is not None:
+        logits = logits + mask
+    action, log_prob = draw_action(logits, log_softmax_np(logits), temperature, rng)
+    return ACTIONS[action], log_prob
 
 
 @pytest.fixture
@@ -330,9 +340,9 @@ class TestSampling:
             logits[data.integers(N_ACTIONS)] = data.normal()
             temperature = 1.0 if i % 2 else float(data.uniform(0.25, 1.0))
             log_probs = log_softmax_np(logits)
-            tactic, lp = draw_action(logits, log_probs, temperature, rng)
+            action, lp = draw_action(logits, log_probs, temperature, rng)
             want = int(ref.choice(N_ACTIONS, p=softmax_np(logits / temperature)))
-            assert ACTION_INDEX[tactic] == want and lp == log_probs[want]
+            assert type(action) is int and action == want and lp == log_probs[want]
             assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("temperature", [1.0, 0.5])

@@ -5,10 +5,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import flowprover.gfn as gfn_mod
+import flowprover.runs as runs_mod
 import flowprover.search as search_mod
 from flowprover.env import ACTION_INDEX, N_ACTIONS, applicable_actions, parse_tactic, replay
+from flowprover.gfn import ProofTree
 from flowprover.policy import HISTORY, HISTORY_LESS, PolicyNet
+from flowprover.reward_model import RewardModel
+from flowprover.runs import run_training
 from flowprover.search import SearchConfig, best_first_search, evaluate_split, search_from_state
 
 from conftest import biased_net, identity_theorem
@@ -22,6 +28,19 @@ def rigged_net() -> PolicyNet:
     b3[ACTION_INDEX[parse_tactic("exact h1")]] = 4.0
     net.store["b3"] = b3
     return net
+
+
+def run_optimized(script: str) -> str:
+    """Standard output of ``script`` run under ``python -O`` (asserts
+    stripped), with the sources and the test helpers importable."""
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src_dir), str(tests_dir), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestBestFirstSearch:
@@ -92,17 +111,18 @@ class TestApplicableActions:
         net = biased_net(jitter_seed=5)
         theorems = small_corpus.valid + small_corpus.train[:20]
         applied = []
-        apply = search_mod.apply_tactic
+        apply = gfn_mod.apply_tactic
 
         def spy(state, tactic):
             applied.append(ACTION_INDEX[tactic] in applicable_actions(state))
             return apply(state, tactic)
-        monkeypatch.setattr(search_mod, "apply_tactic", spy)
+        # search applies tactics and reads applicable actions through its nodes
+        monkeypatch.setattr(gfn_mod, "apply_tactic", spy)
         got = evaluate_split(net, theorems, SearchConfig())
         assert applied and all(applied)
         n_applicable = len(applied)
         # the same search with every top-k action sent through apply_tactic
-        monkeypatch.setattr(search_mod, "applicable_actions",
+        monkeypatch.setattr(gfn_mod, "applicable_actions",
                             lambda state: tuple(range(N_ACTIONS)))
         applied.clear()
         want = evaluate_split(net, theorems, SearchConfig())
@@ -125,21 +145,14 @@ class TestEvaluateSplit:
             "from conftest import identity_theorem",
             "assert False, 'asserts are live'",
             "bogus = (parse_tactic('split'),)",
-            "search.best_first_search = lambda net, thm, cfg: search.SearchOutcome(True, bogus, 1)",
+            "search.search_from_state = lambda net, root, cfg: search.SearchOutcome(True, bogus, 1)",
             "try:",
             "    search.evaluate_split(PolicyNet.create(seed=0), [identity_theorem('a -> a')],",
             "                          search.SearchConfig())",
             "except search.BogusProof as exc:",
             "    print('BogusProof:', exc)",
         ])
-        tests_dir = Path(__file__).resolve().parent
-        src_dir = tests_dir.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src_dir), str(tests_dir), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("BogusProof: search returned a bogus proof for thm")
+        assert run_optimized(script).startswith("BogusProof: search returned a bogus proof for thm")
 
     def test_report_rows_match_split(self, small_corpus):
         net = PolicyNet.create(seed=6)
@@ -165,3 +178,87 @@ class TestEvaluateSplit:
         hist = evaluate_split(net, small_corpus.valid, SearchConfig(encoding_mode=HISTORY))
         less = evaluate_split(net, small_corpus.valid, SearchConfig(encoding_mode=HISTORY_LESS))
         assert json.loads(hist.to_json())["total"] == json.loads(less.to_json())["total"]
+
+
+def _tree_nodes(tree: ProofTree):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children.values())
+
+
+class TestSearchInARunsTrees:
+    """Validation searches the run's proof trees, which keep each node's
+    encoding, applicable actions, results and dedupe key across calls."""
+
+    @pytest.mark.parametrize("mode", [HISTORY, HISTORY_LESS])
+    def test_every_validation_of_a_run_matches_a_fresh_tree_search(self, small_corpus, mode,
+                                                                  tmp_path, monkeypatch):
+        calls = []
+
+        def checked(net, trees, cfg):
+            got = evaluate_split(net, trees, cfg)
+            fresh = evaluate_split(net, [tree.thm for tree in trees], cfg)
+            calls.append((trees, got.to_json(), fresh.to_json()))
+            return got
+        monkeypatch.setattr(runs_mod, "evaluate_split", checked)
+        result = run_training("gfn", small_corpus, seed=4, steps=60, out_dir=tmp_path,
+                              rm=RewardModel.create(seed=0), clock="off", val_every=10,
+                              val_cfg=SearchConfig(encoding_mode=mode))
+        assert len(calls) == 6
+        for trees, got, fresh in calls:
+            assert trees is calls[0][0]  # one list of trees for the run
+            assert got == fresh
+        assert [solved for _, solved in result.val_history] == \
+            [json.loads(got)["solved"] for _, got, _ in calls]
+        assert len({got for _, got, _ in calls}) > 1  # the net moved between validations
+
+    def test_a_second_search_over_the_same_trees_applies_and_encodes_nothing(self, small_corpus,
+                                                                           monkeypatch):
+        net = biased_net(jitter_seed=5)
+        cfg = SearchConfig()
+        trees = [ProofTree(thm) for thm in small_corpus.valid + small_corpus.train[:20]]
+        first = evaluate_split(net, trees, cfg)
+        assert 0 < first.solved < first.total
+        # no node is made at the depth limit: search never pushes one
+        assert max(len(n.history) for tree in trees for n in _tree_nodes(tree)) == \
+            cfg.max_depth - 1
+        calls = []
+
+        def counting(name):
+            original = getattr(gfn_mod, name)
+
+            def spy(*args):
+                calls.append(name)
+                return original(*args)
+            return spy
+        for name in ("apply_tactic", "applicable_actions", "encode_from_parts",
+                     "state_fingerprint"):
+            monkeypatch.setattr(gfn_mod, name, counting(name))
+        replay_ = search_mod.replay
+        monkeypatch.setattr(search_mod, "replay",
+                            lambda *args: calls.append("replay") or replay_(*args))
+        second = evaluate_split(net, trees, cfg)
+        assert second.to_json() == first.to_json()
+        assert calls == ["replay"] * first.solved  # only the proofs' re-check
+
+    def test_the_recheck_does_not_trust_the_tree(self):
+        # a node whose recorded result claims a proof must not make it count,
+        # also with asserts stripped (python -O)
+        script = "\n".join([
+            "import flowprover.search as search",
+            "from flowprover.env import ACTION_INDEX, StepKind, StepResult, parse_tactic",
+            "from flowprover.gfn import ProofTree",
+            "from flowprover.policy import PolicyNet",
+            "from conftest import identity_theorem",
+            "assert False, 'asserts are live'",
+            "tree = ProofTree(identity_theorem('a -> a'))",
+            "tree.root.results[ACTION_INDEX[parse_tactic('intro')]] = StepResult(StepKind.PROVED)",
+            "try:",
+            "    search.evaluate_split(PolicyNet.create(seed=0, scale=0.0), [tree],",
+            "                          search.SearchConfig())",
+            "except search.BogusProof as exc:",
+            "    print('BogusProof:', exc)",
+        ])
+        assert run_optimized(script).startswith("BogusProof: search returned a bogus proof for thm")
