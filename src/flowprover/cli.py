@@ -136,8 +136,9 @@ def cmd_oracle(args) -> int:
     else:
         print(text)
     if args.assert_proportional:
-        bad = [r for r in reports
-               if r.tv_distance > args.tv_tol or abs(r.predicted_log_z - r.log_z) > args.logz_tol]
+        # written as a pass test so that a NaN report fails
+        bad = [r for r in reports if not (r.tv_distance <= args.tv_tol and
+                                          abs(r.predicted_log_z - r.log_z) <= args.logz_tol)]
         if bad:
             for r in bad:
                 print(f"FAIL {r.theorem}: tv={r.tv_distance:.4f} "

@@ -133,11 +133,11 @@ class Trajectory:
 
 class ProofNode:
     """One tactic prefix of a theorem: the state it reaches and what the
-    trainers and search read of it, each made on first use and read-only
-    afterwards: its encoding under either mode, its applicable actions, its
-    dedupe key (``env.state_fingerprint``), the ``apply_tactic`` result of
-    each action tried from it, and the node of each one that applies, both
-    by action index."""
+    trainers, search and the oracle read of it, each made on first use and
+    read-only afterwards: its encoding under either mode, its applicable
+    actions, its dedupe key (``env.state_fingerprint``), the
+    ``apply_tactic`` result of each action tried from it, and the node of
+    each one that applies, both by action index."""
 
     __slots__ = ("initial", "history", "state", "_enc", "_enc_less", "_applicable",
                  "_fingerprint", "results", "children")
@@ -206,8 +206,8 @@ class ProofTree:
     """The tactic prefixes of one theorem reached so far, from ``root`` (the
     initial state, empty history) down by tactic. It holds no net and no
     action set, so one tree serves every batch, or every validation search,
-    of a run: each distinct prefix is encoded once and each (prefix,
-    tactic) applied once."""
+    of a run, and each oracle walk reads a fresh one: each distinct prefix
+    is encoded once and each (prefix, tactic) applied once."""
 
     def __init__(self, thm: Theorem):
         self.thm = thm

@@ -3,13 +3,13 @@ distribution R/Z, the policy's exact trajectory distribution, and flow
 consistency checks. This is the instrument that certifies the trained
 policy samples proofs proportionally to reward.
 
-One depth-first walk builds the trajectory tree as a node x action table.
-It calls ``apply_tactic`` only for a node's applicable actions
-(``env.applicable_actions``, the actions whose shape fits the state): every
+One depth-first walk over the nodes of a fresh ``gfn.ProofTree`` builds the
+trajectory tree as a node x action table. ``ProofNode`` applies a node's
+applicable actions only (the actions whose shape fits the state): every
 other action fails, so the walk records it as an error without a call. The
 error leaves of the whole table are scored by one call to
 ``gfn.error_log_reward``. Everything after the walk reads the table: one
-batched policy forward over its internal nodes gives every cell's
+batched policy forward over the nodes' encodings gives every cell's
 log-probability, trajectory probabilities sum those down the tree, and
 subtree flows accumulate bottom-up, each node's children in action order.
 ``oracle_report`` reads the table alone; ``enumerate_trajectories`` also
@@ -24,22 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Theorem
-from .env import (
-    ACTION_INDEX,
-    ACTIONS,
-    N_ACTIONS,
-    ProofState,
-    StepKind,
-    Tactic,
-    apply_tactic,
-    applicable_actions,
-)
+from .env import ACTION_INDEX, ACTIONS, N_ACTIONS, ProofState, StepKind, Tactic
 from .gfn import (
     ACTION_CHARS,
     BINARY,
     DEPTH_EXHAUSTED,
     ENV_ERROR,
     PROVED,
+    ProofNode,
+    ProofTree,
     RewardSpec,
     Trajectory,
     check_action_set,
@@ -47,7 +40,7 @@ from .gfn import (
     log_reward,
 )
 from .nn import log_softmax_np, mlp_forward_np
-from .policy import HISTORY, PolicyNet, action_mask, encode_from_parts
+from .policy import PolicyNet, action_mask
 
 
 class MassLeak(RuntimeError):
@@ -75,8 +68,8 @@ class TrajectoryTree:
     Internal nodes are numbered parents first (the walk numbers them in
     depth-first preorder); node 0 is the root, the initial state with an
     empty history. Each node holds its tactic history and, when built by
-    the walk, its state. Column j is action ``actions[j]`` at every node.
-    Cell ``n * K + j`` of ``cells`` holds the internal node that action
+    the walk, its ``ProofNode``. Column j is action ``actions[j]`` at every
+    node. Cell ``n * K + j`` of ``cells`` holds the internal node that action
     reaches from node n or, where negative, ``~i`` for the leaf of
     trajectory i; a tree rebuilt from a hand-built list holds ``ABSENT``
     for an action it does not take. ``inbound[c]`` is the cell through
@@ -84,7 +77,7 @@ class TrajectoryTree:
     """
 
     histories: list[tuple[Tactic, ...]]
-    states: list[ProofState]  # empty for a tree rebuilt from a hand-built list
+    nodes: list[ProofNode]  # empty for a tree rebuilt from a hand-built list
     actions: np.ndarray
     cells: np.ndarray
     inbound: np.ndarray
@@ -130,11 +123,12 @@ class _Walk:
 
 def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
           action_set: tuple[int, ...] | None) -> _Walk:
-    """The one depth-first walk, with the same termination semantics as
-    training rollouts (stop on proved / error / depth). Its columns are the
-    action space, or ``action_set`` in its order. ValueError, before the
-    walk, unless ``max_depth`` is at least 1 and ``action_set`` is None or
-    distinct action indices in [0, 36)."""
+    """The one depth-first walk over a fresh ``ProofTree`` of ``thm``, with
+    the same termination semantics as training rollouts (stop on proved /
+    error / depth); a child node is made only below the depth limit. Its
+    columns are the action space, or ``action_set`` in its order.
+    ValueError, before the walk, unless ``max_depth`` is at least 1 and
+    ``action_set`` is None or distinct action indices in [0, 36)."""
     if max_depth < 1:
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     columns = (tuple(range(N_ACTIONS)) if action_set is None
@@ -144,8 +138,7 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     # the restricted set
     column_of = None if action_set is None else {a: j for j, a in enumerate(columns)}
     width = len(columns)
-    histories: list[tuple[Tactic, ...]] = []
-    states: list[ProofState] = []
+    nodes: list[ProofNode] = []
     paths: list[tuple[ProofState, ...]] = []
     node_chars: list[int] = []  # running sum of tactic lengths at each node
     inbound = [-1]
@@ -155,21 +148,19 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     exhausted: dict[int, float] = {}  # partial-credit log R by cell
     partial_credit = spec.mode != BINARY
 
-    def visit(state: ProofState, history: tuple[Tactic, ...],
-              path: tuple[ProofState, ...], chars: int) -> None:
-        histories.append(history)
-        states.append(state)
-        path = path + (state,)
+    def visit(node: ProofNode, path: tuple[ProofState, ...], chars: int) -> None:
+        nodes.append(node)
+        path = path + (node.state,)
         paths.append(path)
         node_chars.append(chars)
-        row = run = (len(states) - 1) * width
-        inner = len(history) + 1 < max_depth
-        applicable = applicable_actions(state)
+        row = run = (len(nodes) - 1) * width
+        inner = len(node.history) + 1 < max_depth
+        applicable = node.applicable()
         if column_of is not None:
             applicable = sorted(column_of[a] for a in applicable if a in column_of)
         for j in applicable:
-            tactic = ACTIONS[columns[j]]
-            result = apply_tactic(state, tactic)
+            action = columns[j]
+            result = node.apply(action)
             kind = result.kind
             if kind is StepKind.ERROR:
                 continue
@@ -177,41 +168,41 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
             if kind is StepKind.PROVED:
                 applied_codes.append(_PROVED)
             elif inner:
-                applied_codes.append(len(states))
+                applied_codes.append(len(nodes))
                 inbound.append(row + j)
                 leaves.extend(range(run, row + j))
                 run = row + j + 1
-                visit(result.state, history + (tactic,), path, chars + column_chars[j])
+                visit(node.child(action), path, chars + column_chars[j])
             else:
                 applied_codes.append(_EXHAUSTED)
                 if partial_credit:
                     exhausted[row + j] = log_reward(
-                        Trajectory(thm.name, history + (tactic,), path + (result.state,),
-                                   DEPTH_EXHAUSTED, 0.0), spec, rm=rm)
+                        Trajectory(thm.name, node.history + (ACTIONS[action],),
+                                   path + (result.state,), DEPTH_EXHAUSTED, 0.0), spec, rm=rm)
         leaves.extend(range(run, row + width))
 
-    visit(thm.initial_state, (), (), 0)
+    visit(ProofTree(thm).root, (), 0)
     # The recursive closure refers to itself; dropping it frees the walk's
     # lists on return instead of at the next cyclic garbage collection.
     del visit
-    n_nodes = len(states)
-    cells = np.full(n_nodes * width, _ERROR, dtype=np.intp)
+    histories = [node.history for node in nodes]
+    cells = np.full(len(nodes) * width, _ERROR, dtype=np.intp)
     cells[applied_cells] = applied_codes
     # Error leaves, and depth-exhausted ones under the binary reward, take
     # the error branch; a proved leaf scores 0.
     errors = np.flatnonzero(cells == _ERROR if partial_credit else cells <= _ERROR)
-    nodes = errors // width
+    error_rows = errors // width
     depths = np.array([len(h) + 1 for h in histories], dtype=np.intp)
     log_r = np.zeros(len(cells))
-    log_r[errors] = error_log_reward(np.array(node_chars, dtype=np.intp)[nodes]
-                                     + np.array(column_chars)[errors - nodes * width],
-                                     depths[nodes], spec)
+    log_r[errors] = error_log_reward(np.array(node_chars, dtype=np.intp)[error_rows]
+                                     + np.array(column_chars)[errors - error_rows * width],
+                                     depths[error_rows], spec)
     if exhausted:
         log_r[list(exhausted)] = list(exhausted.values())
     leaves = np.array(leaves, dtype=np.intp)
     outcomes = cells[leaves]
     cells[leaves] = ~np.arange(len(leaves))
-    tree = TrajectoryTree(histories, states, np.array(columns, dtype=np.intp), cells,
+    tree = TrajectoryTree(histories, nodes, np.array(columns, dtype=np.intp), cells,
                           np.array(inbound, dtype=np.intp))
     return _Walk(tree, leaves, outcomes, log_r[leaves], paths)
 
@@ -279,13 +270,12 @@ def _logsumexp(xs: np.ndarray) -> float:
     return float(m + np.log(np.exp(xs - m).sum()))
 
 
-def _policy_pass(net: PolicyNet, initial: ProofState, tree: TrajectoryTree,
+def _policy_pass(net: PolicyNet, tree: TrajectoryTree,
                  action_set) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's temperature-1 log-probability (renormalised over a
     restricted action set), and the last hidden layer, one row per internal
     tree node, from one forward. Row 0 is the root, the log-Z head's input."""
-    x = np.stack([encode_from_parts(initial, history, state, HISTORY)
-                  for history, state in zip(tree.histories, tree.states)])
+    x = np.stack([node.encoding() for node in tree.nodes])
     logits, hidden = mlp_forward_np(net.store, x)
     mask = action_mask(action_set)
     log_probs = log_softmax_np(logits if mask is None else logits + mask)
@@ -295,7 +285,7 @@ def _policy_pass(net: PolicyNet, initial: ProofState, tree: TrajectoryTree,
 def _dist_policy_pass(net: PolicyNet, dist: ExactDist) -> np.ndarray:
     if dist.theorem is None or dist.tree is None:
         raise ValueError("needs a real theorem's enumeration from enumerate_trajectories")
-    return _policy_pass(net, dist.theorem.initial_state, dist.tree, dist.action_set)[0]
+    return _policy_pass(net, dist.tree, dist.action_set)[0]
 
 
 def _trajectory_probs(tree: TrajectoryTree, cell_logp: np.ndarray,
@@ -423,7 +413,7 @@ def oracle_report(net: PolicyNet, thm: Theorem, max_depth: int = 3,
     action indices in [0, 36)."""
     walk = _walk(thm, max_depth, spec, rm, action_set)
     tree = walk.tree
-    cell_logp, hidden = _policy_pass(net, thm.initial_state, tree, action_set)
+    cell_logp, hidden = _policy_pass(net, tree, action_set)
     log_z = _logsumexp(walk.log_r)
     probs = _trajectory_probs(tree, cell_logp, walk.leaves)
     residuals = _flow_residuals(tree, np.exp(walk.log_r), np.exp(cell_logp))

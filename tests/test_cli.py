@@ -315,6 +315,21 @@ class TestOracle:
                      str(corpus_dir), "--limit", "2", "--max-depth", "2",
                      "--assert"]) == 1
 
+    def test_assert_fails_for_nan_reports(self, tmp_path, capsys):
+        # NaN compares False with any tolerance, so only a report inside both
+        # tolerances passes
+        save_split(build_corpus(2, train_size=10, valid_size=3), tmp_path / "c")
+        net = PolicyNet.create(seed=0)
+        net.store["w3"] = np.full_like(net.store["w3"], np.nan)
+        net.save(tmp_path / "nan.npz")
+        assert main(["oracle", "--checkpoint", str(tmp_path / "nan.npz"), "--theorems",
+                     str(tmp_path / "c"), "--assert"]) == 1
+        out, err = capsys.readouterr()
+        reports = json.loads(out)
+        assert len(reports) == 3 and all(np.isnan(r["tv_distance"]) for r in reports)
+        assert [line.split(":")[0] for line in err.splitlines()] == \
+            [f"FAIL {r['theorem']}" for r in reports]
+
     def test_assert_passes_for_converged_policy(self, tmp_path):
         from flowprover.corpus import CorpusSplit, save_split
         from flowprover.gfn import GFNTrainer, TrainConfig

@@ -176,8 +176,8 @@ class TestApplicableActions:
 
         pairs = 0
         for thm in build_corpus(3, 1000, 20).train:
-            for s in enumerate_trajectories(thm, max_depth=4).tree.states:
-                pairs += assert_applicable_actions_agree(s)
+            for node in enumerate_trajectories(thm, max_depth=4).tree.nodes:
+                pairs += assert_applicable_actions_agree(node.state)
         assert pairs == 240_804  # 6,689 node states
 
 

@@ -495,21 +495,21 @@ class TestLeavesAgreeWithTheTrainer:
 
         spy(gfn_mod, "log_reward")
         spy(oracle_mod, "log_reward")
-        spy(oracle_mod, "apply_tactic")
+        spy(gfn_mod, "apply_tactic")
         for thm, dist in zip(theorems, dists):
             calls.clear()
             oracle_report(net, thm, spec=spec, rm=rm)
             exhausted = sum(t.outcome == DEPTH_EXHAUSTED for t in dist.trajectories)
             assert calls["log_reward"] == (exhausted if mode == FULL_RM else 0)
             # one per (node, applicable action)
-            assert calls["apply_tactic"] == sum(map(len, map(applicable_actions,
-                                                              dist.tree.states)))
+            assert calls["apply_tactic"] == sum(len(applicable_actions(node.state))
+                                                for node in dist.tree.nodes)
 
     @pytest.mark.parametrize("action_set", [(0, 0, 1, 2, 3, 4), (-1, 0, 1, 2, 3), (0, 36), ()])
     def test_bad_action_set_raises_before_the_walk(self, action_set, monkeypatch):
         def walked(*args):
             raise AssertionError("walked")
-        monkeypatch.setattr(oracle_mod, "apply_tactic", walked)
+        monkeypatch.setattr(gfn_mod, "apply_tactic", walked)
         thm = identity_theorem("a -> a")
         with pytest.raises(ValueError, match="action set"):
             enumerate_trajectories(thm, action_set=action_set)
@@ -520,7 +520,7 @@ class TestLeavesAgreeWithTheTrainer:
     def test_depth_below_one_raises_before_the_walk(self, max_depth, monkeypatch):
         def walked(*args):
             raise AssertionError("walked")
-        monkeypatch.setattr(oracle_mod, "apply_tactic", walked)
+        monkeypatch.setattr(gfn_mod, "apply_tactic", walked)
         thm = identity_theorem("a -> a")
         with pytest.raises(ValueError, match="max_depth"):
             enumerate_trajectories(thm, max_depth=max_depth)
@@ -545,9 +545,10 @@ class TestOnePass:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
-        for name in ("mlp_forward_np", "encode_from_parts", "apply_tactic",
-                     "EnumeratedTrajectory"):
+        for name in ("mlp_forward_np", "EnumeratedTrajectory"):
             spy(oracle_mod, name)
+        for name in ("encode_from_parts", "apply_tactic"):
+            spy(gfn_mod, name)
         spy(Tactic, "render")
         spy(env_mod, "parse_tactic")
         assert not hasattr(oracle_mod, "parse_tactic")
@@ -557,7 +558,7 @@ class TestOnePass:
             assert calls["mlp_forward_np"] == 1
             assert calls["encode_from_parts"] == len(dist.tree.histories)
             # one per (node, applicable action); every other action is a known error
-            applicable = sum(map(len, map(applicable_actions, dist.tree.states)))
+            applicable = sum(len(applicable_actions(node.state)) for node in dist.tree.nodes)
             assert calls["apply_tactic"] == applicable < len(dist.tree.cells)
             assert calls["EnumeratedTrajectory"] == 0
             assert calls["render"] == 0 and calls["parse_tactic"] == 0
@@ -605,6 +606,59 @@ class TestOnePass:
         ]
 
 
+class TestWalkReadsAProofTree:
+    """The walk's nodes are the ``ProofNode``s of one fresh ``ProofTree``
+    per call: each holds its history and encoding, applies exactly the
+    applicable actions of the walk's columns, and has children only above
+    the depth limit."""
+
+    @pytest.fixture(scope="class")
+    def theorems(self):
+        from flowprover.corpus import build_corpus
+
+        return build_corpus(6, train_size=6, valid_size=1).train
+
+    @pytest.mark.parametrize("action_set", [None, MICRO_ACTION_SET], ids=["full", "micro"])
+    @pytest.mark.parametrize("max_depth", [1, 3])
+    def test_nodes_are_the_proof_tree(self, theorems, max_depth, action_set):
+        for thm in theorems:
+            tree = enumerate_trajectories(thm, max_depth=max_depth, action_set=action_set).tree
+            columns = set(tree.actions.tolist())
+            assert len(tree.nodes) == len(tree.histories)
+            assert len({id(node) for node in tree.nodes}) == len(tree.nodes)
+            assert tree.nodes[0].state == thm.initial_state
+            width = len(tree.actions)
+            for n, (node, history) in enumerate(zip(tree.nodes, tree.histories)):
+                assert isinstance(node, gfn_mod.ProofNode)
+                assert node.history == history and node.initial == thm.initial_state
+                want = encode_from_parts(thm.initial_state, history, node.state, HISTORY)
+                assert node.encoding().tobytes() == want.tobytes()
+                assert set(node.results) == {a for a in applicable_actions(node.state)
+                                             if a in columns}
+                if len(history) + 1 == max_depth:
+                    assert node.children == {}
+                if n:
+                    parent, column = divmod(int(tree.inbound[n]), width)
+                    assert tree.nodes[parent].children[int(tree.actions[column])] is node
+
+    def test_no_tree_is_kept_across_calls(self, theorems, monkeypatch):
+        calls = Counter()
+        apply = gfn_mod.apply_tactic
+
+        def counted(*args):
+            calls["apply_tactic"] += 1
+            return apply(*args)
+        monkeypatch.setattr(gfn_mod, "apply_tactic", counted)
+        net = head_net(seed=23)
+        for thm in theorems:
+            counts = []
+            for _ in range(2):
+                calls.clear()
+                oracle_report(net, thm)
+                counts.append(calls["apply_tactic"])
+            assert counts[0] == counts[1] > 0
+
+
 class TestTargetIsRepresentable:
     """The history encoding can represent R/Z: internal nodes that share an
     encoding have the same target conditionals P(a|s) = F(child) / F(s),
@@ -631,7 +685,7 @@ class TestTargetIsRepresentable:
                 target = np.zeros(len(ACTIONS))
                 target[tree.actions] = rows[node] / node_flow[node]
                 key = encode_from_parts(thm.initial_state, tree.histories[node],
-                                        tree.states[node], HISTORY).tobytes()
+                                        tree.nodes[node].state, HISTORY).tobytes()
                 conditionals.setdefault(key, []).append(target)
         shared = [group for group in conditionals.values() if len(group) > 1]
         assert sum(map(len, conditionals.values())) == 3786

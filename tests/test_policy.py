@@ -196,7 +196,7 @@ def reference_states() -> list[tuple[ProofState, tuple, ProofState]]:
         triples.append((initial, history, state))
     for thm in build_corpus(1, 1000, 20).train:
         tree = enumerate_trajectories(thm, max_depth=3).tree
-        triples += [(thm.initial_state, h, s) for h, s in zip(tree.histories, tree.states)]
+        triples += [(thm.initial_state, node.history, node.state) for node in tree.nodes]
     return triples
 
 
