@@ -36,7 +36,7 @@ class PPOConfig:
 def gt_step_encodings(thm: Theorem) -> tuple[np.ndarray, np.ndarray]:
     """History-augmented encodings (one row per step) and gt action indices
     along the proof; raises gfn.InvalidGroundTruth if it does not prove."""
-    gt = ground_truth(thm)
+    gt = ground_truth(ProofTree(thm))
     return gt.encodings(), np.array([ACTION_INDEX[t] for t in gt.tactics], dtype=np.intp)
 
 

@@ -11,6 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import CorpusError, build_corpus, corpus_hash, load_split, save_split
 from .gfn import ALL_MODES, BINARY, FULL_RM, RewardSpec, TrainConfig, parse_action_set
 from .nn import CheckpointError
@@ -91,6 +93,8 @@ def cmd_eval(args) -> int:
     split, _ = _load_corpus(args.corpus)
     theorems = split.valid if args.split == "valid" else split.train
     net = _load_checkpoint(PolicyNet, args.checkpoint)
+    if not np.all(np.isfinite(net.store.flat_p)):
+        _usage_error(f"--checkpoint {args.checkpoint} holds non-finite parameters")
     try:
         cfg = SearchConfig(branching=args.branching, expansion_budget=args.budget,
                            encoding_mode=HISTORY_LESS if args.encoding == "history_less"

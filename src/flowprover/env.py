@@ -295,8 +295,9 @@ class Replay(StepResult):
 def replay(state: ProofState, tactics: list[Tactic] | tuple[Tactic, ...]) -> Replay:
     """Apply every tactic in order from ``state``, stopping at the first
     error; a tactic after the proof closes fails with NO_GOALS. An empty
-    sequence returns Ok on ``state``. This is the one walk over a given
-    tactic list; the trainers, the reward model and the corpus read it."""
+    sequence returns Ok on ``state``. It walks tactic lists outside any
+    ``gfn.ProofTree``: the corpus's ground-truth checks, the re-check of a
+    search proof and ``gfn.trajectory_from_tactics``."""
     states = [state]
     result = StepResult(StepKind.OK, state=state)
     for t in tactics:

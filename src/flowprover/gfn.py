@@ -181,15 +181,12 @@ class ProofNode:
             self._fingerprint = state_fingerprint(self.state)
         return self._fingerprint
 
-    def apply(self, action: int, known: StepResult | None = None) -> StepResult:
-        """The result of action ``action`` (an index into ACTIONS) from
-        here, recorded on first use: the ``known`` one when the caller has
-        it, else ``apply_tactic``'s."""
+    def apply(self, action: int) -> StepResult:
+        """``apply_tactic``'s result of action ``action`` (an index into
+        ACTIONS) from here, recorded on first use."""
         result = self.results.get(action)
         if result is None:
-            if known is None:
-                known = apply_tactic(self.state, ACTIONS[action])
-            result = self.results[action] = known
+            result = self.results[action] = apply_tactic(self.state, ACTIONS[action])
         return result
 
     def child(self, action: int) -> ProofNode:
@@ -207,29 +204,13 @@ class ProofTree:
     initial state, empty history) down by tactic. It holds no net and no
     action set, so one tree serves every batch, or every validation search,
     of a run, and each oracle walk reads a fresh one: each distinct prefix
-    is encoded once and each (prefix, tactic) applied once."""
+    is encoded once and each (prefix, tactic) applied once. The ground
+    truth, rollouts, search and the oracle all apply tactics through
+    ``ProofNode.apply``, so every result in it is ``apply_tactic``'s."""
 
     def __init__(self, thm: Theorem):
         self.thm = thm
         self.root = ProofNode(thm.initial_state, (), thm.initial_state)
-
-    def add_walk(self, tactics, states) -> tuple[ProofNode, ...]:
-        """Record a walk whose every tactic applies, from its states (the
-        state before each tactic, then the one reached, as ``env.replay``
-        gives them), so the tree applies none of its tactics again. Returns
-        the node each tactic is taken from."""
-        if len(states) != len(tactics) + 1:
-            raise ValueError(f"{len(tactics)} applied tactics need {len(tactics) + 1} states")
-        node, nodes = self.root, []
-        for tactic, reached in zip(tactics, states[1:]):
-            nodes.append(node)
-            action = ACTION_INDEX[tactic]
-            if reached.goals:
-                node.apply(action, StepResult(StepKind.OK, state=reached))
-                node = node.child(action)
-            else:
-                node.apply(action, StepResult(StepKind.PROVED))
-        return tuple(nodes)
 
 
 # Rendered length of every action, by action index and by tactic, built
@@ -525,14 +506,27 @@ def trajectory_from_tactics(thm: Theorem, tactics, source: str = "ground_truth")
     )
 
 
-def ground_truth(thm: Theorem) -> Trajectory:
-    """The theorem's ground-truth trajectory (log_r 0); raises
-    InvalidGroundTruth unless every tactic applies and the last one closes
-    the proof."""
-    gt = trajectory_from_tactics(thm, thm.gt_proof)
-    if gt.outcome != PROVED:
-        raise InvalidGroundTruth(f"ground truth for {thm.name} does not prove it ({gt.outcome})")
-    return gt
+def ground_truth(tree: ProofTree) -> Trajectory:
+    """The ground-truth trajectory of the tree's theorem (log_r 0), walked
+    through the tree's nodes, so the tree applies each of its tactics once.
+    Raises InvalidGroundTruth when a tactic fails, when the proof stays
+    open, or when a tactic follows the one that closes it."""
+    thm, node = tree.thm, tree.root
+    nodes, states, n = [], [node.state], len(thm.gt_proof)
+    for i, tactic in enumerate(thm.gt_proof, start=1):
+        nodes.append(node)
+        action = ACTION_INDEX[tactic]
+        result = node.apply(action)
+        if result.failed or result.proved != (i == n):
+            raise InvalidGroundTruth(f"ground truth for {thm.name} does not prove it: "
+                                     f"tactic {i} of {n} ({tactic}) gives {result.kind.value}")
+        if result.ok:
+            node = node.child(action)
+            states.append(node.state)
+    if not n:
+        raise InvalidGroundTruth(f"ground truth for {thm.name} is empty")
+    return Trajectory(thm.name, tuple(thm.gt_proof), (*states, ProofState(())), PROVED, 0.0,
+                      source="ground_truth", nodes=tuple(nodes))
 
 
 def _check_shape(traj: Trajectory) -> None:
@@ -620,12 +614,8 @@ class GFNTrainer:
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.step_index = 0
         # One tree per theorem for the run, holding its ground truth's walk.
-        self._trees: dict[str, ProofTree] = {}
-        self._gt: dict[str, Trajectory] = {}
-        for thm in theorems:
-            tree = self._trees[thm.name] = ProofTree(thm)
-            gt = self._gt[thm.name] = ground_truth(thm)
-            gt.nodes = tree.add_walk(gt.tactics, gt.proof_states)
+        self._trees = {thm.name: ProofTree(thm) for thm in theorems}
+        self._gt = {name: ground_truth(tree) for name, tree in self._trees.items()}
 
     def train_step(self, thm: Theorem) -> StepMetrics:
         cfg = self.cfg

@@ -307,13 +307,15 @@ def _trajectory_probs(tree: TrajectoryTree, cell_logp: np.ndarray,
 def policy_trajectory_probs(net: PolicyNet, dist: ExactDist) -> np.ndarray:
     """Exact probability of each enumerated trajectory under the policy at
     temperature 1. Enumeration is exhaustive, so these must account for all
-    probability mass; raises MassLeak otherwise."""
+    probability mass; raises MassLeak otherwise, or for a non-finite total."""
     cell_logp = _dist_policy_pass(net, dist)
     column = {a: j for j, a in enumerate(dist.tree.actions.tolist())}
     width = len(column)
     leaf_cells = np.array([t.node * width + column[t.action] for t in dist.trajectories],
                           dtype=np.intp)
     probs = _trajectory_probs(dist.tree, cell_logp, leaf_cells)
+    if not np.isfinite(probs.sum()):
+        raise MassLeak(f"policy probabilities sum to {probs.sum()}, not a finite total")
     dist.policy_probs = probs
     return probs
 

@@ -35,8 +35,12 @@ from .nn import (
     update,
 )
 from .policy import ENC_DIM, HISTORY_LESS, encode_from_parts, rows_graph
+from .search import SearchConfig, search_from_state
 
 logger = logging.getLogger(__name__)
+
+RM_BATCH_SIZE = 64
+RM_OPTIM = OptimConfig()
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -85,9 +89,9 @@ def gt_pairs(theorems: list[Theorem]) -> tuple[np.ndarray, np.ndarray]:
     raises gfn.InvalidGroundTruth on a ground truth that does not prove."""
     xs, ys = [], []
     for thm in theorems:
-        gt = ground_truth(thm)
-        for state, t in zip(gt.proof_states, gt.tactics):
-            xs.append(encode_from_parts(state, (), state, HISTORY_LESS))
+        gt = ground_truth(ProofTree(thm))
+        for node, t in zip(gt.nodes, gt.tactics):
+            xs.append(node.encoding(HISTORY_LESS))
             ys.append(ACTION_INDEX[t])
     return np.stack(xs), np.asarray(ys, dtype=np.intp)
 
@@ -98,8 +102,7 @@ def cross_entropy_graph(tape: Tape, store: ParamStore, x: np.ndarray, y: np.ndar
     return tape.neg(tape.mean(picked))
 
 
-def rm_train(corpus: CorpusSplit, epochs: int = 20, seed: int = 0,
-             batch_size: int = 64, optim: OptimConfig = OptimConfig()) -> RewardModel:
+def rm_train(corpus: CorpusSplit, epochs: int = 20, seed: int = 0) -> RewardModel:
     """Cross-entropy training on the train split's ground-truth pairs.
     ValueError for a negative seed or epoch count, or an empty train split."""
     check_non_negative(seed=seed, epochs=epochs)
@@ -113,11 +116,11 @@ def rm_train(corpus: CorpusSplit, epochs: int = 20, seed: int = 0,
     for epoch in range(epochs):
         order = rng.permutation(n)
         losses = []
-        for start in range(0, n, batch_size):
-            take = order[start:start + batch_size]
+        for start in range(0, n, RM_BATCH_SIZE):
+            take = order[start:start + RM_BATCH_SIZE]
             tape = Tape()
             loss = cross_entropy_graph(tape, rm.store, x[take], y[take])
-            losses.append(update(rm.store, tape, loss, optim)[0])
+            losses.append(update(rm.store, tape, loss, RM_OPTIM)[0])
         rm.epoch_losses.append(float(np.mean(losses)))
         logger.debug("rm epoch %d: mean loss %.4f", epoch, rm.epoch_losses[-1])
     return rm
@@ -146,8 +149,7 @@ def save_labeled(pairs: list[LabeledTactic], path: str | Path) -> None:
 
 
 def mine_hard_negatives(net, thm: Theorem, explore_budget: int,
-                        n_rollouts: int = 16, seed: int = 0,
-                        rm: RewardModel | None = None) -> list[LabeledTactic]:
+                        n_rollouts: int = 16, seed: int = 0) -> list[LabeledTactic]:
     """Label tactics from sampled rollouts of one theorem.
 
     Tactics on proved rollouts are positive. On failed rollouts each
@@ -159,8 +161,6 @@ def mine_hard_negatives(net, thm: Theorem, explore_budget: int,
     labelable and are skipped. ValueError for a negative seed or rollout
     count.
     """
-    from .search import SearchConfig, search_from_state
-
     check_non_negative(seed=seed, n_rollouts=n_rollouts)
     cfg = TrainConfig(mode="gfn_br_oo")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -168,7 +168,7 @@ def mine_hard_negatives(net, thm: Theorem, explore_budget: int,
     # the sampler's action ranking
     search_cfg = SearchConfig(expansion_budget=explore_budget, branching=36)
     out: list[LabeledTactic] = []
-    for traj in sample_trajectories(ProofTree(thm), net, cfg, rng, n_rollouts, rm=rm):
+    for traj in sample_trajectories(ProofTree(thm), net, cfg, rng, n_rollouts):
         if traj.outcome == PROVED:
             for i, t in enumerate(traj.tactics):
                 out.append(LabeledTactic(traj.proof_states[i], t, POSITIVE))

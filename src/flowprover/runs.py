@@ -77,8 +77,7 @@ class RunResult:
 
 def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
                  out_dir: str | Path, rm: RewardModel | None = None,
-                 cfg: TrainConfig | None = None, ppo_cfg: PPOConfig | None = None,
-                 clock: str = "real", val_every: int = 20,
+                 cfg: TrainConfig | None = None, clock: str = "real", val_every: int = 20,
                  val_cfg: SearchConfig | None = None,
                  checkpoint_every: int = 100, corpus_digest: str = "",
                  command: str = "") -> RunResult:
@@ -110,7 +109,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
         "seed": seed,
         "steps": steps,
         "config": asdict(cfg),
-        "ppo_config": asdict(ppo_cfg) if ppo_cfg else None,
+        "ppo_config": asdict(PPOConfig()) if mode == "ppo" else None,
         "validation": {"every": val_every, "branching": val_cfg.branching,
                        "budget": val_cfg.expansion_budget,
                        "encoding": val_cfg.encoding_mode},
@@ -125,8 +124,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
     if mode == "sft":
         trainer = SFTTrainer(corpus.train, net, cfg, seed=trainer_seed)
     elif mode == "ppo":
-        trainer = PPOTrainer(corpus.train, net, cfg, ppo=ppo_cfg or PPOConfig(),
-                             rm=rm, seed=trainer_seed)
+        trainer = PPOTrainer(corpus.train, net, cfg, rm=rm, seed=trainer_seed)
     else:
         trainer = GFNTrainer(corpus.train, net, cfg, rm=rm, seed=trainer_seed)
 

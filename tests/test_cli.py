@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowprover.baselines import PPOConfig
 from flowprover.cli import build_parser, main
 from flowprover.corpus import build_corpus, save_split
 from flowprover.gfn import BINARY, TrainConfig
@@ -105,7 +106,7 @@ class TestTrain:
                             "env_calls,wall_ms,val_solved")
         assert len(lines) == 7  # header + 6 steps
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["corpus_hash"]
+        assert manifest["corpus_hash"] and manifest["ppo_config"] is None
         assert (out / "checkpoint_final.npz").exists()
         assert (out / "config.txt").exists()
 
@@ -208,7 +209,9 @@ class TestTrain:
         out = tmp_path / "ppo"
         assert main(["train", "--mode", "ppo", "--corpus", str(corpus_dir), "--steps", "2",
                      "--out", str(out), "--clock", "off", "--val-every", "0"]) == 0
-        assert json.loads((out / "manifest.json").read_text())["config"]["reward_mode"] == BINARY
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["reward_mode"] == BINARY
+        assert manifest["ppo_config"] == dataclasses.asdict(PPOConfig())
         assert "reward_mode = binary\n" in (out / "config.txt").read_text()
 
     def test_gfn_with_binary_reward_runs_without_rm(self, corpus_dir, tmp_path):
@@ -255,6 +258,19 @@ class TestEval:
                   "--budget", "-3"])
         assert exc.value.code == 2
         assert "budget" in _usage_error_line(capsys)
+
+    def test_nan_checkpoint_exits_2(self, tmp_path, capsys):
+        # search ranks NaN scores without complaint, so this net would score
+        # as solving every theorem
+        save_split(build_corpus(2, train_size=10, valid_size=3), tmp_path / "c")
+        net = PolicyNet.create(seed=0)
+        net.store["w3"] = np.full_like(net.store["w3"], np.nan)
+        net.save(tmp_path / "nan.npz")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(tmp_path / "nan.npz"), "--corpus",
+                  str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_identical_invocations_identical_reports(self, corpus_dir, checkpoint, tmp_path):
         outs = []

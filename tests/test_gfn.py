@@ -323,7 +323,7 @@ class TestRolloutTree:
     def test_each_prefix_is_scored_once_and_each_step_applied_once(self, mode, monkeypatch):
         """Over a run: one encoding per distinct prefix, one apply per
         distinct (prefix, tactic) not on the ground truth's walk (which
-        ``env.replay`` made), one forward per distinct prefix of each batch,
+        the trainer's construction made), one forward per distinct prefix of each batch,
         and nothing at all on a replay step."""
         import flowprover.baselines as baselines_mod
         import flowprover.gfn as gfn_mod
@@ -377,7 +377,7 @@ class TestRolloutTree:
             assert len(trajs) == 12
             assert calls["forward"] - before["forward"] == len(batch_prefixes)
             assert m.env_calls == sum(map(len, trajs))
-        if mode != "ppo":  # the injected ground truth is encoded, never applied
+        if mode != "ppo":  # the injected ground truth is encoded, applied before the steps
             prefixes |= gt_prefixes
             steps -= gt_steps
         assert len(prefixes) > len({(name, len(p)) for name, p in prefixes})  # they branch

@@ -13,8 +13,9 @@ import pytest
 
 import flowprover.corpus as corpus
 import flowprover.env as env
+import flowprover.gfn as gfn
 from flowprover.baselines import SFTTrainer
-from flowprover.corpus import Theorem, filter_theorem, generate_theorem
+from flowprover.corpus import Theorem, build_corpus, filter_theorem, generate_theorem
 from flowprover.env import ErrorReason, ProofState, StepKind, parse_tactic, replay
 from flowprover.gfn import (
     DEPTH_EXHAUSTED,
@@ -22,6 +23,7 @@ from flowprover.gfn import (
     PROVED,
     GFNTrainer,
     InvalidGroundTruth,
+    ProofTree,
     TrainConfig,
     ground_truth,
     trajectory_from_tactics,
@@ -60,7 +62,7 @@ def answers(case: str) -> dict[str, bool]:
     return {
         "replay": replay(thm.initial_state, thm.gt_proof).proved,
         "trajectory_from_tactics": trajectory_from_tactics(thm, thm.gt_proof).outcome == PROVED,
-        "ground_truth": not _refused(lambda: ground_truth(thm)),
+        "ground_truth": not _refused(lambda: ground_truth(ProofTree(thm))),
         "GFNTrainer": not _refused(lambda: GFNTrainer([thm], PolicyNet.create(seed=0), cfg)),
         "SFTTrainer": not _refused(lambda: SFTTrainer([thm], PolicyNet.create(seed=0), cfg)),
         "filter_theorem": filter_theorem(thm),
@@ -127,3 +129,30 @@ def test_first_try_theorem_walks_its_proof_once(monkeypatch):
         calls.clear()
         thm = generate_theorem(np.random.default_rng(seed), 3)
         assert calls == list(thm.gt_proof)
+
+
+def test_every_result_in_a_trainer_tree_is_apply_tactics(monkeypatch):
+    # the ground truth enters the run's trees through ProofNode.apply like
+    # every rollout: no result in a tree is made anywhere else
+    returned = []
+    real = gfn.apply_tactic
+
+    def spy(state, tactic):
+        returned.append(real(state, tactic))
+        return returned[-1]
+
+    monkeypatch.setattr(gfn, "apply_tactic", spy)
+    thms = build_corpus(1, 12, 0).train
+    trainer = GFNTrainer(thms, PolicyNet.create(seed=0), TrainConfig(mode="gfn_br_oo"))
+    assert len(returned) == sum(len(thm.gt_proof) for thm in thms)
+    for i in range(6):
+        trainer.train_step(thms[i])
+    made = {id(result) for result in returned}
+    stack = [tree.root for tree in trainer._trees.values()]
+    n_results = 0
+    while stack:
+        node = stack.pop()
+        assert all(id(result) in made for result in node.results.values())
+        n_results += len(node.results)
+        stack.extend(node.children.values())
+    assert n_results == len(returned)  # each call's result is recorded once

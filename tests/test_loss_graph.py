@@ -17,6 +17,7 @@ from flowprover.gfn import (
     PROVED,
     ProofTree,
     TrainConfig,
+    ground_truth,
     sample_trajectory,
     tb_loss,
     tb_loss_graph,
@@ -49,8 +50,7 @@ def _mixed_batch(net):
     injected ground truth (its walk's nodes)."""
     thm1 = identity_theorem("a -> a", name="t1")
     thm2 = identity_theorem("a & b -> a & b", name="t2")
-    gt = trajectory_from_tactics(thm1, list(thm1.gt_proof))
-    gt.nodes = ProofTree(thm1).add_walk(gt.tactics, gt.proof_states)
+    gt = ground_truth(ProofTree(thm1))
     error = trajectory_from_tactics(thm1, [parse_tactic("split")], source="replay")
     exhausted = trajectory_from_tactics(thm2, [parse_tactic("intro")], source="replay")
     assert (gt.outcome, error.outcome, exhausted.outcome) == (PROVED, ENV_ERROR,

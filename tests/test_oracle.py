@@ -164,6 +164,15 @@ class TestEnumeration:
         with pytest.raises(MassLeak):
             policy_trajectory_probs(net, dist)
 
+    def test_nan_net_is_a_mass_leak(self):
+        # NaN probabilities pass a "total < 1" test, so the total is checked
+        # for being finite
+        net = PolicyNet.create(seed=0)
+        net.store["w3"] = np.full_like(net.store["w3"], np.nan)
+        dist = enumerate_trajectories(identity_theorem("a -> a"), max_depth=3)
+        with pytest.raises(MassLeak, match="nan"):
+            policy_trajectory_probs(net, dist)
+
 
 class TestFlowCheckOnRealTheorems:
     def test_terminal_flow_equals_reward(self):

@@ -29,7 +29,6 @@ MISUSES = {
     "oracle_report(net, thm, action_set=(0, 0, 1, 2, 3, 4))": "ValueError",
     "oracle_report(net, thm, action_set=(-1, 0, 1, 2, 3))": "ValueError",
     "oracle_report(net, thm, action_set=(0, 36))": "ValueError",
-    "ProofTree(thm).add_walk(thm.gt_proof, (thm.initial_state,))": "ValueError",
     # negative counts, and an empty train split, are refused before any work
     "build_corpus(-1, 1, 1)": "ValueError",
     "build_corpus(0, -1, 1)": "ValueError",
@@ -72,7 +71,6 @@ def test_misuse_raises_typed_exceptions(flags):
         "store.add('w', np.zeros(2))",
         "from flowprover.corpus import CorpusSplit, Theorem, build_corpus",
         "from flowprover.env import parse_tactic",
-        "from flowprover.gfn import ProofTree",
         "from flowprover.oracle import enumerate_trajectories, oracle_report",
         "from flowprover.reward_model import mine_hard_negatives, rm_train",
         "from flowprover.runs import run_training",
