@@ -10,7 +10,7 @@ state value, and maximizes the clipped surrogate minus a value MSE penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +119,6 @@ class PPOTrainer:
         net.ensure_value_head()
         self.net = net
         self.cfg = cfg.for_reward_model(rm is not None)
-        self._rollout_cfg = replace(self.cfg, temper_p=0.0)  # on-policy rollouts at T=1
         self.ppo = ppo
         self.rm = rm
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -127,7 +126,7 @@ class PPOTrainer:
         self._trees = {thm.name: ProofTree(thm) for thm in theorems}  # one per theorem per run
 
     def _collect(self, thm: Theorem):
-        batch = sample_trajectories(self._trees[thm.name], self.net, self._rollout_cfg,
+        batch = sample_trajectories(self._trees[thm.name], self.net, self.cfg,
                                     self.rng, self.cfg.n_sampled, rm=self.rm)
         # Monte-Carlo return: per-step reward is 0 except the terminal
         # shaped log-reward

@@ -2,7 +2,10 @@
 verification, and hard-negative mining.
 
 Exit codes: 0 success, 1 assertion failure (``oracle --assert``), 2 usage
-error.
+error. ``main`` is the one place that maps an error to an exit code: any
+``ValueError`` or ``OSError`` a command raises (a bad flag value, corpus,
+checkpoint or config file, an unwritable ``--out``) prints one ``error:``
+line and exits 2. Other exceptions are program faults and stay uncaught.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusError, build_corpus, corpus_hash, load_split, save_split
+from .corpus import build_corpus, corpus_hash, load_split, save_split
 from .gfn import ALL_MODES, BINARY, FULL_RM, RewardSpec, TrainConfig, parse_action_set
-from .nn import CheckpointError
 from .oracle import oracle_report, reports_to_json
 from .policy import HISTORY, HISTORY_LESS, PolicyNet
 from .reward_model import RewardModel, mine_hard_negatives, rm_train, save_labeled
@@ -23,23 +25,12 @@ from .runs import run_training
 from .search import SearchConfig, evaluate_split
 
 
-def _usage_error(message: str):
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(2)
-
-
 def cmd_datagen(args) -> int:
     out = Path(args.out)
     if out.exists() and not out.is_dir():
-        _usage_error(f"--out {out} exists and is not a directory")
-    try:
-        split = build_corpus(args.seed, train_size=args.train_size, valid_size=args.valid_size)
-    except ValueError as exc:
-        _usage_error(str(exc))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _usage_error(f"cannot create --out {out}: {exc}")
+        raise ValueError(f"--out {out} exists and is not a directory")
+    split = build_corpus(args.seed, train_size=args.train_size, valid_size=args.valid_size)
+    out.mkdir(parents=True, exist_ok=True)
     digest = save_split(split, out)
     print(f"wrote {len(split.train)} train / {len(split.valid)} valid theorems to {out}")
     print(f"corpus hash {digest}")
@@ -47,11 +38,7 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_rm_train(args) -> int:
-    split, _ = _load_corpus(args.corpus)
-    try:
-        rm = rm_train(split, epochs=args.epochs, seed=args.seed)
-    except ValueError as exc:
-        _usage_error(str(exc))
+    rm = rm_train(load_split(args.corpus), epochs=args.epochs, seed=args.seed)
     rm.save(args.out)
     print(f"reward model saved to {args.out}")
     return 0
@@ -59,29 +46,22 @@ def cmd_rm_train(args) -> int:
 
 def cmd_train(args) -> int:
     mode = args.mode.replace("-", "_")
-    split, digest = _load_corpus(args.corpus)
+    split, digest = load_split(args.corpus), corpus_hash(args.corpus)
     # explicit flags take precedence over config-file values
     overrides = {"mode": mode}
     if args.replay_p is not None:
         overrides["replay_p"] = args.replay_p
     if args.no_inject_gt:
         overrides["inject_gt"] = False
-    try:
-        cfg = (TrainConfig.read(args.config, **overrides) if args.config
-               else TrainConfig(**overrides)).for_reward_model(args.rm is not None)
-    except (ValueError, OSError) as exc:
-        _usage_error(str(exc))
-    rm = _load_checkpoint(RewardModel, args.rm) if args.rm else None
-
-    try:
-        result = run_training(
-            mode=mode, corpus=split, seed=args.seed, steps=args.steps,
-            out_dir=args.out, rm=rm, cfg=cfg, clock=args.clock,
-            val_every=args.val_every, corpus_digest=digest,
-            command=" ".join(sys.argv),
-        )
-    except ValueError as exc:
-        _usage_error(str(exc))
+    cfg = (TrainConfig.read(args.config, **overrides) if args.config
+           else TrainConfig(**overrides)).for_reward_model(args.rm is not None)
+    rm = RewardModel.load(args.rm) if args.rm else None
+    result = run_training(
+        mode=mode, corpus=split, seed=args.seed, steps=args.steps,
+        out_dir=args.out, rm=rm, cfg=cfg, clock=args.clock,
+        val_every=args.val_every, corpus_digest=digest,
+        command=" ".join(sys.argv),
+    )
     print(f"run complete: {result.out_dir}")
     print(f"total env calls {result.total_env_calls}, buffer reads {result.buffer_reads}")
     if result.val_history:
@@ -90,17 +70,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    split, _ = _load_corpus(args.corpus)
+    split = load_split(args.corpus)
     theorems = split.valid if args.split == "valid" else split.train
-    net = _load_checkpoint(PolicyNet, args.checkpoint)
+    net = PolicyNet.load(args.checkpoint)
     if not np.all(np.isfinite(net.store.flat_p)):
-        _usage_error(f"--checkpoint {args.checkpoint} holds non-finite parameters")
-    try:
-        cfg = SearchConfig(branching=args.branching, expansion_budget=args.budget,
-                           encoding_mode=HISTORY_LESS if args.encoding == "history_less"
-                           else HISTORY, dedupe=not args.no_dedupe)
-    except ValueError as exc:
-        _usage_error(str(exc))
+        raise ValueError(f"--checkpoint {args.checkpoint} holds non-finite parameters")
+    cfg = SearchConfig(branching=args.branching, expansion_budget=args.budget,
+                       encoding_mode=HISTORY_LESS if args.encoding == "history_less"
+                       else HISTORY, dedupe=not args.no_dedupe)
     report = evaluate_split(net, theorems, cfg)
     text = report.to_json()
     if args.out:
@@ -116,18 +93,18 @@ def cmd_oracle(args) -> int:
         try:
             action_set = parse_action_set(args.action_set)
         except ValueError as exc:
-            _usage_error(f"--action-set: {exc}")
+            raise ValueError(f"--action-set: {exc}") from exc
     if args.reward == FULL_RM and not args.rm:
-        _usage_error("--reward full_rm requires --rm (trained reward model checkpoint)")
+        raise ValueError("--reward full_rm requires --rm (trained reward model checkpoint)")
     if args.max_depth < 1:
-        _usage_error(f"--max-depth must be at least 1, got {args.max_depth}")
+        raise ValueError(f"--max-depth must be at least 1, got {args.max_depth}")
     _check_limit(args.limit)
-    split, _ = _load_corpus(args.theorems)
+    split = load_split(args.theorems)
     theorems = split.valid if args.split == "valid" else split.train
     if args.limit:
         theorems = theorems[: args.limit]
-    net = _load_checkpoint(PolicyNet, args.checkpoint)
-    rm = _load_checkpoint(RewardModel, args.rm) if args.rm else None
+    net = PolicyNet.load(args.checkpoint)
+    rm = RewardModel.load(args.rm) if args.rm else None
     spec = RewardSpec(mode=args.reward)
     reports = [
         oracle_report(net, thm, max_depth=args.max_depth, spec=spec, rm=rm,
@@ -153,45 +130,23 @@ def cmd_oracle(args) -> int:
 
 def cmd_mine(args) -> int:
     if args.budget < 0:
-        _usage_error(f"--budget must be non-negative, got {args.budget}")
+        raise ValueError(f"--budget must be non-negative, got {args.budget}")
     _check_limit(args.limit)
-    split, _ = _load_corpus(args.corpus)
-    net = _load_checkpoint(PolicyNet, args.checkpoint)
+    split = load_split(args.corpus)
+    net = PolicyNet.load(args.checkpoint)
     theorems = (split.valid if args.split == "valid" else split.train)[: args.limit or None]
-    try:
-        pairs = [p for thm in theorems
-                 for p in mine_hard_negatives(net, thm, explore_budget=args.budget,
-                                              n_rollouts=args.rollouts, seed=args.seed)]
-    except ValueError as exc:
-        _usage_error(str(exc))
+    pairs = [p for thm in theorems
+             for p in mine_hard_negatives(net, thm, explore_budget=args.budget,
+                                          n_rollouts=args.rollouts, seed=args.seed)]
     save_labeled(pairs, args.out)
     print(f"wrote {len(pairs)} labeled tactics to {args.out}")
     return 0
 
 
 def _check_limit(limit: int) -> None:
-    """A usage error for a negative ``--limit``; 0 means every theorem."""
+    """Refuse a negative ``--limit``; 0 means every theorem."""
     if limit < 0:
-        _usage_error(f"--limit must be non-negative, got {limit}")
-
-
-def _load_corpus(corpus_dir: str):
-    """The corpus split and its content hash; a usage error when a file is
-    missing or invalid."""
-    path = Path(corpus_dir)
-    try:
-        return load_split(path), corpus_hash(path)
-    except (CorpusError, OSError) as exc:
-        _usage_error(str(exc))
-
-
-def _load_checkpoint(cls, checkpoint: str):
-    """A PolicyNet or RewardModel; a usage error when the file is missing or
-    not a checkpoint of that network."""
-    try:
-        return cls.load(checkpoint)
-    except CheckpointError as exc:
-        _usage_error(str(exc))
+        raise ValueError(f"--limit must be non-negative, got {limit}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

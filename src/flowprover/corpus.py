@@ -34,8 +34,8 @@ class GenerationExhausted(RuntimeError):
 
 
 class CorpusError(ValueError):
-    """A corpus file line is not a theorem whose ground truth proves it, or
-    repeats the name of an earlier theorem."""
+    """A corpus file line is not UTF-8 text of a theorem whose ground truth
+    proves it, or repeats the name of an earlier theorem."""
 
 
 def check_non_negative(**values: int) -> None:
@@ -246,19 +246,19 @@ def save_split(split: CorpusSplit, out_dir: str | Path) -> str:
 
 def load_split(corpus_dir: str | Path) -> CorpusSplit:
     """Read train.jsonl and valid.jsonl. Raises CorpusError naming
-    ``file:line`` on a line that does not parse, whose ground truth does not
-    prove its goal, or whose name an earlier line of either file holds
-    (trainers key theorems by name)."""
+    ``file:line`` on a line that is not UTF-8 or does not parse, whose
+    ground truth does not prove its goal, or whose name an earlier line of
+    either file holds (trainers key theorems by name)."""
     out = Path(corpus_dir)
     split = CorpusSplit()
     seen: dict[str, str] = {}  # name -> file:line
     for fname, bucket in (("train.jsonl", split.train), ("valid.jsonl", split.valid)):
-        with open(out / fname) as fh:
+        with open(out / fname, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    thm = theorem_from_json(line)
+                    thm = theorem_from_json(line.decode("utf-8"))
                 except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                     raise CorpusError(f"{out / fname}:{lineno}: bad theorem: {exc!r}") from exc
                 if thm.name in seen:

@@ -308,8 +308,9 @@ def _format(value) -> str:
 class TrainConfig:
     """A training run's settings. Every field is checked when the config is
     made (ValueError), and the settings a mode forces are applied: the
-    online-only modes never replay, and gfn_br_oo trains on the binary
-    reward. ``write`` and ``read`` are the ``--config`` file format."""
+    online-only modes never replay, gfn_br_oo trains on the binary reward,
+    and ppo never tempers its rollouts. ``write`` and ``read`` are the
+    ``--config`` file format."""
 
     lr: float = 1e-4
     clip_norm: float = 0.5
@@ -351,6 +352,8 @@ class TrainConfig:
             self.replay_p = 0.0
         if self.mode == "gfn_br_oo":
             self.reward_mode = BINARY
+        if self.mode == "ppo":
+            self.temper_p = 0.0  # on-policy rollouts at T=1
 
     def for_reward_model(self, present: bool) -> TrainConfig:
         """The config a run trains on with (``present``) or without a reward

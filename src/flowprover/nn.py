@@ -29,7 +29,8 @@ class NonFiniteGradient(FloatingPointError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is not an npz archive, is not of version 1, lacks
-    an entry, or holds an entry that is not a numeric array."""
+    an entry, holds an entry that is not a numeric array, or holds layers
+    that do not fit the network (``policy.checked_hidden``)."""
 
 
 # Parameter names of init_mlp's three layers.

@@ -30,6 +30,7 @@ from .env import ACTION_INDEX, N_ACTIONS, ProofState, Tactic
 from .formulas import Atom, Formula, Implies
 from .nn import (
     MLP_PARAMS,
+    CheckpointError,
     ParamStore,
     Tape,
     Var,
@@ -205,7 +206,25 @@ class PolicyNet:
     @classmethod
     def load(cls, path: str | Path) -> "PolicyNet":
         store = ParamStore.load(path, required=MLP_PARAMS + ("wz", "bz"))
-        return cls(store=store, hidden=store["w2"].shape[0])
+        return cls(store=store, hidden=checked_hidden(store, path, heads="zv"))
+
+
+def checked_hidden(store: ParamStore, path, heads: str = "") -> int:
+    """The hidden width of a loaded ENC_DIM -> hidden -> hidden -> N_ACTIONS
+    MLP, whose linear heads ``w<k>``/``b<k>`` (``k`` in ``heads``, where
+    present) read the last hidden layer; raises CheckpointError naming
+    ``path`` when a layer does not fit."""
+    w1 = store["w1"]
+    hidden = w1.shape[-1] if w1.ndim else 0
+    shapes = dict(zip(MLP_PARAMS, [(ENC_DIM, hidden), (hidden,), (hidden, hidden), (hidden,),
+                                   (hidden, N_ACTIONS), (N_ACTIONS,)]))
+    for k in heads:
+        shapes.update({f"w{k}": (hidden,), f"b{k}": ()})
+    for name, shape in shapes.items():
+        if name in store.arrays and store[name].shape != shape:
+            raise CheckpointError(f"{path}: {name} has shape {store[name].shape}, "
+                                  f"expected {shape}")
+    return hidden
 
 
 def _head(hidden: int, key: str) -> dict[str, np.ndarray]:

@@ -34,7 +34,7 @@ from .nn import (
     mlp_forward_np,
     update,
 )
-from .policy import ENC_DIM, HISTORY_LESS, encode_from_parts, rows_graph
+from .policy import ENC_DIM, HISTORY_LESS, checked_hidden, encode_from_parts, rows_graph
 from .search import SearchConfig, search_from_state
 
 logger = logging.getLogger(__name__)
@@ -81,7 +81,7 @@ class RewardModel:
     @classmethod
     def load(cls, path: str | Path) -> "RewardModel":
         store = ParamStore.load(path, required=MLP_PARAMS)
-        return cls(store=store, hidden=store["w2"].shape[0])
+        return cls(store=store, hidden=checked_hidden(store, path))
 
 
 def gt_pairs(theorems: list[Theorem]) -> tuple[np.ndarray, np.ndarray]:

@@ -212,7 +212,10 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["reward_mode"] == BINARY
         assert manifest["ppo_config"] == dataclasses.asdict(PPOConfig())
-        assert "reward_mode = binary\n" in (out / "config.txt").read_text()
+        assert manifest["config"]["temper_p"] == 0.0  # PPO rolls out at T=1
+        config_txt = (out / "config.txt").read_text()
+        assert "reward_mode = binary\n" in config_txt
+        assert "temper_p = 0.0\n" in config_txt
 
     def test_gfn_with_binary_reward_runs_without_rm(self, corpus_dir, tmp_path):
         cfg_file = tmp_path / "binary.cfg"
@@ -400,7 +403,39 @@ BAD_CORPUS_LINES = {
     "deep_goal": json.dumps({"name": "bad", "goal": "(" * 5000 + "a" + ")" * 5000,
                              "gt_proof": ["intro"]}),
     "repeated_name": GOOD_LINE,
+    # written with errors="surrogateescape": the name holds the byte 0xff
+    "non_utf8": '{"name": "bad\udcff", "goal": "a -> a", "gt_proof": ["intro", "exact h1"]}',
 }
+
+# argv templates of cheap commands, each given an --out that cannot be written:
+# an existing directory ("dir"), a path under a missing directory ("missing")
+# or an existing file ("file")
+UNWRITABLE_OUT = {
+    "eval_dir": ("dir", "eval --checkpoint {ckpt} --corpus {corpus} --budget 1"),
+    "oracle_dir": ("dir", "oracle --checkpoint {ckpt} --theorems {corpus} --limit 1 "
+                          "--max-depth 1"),
+    "mine_dir": ("dir", "mine --checkpoint {ckpt} --corpus {corpus} --limit 1 --rollouts 1 "
+                        "--budget 1"),
+    "eval_missing": ("missing", "eval --checkpoint {ckpt} --corpus {corpus} --budget 1"),
+    "rm_train_missing": ("missing", "rm-train --corpus {corpus} --epochs 1"),
+    "train_file": ("file", "train --mode sft --corpus {corpus} --steps 1"),
+}
+
+
+def _unwritable_out_argv(case: str, corpus_dir: Path, checkpoint: Path,
+                         root: Path) -> list[str]:
+    """The argv of ``UNWRITABLE_OUT[case]``, its --out under ``root``."""
+    kind, template = UNWRITABLE_OUT[case]
+    (root / "dir").mkdir(parents=True, exist_ok=True)
+    (root / "file").write_text("x\n")
+    out = {"dir": root / "dir", "missing": root / "missing" / "out", "file": root / "file"}
+    return [word.format(ckpt=checkpoint, corpus=corpus_dir) for word in template.split()] + [
+        "--out", str(out[kind])]
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, with its bytes when it is a file."""
+    return {str(p): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 def _bad_checkpoint(kind: str, tmp_path: Path) -> Path:
@@ -425,6 +460,9 @@ def _bad_checkpoint(kind: str, tmp_path: Path) -> Path:
         arrays["p:w2"] = np.array(["not", "numbers"])
     elif kind == "empty_step":
         arrays["__step__"] = np.array([], dtype=int)
+    elif kind == "wrong_shape":  # a first layer that reads 5 inputs, not 164
+        for prefix in "pmv":
+            arrays[f"{prefix}:w1"] = np.zeros((5, 128))
     else:  # missing_parameter
         for prefix in "pmv":
             del arrays[f"{prefix}:w2"]
@@ -439,15 +477,17 @@ def _usage_error_line(capsys) -> str:
 
 
 class TestBadInputFiles:
-    """Corpus and checkpoint files come from outside the program: a bad one
-    is a usage error (exit 2, one ``error:`` line), never a traceback."""
+    """Corpus and checkpoint files come from outside the program, as does
+    the ``--out`` path: a bad one is a usage error (exit 2, one ``error:``
+    line), never a traceback."""
 
     @pytest.mark.parametrize("command", ["rm-train", "sft"])
     @pytest.mark.parametrize("case", sorted(BAD_CORPUS_LINES))
     def test_bad_corpus_exits_2_naming_the_line(self, case, command, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        (corpus / "train.jsonl").write_text(GOOD_LINE + "\n" + BAD_CORPUS_LINES[case] + "\n")
+        (corpus / "train.jsonl").write_text(GOOD_LINE + "\n" + BAD_CORPUS_LINES[case] + "\n",
+                                            errors="surrogateescape")
         (corpus / "valid.jsonl").write_text(GOOD_LINE + "\n")
         argv = (["rm-train", "--corpus", str(corpus), "--epochs", "1"]
                 if command == "rm-train" else
@@ -459,7 +499,7 @@ class TestBadInputFiles:
 
     @pytest.mark.parametrize("kind", ["text", "no_version", "version_2", "empty_version",
                                       "missing_parameter", "moment_shape", "object_entry",
-                                      "string_entry", "empty_step"])
+                                      "string_entry", "empty_step", "wrong_shape"])
     def test_bad_checkpoint_exits_2(self, kind, corpus_dir, tmp_path, capsys):
         path = _bad_checkpoint(kind, tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -471,12 +511,27 @@ class TestBadInputFiles:
             assert "p:w2" in line
 
     def test_bad_reward_model_exits_2(self, corpus_dir, tmp_path, capsys):
-        path = _bad_checkpoint("version_2", tmp_path)
+        for kind, message in (("version_2", "version [2]"),
+                              ("wrong_shape", "w1 has shape (5, 128)")):
+            path = _bad_checkpoint(kind, tmp_path)
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm", str(path),
+                      "--steps", "2", "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert message in _usage_error_line(capsys)
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(UNWRITABLE_OUT))
+    def test_unwritable_out_exits_2(self, case, corpus_dir, checkpoint, tmp_path, capsys):
+        root = tmp_path / "outs"
+        argv = _unwritable_out_argv(case, corpus_dir, checkpoint, root)
+        before = _tree(root)
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm", str(path),
-                  "--steps", "2", "--out", str(tmp_path / "out")])
+            main(argv)
         assert exc.value.code == 2
-        assert "version [2]" in _usage_error_line(capsys)
+        # rm-train names the temporary file it writes first, beside --out
+        assert str(Path(argv[-1]).parent) in _usage_error_line(capsys)
+        assert _tree(root) == before  # no partial file
 
     def test_bad_files_exit_2_under_optimized_python(self, corpus_dir, checkpoint, tmp_path):
         # the checks must hold with asserts stripped (python -O)
@@ -488,11 +543,14 @@ class TestBadInputFiles:
         repeated.mkdir()
         (repeated / "train.jsonl").write_text(GOOD_LINE + "\n")
         (repeated / "valid.jsonl").write_text(GOOD_LINE + "\n")
+        non_utf8 = tmp_path / "non_utf8"
+        non_utf8.mkdir()
+        (non_utf8 / "train.jsonl").write_text(BAD_CORPUS_LINES["non_utf8"] + "\n",
+                                              errors="surrogateescape")
+        (non_utf8 / "valid.jsonl").write_text(GOOD_LINE + "\n")
         subset_cfg = tmp_path / "subset.cfg"
         subset_cfg.write_text("action_set = 0,1\n")
-        src_dir = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src_dir), os.environ.get("PYTHONPATH", "")]))
+        wrong_shape = str(_bad_checkpoint("wrong_shape", tmp_path))
         config_argvs = []
         for k, (mode, key, value) in enumerate(BAD_CONFIG_FILES):
             cfg_file = tmp_path / f"bad{k}.cfg"
@@ -500,29 +558,41 @@ class TestBadInputFiles:
             config_argvs.append(["train", "--mode", mode, "--corpus", str(corpus_dir),
                                  "--steps", "2", "--out", str(tmp_path / f"run{k}"),
                                  "--config", str(cfg_file)])
-        for argv in (*config_argvs,
-                     ["rm-train", "--corpus", str(corpus), "--out", str(tmp_path / "rm.npz")],
-                     *(["eval", "--corpus", str(corpus_dir),
-                        "--checkpoint", str(_bad_checkpoint(kind, tmp_path))]
-                       for kind in ("version_2", "object_entry", "string_entry")),
-                     ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(checkpoint),
-                      "--branching", "0"],
-                     ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(checkpoint),
-                      "--budget", "-3"],
-                     *(["oracle", "--theorems", str(corpus_dir), "--checkpoint",
-                        str(checkpoint), *flags]
-                       for flags in (["--max-depth", "0"], ["--limit", "-1"])),
-                     ["rm-train", "--corpus", str(repeated), "--out", str(tmp_path / "rm2.npz")],
-                     ["train", "--mode", "ppo", "--corpus", str(corpus_dir), "--steps", "2",
-                      "--out", str(tmp_path / "ppo"), "--config", str(subset_cfg)]):
-            proc = subprocess.run([sys.executable, "-O", "-m", "flowprover.cli", *argv],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 2, proc.stderr
-            lines = proc.stderr.splitlines()
+        outs = tmp_path / "outs"
+        argvs = [*config_argvs,
+                 ["rm-train", "--corpus", str(corpus), "--out", str(tmp_path / "rm.npz")],
+                 *(["eval", "--corpus", str(corpus_dir),
+                    "--checkpoint", str(_bad_checkpoint(kind, tmp_path))]
+                   for kind in ("version_2", "object_entry", "string_entry")),
+                 ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(checkpoint),
+                  "--branching", "0"],
+                 ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(checkpoint),
+                  "--budget", "-3"],
+                 *(["oracle", "--theorems", str(corpus_dir), "--checkpoint",
+                    str(checkpoint), *flags]
+                   for flags in (["--max-depth", "0"], ["--limit", "-1"])),
+                 ["rm-train", "--corpus", str(repeated), "--out", str(tmp_path / "rm2.npz")],
+                 ["train", "--mode", "ppo", "--corpus", str(corpus_dir), "--steps", "2",
+                  "--out", str(tmp_path / "ppo"), "--config", str(subset_cfg)],
+                 ["rm-train", "--corpus", str(non_utf8), "--out", str(tmp_path / "rm3.npz")],
+                 ["eval", "--corpus", str(corpus_dir), "--checkpoint", wrong_shape],
+                 ["oracle", "--theorems", str(corpus_dir), "--checkpoint", wrong_shape,
+                  "--limit", "1", "--max-depth", "1"],
+                 ["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm", wrong_shape,
+                  "--steps", "2", "--out", str(tmp_path / "gfn")],
+                 *(_unwritable_out_argv(case, corpus_dir, checkpoint, outs)
+                   for case in sorted(UNWRITABLE_OUT))]
+        before = _tree(outs)
+        for argv, (code, lines) in zip(argvs, _run_cli_cases(argvs, ["-O"]), strict=True):
+            assert code == 2, (argv, lines)
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             if "--config" in argv:
                 assert argv[-1] in lines[0]
                 assert not Path(argv[argv.index("--out") + 1]).exists()
+            if str(non_utf8) in argv:
+                assert f"{non_utf8 / 'train.jsonl'}:1:" in lines[0]
+        assert not (tmp_path / "gfn").exists()
+        assert _tree(outs) == before
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"

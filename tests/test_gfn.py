@@ -245,7 +245,7 @@ def _tempered_gfn_rollouts():
 def _ppo_rollouts():
     trainer = PPOTrainer([], PolicyNet.create(seed=0), TrainConfig(mode="ppo"),
                          rm=RewardModel.create(seed=2))
-    return trainer._rollout_cfg, trainer.rm
+    return trainer.cfg, trainer.rm
 
 
 def _biased_net(seed):

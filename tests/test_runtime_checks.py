@@ -21,6 +21,8 @@ MISUSES = {
     "optim_step(store, {'w': np.zeros(1)})": "ValueError",
     "optim_step(store, {'u': np.zeros(2)})": "KeyError",
     "mlp_forward(PolicyNet.create(seed=0).store, np.zeros(5))": "ValueError",
+    # a checkpoint whose layers do not fit is refused at load, not at first use
+    "PolicyNet.load(io.BytesIO(five_inputs))": "CheckpointError",
     "enumerate_trajectories(thm, max_depth=0)": "ValueError",
     # an action set must be distinct indices in [0, 36), checked before the walk
     "enumerate_trajectories(thm, action_set=(0, 0, 1, 2, 3, 4))": "ValueError",
@@ -57,6 +59,7 @@ def test_no_assert_statements_in_the_package():
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_misuse_raises_typed_exceptions(flags):
     script = "\n".join([
+        "import io",
         "import os",
         "import numpy as np",
         "from flowprover.env import Tactic, TacticKind, apply_tactic, initial_state",
@@ -69,6 +72,10 @@ def test_misuse_raises_typed_exceptions(flags):
         "object.__setattr__(hypless, 'arg', None)",
         "store = ParamStore()",
         "store.add('w', np.zeros(2))",
+        "buf = io.BytesIO()",
+        "ParamStore({**PolicyNet.create(seed=0, hidden=8).store.arrays,",
+        "            'w1': np.zeros((5, 8))}).save(buf)",
+        "five_inputs = buf.getvalue()",
         "from flowprover.corpus import CorpusSplit, Theorem, build_corpus",
         "from flowprover.env import parse_tactic",
         "from flowprover.oracle import enumerate_trajectories, oracle_report",
