@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import build_corpus, corpus_hash, load_split, save_split
+from .corpus import MAX_PROOF_LEN, build_corpus, corpus_hash, load_split, save_split
 from .gfn import ALL_MODES, BINARY, FULL_RM, RewardSpec, TrainConfig, parse_action_set
 from .oracle import oracle_report, reports_to_json
 from .policy import HISTORY, HISTORY_LESS, PolicyNet
@@ -38,6 +38,7 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_rm_train(args) -> int:
+    _check_out(args.out)
     rm = rm_train(load_split(args.corpus), epochs=args.epochs, seed=args.seed)
     rm.save(args.out)
     print(f"reward model saved to {args.out}")
@@ -70,14 +71,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out(args.out)
     split = load_split(args.corpus)
     theorems = split.valid if args.split == "valid" else split.train
     net = PolicyNet.load(args.checkpoint)
     if not np.all(np.isfinite(net.store.flat_p)):
         raise ValueError(f"--checkpoint {args.checkpoint} holds non-finite parameters")
     cfg = SearchConfig(branching=args.branching, expansion_budget=args.budget,
-                       encoding_mode=HISTORY_LESS if args.encoding == "history_less"
-                       else HISTORY, dedupe=not args.no_dedupe)
+                       encoding_mode=args.encoding, dedupe=not args.no_dedupe)
     report = evaluate_split(net, theorems, cfg)
     text = report.to_json()
     if args.out:
@@ -99,6 +100,7 @@ def cmd_oracle(args) -> int:
     if args.max_depth < 1:
         raise ValueError(f"--max-depth must be at least 1, got {args.max_depth}")
     _check_limit(args.limit)
+    _check_out(args.out)
     split = load_split(args.theorems)
     theorems = split.valid if args.split == "valid" else split.train
     if args.limit:
@@ -132,6 +134,7 @@ def cmd_mine(args) -> int:
     if args.budget < 0:
         raise ValueError(f"--budget must be non-negative, got {args.budget}")
     _check_limit(args.limit)
+    _check_out(args.out)
     split = load_split(args.corpus)
     net = PolicyNet.load(args.checkpoint)
     theorems = (split.valid if args.split == "valid" else split.train)[: args.limit or None]
@@ -147,6 +150,15 @@ def _check_limit(limit: int) -> None:
     """Refuse a negative ``--limit``; 0 means every theorem."""
     if limit < 0:
         raise ValueError(f"--limit must be non-negative, got {limit}")
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an output file path that is a directory or
+    whose parent is not an existing directory; None means stdout."""
+    if out is not None and Path(out).is_dir():
+        raise ValueError(f"--out {out} is a directory")
+    if out is not None and not Path(out).parent.is_dir():
+        raise ValueError(f"--out {out}: {Path(out).parent} is not an existing directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=["train", "valid"], default="valid")
     p.add_argument("--branching", type=int, default=8)
     p.add_argument("--budget", type=int, default=100)
-    p.add_argument("--encoding", choices=["history", "history_less"], default="history")
+    p.add_argument("--encoding", choices=[HISTORY, HISTORY_LESS], default=HISTORY)
     p.add_argument("--no-dedupe", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eval)
@@ -200,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorems", required=True, help="corpus directory")
     p.add_argument("--split", choices=["train", "valid"], default="valid")
     p.add_argument("--limit", type=int, default=0)
-    p.add_argument("--max-depth", type=int, default=3)
+    p.add_argument("--max-depth", type=int, default=MAX_PROOF_LEN)
     p.add_argument("--reward", choices=[BINARY, FULL_RM], default=BINARY)
     p.add_argument("--rm", help="reward model checkpoint (required for --reward full_rm)")
     p.add_argument("--action-set", help="comma-separated distinct action indices in 0..35")

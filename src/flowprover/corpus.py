@@ -2,10 +2,12 @@
 
 Theorems are instantiated from proof templates (the proof script is fixed,
 the formulas are random), verified by replay through the environment, and
-filtered by proof length and printed-size caps. No one-tactic proof exists
-from a hypothesis-free goal (only ``exact`` discharges a goal and it needs
-a hypothesis), so proof lengths range over {2, 3} and splits are balanced
-over those two lengths.
+filtered by proof length and printed-size caps. The templates are one
+table, ``_TEMPLATES``, whose keys are the proof lengths splits are balanced
+over, {2, 3}; the longest, ``MAX_PROOF_LEN``, is the depth default of the
+corpus filter, rollouts, search and the oracle. (No one-tactic proof exists
+from a hypothesis-free goal: only ``exact`` discharges a goal, with a
+hypothesis.)
 """
 
 from __future__ import annotations
@@ -46,13 +48,6 @@ def check_non_negative(**values: int) -> None:
 
 
 @dataclass(frozen=True)
-class FilterCaps:
-    max_proof_len: int = 3
-    max_state_chars: int = 900
-    max_tactic_chars: int = 90
-
-
-@dataclass(frozen=True)
 class Theorem:
     name: str
     initial_state: ProofState
@@ -89,50 +84,41 @@ def _random_formula(rng: np.random.Generator, depth: int) -> Formula:
     return ctor(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
 
 
-# Each template: (id, proof length, builder). The builder returns
-# (goal formula, proof script); scripts are verified by replay before use.
-def _tpl_identity(rng):
-    a = _random_formula(rng, 3)
-    return Implies(a, a), ("intro", "exact h1")
+def _instantiate(pattern: Formula, atoms: dict[str, Formula]) -> Formula:
+    """``pattern`` with each atom replaced by its formula in ``atoms``."""
+    if isinstance(pattern, Atom):
+        return atoms[pattern.name]
+    return type(pattern)(_instantiate(pattern.lhs, atoms), _instantiate(pattern.rhs, atoms))
 
 
-def _tpl_proj_left(rng):
-    a, b = _random_formula(rng, 2), _random_formula(rng, 2)
-    return Implies(And(a, b), a), ("intro", "destruct h1", "exact h1")
-
-
-def _tpl_proj_right(rng):
-    a, b = _random_formula(rng, 2), _random_formula(rng, 2)
-    return Implies(And(a, b), b), ("intro", "destruct h1", "exact h2")
-
-
-def _tpl_disj_left(rng):
-    a, b = _random_formula(rng, 2), _random_formula(rng, 2)
-    return Implies(a, Or(a, b)), ("intro", "left", "exact h1")
-
-
-def _tpl_disj_right(rng):
-    a, b = _random_formula(rng, 2), _random_formula(rng, 2)
-    return Implies(a, Or(b, a)), ("intro", "right", "exact h1")
-
-
-def _tpl_const_outer(rng):
-    a, b = _random_formula(rng, 2), _random_formula(rng, 2)
-    return Implies(a, Implies(b, a)), ("intro", "intro", "exact h1")
-
-
-def _tpl_const_inner(rng):
-    a, b = _random_formula(rng, 2), _random_formula(rng, 2)
-    return Implies(a, Implies(b, b)), ("intro", "intro", "exact h2")
-
-
-_TEMPLATES: dict[int, list] = {
-    2: [_tpl_identity],
-    3: [_tpl_proj_left, _tpl_proj_right, _tpl_disj_left, _tpl_disj_right,
-        _tpl_const_outer, _tpl_const_inner],
+# The proof templates by proof length. A row is a goal pattern over the atoms
+# a and b, the depth of the random formula each stands for (drawn in the order
+# a, b) and the proof script, each parsed once, here; instances are replayed.
+_TEMPLATES: dict[int, list[tuple[Formula, tuple[int, ...], tuple[Tactic, ...]]]] = {
+    length: [(parse_formula(goal), depths, tuple(map(parse_tactic, script.split("; "))))
+             for goal, depths, script in rows]
+    for length, rows in {
+        2: [("a -> a", (3,), "intro; exact h1")],
+        3: [("a & b -> a", (2, 2), "intro; destruct h1; exact h1"),
+            ("a & b -> b", (2, 2), "intro; destruct h1; exact h2"),
+            ("a -> a | b", (2, 2), "intro; left; exact h1"),
+            ("a -> b | a", (2, 2), "intro; right; exact h1"),
+            ("a -> b -> a", (2, 2), "intro; intro; exact h1"),
+            ("a -> b -> b", (2, 2), "intro; intro; exact h2")],
+    }.items()
 }
 
 ACHIEVABLE_PROOF_LENGTHS = tuple(sorted(_TEMPLATES))
+MAX_PROOF_LEN = ACHIEVABLE_PROOF_LENGTHS[-1]
+
+
+@dataclass(frozen=True)
+class FilterCaps:
+    """Corpus caps; the proof-length cap defaults to ``MAX_PROOF_LEN``."""
+
+    max_proof_len: int = MAX_PROOF_LEN
+    max_state_chars: int = 900
+    max_tactic_chars: int = 90
 
 
 def filter_theorem(thm: Theorem, caps: FilterCaps = FilterCaps()) -> bool:
@@ -152,21 +138,16 @@ def generate_theorem(rng: np.random.Generator, target_len: int, name: str = "thm
     tactics. Raises GenerationExhausted after 100 failed attempts (always,
     for target_len=1: no single tactic can discharge a hypothesis-free goal).
     """
-    if target_len not in (1, 2, 3):
-        raise ValueError(f"target_len must be in 1..3, got {target_len}")
-    templates = _TEMPLATES.get(target_len, [])
-    for _ in range(100):
-        if not templates:
-            break
-        builder = templates[int(rng.integers(len(templates)))]
-        goal, script = builder(rng)
-        proof = tuple(parse_tactic(s) for s in script)
-        thm = Theorem(name=name, initial_state=initial_state(goal), gt_proof=proof)
-        if len(proof) != target_len:
-            continue
-        if not filter_theorem(thm, caps):
-            continue
-        return thm
+    if not 1 <= target_len <= MAX_PROOF_LEN:
+        raise ValueError(f"target_len must be in 1..{MAX_PROOF_LEN}, got {target_len}")
+    templates = _TEMPLATES.get(target_len)
+    for _ in range(100 if templates else 0):
+        pattern, depths, proof = templates[int(rng.integers(len(templates)))]
+        atoms = {atom: _random_formula(rng, depth) for atom, depth in zip("ab", depths)}
+        thm = Theorem(name=name, initial_state=initial_state(_instantiate(pattern, atoms)),
+                      gt_proof=proof)
+        if filter_theorem(thm, caps):
+            return thm
     raise GenerationExhausted(f"no theorem of proof length {target_len} after 100 attempts")
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Theorem
+from .corpus import MAX_PROOF_LEN, Theorem
 from .env import (
     ACTION_INDEX,
     ACTIONS,
@@ -309,8 +309,9 @@ class TrainConfig:
     """A training run's settings. Every field is checked when the config is
     made (ValueError), and the settings a mode forces are applied: the
     online-only modes never replay, gfn_br_oo trains on the binary reward,
-    and ppo never tempers its rollouts. ``write`` and ``read`` are the
-    ``--config`` file format."""
+    and ppo never tempers its rollouts. ``max_depth``, where rollouts stop,
+    defaults to ``corpus.MAX_PROOF_LEN``, the longest template proof.
+    ``write`` and ``read`` are the ``--config`` file format."""
 
     lr: float = 1e-4
     clip_norm: float = 0.5
@@ -319,7 +320,7 @@ class TrainConfig:
     temper_p: float = 0.666
     temper_low: float = 0.25
     temper_high: float = 1.0
-    max_depth: int = 3
+    max_depth: int = MAX_PROOF_LEN
     mode: str = "gfn"  # gfn | gfn_oo | gfn_br_oo | sft | ppo
     inject_gt: bool = True
     buffer_capacity: int = 64
@@ -605,7 +606,9 @@ class GFNTrainer:
 
     Ground-truth trajectories are injected into every batch; fresh online
     rollouts are buffered; replay steps re-score stored tactics under the
-    current policy without touching the environment.
+    current policy without touching the environment. With ``inject_gt``, a
+    ground truth longer than ``max_depth``, which no rollout can take, is
+    refused when the trainer is made (ValueError naming the theorem).
     """
 
     def __init__(self, theorems: list[Theorem], net: PolicyNet, cfg: TrainConfig,
@@ -613,6 +616,11 @@ class GFNTrainer:
         self.net = net
         self.cfg = cfg.for_reward_model(rm is not None)
         self.rm = rm
+        if self.cfg.inject_gt:
+            for thm in theorems:
+                if len(thm.gt_proof) > self.cfg.max_depth:
+                    raise ValueError(f"ground truth of {thm.name} has {len(thm.gt_proof)} "
+                                     f"tactics, more than max_depth {self.cfg.max_depth}")
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.step_index = 0

@@ -13,7 +13,8 @@ batched policy forward over the nodes' encodings gives every cell's
 log-probability, trajectory probabilities sum those down the tree, and
 subtree flows accumulate bottom-up, each node's children in action order.
 ``oracle_report`` reads the table alone; ``enumerate_trajectories`` also
-lists its leaves as ``EnumeratedTrajectory`` objects.
+lists its leaves as ``EnumeratedTrajectory`` objects. Both walk to
+``corpus.MAX_PROOF_LEN`` tactics unless given another ``max_depth``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Theorem
+from .corpus import MAX_PROOF_LEN, Theorem
 from .env import ACTION_INDEX, ACTIONS, N_ACTIONS, ProofState, StepKind, Tactic
 from .gfn import (
     ACTION_CHARS,
@@ -96,9 +97,7 @@ class ExactDist:
     trajectories: list[EnumeratedTrajectory]
     log_z: float
     target_probs: np.ndarray
-    policy_probs: np.ndarray | None = None
     action_set: tuple[int, ...] | None = None
-    max_depth: int = 3
     rewards: np.ndarray | None = None
     tree: TrajectoryTree | None = None
 
@@ -207,7 +206,7 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     return _Walk(tree, leaves, outcomes, log_r[leaves], paths)
 
 
-def enumerate_trajectories(thm: Theorem, max_depth: int = 3,
+def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN,
                            spec: RewardSpec = RewardSpec(mode="binary"), rm=None,
                            action_set: tuple[int, ...] | None = None) -> ExactDist:
     """Depth-first enumeration of all terminal trajectories, with the same
@@ -238,7 +237,6 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = 3,
         log_z=log_z,
         target_probs=np.exp(walk.log_r - log_z),
         action_set=action_set,
-        max_depth=max_depth,
         tree=tree,
     )
 
@@ -316,7 +314,6 @@ def policy_trajectory_probs(net: PolicyNet, dist: ExactDist) -> np.ndarray:
     probs = _trajectory_probs(dist.tree, cell_logp, leaf_cells)
     if not np.isfinite(probs.sum()):
         raise MassLeak(f"policy probabilities sum to {probs.sum()}, not a finite total")
-    dist.policy_probs = probs
     return probs
 
 
@@ -406,7 +403,7 @@ class OracleReport:
         }
 
 
-def oracle_report(net: PolicyNet, thm: Theorem, max_depth: int = 3,
+def oracle_report(net: PolicyNet, thm: Theorem, max_depth: int = MAX_PROOF_LEN,
                   spec: RewardSpec = RewardSpec(mode="binary"), rm=None,
                   action_set: tuple[int, ...] | None = None) -> OracleReport:
     """Full verification pass for one theorem: one walk, one policy forward,

@@ -52,14 +52,12 @@ class RewardModel:
     """Frozen scorer over the history-less state encoding."""
 
     store: ParamStore
-    hidden: int = 128
     epoch_losses: list[float] | None = None
 
     @classmethod
     def create(cls, seed: int, hidden: int = 128, scale: float | None = None) -> "RewardModel":
         rng = np.random.default_rng(seed)
-        return cls(store=init_mlp(rng, ENC_DIM, hidden, len(ACTION_INDEX), scale=scale),
-                   hidden=hidden)
+        return cls(store=init_mlp(rng, ENC_DIM, hidden, len(ACTION_INDEX), scale=scale))
 
     def encode(self, state: ProofState) -> np.ndarray:
         return encode_from_parts(state, (), state, HISTORY_LESS)
@@ -81,7 +79,8 @@ class RewardModel:
     @classmethod
     def load(cls, path: str | Path) -> "RewardModel":
         store = ParamStore.load(path, required=MLP_PARAMS)
-        return cls(store=store, hidden=checked_hidden(store, path))
+        checked_hidden(store, path)
+        return cls(store=store)
 
 
 def gt_pairs(theorems: list[Theorem]) -> tuple[np.ndarray, np.ndarray]:

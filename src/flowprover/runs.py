@@ -34,7 +34,7 @@ from .baselines import PPOConfig, PPOTrainer, SFTTrainer
 from .corpus import CorpusSplit, check_non_negative
 from .gfn import GFNTrainer, ProofTree, StepMetrics, TrainConfig
 from .nn import write_atomic
-from .policy import HISTORY, PolicyNet
+from .policy import PolicyNet
 from .reward_model import RewardModel
 from .search import SearchConfig, evaluate_split
 
@@ -78,14 +78,16 @@ class RunResult:
 def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
                  out_dir: str | Path, rm: RewardModel | None = None,
                  cfg: TrainConfig | None = None, clock: str = "real", val_every: int = 20,
-                 val_cfg: SearchConfig | None = None,
+                 val_cfg: SearchConfig = SearchConfig(),
                  checkpoint_every: int = 100, corpus_digest: str = "",
                  command: str = "") -> RunResult:
     """Train ``mode`` for ``steps`` gradient steps over the corpus. ``cfg``
     is copied with ``mode`` (which re-applies the settings the mode forces)
     and resolved against ``rm`` by ``TrainConfig.for_reward_model``; the
     caller's object is left as it was. ValueError, before anything is
-    written, for a negative count, or for steps on an empty train split."""
+    written, for a negative count, for steps on an empty train split, or for
+    a train split the trainer refuses (under GFN with ``inject_gt``, a
+    ground truth longer than ``cfg.max_depth``)."""
     if clock not in ("real", "off"):
         raise ValueError(f"clock must be real or off, got {clock!r}")
     check_non_negative(seed=seed, steps=steps, val_every=val_every,
@@ -93,15 +95,19 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
     if steps and not corpus.train:
         raise ValueError(f"cannot take {steps} steps: the corpus has no train theorems")
     cfg = replace(cfg or TrainConfig(), mode=mode).for_reward_model(rm is not None)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if val_cfg is None:
-        val_cfg = SearchConfig(branching=8, expansion_budget=100, encoding_mode=HISTORY)
 
     ss = np.random.SeedSequence(seed)
     net_seed, trainer_seed, sched_seed = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
     net = PolicyNet.create(seed=net_seed, with_value_head=mode == "ppo")
+    # the trainer checks the corpus against cfg, before anything is written
+    if mode == "sft":
+        trainer = SFTTrainer(corpus.train, net, cfg, seed=trainer_seed)
+    elif mode == "ppo":
+        trainer = PPOTrainer(corpus.train, net, cfg, rm=rm, seed=trainer_seed)
+    else:
+        trainer = GFNTrainer(corpus.train, net, cfg, rm=rm, seed=trainer_seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     manifest = {
         "command": command,
@@ -120,13 +126,6 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     cfg.write(out / "config.txt")
-
-    if mode == "sft":
-        trainer = SFTTrainer(corpus.train, net, cfg, seed=trainer_seed)
-    elif mode == "ppo":
-        trainer = PPOTrainer(corpus.train, net, cfg, rm=rm, seed=trainer_seed)
-    else:
-        trainer = GFNTrainer(corpus.train, net, cfg, rm=rm, seed=trainer_seed)
 
     sched_rng = np.random.default_rng(sched_seed)
     schedule: list[int] = []

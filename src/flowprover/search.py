@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Theorem
+from .corpus import MAX_PROOF_LEN, Theorem
 from .env import ACTIONS, ProofState, Tactic, replay
 # Search applies tactics through its tree's nodes (gfn.ProofNode). The name
 # stays bound here because perfbench/test_checks.py checks that its tracer
@@ -41,11 +41,13 @@ class BogusProof(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search settings; ``max_depth`` defaults to ``corpus.MAX_PROOF_LEN``."""
+
     branching: int = 8
     expansion_budget: int = 100
     encoding_mode: str = HISTORY
     dedupe: bool = True
-    max_depth: int = 3
+    max_depth: int = MAX_PROOF_LEN
 
     def __post_init__(self):
         if not 1 <= self.branching <= len(ACTIONS):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from flowprover.baselines import PPOConfig
+from flowprover import cli
 from flowprover.cli import build_parser, main
-from flowprover.corpus import build_corpus, save_split
+from flowprover.corpus import build_corpus, load_split, save_split
 from flowprover.gfn import BINARY, TrainConfig
 from flowprover.policy import PolicyNet
 
@@ -204,6 +205,22 @@ class TestTrain:
         assert main([*flags, "--out", str(second), "--config", str(first / "config.txt")]) == 0
         for name in ("metrics.csv", "config.txt", "checkpoint_final.npz"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_ground_truth_longer_than_max_depth_exits_2(self, corpus_dir, tmp_path, capsys):
+        # no rollout reaches past max_depth, so neither may an injected ground truth
+        cfg_file = tmp_path / "shallow.cfg"
+        cfg_file.write_text("max_depth = 2\n")
+        argv = ["train", "--mode", "gfn-br-oo", "--corpus", str(corpus_dir), "--steps", "10",
+                "--config", str(cfg_file), "--clock", "off", "--val-every", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        first = next(t for t in load_split(corpus_dir).train if len(t.gt_proof) > 2)
+        assert f"ground truth of {first.name} has 3 tactics, more than max_depth 2" in \
+            _usage_error_line(capsys)
+        assert not (tmp_path / "run").exists()
+        # without ground-truth injection the same config trains
+        assert main([*argv, "--out", str(tmp_path / "no_gt"), "--no-inject-gt"]) == 0
 
     def test_ppo_without_rm_records_the_binary_reward(self, corpus_dir, tmp_path):
         out = tmp_path / "ppo"
@@ -417,6 +434,10 @@ UNWRITABLE_OUT = {
     "mine_dir": ("dir", "mine --checkpoint {ckpt} --corpus {corpus} --limit 1 --rollouts 1 "
                         "--budget 1"),
     "eval_missing": ("missing", "eval --checkpoint {ckpt} --corpus {corpus} --budget 1"),
+    "oracle_missing": ("missing", "oracle --checkpoint {ckpt} --theorems {corpus} --limit 1 "
+                                  "--max-depth 1"),
+    "mine_missing": ("missing", "mine --checkpoint {ckpt} --corpus {corpus} --limit 1 "
+                                "--rollouts 1 --budget 1"),
     "rm_train_missing": ("missing", "rm-train --corpus {corpus} --epochs 1"),
     "train_file": ("file", "train --mode sft --corpus {corpus} --steps 1"),
 }
@@ -522,15 +543,20 @@ class TestBadInputFiles:
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(UNWRITABLE_OUT))
-    def test_unwritable_out_exits_2(self, case, corpus_dir, checkpoint, tmp_path, capsys):
+    def test_unwritable_out_exits_2(self, case, corpus_dir, checkpoint, tmp_path, capsys,
+                                    monkeypatch):
+        def no_work(*args, **kwargs):
+            pytest.fail("the work ran before --out was checked")
+
+        for name in ("rm_train", "evaluate_split", "oracle_report", "mine_hard_negatives"):
+            monkeypatch.setattr(cli, name, no_work)
         root = tmp_path / "outs"
         argv = _unwritable_out_argv(case, corpus_dir, checkpoint, root)
         before = _tree(root)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        # rm-train names the temporary file it writes first, beside --out
-        assert str(Path(argv[-1]).parent) in _usage_error_line(capsys)
+        assert argv[-1] in _usage_error_line(capsys)
         assert _tree(root) == before  # no partial file
 
     def test_bad_files_exit_2_under_optimized_python(self, corpus_dir, checkpoint, tmp_path):

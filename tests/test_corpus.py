@@ -7,6 +7,7 @@ import pytest
 from flowprover import nn
 from flowprover.corpus import (
     ACHIEVABLE_PROOF_LENGTHS,
+    MAX_PROOF_LEN,
     FilterCaps,
     GenerationExhausted,
     Theorem,
@@ -47,6 +48,10 @@ class TestGenerateTheorem:
         # single tactic can prove a hypothesis-free goal
         with pytest.raises(GenerationExhausted):
             generate_theorem(np.random.default_rng(1), 1)
+
+    def test_length_above_the_longest_template_is_refused(self):
+        with pytest.raises(ValueError, match="target_len"):
+            generate_theorem(np.random.default_rng(1), MAX_PROOF_LEN + 1)
 
     def test_initial_state_is_bare_single_goal(self):
         thm = generate_theorem(np.random.default_rng(9), 3)
@@ -105,6 +110,14 @@ class TestBuildCorpus:
         assert h1 == h2
         assert (tmp_path / "c1" / "train.jsonl").read_bytes() == \
             (tmp_path / "c2" / "train.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "ec9b842ceb84adf7cb7dcea6c2a4866aaf83b9f954d93ee232685491e4493e9f"),
+        (11, "d5bae7498755822da334ae2497a321bcfd6297e62389974990fb9093cdd41ed7"),
+    ])
+    def test_default_stream_is_pinned(self, seed, digest, tmp_path):
+        # the default corpus's draws and bytes: a template row added later must not move them
+        assert save_split(build_corpus(seed, 1000, 20), tmp_path) == digest
 
     def test_different_seeds_differ(self, tmp_path):
         h1 = save_split(build_corpus(7, train_size=10, valid_size=2), tmp_path / "a")

@@ -43,6 +43,8 @@ MISUSES = {
     "run_training('sft', CorpusSplit([thm]), 0, 1, out, val_every=-1)": "ValueError",
     "run_training('sft', CorpusSplit([thm]), 0, 1, out, checkpoint_every=-1)": "ValueError",
     "run_training('sft', CorpusSplit(), 0, 1, out)": "ValueError",
+    # an injected ground truth longer than any rollout is refused when the trainer is made
+    "GFNTrainer([thm3], net, TrainConfig(mode='gfn_br_oo', max_depth=2))": "ValueError",
     "mine_hard_negatives(net, thm, 4, seed=-1)": "ValueError",
     "mine_hard_negatives(net, thm, 4, n_rollouts=-1)": "ValueError",
 }
@@ -83,6 +85,9 @@ def test_misuse_raises_typed_exceptions(flags):
         "from flowprover.runs import run_training",
         "gt = (parse_tactic('intro'), parse_tactic('exact h1'))",
         "thm = Theorem('t', initial_state(parse_formula('a -> a')), gt)",
+        "thm3 = Theorem('t3', initial_state(parse_formula('a -> b -> a')),",
+        "               tuple(map(parse_tactic, ('intro', 'intro', 'exact h1'))))",
+        "from flowprover.gfn import GFNTrainer, TrainConfig",
         "net = PolicyNet.create(seed=0)",
         "out = os.path.join(os.devnull, 'run')  # a run that wrote anything would fail here",
         f"for call in {list(MISUSES)!r}:",
