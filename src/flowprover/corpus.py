@@ -47,7 +47,7 @@ def check_non_negative(**values: int) -> None:
             raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Theorem:
     name: str
     initial_state: ProofState
@@ -132,8 +132,7 @@ def filter_theorem(thm: Theorem, caps: FilterCaps = FilterCaps()) -> bool:
     return walk.proved and all(len(s.render()) <= caps.max_state_chars for s in walk.states)
 
 
-def generate_theorem(rng: np.random.Generator, target_len: int, name: str = "thm",
-                     caps: FilterCaps = FilterCaps()) -> Theorem:
+def generate_theorem(rng: np.random.Generator, target_len: int, name: str = "thm") -> Theorem:
     """Sample a theorem whose verified ground-truth proof has ``target_len``
     tactics. Raises GenerationExhausted after 100 failed attempts (always,
     for target_len=1: no single tactic can discharge a hypothesis-free goal).
@@ -146,7 +145,7 @@ def generate_theorem(rng: np.random.Generator, target_len: int, name: str = "thm
         atoms = {atom: _random_formula(rng, depth) for atom, depth in zip("ab", depths)}
         thm = Theorem(name=name, initial_state=initial_state(_instantiate(pattern, atoms)),
                       gt_proof=proof)
-        if filter_theorem(thm, caps):
+        if filter_theorem(thm):
             return thm
     raise GenerationExhausted(f"no theorem of proof length {target_len} after 100 attempts")
 

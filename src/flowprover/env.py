@@ -34,7 +34,7 @@ _ARGLESS = (TacticKind.INTRO, TacticKind.SPLIT, TacticKind.LEFT, TacticKind.RIGH
 _WITH_ARG = (TacticKind.EXACT, TacticKind.APPLY, TacticKind.CASES, TacticKind.DESTRUCT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tactic:
     """One prover action. ``arg`` is a 1-based position into the goal's
     hypothesis list (not the hypothesis's display name)."""
@@ -80,7 +80,7 @@ N_ACTIONS = len(ACTIONS)
 ACTION_INDEX: dict[Tactic, int] = {t: i for i, t in enumerate(ACTIONS)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Goal:
     """Hypotheses (name, formula) in arrival order, plus a target."""
 
@@ -94,7 +94,7 @@ class Goal:
         return f"{hs} |- {print_formula(self.target)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofState:
     goals: tuple[Goal, ...]
 
@@ -120,7 +120,7 @@ class StepKind(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepResult:
     kind: StepKind
     state: ProofState | None = None
@@ -283,7 +283,7 @@ def state_fingerprint(state: ProofState) -> int:
 PROVED_FINGERPRINT = state_fingerprint(ProofState(()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Replay(StepResult):
     """Result of a tactic-list walk: the final kind, state and error, plus
     ``states``, the state before each applied tactic followed, unless a

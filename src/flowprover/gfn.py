@@ -92,7 +92,7 @@ class RewardSpec:
             raise ValueError(f"reward mode must be {FULL_RM} or {BINARY}, got {self.mode!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Trajectory:
     """One rollout: tactics, visited states, outcome, and both log scores.
 
@@ -542,7 +542,7 @@ def _check_shape(traj: Trajectory) -> None:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class StepMetrics:
     step: int
     mode: str

@@ -229,6 +229,7 @@ class Tape:
     def __init__(self):
         self._order: list[Var] = []
         self._param_vars: dict[str, Var] = {}
+        self._param_stores: dict[str, ParamStore] = {}
 
     # -- leaves ------------------------------------------------------------
 
@@ -238,10 +239,15 @@ class Tape:
         return v
 
     def param(self, store: ParamStore, name: str) -> Var:
-        """Var bound to a store parameter; cached so reuse accumulates grads."""
-        if name not in self._param_vars:
-            self._param_vars[name] = self.leaf(store[name])
-        return self._param_vars[name]
+        """Var bound to a store parameter; cached so reuse accumulates grads.
+        ValueError when ``name`` is already bound to another store."""
+        var = self._param_vars.get(name)
+        if var is None:
+            var = self._param_vars[name] = self.leaf(store[name])
+            self._param_stores[name] = store
+        elif self._param_stores[name] is not store:
+            raise ValueError(f"parameter {name!r} is already bound to another store")
+        return var
 
     def _node(self, value, backward) -> Var:
         v = Var(value, backward)
@@ -370,7 +376,7 @@ class Tape:
 
     # -- reverse sweep -------------------------------------------------------
 
-    def backward(self, loss: Var, seed: float = 1.0) -> dict[str, np.ndarray]:
+    def backward(self, loss: Var) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. every bound parameter.
 
         Re-runnable: grads are reset each call, so two calls agree exactly.
@@ -379,7 +385,7 @@ class Tape:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
         for v in self._order:
             v.grad = None
-        loss.grad = np.asarray(seed, dtype=np.float64)
+        loss.grad = np.asarray(1.0)
         for v in reversed(self._order):
             if v.grad is not None and v._backward is not None:
                 v._backward(v.grad)
@@ -507,8 +513,9 @@ def optim_step(store: ParamStore, grads: dict[str, np.ndarray],
     each before anything in the store changes.
     """
     a, b = _scratch_rows(store.flat_p.size)
-    if grads.keys() != store.segments.keys():
-        a.fill(0.0)
+    for name, seg in store.segments.items():
+        if name not in grads:
+            a[seg] = 0.0
     for name, g in grads.items():
         if name not in store.segments:
             raise KeyError(f"gradient for unknown parameter {name!r}")

@@ -84,10 +84,11 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
     """Train ``mode`` for ``steps`` gradient steps over the corpus. ``cfg``
     is copied with ``mode`` (which re-applies the settings the mode forces)
     and resolved against ``rm`` by ``TrainConfig.for_reward_model``; the
-    caller's object is left as it was. ValueError, before anything is
-    written, for a negative count, for steps on an empty train split, or for
-    a train split the trainer refuses (under GFN with ``inject_gt``, a
-    ground truth longer than ``cfg.max_depth``)."""
+    caller's object is left as it was. Validation searches with ``val_cfg``
+    at the resolved ``cfg.max_depth``, where the rollouts stop. ValueError,
+    before anything is written, for a negative count, for steps on an empty
+    train split, or for a train split the trainer refuses (under GFN with
+    ``inject_gt``, a ground truth longer than ``cfg.max_depth``)."""
     if clock not in ("real", "off"):
         raise ValueError(f"clock must be real or off, got {clock!r}")
     check_non_negative(seed=seed, steps=steps, val_every=val_every,
@@ -95,6 +96,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
     if steps and not corpus.train:
         raise ValueError(f"cannot take {steps} steps: the corpus has no train theorems")
     cfg = replace(cfg or TrainConfig(), mode=mode).for_reward_model(rm is not None)
+    val_cfg = replace(val_cfg, max_depth=cfg.max_depth)
 
     ss = np.random.SeedSequence(seed)
     net_seed, trainer_seed, sched_seed = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
@@ -118,7 +120,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
         "ppo_config": asdict(PPOConfig()) if mode == "ppo" else None,
         "validation": {"every": val_every, "branching": val_cfg.branching,
                        "budget": val_cfg.expansion_budget,
-                       "encoding": val_cfg.encoding_mode},
+                       "encoding": val_cfg.encoding_mode, "max_depth": val_cfg.max_depth},
         "corpus_hash": corpus_digest,
         "version": __version__,
         "clock": clock,

@@ -596,14 +596,14 @@ class TestTrainStep:
         original = Tape.backward
         grads_seen = []
 
-        def poisoned(self, loss, seed=1.0):
-            grads = original(self, loss, seed)
+        def poisoned(self, loss):
+            grads = original(self, loss)
             first = next(iter(grads))
             grads[first] = np.full_like(grads[first], np.nan)
             return grads
 
-        def recorded(self, loss, seed=1.0):
-            grads_seen.append(original(self, loss, seed))
+        def recorded(self, loss):
+            grads_seen.append(original(self, loss))
             return grads_seen[-1]
 
         def warnings():

@@ -47,6 +47,8 @@ MISUSES = {
     "GFNTrainer([thm3], net, TrainConfig(mode='gfn_br_oo', max_depth=2))": "ValueError",
     "mine_hard_negatives(net, thm, 4, seed=-1)": "ValueError",
     "mine_hard_negatives(net, thm, 4, n_rollouts=-1)": "ValueError",
+    # a parameter name bound on a tape keeps its store
+    "tape.param(ParamStore({'w': np.array([10., 20.])}), 'w')": "ValueError",
 }
 
 
@@ -89,6 +91,9 @@ def test_misuse_raises_typed_exceptions(flags):
         "               tuple(map(parse_tactic, ('intro', 'intro', 'exact h1'))))",
         "from flowprover.gfn import GFNTrainer, TrainConfig",
         "net = PolicyNet.create(seed=0)",
+        "from flowprover.nn import Tape",
+        "tape = Tape()",
+        "tape.param(ParamStore({'w': np.array([1., 2.])}), 'w')",
         "out = os.path.join(os.devnull, 'run')  # a run that wrote anything would fail here",
         f"for call in {list(MISUSES)!r}:",
         "    try:",

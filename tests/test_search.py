@@ -10,8 +10,9 @@ import pytest
 import flowprover.gfn as gfn_mod
 import flowprover.runs as runs_mod
 import flowprover.search as search_mod
+from flowprover.corpus import build_corpus
 from flowprover.env import ACTION_INDEX, N_ACTIONS, applicable_actions, parse_tactic, replay
-from flowprover.gfn import ProofTree
+from flowprover.gfn import ProofTree, TrainConfig
 from flowprover.policy import HISTORY, HISTORY_LESS, PolicyNet
 from flowprover.reward_model import RewardModel
 from flowprover.runs import run_training
@@ -180,6 +181,16 @@ class TestEvaluateSplit:
         assert json.loads(hist.to_json())["total"] == json.loads(less.to_json())["total"]
 
 
+def depth_one_run(out) -> tuple[list[tuple[int, int]], int]:
+    """The val_history, and the manifest's validation depth, of a 20-step
+    gfn_br_oo run whose rollouts stop at depth 1."""
+    result = run_training("gfn_br_oo", build_corpus(1, 20, 4), 3, 20, out,
+                          cfg=TrainConfig(max_depth=1, inject_gt=False), clock="off",
+                          val_every=10)
+    manifest = json.loads((Path(out) / "manifest.json").read_text())
+    return result.val_history, manifest["validation"]["max_depth"]
+
+
 def _tree_nodes(tree: ProofTree):
     stack = [tree.root]
     while stack:
@@ -213,6 +224,14 @@ class TestSearchInARunsTrees:
         assert [solved for _, solved in result.val_history] == \
             [json.loads(got)["solved"] for _, got, _ in calls]
         assert len({got for _, got, _ in calls}) > 1  # the net moved between validations
+
+    def test_validation_searches_at_the_runs_depth(self, tmp_path):
+        # the corpus has no one-tactic proof, so the validation of a run whose
+        # rollouts stop at depth 1 solves nothing
+        assert depth_one_run(tmp_path / "plain") == ([(10, 0), (20, 0)], 1)
+        script = ("from test_search import depth_one_run\n"
+                  f"print(depth_one_run({str(tmp_path / 'opt')!r}))")
+        assert run_optimized(script) == "([(10, 0), (20, 0)], 1)\n"
 
     def test_a_second_search_over_the_same_trees_applies_and_encodes_nothing(self, small_corpus,
                                                                            monkeypatch):
