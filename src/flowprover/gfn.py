@@ -46,7 +46,6 @@ from .env import (
 )
 from .nn import OptimConfig, Tape, log_softmax_np, update
 from .policy import (
-    ENC_DIM,
     HISTORY,
     HISTORY_LESS,
     PolicyNet,
@@ -92,40 +91,49 @@ class RewardSpec:
             raise ValueError(f"reward mode must be {FULL_RM} or {BINARY}, got {self.mode!r}")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Trajectory:
-    """One rollout: tactics, visited states, outcome, and both log scores.
-
-    ``proof_states`` holds the states the tactics were applied in (index i
-    is the state before tactic i), plus the resulting state when the rollout
-    did not end in an environment error. ``nodes`` holds, for a trajectory
-    walked in a ProofTree, the node each tactic is taken from; their rows
-    are the encodings. A trajectory without nodes is encoded from its
-    states on use.
-    """
+    """One rollout: tactics, outcome, both log scores, and its path of tree
+    nodes, one per tactic: the node the tactic is taken from, which holds
+    its state and encoding. A trajectory known only by its states is given
+    ``proof_states`` (keyword-only) instead of nodes: the state before each
+    tactic, then the state reached unless the outcome is an environment
+    error. They make stand-alone nodes, with no environment call.
+    ValueError unless the states fit the outcome, and there is at least
+    one tactic and one node per tactic."""
 
     theorem_name: str
     tactics: tuple[Tactic, ...]
-    proof_states: tuple[ProofState, ...]
     outcome: str
     log_pf: float
-    log_r: float = 0.0
-    source: str = "online"
-    nodes: tuple[ProofNode, ...] | None = field(default=None, repr=False, compare=False)
+    log_r: float
+    nodes: tuple[ProofNode, ...] = field(repr=False, compare=False)
 
-    @property
-    def initial_state(self) -> ProofState:
-        return self.proof_states[0]
+    def __init__(self, theorem_name: str, tactics: tuple[Tactic, ...], outcome: str,
+                 log_pf: float, log_r: float = 0.0, nodes: tuple[ProofNode, ...] | None = None,
+                 *, proof_states: tuple[ProofState, ...] | None = None):
+        if (nodes is None) == (proof_states is None):
+            raise ValueError("a trajectory takes exactly one of nodes and proof_states")
+        if proof_states is not None:
+            expect = len(tactics) if outcome == ENV_ERROR else len(tactics) + 1
+            if len(proof_states) != expect:
+                raise ValueError(f"trajectory for {theorem_name!r} has {len(proof_states)} "
+                                 f"states for {len(tactics)} tactics ({outcome})")
+            nodes = tuple(ProofNode(proof_states[0], tuple(tactics[:i]), proof_states[i])
+                          for i in range(len(tactics)))
+        if not tactics or len(nodes) != len(tactics):
+            raise ValueError(f"trajectory for {theorem_name!r} needs at least one tactic and "
+                             f"one node per tactic, got {len(tactics)} tactics and "
+                             f"{len(nodes)} nodes")
+        self.theorem_name, self.tactics, self.outcome = theorem_name, tactics, outcome
+        self.log_pf, self.log_r, self.nodes = log_pf, log_r, nodes
 
     def encoding_rows(self) -> list[np.ndarray]:
         """One HISTORY encoding per tactic, of the state it is taken from."""
-        if self.nodes is not None:
-            return [node.encoding() for node in self.nodes]
-        return [encode_from_parts(self.initial_state, self.tactics[:i], self.proof_states[i],
-                                  HISTORY) for i in range(len(self.tactics))]
+        return [node.encoding() for node in self.nodes]
 
     def encodings(self) -> np.ndarray:
-        return np.stack(self.encoding_rows()) if self.tactics else np.zeros((0, ENC_DIM))
+        return np.stack(self.encoding_rows())
 
     def __len__(self) -> int:
         return len(self.tactics)
@@ -263,8 +271,8 @@ def log_reward(traj: Trajectory, spec: RewardSpec, rm=None) -> float:
     if rm is None:
         raise ValueError("full-reward mode needs a reward model for partial credit")
     total = 0.0
-    for i, t in enumerate(traj.tactics):
-        total += rm.score(traj.proof_states[i], t) / _tactic_chars(t)
+    for node, t in zip(traj.nodes, traj.tactics):
+        total += rm.score(node.state, t) / _tactic_chars(t)
     return total
 
 
@@ -376,19 +384,23 @@ class TrainConfig:
     @classmethod
     def read(cls, path, **overrides) -> TrainConfig:
         """The config of a ``--config`` file: ``key = value`` lines (``#``
-        starts a comment) whose keys are the fields, with ``overrides`` on
-        top. Raises ValueError naming ``path:line`` for a bad line, or
-        ``path`` for a bad combination."""
+        starts a comment) whose keys are the fields, each at most once, with
+        ``overrides`` on top. Raises ValueError naming ``path:line`` for a
+        bad or repeated line, or ``path`` for a bad combination."""
         types = {f.name: f.type for f in dataclasses.fields(cls)}
-        values = {}
+        values, first_line = {}, {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
             if not (key or eq or value):
                 continue
-            if not eq or key not in types:
-                problem = (f"unknown config key {key!r}" if eq
-                           else f"expected key=value, got {raw!r}")
-                raise ValueError(f"{path}:{lineno}: {problem}")
+            if not eq:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            if key not in types:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line "
+                                 f"{first_line[key]}")
+            first_line[key] = lineno
             try:
                 values[key] = _PARSE[types[key]](value)
             except ValueError as exc:
@@ -409,7 +421,8 @@ class TrainConfig:
 
 
 class ReplayBuffer:
-    """Per-theorem FIFO ring buffers of finished trajectories. The loss graph
+    """Per-theorem FIFO ring buffers of finished trajectories, each a copy,
+    so later changes to a rollout do not reach its entry. The loss graph
     recomputes log P_F, so the stored log_pf is never read; an entry keeps
     its tree nodes, whose encodings are made already."""
 
@@ -420,7 +433,7 @@ class ReplayBuffer:
 
     def add(self, traj: Trajectory) -> None:
         buf = self._buffers.setdefault(traj.theorem_name, deque(maxlen=self.capacity))
-        buf.append(dataclasses.replace(traj, source="replay"))
+        buf.append(dataclasses.replace(traj))
 
     def size(self, theorem_name: str) -> int:
         return len(self._buffers.get(theorem_name, ()))
@@ -431,10 +444,6 @@ class ReplayBuffer:
         picks = rng.integers(0, len(buf), size=k)
         self.reads += int(k)
         return [buf[int(i)] for i in picks]
-
-
-class ReplayDiverged(RuntimeError):
-    """A buffered trajectory is structurally inconsistent with its tactics."""
 
 
 def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
@@ -454,7 +463,7 @@ def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
     for _ in range(n):
         temperature = (float(rng.uniform(cfg.temper_low, cfg.temper_high))
                        if rng.random() < cfg.temper_p else 1.0)
-        node, nodes, tactics, visited = tree.root, [], [], [tree.root.state]
+        node, nodes, tactics = tree.root, [], []
         log_pf, outcome = 0.0, DEPTH_EXHAUSTED
         for _ in range(cfg.max_depth):
             score = scores.get(node)
@@ -469,17 +478,14 @@ def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
             tactics.append(ACTIONS[action])
             result = node.apply(action)
             if result.proved:
-                visited.append(ProofState(()))
                 outcome = PROVED
                 break
             if result.failed:
                 outcome = ENV_ERROR
                 break
             node = node.child(action)
-            visited.append(node.state)
 
-        traj = Trajectory(tree.thm.name, tuple(tactics), tuple(visited), outcome, log_pf,
-                          nodes=tuple(nodes))
+        traj = Trajectory(tree.thm.name, tuple(tactics), outcome, log_pf, nodes=tuple(nodes))
         traj.log_r = log_reward(traj, cfg.reward_spec, rm=rm)
         batch.append(traj)
     return batch
@@ -494,20 +500,15 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
 _OUTCOMES = {StepKind.PROVED: PROVED, StepKind.ERROR: ENV_ERROR, StepKind.OK: DEPTH_EXHAUSTED}
 
 
-def trajectory_from_tactics(thm: Theorem, tactics, source: str = "ground_truth") -> Trajectory:
+def trajectory_from_tactics(thm: Theorem, tactics) -> Trajectory:
     """The trajectory of a known tactic sequence, through ``env.replay``
-    (log_pf unset). It holds the applied tactics: all of them, unless one
-    fails, in which case it ends with the failing one."""
+    (log_pf unset), on stand-alone nodes. It holds the applied tactics: all
+    of them, unless one fails, in which case it ends with the failing one.
+    ValueError for an empty sequence."""
     walk = replay(thm.initial_state, tactics)
     n = len(walk.states) - (0 if walk.failed else 1)
-    return Trajectory(
-        theorem_name=thm.name,
-        tactics=tuple(tactics[:n]),
-        proof_states=walk.states,
-        outcome=_OUTCOMES[walk.kind],
-        log_pf=0.0,
-        source=source,
-    )
+    return Trajectory(thm.name, tuple(tactics[:n]), _OUTCOMES[walk.kind], 0.0,
+                      proof_states=walk.states)
 
 
 def ground_truth(tree: ProofTree) -> Trajectory:
@@ -516,7 +517,7 @@ def ground_truth(tree: ProofTree) -> Trajectory:
     Raises InvalidGroundTruth when a tactic fails, when the proof stays
     open, or when a tactic follows the one that closes it."""
     thm, node = tree.thm, tree.root
-    nodes, states, n = [], [node.state], len(thm.gt_proof)
+    nodes, n = [], len(thm.gt_proof)
     for i, tactic in enumerate(thm.gt_proof, start=1):
         nodes.append(node)
         action = ACTION_INDEX[tactic]
@@ -526,20 +527,9 @@ def ground_truth(tree: ProofTree) -> Trajectory:
                                      f"tactic {i} of {n} ({tactic}) gives {result.kind.value}")
         if result.ok:
             node = node.child(action)
-            states.append(node.state)
     if not n:
         raise InvalidGroundTruth(f"ground truth for {thm.name} is empty")
-    return Trajectory(thm.name, tuple(thm.gt_proof), (*states, ProofState(())), PROVED, 0.0,
-                      source="ground_truth", nodes=tuple(nodes))
-
-
-def _check_shape(traj: Trajectory) -> None:
-    expect = len(traj.tactics) if traj.outcome == ENV_ERROR else len(traj.tactics) + 1
-    if len(traj.proof_states) != expect or not traj.tactics:
-        raise ReplayDiverged(
-            f"trajectory for {traj.theorem_name!r} has {len(traj.proof_states)} "
-            f"states for {len(traj.tactics)} tactics ({traj.outcome})"
-        )
+    return Trajectory(thm.name, tuple(thm.gt_proof), PROVED, 0.0, nodes=tuple(nodes))
 
 
 @dataclass(slots=True)
@@ -582,12 +572,10 @@ def tb_loss_graph(tape: Tape, net: PolicyNet, batch: list[Trajectory],
     """Build the TB loss graph over one taped forward.
 
     Returns (loss Var, info) where info holds the per-trajectory ``log_pf``
-    and ``log_z`` values. Raises ReplayDiverged on a trajectory whose shape
-    cannot be replayed (no tactics, or states that do not match them).
+    and ``log_z`` values.
     """
     actions, seg, starts = [], [], []
     for k, traj in enumerate(batch):
-        _check_shape(traj)
         starts.append(len(actions))
         actions += [ACTION_INDEX[t] for t in traj.tactics]
         seg += [k] * len(traj.tactics)

@@ -111,13 +111,13 @@ _OUTCOME = {_ERROR: ENV_ERROR, _PROVED: PROVED, _EXHAUSTED: DEPTH_EXHAUSTED}
 class _Walk:
     """The walk's tree, with ``leaves`` its leaf cells in depth-first order
     (leaf i is trajectory i), ``outcomes`` and ``log_r`` theirs in that
-    order, and ``paths[n]`` the states from the root to node n."""
+    order, and ``paths[n]`` the nodes from the root to node n."""
 
     tree: TrajectoryTree
     leaves: np.ndarray
     outcomes: np.ndarray
     log_r: np.ndarray
-    paths: list[tuple[ProofState, ...]]
+    paths: list[tuple[ProofNode, ...]]
 
 
 def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
@@ -138,7 +138,7 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     column_of = None if action_set is None else {a: j for j, a in enumerate(columns)}
     width = len(columns)
     nodes: list[ProofNode] = []
-    paths: list[tuple[ProofState, ...]] = []
+    paths: list[tuple[ProofNode, ...]] = []
     node_chars: list[int] = []  # running sum of tactic lengths at each node
     inbound = [-1]
     applied_cells: list[int] = []  # the cells of the applicable actions
@@ -147,9 +147,9 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     exhausted: dict[int, float] = {}  # partial-credit log R by cell
     partial_credit = spec.mode != BINARY
 
-    def visit(node: ProofNode, path: tuple[ProofState, ...], chars: int) -> None:
+    def visit(node: ProofNode, path: tuple[ProofNode, ...], chars: int) -> None:
         nodes.append(node)
-        path = path + (node.state,)
+        path = path + (node,)
         paths.append(path)
         node_chars.append(chars)
         row = run = (len(nodes) - 1) * width
@@ -177,7 +177,7 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
                 if partial_credit:
                     exhausted[row + j] = log_reward(
                         Trajectory(thm.name, node.history + (ACTIONS[action],),
-                                   path + (result.state,), DEPTH_EXHAUSTED, 0.0), spec, rm=rm)
+                                   DEPTH_EXHAUSTED, 0.0, nodes=path), spec, rm=rm)
         leaves.extend(range(run, row + width))
 
     visit(ProofTree(thm).root, (), 0)
@@ -227,9 +227,9 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN,
                                  walk.log_r.tolist()):
         node, j = divmod(cell, len(columns))
         a = columns[j]
-        trajectories.append(EnumeratedTrajectory(tree.histories[node] + (ACTIONS[a],),
-                                                  _OUTCOME[code], log_r, walk.paths[node],
-                                                  node, a))
+        trajectories.append(EnumeratedTrajectory(
+            tree.histories[node] + (ACTIONS[a],), _OUTCOME[code], log_r,
+            tuple(n.state for n in walk.paths[node]), node, a))
     log_z = _logsumexp(walk.log_r)
     return ExactDist(
         theorem=thm,

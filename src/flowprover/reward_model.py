@@ -26,6 +26,7 @@ from .env import (
 from .gfn import PROVED, ProofTree, TrainConfig, ground_truth, sample_trajectories
 from .nn import (
     MLP_PARAMS,
+    CheckpointError,
     OptimConfig,
     ParamStore,
     Tape,
@@ -78,8 +79,14 @@ class RewardModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "RewardModel":
+        """The reward model ``save`` wrote; CheckpointError for any other
+        checkpoint, a policy's among them (it holds more parameters)."""
         store = ParamStore.load(path, required=MLP_PARAMS)
         checked_hidden(store, path)
+        extra = sorted(set(store.arrays) - set(MLP_PARAMS))
+        if extra:
+            raise CheckpointError(f"{path}: not a reward model checkpoint: it also holds "
+                                  f"{', '.join(extra)}")
         return cls(store=store)
 
 
@@ -169,14 +176,14 @@ def mine_hard_negatives(net, thm: Theorem, explore_budget: int,
     out: list[LabeledTactic] = []
     for traj in sample_trajectories(ProofTree(thm), net, cfg, rng, n_rollouts):
         if traj.outcome == PROVED:
-            for i, t in enumerate(traj.tactics):
-                out.append(LabeledTactic(traj.proof_states[i], t, POSITIVE))
+            for node, t in zip(traj.nodes, traj.tactics):
+                out.append(LabeledTactic(node.state, t, POSITIVE))
             continue
-        n_valid = len(traj.proof_states) - 1  # error tactic (if any) has no child
-        for i in range(n_valid):
-            t = traj.tactics[i]
-            parent = traj.proof_states[i]
-            child = traj.proof_states[i + 1]
+        for node, t in zip(traj.nodes, traj.tactics):
+            # the rollout's recorded result; an error tactic has no child
+            parent, child = node.state, node.apply(ACTION_INDEX[t]).state
+            if child is None:
+                continue
             outcome = search_from_state(net, child, search_cfg)
             if not outcome.proved:
                 out.append(LabeledTactic(parent, t, NEGATIVE))

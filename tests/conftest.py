@@ -4,7 +4,6 @@ import pytest
 from flowprover.corpus import Theorem, build_corpus
 from flowprover.env import ACTION_INDEX, Goal, ProofState, initial_state, parse_tactic
 from flowprover.formulas import And, Atom, Implies, Or, parse_formula
-from flowprover.gfn import _check_shape
 from flowprover.nn import log_softmax_np
 from flowprover.policy import action_logits, action_mask
 
@@ -26,8 +25,7 @@ def action_log_probs(net, encoded: np.ndarray, action_set=None) -> np.ndarray:
 def replay_forward(net, traj, action_set=None) -> float:
     """Reference: a trajectory's log P_F under the current policy at T=1,
     one single-row forward per step over its encodings; no environment
-    calls. Raises ReplayDiverged on a shape no replay could give."""
-    _check_shape(traj)
+    calls."""
     total = 0.0
     for enc, t in zip(traj.encodings(), traj.tactics):
         total += action_log_probs(net, enc, action_set)[ACTION_INDEX[t]]

@@ -225,9 +225,9 @@ def test_criterion_04_reward_formula_fidelity():
     from flowprover.gfn import DEPTH_EXHAUSTED, ENV_ERROR, Trajectory
 
     spec = RewardSpec(mode=BINARY)
-    exhausted = Trajectory(thm.name, (intro,), (thm.initial_state, s1),
-                           DEPTH_EXHAUSTED, 0.0)
-    errored = Trajectory(thm.name, (intro,), (thm.initial_state,), ENV_ERROR, 0.0)
+    exhausted = Trajectory(thm.name, (intro,), DEPTH_EXHAUSTED, 0.0,
+                           proof_states=(thm.initial_state, s1))
+    errored = Trajectory(thm.name, (intro,), ENV_ERROR, 0.0, proof_states=(thm.initial_state,))
     expected = error_branch_log_reward([intro], spec)
     assert log_reward(exhausted, spec) == expected
     assert log_reward(errored, spec) == expected

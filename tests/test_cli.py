@@ -170,6 +170,19 @@ class TestTrain:
         assert exc.value.code == 2
         assert f"{cfg_file}:2: bad value for lr" in capsys.readouterr().err
 
+    def test_config_file_repeated_key_exits_2_naming_both_lines(self, corpus_dir, tmp_path,
+                                                               capsys):
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("lr = 0.001\n# a later line must not win silently\nlr = 0.0005\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--mode", "sft", "--corpus", str(corpus_dir),
+                  "--steps", "2", "--out", str(tmp_path / "y"),
+                  "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert (_usage_error_line(capsys)
+                == f"error: {cfg_file}:3: config key 'lr' repeats line 1")
+        assert not (tmp_path / "y").exists()
+
     @pytest.mark.parametrize("mode", ["sft", "ppo"])
     def test_action_set_outside_gfn_modes_exits_2(self, mode, corpus_dir, tmp_path, capsys):
         cfg_file = tmp_path / "subset.cfg"
@@ -531,7 +544,7 @@ class TestBadInputFiles:
         if kind.endswith("_entry"):
             assert "p:w2" in line
 
-    def test_bad_reward_model_exits_2(self, corpus_dir, tmp_path, capsys):
+    def test_bad_reward_model_exits_2(self, corpus_dir, checkpoint, tmp_path, capsys):
         for kind, message in (("version_2", "version [2]"),
                               ("wrong_shape", "w1 has shape (5, 128)")):
             path = _bad_checkpoint(kind, tmp_path)
@@ -540,6 +553,17 @@ class TestBadInputFiles:
                       "--steps", "2", "--out", str(tmp_path / "out")])
             assert exc.value.code == 2
             assert message in _usage_error_line(capsys)
+            assert not (tmp_path / "out").exists()
+        # a policy checkpoint fits the reward model's layers but holds its heads too
+        for argv in (["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--steps", "2",
+                      "--out", str(tmp_path / "out")],
+                     ["oracle", "--checkpoint", str(checkpoint), "--theorems", str(corpus_dir),
+                      "--limit", "1", "--reward", "full_rm", "--out", str(tmp_path / "out")]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--rm", str(checkpoint)])
+            assert exc.value.code == 2
+            assert (f"{checkpoint}: not a reward model checkpoint: it also holds bz, wz"
+                    in _usage_error_line(capsys))
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(UNWRITABLE_OUT))
@@ -576,6 +600,8 @@ class TestBadInputFiles:
         (non_utf8 / "valid.jsonl").write_text(GOOD_LINE + "\n")
         subset_cfg = tmp_path / "subset.cfg"
         subset_cfg.write_text("action_set = 0,1\n")
+        twice_cfg = tmp_path / "twice.cfg"
+        twice_cfg.write_text("lr = 0.001\nlr = 0.0005\n")
         wrong_shape = str(_bad_checkpoint("wrong_shape", tmp_path))
         config_argvs = []
         for k, (mode, key, value) in enumerate(BAD_CONFIG_FILES):
@@ -606,6 +632,12 @@ class TestBadInputFiles:
                   "--limit", "1", "--max-depth", "1"],
                  ["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm", wrong_shape,
                   "--steps", "2", "--out", str(tmp_path / "gfn")],
+                 ["train", "--mode", "sft", "--corpus", str(corpus_dir), "--steps", "2",
+                  "--out", str(tmp_path / "twice"), "--config", str(twice_cfg)],
+                 ["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm",
+                  str(checkpoint), "--steps", "2", "--out", str(tmp_path / "gfn")],
+                 ["oracle", "--theorems", str(corpus_dir), "--checkpoint", str(checkpoint),
+                  "--limit", "1", "--reward", "full_rm", "--rm", str(checkpoint)],
                  *(_unwritable_out_argv(case, corpus_dir, checkpoint, outs)
                    for case in sorted(UNWRITABLE_OUT))]
         before = _tree(outs)

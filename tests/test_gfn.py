@@ -8,8 +8,10 @@ import pytest
 from flowprover.baselines import PPOConfig, PPOTrainer, SFTTrainer
 from flowprover.corpus import CorpusSplit, build_corpus
 from flowprover.env import (
+    ACTION_INDEX,
     ACTIONS,
     ProofState,
+    apply_tactic,
     applicable_actions,
     initial_state,
     parse_tactic,
@@ -25,12 +27,12 @@ from flowprover.gfn import (
     PROVED,
     ProofTree,
     ReplayBuffer,
-    ReplayDiverged,
     RewardSpec,
     TrainConfig,
     Trajectory,
     error_branch_log_reward,
     error_log_reward,
+    ground_truth,
     log_reward,
     sample_trajectories,
     sample_trajectory,
@@ -309,7 +311,7 @@ class TestRolloutTree:
                     assert shared_rng == fresh_rng
                     for x, y in zip(shared, fresh, strict=True):
                         assert x.tactics == y.tactics
-                        assert x.proof_states == y.proof_states
+                        assert [n.state for n in x.nodes] == [n.state for n in y.nodes]
                         assert x.outcome == y.outcome
                         assert np.float64(x.log_pf).tobytes() == np.float64(y.log_pf).tobytes()
                         assert np.float64(x.log_r).tobytes() == np.float64(y.log_r).tobytes()
@@ -447,20 +449,107 @@ class TestReplay:
         buf.add(traj)
         entry = buf.sample(thm.name, 1, np.random.default_rng(0))[0]
         assert isinstance(entry, Trajectory)
-        assert entry.source == "replay" and entry.nodes is traj.nodes
-        assert (entry.tactics, entry.proof_states, entry.outcome, entry.log_r) == \
-            (traj.tactics, traj.proof_states, traj.outcome, traj.log_r)
-        stateless = dataclasses.replace(entry, nodes=None)  # encoded from its states
-        assert entry.encodings().tobytes() == stateless.encodings().tobytes()
+        assert entry is not traj and entry.nodes is traj.nodes
+        assert (entry.tactics, entry.outcome, entry.log_r) == \
+            (traj.tactics, traj.outcome, traj.log_r)
+        assert entry.encodings().tobytes() == traj.encodings().tobytes()
 
-    def test_replay_diverged_on_corrupt_entry(self):
+    def test_corrupt_entry_is_refused_when_made(self):
         thm = identity_theorem("a -> a")
-        net = PolicyNet.create(seed=0)
-        bad = Trajectory(theorem_name=thm.name, tactics=(parse_tactic("intro"),),
-                         proof_states=(thm.initial_state,) * 3, outcome=PROVED,
-                         log_pf=0.0)
-        with pytest.raises(ReplayDiverged):
-            replay_forward(net, bad)
+        with pytest.raises(ValueError, match="3 states for 1 tactics"):
+            Trajectory(theorem_name=thm.name, tactics=(parse_tactic("intro"),),
+                       proof_states=(thm.initial_state,) * 3, outcome=PROVED, log_pf=0.0)
+
+
+def _states(traj):
+    """The states a trajectory's nodes reach, in the ``proof_states`` form:
+    one per tactic, then the state its last tactic reaches unless it fails."""
+    states = tuple(node.state for node in traj.nodes)
+    if traj.outcome == PROVED:
+        return states + (ProofState(()),)
+    if traj.outcome == DEPTH_EXHAUSTED:
+        return states + (traj.nodes[-1].results[ACTION_INDEX[traj.tactics[-1]]].state,)
+    return states
+
+
+def _one_rollout_per_outcome():
+    thm = identity_theorem("(a -> b) -> (a -> b)")
+    net = _biased_net(10)
+    cfg = TrainConfig(mode="gfn_br_oo", max_depth=3)
+    found = {}
+    for traj in sample_trajectories(ProofTree(thm), net, cfg, np.random.default_rng(0), 200):
+        found.setdefault(traj.outcome, traj)
+    assert set(found) == {PROVED, ENV_ERROR, DEPTH_EXHAUSTED}
+    return thm, net, found
+
+
+class TestTrajectoryIsItsNodes:
+    """A trajectory stores its path of tree nodes and no states of its own;
+    one given by its states gets stand-alone nodes that encode the same."""
+
+    def test_benchmark_ground_truth_matches_the_tree_walk_bit_for_bit(self, small_corpus):
+        # a ground truth built from an own walk of states, as perfbench's
+        # TB check builds it, scores the same TB loss as the tree's walk
+        net = PolicyNet.create(seed=3)
+        net.store["wz"] = np.random.default_rng(4).normal(scale=0.3, size=net.hidden)
+        for thm in small_corpus.train[:12]:
+            states = [thm.initial_state]
+            for tactic in thm.gt_proof[:-1]:
+                states.append(apply_tactic(states[-1], tactic).state)
+            traj = Trajectory(theorem_name=thm.name, tactics=thm.gt_proof,
+                              proof_states=tuple(states) + (ProofState(()),),
+                              outcome=PROVED, log_pf=0.0, log_r=0.0)
+            want = tb_loss([ground_truth(ProofTree(thm))], net)
+            assert np.float64(tb_loss([traj], net)).tobytes() == np.float64(want).tobytes()
+
+    def test_no_states_or_source_are_stored(self):
+        thm, _, found = _one_rollout_per_outcome()
+        buf = ReplayBuffer()
+        buf.add(found[PROVED])
+        trajs = [*found.values(), ground_truth(ProofTree(thm)),
+                 trajectory_from_tactics(thm, list(thm.gt_proof)),
+                 buf.sample(thm.name, 1, np.random.default_rng(0))[0]]
+        for traj in trajs:
+            for name in ("proof_states", "source", "initial_state"):
+                with pytest.raises(AttributeError):
+                    getattr(traj, name)
+
+    def test_given_by_its_states_it_encodes_and_scores_the_same(self):
+        thm, net, found = _one_rollout_per_outcome()
+        rm = RewardModel.create(seed=2)
+        for outcome, traj in found.items():
+            again = Trajectory(theorem_name=thm.name, tactics=traj.tactics,
+                               proof_states=_states(traj), outcome=outcome,
+                               log_pf=traj.log_pf, log_r=traj.log_r)
+            assert again == traj and not set(map(id, again.nodes)) & set(map(id, traj.nodes))
+            assert again.encodings().tobytes() == traj.encodings().tobytes()
+            for spec in (RewardSpec(mode=FULL_RM), RewardSpec(mode=BINARY)):
+                want = np.float64(log_reward(traj, spec, rm=rm)).tobytes()
+                assert np.float64(log_reward(again, spec, rm=rm)).tobytes() == want
+            assert np.float64(tb_loss([again], net)).tobytes() == \
+                np.float64(tb_loss([traj], net)).tobytes()
+
+    def test_a_shape_that_does_not_fit_is_refused(self):
+        thm, _, found = _one_rollout_per_outcome()
+        for outcome, traj in found.items():
+            fits = _states(traj)
+            for states in (fits[:-1], fits + (fits[-1],)):  # one state short, one too many
+                with pytest.raises(ValueError, match="states for"):
+                    Trajectory(theorem_name=thm.name, tactics=traj.tactics,
+                               proof_states=states, outcome=outcome, log_pf=0.0)
+            with pytest.raises(ValueError, match="one node per tactic"):
+                dataclasses.replace(traj, nodes=traj.nodes[:-1])
+            with pytest.raises(ValueError, match="one node per tactic"):
+                dataclasses.replace(traj, nodes=traj.nodes + traj.nodes[-1:])
+        with pytest.raises(ValueError, match="at least one tactic"):
+            Trajectory(theorem_name=thm.name, tactics=(), proof_states=(thm.initial_state,),
+                       outcome=DEPTH_EXHAUSTED, log_pf=0.0)
+        with pytest.raises(ValueError, match="at least one tactic"):
+            Trajectory(thm.name, (), ENV_ERROR, 0.0, nodes=())
+        traj = found[PROVED]
+        for given in ({}, {"nodes": traj.nodes, "proof_states": _states(traj)}):
+            with pytest.raises(ValueError, match="exactly one of"):
+                Trajectory(thm.name, traj.tactics, PROVED, 0.0, **given)
 
 
 class TestTBLoss:
@@ -531,7 +620,8 @@ class TestTrainStep:
         monkeypatch.setattr(gfn_mod, "tb_loss_graph", spy)
         for i in range(10):
             m = trainer.train_step(thms[i % 2])
-            online_steps = sum(len(t) for t in batches[-1] if t.source == "online")
+            online_steps = sum(len(t) for t in batches[-1]
+                               if t is not trainer._gt[t.theorem_name])
             assert m.env_calls == online_steps
             assert m.env_calls > 0
         assert trainer.buffer.reads == 0
@@ -558,14 +648,14 @@ class TestTrainStep:
         original = gfn_mod.tb_loss_graph
 
         def spy(tape, net, batch, **kw):
-            seen.append([t.source for t in batch])
+            seen.append([t is trainer._gt[t.theorem_name] for t in batch])
             return original(tape, net, batch, **kw)
 
         monkeypatch.setattr(gfn_mod, "tb_loss_graph", spy)
         for i in range(6):
             trainer.train_step(thms[i % 2])
-        for sources in seen:
-            assert sources.count("ground_truth") == 1
+        for is_gt in seen:
+            assert is_gt.count(True) == 1
 
     def test_inject_gt_flag_off(self, monkeypatch):
         trainer, thms = self._trainer("gfn_br_oo", inject_gt=False)
@@ -575,12 +665,12 @@ class TestTrainStep:
         original = gfn_mod.tb_loss_graph
 
         def spy(tape, net, batch, **kw):
-            seen.append([t.source for t in batch])
+            seen.append([t is trainer._gt[t.theorem_name] for t in batch])
             return original(tape, net, batch, **kw)
 
         monkeypatch.setattr(gfn_mod, "tb_loss_graph", spy)
         trainer.train_step(thms[0])
-        assert all(s == "online" for s in seen[0])
+        assert seen[0] and not any(seen[0])
 
     def test_emits_one_metrics_row_per_step(self):
         trainer, thms = self._trainer("gfn_br_oo")

@@ -45,14 +45,14 @@ from conftest import (
 
 
 def _mixed_batch(net):
-    """Two theorems; proved, error and depth-exhausted outcomes; a replay
-    entry drawn twice (no tree nodes); online rollouts (tree nodes); and the
-    injected ground truth (its walk's nodes)."""
+    """Two theorems; proved, error and depth-exhausted outcomes; an entry
+    drawn twice (stand-alone nodes made from its states); online rollouts
+    (tree nodes); and the injected ground truth (its walk's nodes)."""
     thm1 = identity_theorem("a -> a", name="t1")
     thm2 = identity_theorem("a & b -> a & b", name="t2")
     gt = ground_truth(ProofTree(thm1))
-    error = trajectory_from_tactics(thm1, [parse_tactic("split")], source="replay")
-    exhausted = trajectory_from_tactics(thm2, [parse_tactic("intro")], source="replay")
+    error = trajectory_from_tactics(thm1, [parse_tactic("split")])
+    exhausted = trajectory_from_tactics(thm2, [parse_tactic("intro")])
     assert (gt.outcome, error.outcome, exhausted.outcome) == (PROVED, ENV_ERROR,
                                                               DEPTH_EXHAUSTED)
     error.log_r, exhausted.log_r = -17.5, -3.25
@@ -86,12 +86,12 @@ class TestBatchedTB:
         assert abs(tb_loss(batch, net, action_set=action_set) - expected) <= 1e-12
 
     def test_trajectory_without_tactics_is_refused(self):
-        from flowprover.gfn import ReplayDiverged
-
         thm = identity_theorem("a -> a")
-        empty = dataclasses.replace(trajectory_from_tactics(thm, []), outcome=DEPTH_EXHAUSTED)
-        with pytest.raises(ReplayDiverged):
-            tb_loss([empty], PolicyNet.create(seed=0))
+        with pytest.raises(ValueError, match="at least one tactic"):
+            trajectory_from_tactics(thm, [])
+        traj = trajectory_from_tactics(thm, list(thm.gt_proof))
+        with pytest.raises(ValueError, match="at least one tactic"):
+            dataclasses.replace(traj, tactics=(), nodes=())
 
 
 def _fd(build, store):

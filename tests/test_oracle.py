@@ -234,7 +234,8 @@ def reference_report(net, thm, max_depth, spec, rm=None, action_set=None) -> dic
         if outcome != ENV_ERROR:
             last = apply_tactic(pre[-1], tacs[-1])
             states = pre + (ProofState(()) if last.proved else last.state,)
-        log_rs.append(log_reward(Trajectory(thm.name, tacs, states, outcome, 0.0), spec, rm=rm))
+        log_rs.append(log_reward(Trajectory(thm.name, tacs, outcome, 0.0, proof_states=states),
+                                 spec, rm=rm))
     log_rs = np.array(log_rs)
     top = log_rs.max()
     log_z = float(top + np.log(np.exp(log_rs - top).sum()))
@@ -363,8 +364,9 @@ def per_leaf_walk(thm, max_depth, spec, rm=None, action_set=None):
                     outcome, log_r = PROVED, 0.0
                 elif result.ok and spec.mode != BINARY:
                     outcome = DEPTH_EXHAUSTED
-                    log_r = log_reward(Trajectory(thm.name, tacs, before + (result.state,),
-                                                  outcome, 0.0), spec, rm=rm)
+                    log_r = log_reward(Trajectory(thm.name, tacs, outcome, 0.0,
+                                                  proof_states=before + (result.state,)),
+                                       spec, rm=rm)
                 else:
                     outcome = ENV_ERROR if result.failed else DEPTH_EXHAUSTED
                     log_r = error_log_reward(chars + ACTION_CHARS[a], depth, spec)
@@ -480,8 +482,8 @@ class TestLeavesAgreeWithTheTrainer:
                 assert leaf.outcome == outcome, leaf.tactics
                 assert outcome != DEPTH_EXHAUSTED or len(leaf.tactics) == max_depth
                 assert leaf.proof_states == walk.states[:len(leaf.tactics)]
-                want = log_reward(Trajectory(thm.name, leaf.tactics, walk.states, outcome, 0.0),
-                                  spec, rm=rm)
+                want = log_reward(Trajectory(thm.name, leaf.tactics, outcome, 0.0,
+                                             proof_states=walk.states), spec, rm=rm)
                 assert leaf.log_r == want, leaf.tactics
                 outcomes[outcome] += 1
         assert set(outcomes) == {PROVED, ENV_ERROR, DEPTH_EXHAUSTED}

@@ -23,6 +23,8 @@ MISUSES = {
     "mlp_forward(PolicyNet.create(seed=0).store, np.zeros(5))": "ValueError",
     # a checkpoint whose layers do not fit is refused at load, not at first use
     "PolicyNet.load(io.BytesIO(five_inputs))": "CheckpointError",
+    # a policy checkpoint holds more than a reward model's parameters
+    "RewardModel.load(io.BytesIO(policy_checkpoint))": "CheckpointError",
     "enumerate_trajectories(thm, max_depth=0)": "ValueError",
     # an action set must be distinct indices in [0, 36), checked before the walk
     "enumerate_trajectories(thm, action_set=(0, 0, 1, 2, 3, 4))": "ValueError",
@@ -80,10 +82,13 @@ def test_misuse_raises_typed_exceptions(flags):
         "ParamStore({**PolicyNet.create(seed=0, hidden=8).store.arrays,",
         "            'w1': np.zeros((5, 8))}).save(buf)",
         "five_inputs = buf.getvalue()",
+        "buf = io.BytesIO()",
+        "PolicyNet.create(seed=0, hidden=8).store.save(buf)",
+        "policy_checkpoint = buf.getvalue()",
         "from flowprover.corpus import CorpusSplit, Theorem, build_corpus",
         "from flowprover.env import parse_tactic",
         "from flowprover.oracle import enumerate_trajectories, oracle_report",
-        "from flowprover.reward_model import mine_hard_negatives, rm_train",
+        "from flowprover.reward_model import RewardModel, mine_hard_negatives, rm_train",
         "from flowprover.runs import run_training",
         "gt = (parse_tactic('intro'), parse_tactic('exact h1'))",
         "thm = Theorem('t', initial_state(parse_formula('a -> a')), gt)",
