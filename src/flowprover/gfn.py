@@ -25,7 +25,6 @@ at each trajectory's first row.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -421,18 +420,24 @@ class TrainConfig:
 
 
 class ReplayBuffer:
-    """Per-theorem FIFO ring buffers of finished trajectories, each a copy,
-    so later changes to a rollout do not reach its entry. The loss graph
-    recomputes log P_F, so the stored log_pf is never read; an entry keeps
-    its tree nodes, whose encodings are made already."""
+    """Per-theorem FIFO buffers of finished trajectories, each a copy, so
+    later changes to a rollout do not reach its entry. A theorem's buffer
+    is a plain list, oldest first, of at most ``capacity`` entries: a full
+    one drops its oldest before it appends. The loss graph recomputes
+    log P_F, so the stored log_pf is never read; an entry keeps its tree
+    nodes, whose encodings are made already."""
 
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
-        self._buffers: dict[str, deque[Trajectory]] = {}
+        self._buffers: dict[str, list[Trajectory]] = {}
         self.reads = 0
 
     def add(self, traj: Trajectory) -> None:
-        buf = self._buffers.setdefault(traj.theorem_name, deque(maxlen=self.capacity))
+        buf = self._buffers.get(traj.theorem_name)
+        if buf is None:
+            buf = self._buffers[traj.theorem_name] = []
+        elif len(buf) >= self.capacity:
+            del buf[0]
         buf.append(dataclasses.replace(traj))
 
     def size(self, theorem_name: str) -> int:

@@ -30,7 +30,8 @@ class NonFiniteGradient(FloatingPointError):
 class CheckpointError(ValueError):
     """A checkpoint file is not an npz archive, is not of version 1, lacks
     an entry, holds an entry that is not a numeric array, or holds layers
-    that do not fit the network (``policy.checked_hidden``)."""
+    that do not fit the network or a parameter it does not have
+    (``policy.checked_hidden``)."""
 
 
 # Parameter names of init_mlp's three layers.
@@ -197,16 +198,21 @@ def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
 
 
 class Var:
-    """Node in the computation graph: a float64 array plus backward hooks."""
+    """Node in the computation graph: a float64 array plus backward hooks.
+    A leaf (no backward hook) gets no gradient unless ``needs_grad`` is set,
+    as ``Tape.param`` does; every op node gets one."""
 
-    __slots__ = ("value", "grad", "_backward")
+    __slots__ = ("value", "grad", "_backward", "needs_grad")
 
     def __init__(self, value, backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._backward = backward  # callable(grad) propagating to parents
+        self.needs_grad = backward is not None
 
     def _accum(self, g: np.ndarray) -> None:
+        if not self.needs_grad:
+            return
         if self.grad is None:
             self.grad = np.asarray(g, dtype=np.float64)  # gradients are never mutated
         else:
@@ -234,6 +240,7 @@ class Tape:
     # -- leaves ------------------------------------------------------------
 
     def leaf(self, value) -> Var:
+        """A constant: an input row or operand, which gets no gradient."""
         v = Var(value)
         self._order.append(v)
         return v
@@ -244,6 +251,7 @@ class Tape:
         var = self._param_vars.get(name)
         if var is None:
             var = self._param_vars[name] = self.leaf(store[name])
+            var.needs_grad = True
             self._param_stores[name] = store
         elif self._param_stores[name] is not store:
             raise ValueError(f"parameter {name!r} is already bound to another store")
@@ -276,16 +284,16 @@ class Tape:
         return self.scale(a, -1.0)
 
     def matmul(self, x: Var, w: Var) -> Var:
-        # x: (d,) or (B, d); w: (d, o), or (d,) for a scalar head per row
+        # x: (d,) or (B, d); w: (d, o), or (d,) for a scalar head per row.
+        # The input rows are a leaf, so the first layer skips g @ w.T.
         def bw(g):
+            if x.needs_grad:
+                x._accum(np.multiply.outer(g, w.value) if w.value.ndim == 1 else g @ w.value.T)
             if w.value.ndim == 1:
-                x._accum(np.multiply.outer(g, w.value))
                 w._accum(np.dot(x.value.T, g))
             elif x.value.ndim == 1:
-                x._accum(g @ w.value.T)
                 w._accum(np.outer(x.value, g))
             else:
-                x._accum(g @ w.value.T)
                 w._accum(x.value.T @ g)
         return self._node(x.value @ w.value, bw)
 

@@ -12,8 +12,10 @@ Each feature token (a formula node under its prefix, a count, a flag)
 hashes to one of 64 bins. The encoder reads each token's bin from small
 tables keyed by prefix and connective class or atom name, filled on first
 use and bounded by the grammar, walks each formula once, and counts the
-bins with one ``np.bincount``. The counts are integers, so the float64
-vector is exact.
+bins with one ``np.bincount``. Encodings are kept as uint8 counts, widened
+at the forward: the MLP forwards cast their input to float64, which holds
+every count exactly, so a stored encoding takes one byte per feature
+instead of eight.
 """
 
 from __future__ import annotations
@@ -159,18 +161,19 @@ def _initial_bins(initial: ProofState) -> list[int]:
 def encode_from_parts(initial: ProofState, history, state: ProofState,
                       mode: str = HISTORY) -> np.ndarray:
     """The 164 feature counts of ``state`` reached from ``initial`` by
-    ``history``, as float64; under HISTORY_LESS the last 100 are zero."""
+    ``history``, as uint8 counts, widened at the forward; under
+    HISTORY_LESS the last 100 are zero. No count exceeds the number of
+    tokens, so a state of 256 or more tokens gets the smallest unsigned
+    type that holds that number, and no count wraps."""
     bins = _state_bins(state)
     if mode == HISTORY:
         bins += _initial_bins(initial)
         bins += [CUR_DIM + INIT_DIM + ACTION_INDEX[t] for t in history]
     elif mode != HISTORY_LESS:
         raise ValueError(f"unknown encoding mode {mode!r}")
-    # Allocated before the temporary counts: the other order fragments the
-    # heap and raised a 2000-step gfn run's peak RSS by about 0.7 MB.
-    vec = np.zeros(ENC_DIM)
-    vec += np.bincount(bins, minlength=ENC_DIM)
-    return vec
+    n = len(bins)
+    return np.bincount(bins, minlength=ENC_DIM).astype(
+        np.uint8 if n < 256 else np.min_scalar_type(n))
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +208,19 @@ class PolicyNet:
 
     @classmethod
     def load(cls, path: str | Path) -> "PolicyNet":
+        """The policy ``save`` wrote; CheckpointError for any other
+        checkpoint, one holding a parameter beyond the MLP and its
+        ``z``/``v`` heads among them."""
         store = ParamStore.load(path, required=MLP_PARAMS + ("wz", "bz"))
-        return cls(store=store, hidden=checked_hidden(store, path, heads="zv"))
+        return cls(store=store, hidden=checked_hidden(store, path, "policy", heads="zv"))
 
 
-def checked_hidden(store: ParamStore, path, heads: str = "") -> int:
+def checked_hidden(store: ParamStore, path, what: str, heads: str = "") -> int:
     """The hidden width of a loaded ENC_DIM -> hidden -> hidden -> N_ACTIONS
     MLP, whose linear heads ``w<k>``/``b<k>`` (``k`` in ``heads``, where
     present) read the last hidden layer; raises CheckpointError naming
-    ``path`` when a layer does not fit."""
+    ``path`` when a layer does not fit, or when the store holds any other
+    parameter, as not a ``what`` checkpoint."""
     w1 = store["w1"]
     hidden = w1.shape[-1] if w1.ndim else 0
     shapes = dict(zip(MLP_PARAMS, [(ENC_DIM, hidden), (hidden,), (hidden, hidden), (hidden,),
@@ -224,6 +231,10 @@ def checked_hidden(store: ParamStore, path, heads: str = "") -> int:
         if name in store.arrays and store[name].shape != shape:
             raise CheckpointError(f"{path}: {name} has shape {store[name].shape}, "
                                   f"expected {shape}")
+    extra = sorted(set(store.arrays) - set(shapes))
+    if extra:
+        raise CheckpointError(f"{path}: not a {what} checkpoint: it also holds "
+                              f"{', '.join(extra)}")
     return hidden
 
 

@@ -26,7 +26,6 @@ from .env import (
 from .gfn import PROVED, ProofTree, TrainConfig, ground_truth, sample_trajectories
 from .nn import (
     MLP_PARAMS,
-    CheckpointError,
     OptimConfig,
     ParamStore,
     Tape,
@@ -82,11 +81,7 @@ class RewardModel:
         """The reward model ``save`` wrote; CheckpointError for any other
         checkpoint, a policy's among them (it holds more parameters)."""
         store = ParamStore.load(path, required=MLP_PARAMS)
-        checked_hidden(store, path)
-        extra = sorted(set(store.arrays) - set(MLP_PARAMS))
-        if extra:
-            raise CheckpointError(f"{path}: not a reward model checkpoint: it also holds "
-                                  f"{', '.join(extra)}")
+        checked_hidden(store, path, "reward model")
         return cls(store=store)
 
 

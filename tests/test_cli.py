@@ -494,6 +494,9 @@ def _bad_checkpoint(kind: str, tmp_path: Path) -> Path:
         arrays["p:w2"] = np.array(["not", "numbers"])
     elif kind == "empty_step":
         arrays["__step__"] = np.array([], dtype=int)
+    elif kind == "extra_parameter":  # a parameter the policy does not have
+        for prefix in "pmv":
+            arrays[f"{prefix}:junk"] = np.zeros(3)
     elif kind == "wrong_shape":  # a first layer that reads 5 inputs, not 164
         for prefix in "pmv":
             arrays[f"{prefix}:w1"] = np.zeros((5, 128))
@@ -533,7 +536,8 @@ class TestBadInputFiles:
 
     @pytest.mark.parametrize("kind", ["text", "no_version", "version_2", "empty_version",
                                       "missing_parameter", "moment_shape", "object_entry",
-                                      "string_entry", "empty_step", "wrong_shape"])
+                                      "string_entry", "empty_step", "wrong_shape",
+                                      "extra_parameter"])
     def test_bad_checkpoint_exits_2(self, kind, corpus_dir, tmp_path, capsys):
         path = _bad_checkpoint(kind, tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -543,6 +547,8 @@ class TestBadInputFiles:
         assert str(path) in line
         if kind.endswith("_entry"):
             assert "p:w2" in line
+        if kind == "extra_parameter":
+            assert "not a policy checkpoint: it also holds junk" in line
 
     def test_bad_reward_model_exits_2(self, corpus_dir, checkpoint, tmp_path, capsys):
         for kind, message in (("version_2", "version [2]"),
@@ -603,6 +609,7 @@ class TestBadInputFiles:
         twice_cfg = tmp_path / "twice.cfg"
         twice_cfg.write_text("lr = 0.001\nlr = 0.0005\n")
         wrong_shape = str(_bad_checkpoint("wrong_shape", tmp_path))
+        extra_parameter = str(_bad_checkpoint("extra_parameter", tmp_path))
         config_argvs = []
         for k, (mode, key, value) in enumerate(BAD_CONFIG_FILES):
             cfg_file = tmp_path / f"bad{k}.cfg"
@@ -632,6 +639,9 @@ class TestBadInputFiles:
                   "--limit", "1", "--max-depth", "1"],
                  ["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm", wrong_shape,
                   "--steps", "2", "--out", str(tmp_path / "gfn")],
+                 ["eval", "--corpus", str(corpus_dir), "--checkpoint", extra_parameter],
+                 ["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm",
+                  extra_parameter, "--steps", "2", "--out", str(tmp_path / "gfn")],
                  ["train", "--mode", "sft", "--corpus", str(corpus_dir), "--steps", "2",
                   "--out", str(tmp_path / "twice"), "--config", str(twice_cfg)],
                  ["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm",

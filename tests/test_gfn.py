@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from flowprover.gfn import (
     trajectory_from_tactics,
 )
 from flowprover.nn import Tape, global_grad_norm, update
-from flowprover.policy import HISTORY, HISTORY_LESS, PolicyNet, encode_from_parts
+from flowprover.policy import ENC_DIM, HISTORY, HISTORY_LESS, PolicyNet, encode_from_parts
 from flowprover.reward_model import RewardModel, rm_train
 from flowprover.runs import run_training
 from flowprover.search import SearchConfig
@@ -291,6 +292,15 @@ class TestProofNode:
         with pytest.raises(ValueError, match="unknown encoding mode"):
             child.encoding("bogus")
 
+    @pytest.mark.parametrize("mode", [HISTORY, HISTORY_LESS])
+    def test_an_encoding_takes_one_byte_per_feature(self, mode):
+        tree = ProofTree(identity_theorem("(a -> b) -> (a -> b)"))
+        intro = ACTIONS.index(parse_tactic("intro"))
+        assert tree.root.apply(intro).ok
+        node = tree.root.child(intro)
+        for enc in (tree.root.encoding(mode), node.encoding(mode)):
+            assert enc.dtype == np.uint8 and enc.nbytes == ENC_DIM
+
 
 class TestRolloutTree:
     """Rollouts over a theorem's ProofTree, which one run keeps for all of
@@ -429,6 +439,23 @@ class TestReplay:
         rng = np.random.default_rng(0)
         draws = buf.sample(thm.name, 64, rng)
         assert {e.log_r for e in draws} <= {2.0, 3.0, 4.0}
+
+    @pytest.mark.parametrize("capacity", [1, 3, 64])
+    def test_buffer_keeps_what_a_bounded_deque_keeps(self, capacity):
+        # past capacity: the same entries in the same order, and the same draws
+        thm = identity_theorem("a -> a")
+        buf, ring = ReplayBuffer(capacity=capacity), deque(maxlen=capacity)
+        for i in range(2 * capacity + 5):
+            traj = trajectory_from_tactics(thm, list(thm.gt_proof))
+            traj.log_r = float(i)
+            buf.add(traj)
+            ring.append(traj.log_r)
+            assert [e.log_r for e in buf._buffers[thm.name]] == list(ring)
+            assert buf.size(thm.name) == len(ring) <= capacity
+            rng, want_rng = np.random.default_rng(i), np.random.default_rng(i)
+            drawn = [e.log_r for e in buf.sample(thm.name, 7, rng)]
+            assert drawn == [ring[int(k)] for k in want_rng.integers(0, len(ring), size=7)]
+            assert rng.random() == want_rng.random()
 
     def test_stored_log_r_frozen(self):
         buf = ReplayBuffer()

@@ -145,6 +145,45 @@ class TestBackward:
         assert err < 1e-4
 
 
+class TestInputGradient:
+    """An input row is a leaf, which gets no gradient; skipping it leaves
+    every parameter's gradient as it was when the input had one."""
+
+    @staticmethod
+    def _loss(tape, store, xv):
+        # mlp_forward's op sequence from a given input Var, then a scalar loss
+        h1 = tape.tanh(tape.add(tape.matmul(xv, tape.param(store, "w1")),
+                                tape.param(store, "b1")))
+        h2 = tape.tanh(tape.add(tape.matmul(h1, tape.param(store, "w2")),
+                                tape.param(store, "b2")))
+        logits = tape.add(tape.matmul(h2, tape.param(store, "w3")), tape.param(store, "b3"))
+        picked = tape.gather(tape.log_softmax(logits), [1, 4, 0])
+        return tape.add(tape.sum(picked), tape.mean(tape.square(h2)))
+
+    def test_parameter_gradients_match_an_input_with_a_gradient(self):
+        store = tiny_mlp(12)
+        x = np.random.default_rng(3).normal(size=(3, 7))
+        tape = Tape()
+        xv = tape.leaf(x)
+        grads = tape.backward(self._loss(tape, store, xv))
+        assert xv.grad is None
+        # the input bound as a parameter of its own gets a gradient, as before
+        ref_tape = Tape()
+        x_param = ref_tape.param(ParamStore({"x": x}), "x")
+        ref = ref_tape.backward(self._loss(ref_tape, store, x_param))
+        assert x_param.grad is not None and x_param.grad.shape == x.shape
+        assert list(grads) == [name for name in ref if name != "x"]
+        for name, g in grads.items():
+            assert g.tobytes() == ref[name].tobytes(), name
+
+    def test_mlp_forward_input_gets_no_gradient(self):
+        tape = Tape()
+        logits, _, _ = mlp_forward(tiny_mlp(13), np.ones((2, 7)), tape)
+        tape.backward(tape.sum(logits))
+        leaves = [v for v in tape._order if v._backward is None]
+        assert [v.grad is None for v in leaves] == [True] + [False] * 6
+
+
 class TestOptimizer:
     def test_clip_scales_norm_one_to_half(self):
         store = ParamStore()

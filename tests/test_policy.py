@@ -15,7 +15,14 @@ from flowprover.env import (
     parse_tactic,
 )
 from flowprover.formulas import And, Atom, Formula, Implies, Or, formula_depth, parse_formula
-from flowprover.nn import Tape, finite_difference_check, log_softmax_np, softmax_np
+from flowprover.nn import (
+    Tape,
+    finite_difference_check,
+    log_softmax_np,
+    mlp_forward,
+    mlp_forward_np,
+    softmax_np,
+)
 from flowprover.policy import (
     CUR_DIM,
     ENC_DIM,
@@ -208,7 +215,8 @@ class TestEncoderMatchesTheReference:
         for initial, history, state in triples:
             got = encode_from_parts(initial, history, state, mode)
             want = direct_encoding(initial, history, state, mode)
-            assert got.tobytes() == want.tobytes(), state.render()
+            assert got.dtype == np.uint8
+            assert got.astype(np.float64).tobytes() == want.tobytes(), state.render()
 
     def test_tables_stay_within_the_grammar(self, reference_states, monkeypatch):
         # fresh tables, so the count covers these states alone
@@ -241,6 +249,54 @@ class TestEncoderMatchesTheReference:
         assert sum(map(len, tables)) <= bound < len(formulas) < len(states)
 
 
+class TestUint8Encodings:
+    """Encodings are exact uint8 counts, widened to float64 at the forward."""
+
+    def test_a_state_of_many_tokens_in_one_bin_does_not_wrap(self):
+        target = Atom("a")
+        for _ in range(9):  # 512 atom tokens, all hashing to one bin
+            target = And(target, target)
+        state = ProofState((Goal((), target),))
+        for mode in (HISTORY, HISTORY_LESS):
+            got = encode_from_parts(state, (), state, mode)
+            want = direct_encoding(state, (), state, mode)
+            assert want.max() >= 512
+            assert got.dtype == np.uint16
+            assert got.astype(np.float64).tobytes() == want.tobytes()
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        from flowprover.corpus import build_corpus
+        from flowprover.oracle import enumerate_trajectories
+
+        thm = build_corpus(1, 3, 0).train[2]
+        tree = enumerate_trajectories(thm, max_depth=3).tree
+        rows = np.stack([node.encoding() for node in tree.nodes])
+        assert rows.dtype == np.uint8 and len(rows) > 1
+        return rows
+
+    def test_forward_np_over_uint8_rows_is_the_float64_forward(self, rows):
+        store = PolicyNet.create(seed=5).store
+        wide = rows.astype(np.float64)
+        for got, want in ((mlp_forward_np(store, rows), mlp_forward_np(store, wide)),
+                          (mlp_forward_np(store, rows[1]), mlp_forward_np(store, wide[1]))):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_taped_forward_over_uint8_rows_is_the_float64_forward(self, rows):
+        store = PolicyNet.create(seed=6).store
+        results = []
+        for x in (rows, rows.astype(np.float64)):
+            tape = Tape()
+            logits, hidden, _ = mlp_forward(store, x, tape)
+            loss = tape.add(tape.sum(tape.gather(tape.log_softmax(logits), [3] * len(x))),
+                            tape.mean(tape.square(hidden)))
+            grads = tape.backward(loss)
+            results.append([logits.value, hidden.value, loss.value, *grads.values()])
+        for a, b in zip(*results, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestInitialStateMemo:
     """encode_from_parts keeps the last initial state's bins; no order of
     theorems may make it read another state's bins."""
@@ -259,8 +315,10 @@ class TestInitialStateMemo:
             prefixes = [((), initial), ((intro,), apply_tactic(initial, intro).state)]
             for history, state in prefixes:
                 got = encode_from_parts(initial, history, state, mode)
-                assert got.tobytes() == direct_encoding(initial, history, state, mode).tobytes()
-                got[:] = -1.0  # a caller may write to its vector; the memo must not see it
+                want = direct_encoding(initial, history, state, mode)
+                assert got.dtype == np.uint8
+                assert got.astype(np.float64).tobytes() == want.tobytes()
+                got[:] = 255  # a caller may write to its vector; the memo must not see it
 
 
 class TestLogits:

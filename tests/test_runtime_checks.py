@@ -25,6 +25,8 @@ MISUSES = {
     "PolicyNet.load(io.BytesIO(five_inputs))": "CheckpointError",
     # a policy checkpoint holds more than a reward model's parameters
     "RewardModel.load(io.BytesIO(policy_checkpoint))": "CheckpointError",
+    # nor may a policy checkpoint hold a parameter beyond the MLP and its z/v heads
+    "PolicyNet.load(io.BytesIO(extra_parameter))": "CheckpointError",
     "enumerate_trajectories(thm, max_depth=0)": "ValueError",
     # an action set must be distinct indices in [0, 36), checked before the walk
     "enumerate_trajectories(thm, action_set=(0, 0, 1, 2, 3, 4))": "ValueError",
@@ -85,6 +87,10 @@ def test_misuse_raises_typed_exceptions(flags):
         "buf = io.BytesIO()",
         "PolicyNet.create(seed=0, hidden=8).store.save(buf)",
         "policy_checkpoint = buf.getvalue()",
+        "buf = io.BytesIO()",
+        "ParamStore({**PolicyNet.create(seed=0, hidden=8).store.arrays,",
+        "            'junk': np.zeros(3)}).save(buf)",
+        "extra_parameter = buf.getvalue()",
         "from flowprover.corpus import CorpusSplit, Theorem, build_corpus",
         "from flowprover.env import parse_tactic",
         "from flowprover.oracle import enumerate_trajectories, oracle_report",
