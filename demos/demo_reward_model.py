@@ -13,15 +13,17 @@ from collections import Counter
 
 import numpy as np
 
+from flowprover.baselines import gt_top1_accuracy
 from flowprover.corpus import build_corpus
 from flowprover.env import ACTIONS, apply_tactic, parse_tactic
 from flowprover.gfn import BINARY, FULL_RM, RewardSpec, log_reward, trajectory_from_tactics
-from flowprover.policy import PolicyNet
-from flowprover.reward_model import mine_hard_negatives, rm_accuracy, rm_train
+from flowprover.policy import HISTORY_LESS, PolicyNet
+from flowprover.reward_model import mine_hard_negatives, rm_train
 
 corpus = build_corpus(5, train_size=200, valid_size=10)
 rm = rm_train(corpus, epochs=15, seed=0)
-print(f"scorer accuracy on ground-truth pairs: {rm_accuracy(rm, corpus.train):.2f}")
+accuracy = gt_top1_accuracy(rm, corpus.train, HISTORY_LESS)
+print(f"scorer accuracy on ground-truth pairs: {accuracy:.2f}")
 print(f"epoch losses: {['%.3f' % l for l in rm.epoch_losses[:5]]} ... "
       f"{rm.epoch_losses[-1]:.3f}")
 

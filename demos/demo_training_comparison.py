@@ -8,9 +8,10 @@ Run: python demos/demo_training_comparison.py   (about a minute)
 import tempfile
 from pathlib import Path
 
+from flowprover.baselines import gt_top1_accuracy
 from flowprover.corpus import build_corpus
 from flowprover.policy import HISTORY, HISTORY_LESS, PolicyNet
-from flowprover.reward_model import rm_accuracy, rm_train
+from flowprover.reward_model import rm_train
 from flowprover.runs import run_training
 from flowprover.search import SearchConfig, evaluate_split
 
@@ -18,7 +19,8 @@ corpus = build_corpus(5, train_size=120, valid_size=12)
 print(f"corpus: {len(corpus.train)} train / {len(corpus.valid)} valid theorems")
 
 rm = rm_train(corpus, epochs=12, seed=0)
-print(f"reward model trained, ground-truth accuracy {rm_accuracy(rm, corpus.train):.2f}")
+accuracy = gt_top1_accuracy(rm, corpus.train, HISTORY_LESS)
+print(f"reward model trained, ground-truth accuracy {accuracy:.2f}")
 
 # base protocol: untrained network, history-less encoding
 base_net = PolicyNet.create(seed=999)

@@ -16,10 +16,10 @@ import numpy as np
 
 from .corpus import Theorem
 from .env import ACTION_INDEX
-from .gfn import ProofTree, StepMetrics, TrainConfig, ground_truth, sample_trajectories
+from .gfn import ProofTree, StepMetrics, TrainConfig, sample_trajectories
 from .nn import Tape, log_softmax_np, mlp_forward_np, update
-from .policy import PolicyNet, head_graph, rows_graph
-from .reward_model import cross_entropy_graph
+from .policy import HISTORY, PolicyNet, head_graph, rows_graph
+from .reward_model import cross_entropy_graph, gt_pairs
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,6 @@ class PPOConfig:
             raise ValueError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
 
 
-def gt_step_encodings(thm: Theorem) -> tuple[np.ndarray, np.ndarray]:
-    """History-augmented encodings (one row per step) and gt action indices
-    along the proof; raises gfn.InvalidGroundTruth if it does not prove."""
-    gt = ground_truth(ProofTree(thm))
-    return gt.encodings(), np.array([ACTION_INDEX[t] for t in gt.tactics], dtype=np.intp)
-
-
 class SFTTrainer:
     """Cross-entropy on ground-truth trajectories; one theorem per step."""
 
@@ -48,7 +41,7 @@ class SFTTrainer:
         self.net = net
         self.cfg = cfg
         self.step_index = 0
-        self._pairs = {t.name: gt_step_encodings(t) for t in theorems}
+        self._pairs = {t.name: gt_pairs([t], HISTORY) for t in theorems}
 
     def train_step(self, thm: Theorem) -> StepMetrics:
         x, y = self._pairs[thm.name]
@@ -69,16 +62,13 @@ class SFTTrainer:
         )
 
 
-def gt_top1_accuracy(net: PolicyNet, theorems: list[Theorem]) -> float:
-    """Share of ground-truth steps where the gt action has the top logit."""
-    hits = 0
-    total = 0
-    for thm in theorems:
-        x, actions = gt_step_encodings(thm)
-        logits, _ = mlp_forward_np(net.store, x)
-        hits += int(np.sum(logits.argmax(axis=-1) == actions))
-        total += len(actions)
-    return hits / total
+def gt_top1_accuracy(model, theorems: list[Theorem], mode: str = HISTORY) -> float:
+    """Share of ground-truth steps where the gt action has the top logit,
+    from one forward of ``model.store`` over ``gt_pairs(theorems, mode)``:
+    a policy's under HISTORY, the reward model's under HISTORY_LESS."""
+    x, actions = gt_pairs(theorems, mode)
+    logits, _ = mlp_forward_np(model.store, x)
+    return float(np.mean(logits.argmax(axis=-1) == actions))
 
 
 def ppo_surrogate_terms(ratio: float, advantage: float, clip_eps: float) -> float:

@@ -99,6 +99,9 @@ def cmd_oracle(args) -> int:
         raise ValueError("--reward full_rm requires --rm (trained reward model checkpoint)")
     if args.max_depth < 1:
         raise ValueError(f"--max-depth must be at least 1, got {args.max_depth}")
+    for flag, tol in (("--tv-tol", args.tv_tol), ("--logz-tol", args.logz_tol)):
+        if not 0.0 <= tol < np.inf:
+            raise ValueError(f"{flag} must be non-negative and finite, got {tol}")
     _check_limit(args.limit)
     _check_out(args.out)
     split = load_split(args.theorems)

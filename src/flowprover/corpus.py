@@ -2,7 +2,7 @@
 
 Theorems are instantiated from proof templates (the proof script is fixed,
 the formulas are random), verified by replay through the environment, and
-filtered by proof length and printed-size caps. The templates are one
+filtered by proof length and printed state size. The templates are one
 table, ``_TEMPLATES``, whose keys are the proof lengths splits are balanced
 over, {2, 3}; the longest, ``MAX_PROOF_LEN``, is the depth default of the
 corpus filter, rollouts, search and the oracle. (No one-tactic proof exists
@@ -110,26 +110,18 @@ _TEMPLATES: dict[int, list[tuple[Formula, tuple[int, ...], tuple[Tactic, ...]]]]
 
 ACHIEVABLE_PROOF_LENGTHS = tuple(sorted(_TEMPLATES))
 MAX_PROOF_LEN = ACHIEVABLE_PROOF_LENGTHS[-1]
+MAX_STATE_CHARS = 900  # the longest printed state a ground truth may visit
 
 
-@dataclass(frozen=True)
-class FilterCaps:
-    """Corpus caps; the proof-length cap defaults to ``MAX_PROOF_LEN``."""
-
-    max_proof_len: int = MAX_PROOF_LEN
-    max_state_chars: int = 900
-    max_tactic_chars: int = 90
-
-
-def filter_theorem(thm: Theorem, caps: FilterCaps = FilterCaps()) -> bool:
-    """True iff the ground truth proves the theorem, and the proof and every
-    state it visits fit the corpus caps."""
-    if len(thm.gt_proof) > caps.max_proof_len:
-        return False
-    if any(len(t.render()) > caps.max_tactic_chars for t in thm.gt_proof):
+def filter_theorem(thm: Theorem) -> bool:
+    """True iff the ground truth proves the theorem in at most
+    ``MAX_PROOF_LEN`` tactics, and every state it visits prints in at most
+    ``MAX_STATE_CHARS`` characters. (Tactics need no cap: every tactic is
+    one of the 36 actions, of 4 to 11 characters.)"""
+    if len(thm.gt_proof) > MAX_PROOF_LEN:
         return False
     walk = replay(thm.initial_state, thm.gt_proof)
-    return walk.proved and all(len(s.render()) <= caps.max_state_chars for s in walk.states)
+    return walk.proved and all(len(s.render()) <= MAX_STATE_CHARS for s in walk.states)
 
 
 def generate_theorem(rng: np.random.Generator, target_len: int, name: str = "thm") -> Theorem:

@@ -37,16 +37,19 @@ _WITH_ARG = (TacticKind.EXACT, TacticKind.APPLY, TacticKind.CASES, TacticKind.DE
 @dataclass(frozen=True, slots=True)
 class Tactic:
     """One prover action. ``arg`` is a 1-based position into the goal's
-    hypothesis list (not the hypothesis's display name)."""
+    hypothesis list (not the hypothesis's display name). Only the 36 actions
+    can be made: ValueError for any other kind or argument."""
 
     kind: TacticKind
     arg: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, TacticKind):
+            raise ValueError(f"not a tactic kind: {self.kind!r}")
         if self.kind in _ARGLESS:
             if self.arg is not None:
                 raise ValueError(f"{self.kind.value} takes no argument, got {self.arg}")
-        elif self.arg is None or not 1 <= self.arg <= H_MAX:
+        elif type(self.arg) is not int or not 1 <= self.arg <= H_MAX:
             raise ValueError(f"{self.kind.value} needs a hypothesis in 1..{H_MAX}, got {self.arg}")
 
     def render(self) -> str:

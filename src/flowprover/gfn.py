@@ -75,17 +75,21 @@ class InvalidGroundTruth(ValueError):
     """A theorem's ground-truth proof does not prove it."""
 
 
+# The error-branch shaping constants of the module docstring: the log reward
+# of an error is ERROR_BASE + ALPHA * ln((C - l) / C), l the mean tactic length.
+ALPHA = 8.0
+C_MAX_TACTIC_LEN = 88.0
+ERROR_BASE = -15.0
+
+
 @dataclass(frozen=True)
 class RewardSpec:
-    alpha: float = 8.0
-    c_max_tactic_len: float = 88.0
-    error_base: float = -15.0
+    """What a depth-exhausted rollout earns: partial credit from the reward
+    model (``FULL_RM``) or the error branch (``BINARY``)."""
+
     mode: str = FULL_RM
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.c_max_tactic_len > 0):
-            raise ValueError(f"alpha and c_max_tactic_len must be positive, got "
-                             f"{self.alpha} and {self.c_max_tactic_len}")
         if self.mode not in (FULL_RM, BINARY):
             raise ValueError(f"reward mode must be {FULL_RM} or {BINARY}, got {self.mode!r}")
 
@@ -130,9 +134,6 @@ class Trajectory:
     def encoding_rows(self) -> list[np.ndarray]:
         """One HISTORY encoding per tactic, of the state it is taken from."""
         return [node.encoding() for node in self.nodes]
-
-    def encodings(self) -> np.ndarray:
-        return np.stack(self.encoding_rows())
 
     def __len__(self) -> int:
         return len(self.tactics)
@@ -241,17 +242,18 @@ def error_log_reward(total_chars, n_tactics, spec: RewardSpec):
     lengths sum to ``total_chars``. The mean length is one division of exact
     integers, so a caller that keeps the running sum gets the same bits.
     Either argument may be an integer array (they broadcast): the result is
-    then the array of the same rewards, elementwise the same bits."""
+    then the array of the same rewards, elementwise the same bits. The
+    branch is the same under either reward mode of ``spec``."""
     if _any(n_tactics < 1):
         raise ValueError("trajectory must contain at least one tactic")
     l = total_chars / n_tactics
-    c = spec.c_max_tactic_len
+    c = C_MAX_TACTIC_LEN
     if _any(l >= c):
         raise InvalidLength(f"mean tactic length {np.max(l)} >= cap {c}")
     log_ratio = np.log((c - l) / c)
     if not isinstance(log_ratio, np.ndarray):
         log_ratio = float(log_ratio)
-    return spec.error_base + spec.alpha * log_ratio
+    return ERROR_BASE + ALPHA * log_ratio
 
 
 def _any(flags) -> bool:

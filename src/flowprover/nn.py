@@ -29,9 +29,9 @@ class NonFiniteGradient(FloatingPointError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is not an npz archive, is not of version 1, lacks
-    an entry, holds an entry that is not a numeric array, or holds layers
-    that do not fit the network or a parameter it does not have
-    (``policy.checked_hidden``)."""
+    an entry, holds an entry that is not a numeric array or a negative step
+    count, or holds layers that do not fit the network, half of a head or a
+    parameter it does not have (``policy.checked_hidden``)."""
 
 
 # Parameter names of init_mlp's three layers.
@@ -130,8 +130,9 @@ class ParamStore:
     def load(cls, path: str | Path | BinaryIO,
              required: tuple[str, ...] = ()) -> "ParamStore":
         """Read a checkpoint written by ``save``; raises CheckpointError on
-        anything else, when a parameter named in ``required`` is absent, or
-        when an entry is not a numeric array."""
+        anything else, when a parameter named in ``required`` is absent,
+        when an entry is not a numeric array, or when the step count is
+        negative (an update from step -1 divides by 1 - beta**0 = 0)."""
         try:
             data = np.load(path)
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -168,6 +169,9 @@ class ParamStore:
                 raise CheckpointError(f"{path}: __step__ must hold one integer, got "
                                       f"{step.dtype} of shape {step.shape}")
             store.step_count = int(step[0])
+            if store.step_count < 0:
+                raise CheckpointError(f"{path}: __step__ must be non-negative, got "
+                                      f"{store.step_count}")
             for name in names:
                 for kind, moments in (("m", store.adam_m), ("v", store.adam_v)):
                     value = entry(f"{kind}:{name}")
@@ -470,13 +474,16 @@ def mlp_forward_np(store: ParamStore, x: np.ndarray) -> tuple[np.ndarray, np.nda
 # Optimizer: global-norm clip then AdamW
 
 
+# AdamW's moment decay rates and denominator offset, fixed for every run.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimConfig:
     lr: float = 1e-4
     clip_norm: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
 
 
@@ -545,19 +552,19 @@ def optim_step(store: ParamStore, grads: dict[str, np.ndarray],
 
     store.step_count += 1
     t = store.step_count
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     p, m, v = store.flat_p, store.flat_m, store.flat_v
-    m *= cfg.beta1
-    np.multiply(a, 1.0 - cfg.beta1, out=b)
+    m *= ADAM_BETA1
+    np.multiply(a, 1.0 - ADAM_BETA1, out=b)
     m += b
     a *= a
-    a *= 1.0 - cfg.beta2
-    v *= cfg.beta2
+    a *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
     v += a
     np.divide(v, bc2, out=a)
     np.sqrt(a, out=a)
-    a += cfg.eps  # a = sqrt(v_hat) + eps
+    a += ADAM_EPS  # a = sqrt(v_hat) + eps
     np.divide(m, bc1, out=b)
     b *= cfg.lr
     b /= a  # b = lr * m_hat / (sqrt(v_hat) + eps)

@@ -219,14 +219,19 @@ def checked_hidden(store: ParamStore, path, what: str, heads: str = "") -> int:
     """The hidden width of a loaded ENC_DIM -> hidden -> hidden -> N_ACTIONS
     MLP, whose linear heads ``w<k>``/``b<k>`` (``k`` in ``heads``, where
     present) read the last hidden layer; raises CheckpointError naming
-    ``path`` when a layer does not fit, or when the store holds any other
-    parameter, as not a ``what`` checkpoint."""
+    ``path`` when a layer does not fit, when a head has only one of its
+    two parameters, or when the store holds any other parameter, as not a
+    ``what`` checkpoint."""
     w1 = store["w1"]
     hidden = w1.shape[-1] if w1.ndim else 0
     shapes = dict(zip(MLP_PARAMS, [(ENC_DIM, hidden), (hidden,), (hidden, hidden), (hidden,),
                                    (hidden, N_ACTIONS), (N_ACTIONS,)]))
     for k in heads:
-        shapes.update({f"w{k}": (hidden,), f"b{k}": ()})
+        w, b = f"w{k}", f"b{k}"
+        shapes.update({w: (hidden,), b: ()})
+        if (w in store.arrays) != (b in store.arrays):
+            held, missing = (w, b) if w in store.arrays else (b, w)
+            raise CheckpointError(f"{path}: checkpoint holds {held} but lacks {missing}")
     for name, shape in shapes.items():
         if name in store.arrays and store[name].shape != shape:
             raise CheckpointError(f"{path}: {name} has shape {store[name].shape}, "

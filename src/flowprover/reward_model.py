@@ -40,6 +40,7 @@ from .search import SearchConfig, search_from_state
 logger = logging.getLogger(__name__)
 
 RM_BATCH_SIZE = 64
+RM_HIDDEN = 128
 RM_OPTIM = OptimConfig()
 
 POSITIVE = "positive"
@@ -55,9 +56,9 @@ class RewardModel:
     epoch_losses: list[float] | None = None
 
     @classmethod
-    def create(cls, seed: int, hidden: int = 128, scale: float | None = None) -> "RewardModel":
+    def create(cls, seed: int, scale: float | None = None) -> "RewardModel":
         rng = np.random.default_rng(seed)
-        return cls(store=init_mlp(rng, ENC_DIM, hidden, len(ACTION_INDEX), scale=scale))
+        return cls(store=init_mlp(rng, ENC_DIM, RM_HIDDEN, len(ACTION_INDEX), scale=scale))
 
     def encode(self, state: ProofState) -> np.ndarray:
         return encode_from_parts(state, (), state, HISTORY_LESS)
@@ -85,14 +86,17 @@ class RewardModel:
         return cls(store=store)
 
 
-def gt_pairs(theorems: list[Theorem]) -> tuple[np.ndarray, np.ndarray]:
-    """All (history-less encoded state, ground-truth action index) pairs;
-    raises gfn.InvalidGroundTruth on a ground truth that does not prove."""
+def gt_pairs(theorems: list[Theorem],
+             mode: str = HISTORY_LESS) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked (encoded state, ground-truth action index) pairs of every
+    ground-truth step, in theorem order, under encoding ``mode``: the reward
+    model's rows under HISTORY_LESS, SFT's under HISTORY. Raises
+    gfn.InvalidGroundTruth on a ground truth that does not prove."""
     xs, ys = [], []
     for thm in theorems:
         gt = ground_truth(ProofTree(thm))
         for node, t in zip(gt.nodes, gt.tactics):
-            xs.append(node.encoding(HISTORY_LESS))
+            xs.append(node.encoding(mode))
             ys.append(ACTION_INDEX[t])
     return np.stack(xs), np.asarray(ys, dtype=np.intp)
 
@@ -125,13 +129,6 @@ def rm_train(corpus: CorpusSplit, epochs: int = 20, seed: int = 0) -> RewardMode
         rm.epoch_losses.append(float(np.mean(losses)))
         logger.debug("rm epoch %d: mean loss %.4f", epoch, rm.epoch_losses[-1])
     return rm
-
-
-def rm_accuracy(rm: RewardModel, theorems: list[Theorem]) -> float:
-    """Top-1 accuracy of the scorer on ground-truth pairs."""
-    x, y = gt_pairs(theorems)
-    logits, _ = mlp_forward_np(rm.store, x)
-    return float(np.mean(logits.argmax(axis=-1) == y))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .corpus import MAX_PROOF_LEN, Theorem
 from .env import ACTIONS, ProofState, Tactic, replay
 # Search applies tactics through its tree's nodes (gfn.ProofNode). The name

@@ -27,7 +27,7 @@ def replay_forward(net, traj, action_set=None) -> float:
     one single-row forward per step over its encodings; no environment
     calls."""
     total = 0.0
-    for enc, t in zip(traj.encodings(), traj.tactics):
+    for enc, t in zip(traj.encoding_rows(), traj.tactics):
         total += action_log_probs(net, enc, action_set)[ACTION_INDEX[t]]
     return float(total)
 

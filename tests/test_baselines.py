@@ -7,7 +7,6 @@ from flowprover.baselines import (
     PPOConfig,
     PPOTrainer,
     SFTTrainer,
-    gt_step_encodings,
     gt_top1_accuracy,
     ppo_loss_graph,
     ppo_surrogate_terms,
@@ -15,8 +14,8 @@ from flowprover.baselines import (
 from flowprover.env import ACTIONS, apply_tactic
 from flowprover.gfn import TrainConfig
 from flowprover.nn import Tape, finite_difference_check, mlp_forward_np
-from flowprover.policy import HISTORY, PolicyNet, encode_from_parts, encode_state
-from flowprover.reward_model import cross_entropy_graph
+from flowprover.policy import HISTORY, HISTORY_LESS, PolicyNet, encode_from_parts, encode_state
+from flowprover.reward_model import RewardModel, cross_entropy_graph, gt_pairs
 
 from conftest import identity_theorem
 
@@ -70,9 +69,7 @@ class TestSFT:
     def test_cross_entropy_gradient_check(self):
         thm = identity_theorem("a -> a")
         net = PolicyNet.create(seed=6, hidden=10)
-        encs, actions = gt_step_encodings(thm)
-        x = np.stack(encs)
-        y = np.asarray(actions)
+        x, y = gt_pairs([thm], HISTORY)
 
         def compute(store):
             tape = Tape()
@@ -83,6 +80,41 @@ class TestSFT:
         grads = tape.backward(loss)
         err = finite_difference_check(lambda s: float(compute(s)[0].value), net.store, grads)
         assert err < 1e-4
+
+
+class TestGroundTruthRows:
+    """``gt_pairs`` builds SFT's rows (HISTORY) and the reward model's
+    (HISTORY_LESS); ``gt_top1_accuracy`` reads either model over them."""
+
+    @pytest.mark.parametrize("mode", [HISTORY, HISTORY_LESS])
+    def test_rows_are_each_steps_encoding(self, small_corpus, mode):
+        theorems = small_corpus.train[:12]
+        x, y = gt_pairs(theorems, mode)
+        want_x, want_y = [], []
+        for thm in theorems:
+            state = thm.initial_state
+            for i, tactic in enumerate(thm.gt_proof):
+                want_x.append(encode_from_parts(thm.initial_state, thm.gt_proof[:i], state,
+                                                mode))
+                want_y.append(ACTIONS.index(tactic))
+                state = apply_tactic(state, tactic).state
+        assert x.dtype == np.uint8 and y.dtype == np.intp
+        assert x.tobytes() == np.stack(want_x).tobytes()
+        assert y.tolist() == want_y
+
+    @pytest.mark.parametrize("mode", [HISTORY, HISTORY_LESS])
+    def test_top1_accuracy_counts_every_step_once(self, small_corpus, mode):
+        # one stacked forward gives the share of hits over single-row forwards
+        theorems = small_corpus.train[:20]
+        for model in (PolicyNet.create(seed=3), RewardModel.create(seed=3)):
+            model.store["b3"][0] += 1.0  # toward intro, so some steps hit and some miss
+            hits = total = 0
+            for row, action in zip(*gt_pairs(theorems, mode)):
+                logits, _ = mlp_forward_np(model.store, row)
+                hits += int(np.argmax(logits) == action)
+                total += 1
+            assert 0 < hits < total
+            assert gt_top1_accuracy(model, theorems, mode) == hits / total
 
 
 def _ppo_instance(seed=0, hidden=10, n_steps=4):

@@ -16,6 +16,10 @@ from flowprover.corpus import build_corpus, load_split, save_split
 from flowprover.gfn import BINARY, TrainConfig
 from flowprover.policy import PolicyNet
 
+# oracle flags that set a negative or non-finite tolerance, with --assert
+BAD_TOLERANCES = [["--assert", "--tv-tol", "-1"], ["--assert", "--tv-tol", "nan"],
+                  ["--assert", "--logz-tol", "-0.5"], ["--assert", "--logz-tol", "inf"]]
+
 # (mode, key, value) of one-line --config files that TrainConfig refuses
 BAD_CONFIG_FILES = [
     ("ppo", "n_sampled", "0"),
@@ -346,6 +350,18 @@ class TestOracle:
         assert flags[0] in _usage_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", BAD_TOLERANCES)
+    def test_bad_tolerance_exits_2(self, corpus_dir, checkpoint, flags, monkeypatch, capsys):
+        def no_load(*args):
+            pytest.fail("the corpus was loaded before the tolerances were checked")
+
+        monkeypatch.setattr(cli, "load_split", no_load)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--checkpoint", str(checkpoint), "--theorems",
+                  str(corpus_dir), *flags])
+        assert exc.value.code == 2
+        assert flags[-2] in _usage_error_line(capsys)
+
     def test_full_rm_without_reward_model_exits_2(self, corpus_dir, checkpoint):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--checkpoint", str(checkpoint), "--theorems",
@@ -494,6 +510,11 @@ def _bad_checkpoint(kind: str, tmp_path: Path) -> Path:
         arrays["p:w2"] = np.array(["not", "numbers"])
     elif kind == "empty_step":
         arrays["__step__"] = np.array([], dtype=int)
+    elif kind == "half_value_head":  # a value head without its bias
+        for prefix in "pmv":
+            arrays[f"{prefix}:wv"] = np.zeros(128)
+    elif kind == "negative_step":  # an update from it would divide by 0
+        arrays["__step__"] = np.array([-1])
     elif kind == "extra_parameter":  # a parameter the policy does not have
         for prefix in "pmv":
             arrays[f"{prefix}:junk"] = np.zeros(3)
@@ -537,7 +558,7 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("kind", ["text", "no_version", "version_2", "empty_version",
                                       "missing_parameter", "moment_shape", "object_entry",
                                       "string_entry", "empty_step", "wrong_shape",
-                                      "extra_parameter"])
+                                      "extra_parameter", "half_value_head", "negative_step"])
     def test_bad_checkpoint_exits_2(self, kind, corpus_dir, tmp_path, capsys):
         path = _bad_checkpoint(kind, tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -549,6 +570,10 @@ class TestBadInputFiles:
             assert "p:w2" in line
         if kind == "extra_parameter":
             assert "not a policy checkpoint: it also holds junk" in line
+        if kind == "half_value_head":
+            assert "holds wv but lacks bv" in line
+        if kind == "negative_step":
+            assert "__step__ must be non-negative, got -1" in line
 
     def test_bad_reward_model_exits_2(self, corpus_dir, checkpoint, tmp_path, capsys):
         for kind, message in (("version_2", "version [2]"),
@@ -629,7 +654,7 @@ class TestBadInputFiles:
                   "--budget", "-3"],
                  *(["oracle", "--theorems", str(corpus_dir), "--checkpoint",
                     str(checkpoint), *flags]
-                   for flags in (["--max-depth", "0"], ["--limit", "-1"])),
+                   for flags in (["--max-depth", "0"], ["--limit", "-1"], *BAD_TOLERANCES)),
                  ["rm-train", "--corpus", str(repeated), "--out", str(tmp_path / "rm2.npz")],
                  ["train", "--mode", "ppo", "--corpus", str(corpus_dir), "--steps", "2",
                   "--out", str(tmp_path / "ppo"), "--config", str(subset_cfg)],
@@ -640,6 +665,9 @@ class TestBadInputFiles:
                  ["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm", wrong_shape,
                   "--steps", "2", "--out", str(tmp_path / "gfn")],
                  ["eval", "--corpus", str(corpus_dir), "--checkpoint", extra_parameter],
+                 *(["eval", "--corpus", str(corpus_dir),
+                    "--checkpoint", str(_bad_checkpoint(kind, tmp_path))]
+                   for kind in ("half_value_head", "negative_step")),
                  ["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm",
                   extra_parameter, "--steps", "2", "--out", str(tmp_path / "gfn")],
                  ["train", "--mode", "sft", "--corpus", str(corpus_dir), "--steps", "2",

@@ -8,7 +8,6 @@ from flowprover import nn
 from flowprover.corpus import (
     ACHIEVABLE_PROOF_LENGTHS,
     MAX_PROOF_LEN,
-    FilterCaps,
     GenerationExhausted,
     Theorem,
     build_corpus,
@@ -20,8 +19,17 @@ from flowprover.corpus import (
     theorem_from_json,
     theorem_to_json,
 )
-from flowprover.env import initial_state, parse_tactic, replay, state_fingerprint
+from flowprover.env import (
+    ACTIONS,
+    Tactic,
+    TacticKind,
+    initial_state,
+    parse_tactic,
+    replay,
+    state_fingerprint,
+)
 from flowprover.formulas import And, Atom, Implies
+from flowprover.gfn import ACTION_CHARS
 
 
 class TestGenerateTheorem:
@@ -80,10 +88,19 @@ class TestFilter:
         assert len(thm.initial_state.render()) > 1200
         assert not filter_theorem(thm)
 
-    def test_tactic_cap(self):
-        thm = generate_theorem(np.random.default_rng(4), 2)
-        caps = FilterCaps(max_tactic_chars=4)
-        assert not filter_theorem(thm, caps)  # "exact h1" is 8 chars
+    def test_no_tactic_needs_a_cap(self):
+        # only the 36 actions can be made, and each prints in 4 to 11 chars
+        made = set()
+        for kind in TacticKind:
+            for arg in (None, True, 1.0, "1", *range(-1, 11)):
+                try:
+                    made.add(Tactic(kind, arg))
+                except ValueError:
+                    pass
+        assert sorted(t.render() for t in made) == sorted(t.render() for t in ACTIONS)
+        assert (min(ACTION_CHARS), max(ACTION_CHARS)) == (4, 11)
+        with pytest.raises(ValueError):
+            Tactic("exact", 1)
 
 
 class TestBuildCorpus:

@@ -108,7 +108,7 @@ class TestLogReward:
             indices = rng.integers(0, len(ACTIONS), int(rng.integers(1, 4)))
             tactics = [ACTIONS[i] for i in indices]
             mean = float(np.mean([len(t.render()) for t in tactics]))
-            want = spec.error_base + spec.alpha * float(np.log((88.0 - mean) / 88.0))
+            want = -15.0 + 8.0 * float(np.log((88.0 - mean) / 88.0))
             assert error_branch_log_reward(tactics, spec) == want
             total = sum(ACTION_CHARS[i] for i in indices)
             assert error_log_reward(total, len(tactics), spec) == want
@@ -325,7 +325,8 @@ class TestRolloutTree:
                         assert x.outcome == y.outcome
                         assert np.float64(x.log_pf).tobytes() == np.float64(y.log_pf).tobytes()
                         assert np.float64(x.log_r).tobytes() == np.float64(y.log_r).tobytes()
-                        assert x.encodings().tobytes() == y.encodings().tobytes()
+                        assert np.stack(x.encoding_rows()).tobytes() == \
+                            np.stack(y.encoding_rows()).tobytes()
                         outcomes.add(x.outcome)
                 # the updates moved the policy the first batch was drawn from
                 assert replay_forward(nets["run"], shared[0], cfg.action_set) != shared[0].log_pf
@@ -479,7 +480,8 @@ class TestReplay:
         assert entry is not traj and entry.nodes is traj.nodes
         assert (entry.tactics, entry.outcome, entry.log_r) == \
             (traj.tactics, traj.outcome, traj.log_r)
-        assert entry.encodings().tobytes() == traj.encodings().tobytes()
+        assert np.stack(entry.encoding_rows()).tobytes() == \
+            np.stack(traj.encoding_rows()).tobytes()
 
     def test_corrupt_entry_is_refused_when_made(self):
         thm = identity_theorem("a -> a")
@@ -549,7 +551,8 @@ class TestTrajectoryIsItsNodes:
                                proof_states=_states(traj), outcome=outcome,
                                log_pf=traj.log_pf, log_r=traj.log_r)
             assert again == traj and not set(map(id, again.nodes)) & set(map(id, traj.nodes))
-            assert again.encodings().tobytes() == traj.encodings().tobytes()
+            assert np.stack(again.encoding_rows()).tobytes() == \
+                np.stack(traj.encoding_rows()).tobytes()
             for spec in (RewardSpec(mode=FULL_RM), RewardSpec(mode=BINARY)):
                 want = np.float64(log_reward(traj, spec, rm=rm)).tobytes()
                 assert np.float64(log_reward(again, spec, rm=rm)).tobytes() == want
@@ -774,7 +777,6 @@ class TestTrainStep:
         lambda: TrainConfig(mode="sft", action_set=(0, 1)),
         lambda: TrainConfig(mode="ppo", action_set=(0, 1)),
         lambda: PPOConfig(clip_eps=1.5),
-        lambda: RewardSpec(alpha=0.0),
         lambda: RewardSpec(mode="dense"),
         lambda: SearchConfig(branching=0),
         lambda: SearchConfig(branching=37),

@@ -1,0 +1,49 @@
+"""Every import in the package is read: an AST walk over each module (no
+linter needed). ``__init__.py`` imports only to re-export, and a statement
+marked ``noqa`` binds a name on purpose."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flowprover"
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name an import statement binds that the module
+    never reads, outside statements with ``noqa`` on one of their lines."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound.append((node.lineno, name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for line, name in bound if name not in read)
+
+
+def test_the_check_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import numpy as np\n"
+              "from json import dumps, loads  # noqa: F401\n"
+              "from math import (\n"
+              "    pi,\n"
+              "    tau,\n"
+              ")\n"
+              "print(os.path.sep, pi)\n")
+    assert unused_imports(source) == [(3, "np"), (5, "tau")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []

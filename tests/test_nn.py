@@ -23,20 +23,21 @@ def tiny_mlp(seed=0, in_dim=7, hidden=9, out_dim=5, scale=None):
 
 
 def reference_step(params, moments, grads, cfg, t):
-    """The AdamW update written out of place, for comparison."""
+    """The AdamW update written out of place, for comparison, with its
+    constants written out: beta1 0.9, beta2 0.999, eps 1e-8."""
     norm = global_grad_norm(grads)
     factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - 0.9 ** t
+    bc2 = 1.0 - 0.999 ** t
     for name, p in params.items():
         g = grads[name] * factor
         m, v = moments[name]
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
         moments[name] = (m, v)
-        params[name] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps) \
+        params[name] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + 1e-8) \
             - cfg.lr * cfg.weight_decay * p
 
 

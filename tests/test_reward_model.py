@@ -6,8 +6,9 @@ import pytest
 from flowprover.corpus import CorpusSplit
 from flowprover.env import ACTIONS, Goal, ProofState, apply_tactic, initial_state, parse_tactic
 from flowprover.formulas import Atom, Implies, parse_formula
+from flowprover.baselines import gt_top1_accuracy
 from flowprover.gfn import GFNTrainer, TrainConfig
-from flowprover.policy import PolicyNet
+from flowprover.policy import HISTORY_LESS, PolicyNet
 from flowprover.reward_model import (
     NEGATIVE,
     POSITIVE,
@@ -16,7 +17,6 @@ from flowprover.reward_model import (
     RewardModel,
     classify_found_proof,
     mine_hard_negatives,
-    rm_accuracy,
     rm_train,
     save_labeled,
 )
@@ -60,8 +60,8 @@ class TestTraining:
     def test_accuracy_improves_with_training(self, small_corpus):
         untrained = RewardModel.create(seed=0)
         trained = rm_train(small_corpus, epochs=12, seed=0)
-        assert rm_accuracy(trained, small_corpus.train) > \
-            rm_accuracy(untrained, small_corpus.train) + 0.2
+        assert gt_top1_accuracy(trained, small_corpus.train, HISTORY_LESS) > \
+            gt_top1_accuracy(untrained, small_corpus.train, HISTORY_LESS) + 0.2
 
     def test_gt_scores_beat_median_on_validation(self, small_corpus):
         trained = rm_train(small_corpus, epochs=12, seed=0)

@@ -14,6 +14,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MISUSES = {
     "Tactic(EXACT, 9)": "ValueError",
     "Tactic(INTRO, 3)": "ValueError",
+    # only the 36 actions can be made: a bool is not a hypothesis position
+    "Tactic(EXACT, True)": "ValueError",
     "apply_tactic(initial_state(parse_formula('a -> a')), hypless)": "ValueError",
     "store.add('w', np.zeros(2))": "ValueError",
     "store.__setitem__('w', np.zeros(5))": "ValueError",
@@ -27,6 +29,10 @@ MISUSES = {
     "RewardModel.load(io.BytesIO(policy_checkpoint))": "CheckpointError",
     # nor may a policy checkpoint hold a parameter beyond the MLP and its z/v heads
     "PolicyNet.load(io.BytesIO(extra_parameter))": "CheckpointError",
+    # nor half a head: a value head without its bias would fail at PPO's first step
+    "PolicyNet.load(io.BytesIO(half_value_head))": "CheckpointError",
+    # an update from step -1 would divide by 1 - beta**0 = 0
+    "ParamStore.load(io.BytesIO(negative_step))": "CheckpointError",
     "enumerate_trajectories(thm, max_depth=0)": "ValueError",
     # an action set must be distinct indices in [0, 36), checked before the walk
     "enumerate_trajectories(thm, action_set=(0, 0, 1, 2, 3, 4))": "ValueError",
@@ -91,6 +97,15 @@ def test_misuse_raises_typed_exceptions(flags):
         "ParamStore({**PolicyNet.create(seed=0, hidden=8).store.arrays,",
         "            'junk': np.zeros(3)}).save(buf)",
         "extra_parameter = buf.getvalue()",
+        "buf = io.BytesIO()",
+        "ParamStore({**PolicyNet.create(seed=0, hidden=8).store.arrays,",
+        "            'wv': np.zeros(8)}).save(buf)",
+        "half_value_head = buf.getvalue()",
+        "at_minus_1 = ParamStore({'w': np.zeros(2)})",
+        "at_minus_1.step_count = -1",
+        "buf = io.BytesIO()",
+        "at_minus_1.save(buf)",
+        "negative_step = buf.getvalue()",
         "from flowprover.corpus import CorpusSplit, Theorem, build_corpus",
         "from flowprover.env import parse_tactic",
         "from flowprover.oracle import enumerate_trajectories, oracle_report",
