@@ -53,9 +53,8 @@ class Tactic:
             raise ValueError(f"{self.kind.value} needs a hypothesis in 1..{H_MAX}, got {self.arg}")
 
     def render(self) -> str:
-        if self.arg is None:
-            return self.kind.value
-        return f"{self.kind.value} h{self.arg}"
+        """The tactic's text: one shared string per action (``_TEXT``)."""
+        return _TEXT[self]
 
     def __str__(self) -> str:
         return self.render()
@@ -81,6 +80,9 @@ ACTIONS: tuple[Tactic, ...] = tuple(
 )
 N_ACTIONS = len(ACTIONS)
 ACTION_INDEX: dict[Tactic, int] = {t: i for i, t in enumerate(ACTIONS)}
+# The text of every action, made once, so rendering allocates no string.
+_TEXT: dict[Tactic, str] = {t: t.kind.value if t.arg is None else f"{t.kind.value} h{t.arg}"
+                            for t in ACTIONS}
 
 
 @dataclass(frozen=True, slots=True)

@@ -233,17 +233,17 @@ def _tactic_chars(tactic) -> int:
     return len(tactic.render()) if n is None else n
 
 
-def error_branch_log_reward(tactics, spec: RewardSpec) -> float:
-    return error_log_reward(sum(map(_tactic_chars, tactics)), len(tactics), spec)
+def error_branch_log_reward(tactics) -> float:
+    return error_log_reward(sum(map(_tactic_chars, tactics)), len(tactics))
 
 
-def error_log_reward(total_chars, n_tactics, spec: RewardSpec):
+def error_log_reward(total_chars, n_tactics):
     """The error-branch log reward of ``n_tactics`` tactics whose rendered
     lengths sum to ``total_chars``. The mean length is one division of exact
     integers, so a caller that keeps the running sum gets the same bits.
     Either argument may be an integer array (they broadcast): the result is
     then the array of the same rewards, elementwise the same bits. The
-    branch is the same under either reward mode of ``spec``."""
+    branch is the same under either reward mode."""
     if _any(n_tactics < 1):
         raise ValueError("trajectory must contain at least one tactic")
     l = total_chars / n_tactics
@@ -266,7 +266,7 @@ def log_reward(traj: Trajectory, spec: RewardSpec, rm=None) -> float:
     if traj.outcome == PROVED:
         return 0.0
     if traj.outcome == ENV_ERROR or spec.mode == BINARY:
-        return error_branch_log_reward(traj.tactics, spec)
+        return error_branch_log_reward(traj.tactics)
     if traj.outcome != DEPTH_EXHAUSTED:
         raise ValueError(f"unknown trajectory outcome {traj.outcome!r}")
     if rm is None:
@@ -421,26 +421,50 @@ class TrainConfig:
                            weight_decay=self.weight_decay)
 
 
+# A trajectory's outcome, by the kind of its last tactic's result.
+_OUTCOMES = {StepKind.PROVED: PROVED, StepKind.ERROR: ENV_ERROR, StepKind.OK: DEPTH_EXHAUSTED}
+
+
 class ReplayBuffer:
-    """Per-theorem FIFO buffers of finished trajectories, each a copy, so
-    later changes to a rollout do not reach its entry. A theorem's buffer
-    is a plain list, oldest first, of at most ``capacity`` entries: a full
-    one drops its oldest before it appends. The loss graph recomputes
-    log P_F, so the stored log_pf is never read; an entry keeps its tree
-    nodes, whose encodings are made already."""
+    """Per-theorem FIFO buffers of finished trajectories, each kept as its
+    tree path: (leaf, action, log R), the node its last tactic is taken
+    from, that tactic's action index and the trajectory's log reward. Later
+    changes to a rollout do not reach its entry. A theorem's buffer is a
+    plain list, oldest first, of at most ``capacity`` entries: a full one
+    drops its oldest before it appends. ``sample`` rebuilds each drawn
+    trajectory by walking down from the theorem's tree root, kept from its
+    first entry, along the leaf's history: the same node objects, whose
+    encodings are made already. The loss graph recomputes log P_F, so a
+    rebuilt trajectory's log_pf is 0.0, as for the ground truth."""
 
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
-        self._buffers: dict[str, list[Trajectory]] = {}
+        self._buffers: dict[str, list[tuple[ProofNode, int, float]]] = {}
+        self._roots: dict[str, ProofNode] = {}
         self.reads = 0
 
     def add(self, traj: Trajectory) -> None:
-        buf = self._buffers.get(traj.theorem_name)
+        """Keep ``traj`` as its tree path. ValueError unless its nodes run
+        from a tree root down by its tactics, the last tactic's recorded
+        result fits its outcome, and the root is the one of the theorem's
+        earlier entries: stand-alone nodes (``proof_states=``) are no path."""
+        name, nodes, tactics = traj.theorem_name, traj.nodes, traj.tactics
+        root = self._roots.get(name, nodes[0])
+        leaf, action = nodes[-1], ACTION_INDEX[tactics[-1]]
+        result = leaf.results.get(action)
+        if (nodes[0] is not root or root.history or result is None
+                or _OUTCOMES[result.kind] != traj.outcome
+                or any(child is not node.children.get(ACTION_INDEX[tactic])
+                       for node, child, tactic in zip(nodes, nodes[1:], tactics))):
+            raise ValueError(f"trajectory for {name!r} is not a root-to-leaf path of "
+                             "its theorem's tree")
+        buf = self._buffers.get(name)
         if buf is None:
-            buf = self._buffers[traj.theorem_name] = []
+            buf = self._buffers[name] = []
+            self._roots[name] = root
         elif len(buf) >= self.capacity:
             del buf[0]
-        buf.append(dataclasses.replace(traj))
+        buf.append((leaf, action, float(traj.log_r)))
 
     def size(self, theorem_name: str) -> int:
         return len(self._buffers.get(theorem_name, ()))
@@ -450,7 +474,18 @@ class ReplayBuffer:
         buf = self._buffers[theorem_name]
         picks = rng.integers(0, len(buf), size=k)
         self.reads += int(k)
-        return [buf[int(i)] for i in picks]
+        root = self._roots[theorem_name]
+        batch = []
+        for i in picks:
+            leaf, action, log_r = buf[int(i)]
+            node, nodes = root, [root]
+            for tactic in leaf.history:
+                node = node.children[ACTION_INDEX[tactic]]
+                nodes.append(node)
+            batch.append(Trajectory(theorem_name, leaf.history + (ACTIONS[action],),
+                                    _OUTCOMES[leaf.results[action].kind], 0.0, log_r,
+                                    nodes=tuple(nodes)))
+        return batch
 
 
 def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
@@ -502,9 +537,6 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
                       rng: np.random.Generator, rm=None) -> Trajectory:
     """One rollout of ``thm`` (see ``sample_trajectories``) in a fresh tree."""
     return sample_trajectories(ProofTree(thm), net, cfg, rng, 1, rm=rm)[0]
-
-
-_OUTCOMES = {StepKind.PROVED: PROVED, StepKind.ERROR: ENV_ERROR, StepKind.OK: DEPTH_EXHAUSTED}
 
 
 def trajectory_from_tactics(thm: Theorem, tactics) -> Trajectory:

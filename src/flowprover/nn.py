@@ -64,24 +64,29 @@ class ParamStore:
         self.extend(params or {})
 
     def extend(self, params: dict[str, np.ndarray]) -> None:
-        """Append ``params``, with zero moments, after the current segments.
-        The flat vectors are rebuilt once; earlier values and moments are
-        kept bit for bit, and earlier views go stale."""
+        """Append ``params``, copied, with zero moments, after the current
+        segments. The flat vectors are allocated once and filled in place:
+        earlier values and moments are kept bit for bit, new moments stay
+        untouched zero pages until the first update, and earlier views go
+        stale."""
         values = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
         for name in values:
             if name in self.arrays:
                 raise ValueError(f"duplicate parameter {name!r}")
-        added = sum(arr.size for arr in values.values())
-        self.flat_p = np.concatenate([self.flat_p, *(arr.ravel() for arr in values.values())])
-        self.flat_m = np.concatenate([self.flat_m, np.zeros(added)])
-        self.flat_v = np.concatenate([self.flat_v, np.zeros(added)])
+        kept = self.flat_p.size
+        size = kept + sum(arr.size for arr in values.values())
+        flat_p, flat_m, flat_v = np.empty(size), np.zeros(size), np.zeros(size)
+        flat_p[:kept], flat_m[:kept], flat_v[:kept] = self.flat_p, self.flat_m, self.flat_v
+        self.flat_p, self.flat_m, self.flat_v = flat_p, flat_m, flat_v
         start = 0
         for name, arr in {**self.arrays, **values}.items():
             seg = self.segments[name] = slice(start, start + arr.size)
-            self.arrays[name] = self.flat_p[seg].reshape(arr.shape)
-            self.adam_m[name] = self.flat_m[seg].reshape(arr.shape)
-            self.adam_v[name] = self.flat_v[seg].reshape(arr.shape)
+            self.arrays[name] = flat_p[seg].reshape(arr.shape)
+            self.adam_m[name] = flat_m[seg].reshape(arr.shape)
+            self.adam_v[name] = flat_v[seg].reshape(arr.shape)
             start = seg.stop
+        for name, arr in values.items():
+            self.arrays[name][...] = arr
 
     def add(self, name: str, value: np.ndarray) -> None:
         self.extend({name: value})

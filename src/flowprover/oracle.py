@@ -195,7 +195,7 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     log_r = np.zeros(len(cells))
     log_r[errors] = error_log_reward(np.array(node_chars, dtype=np.intp)[error_rows]
                                      + np.array(column_chars)[errors - error_rows * width],
-                                     depths[error_rows], spec)
+                                     depths[error_rows])
     if exhausted:
         log_r[list(exhausted)] = list(exhausted.values())
     leaves = np.array(leaves, dtype=np.intp)

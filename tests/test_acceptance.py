@@ -214,9 +214,9 @@ def test_criterion_04_reward_formula_fidelity():
     proved = trajectory_from_tactics(thm, list(thm.gt_proof))
     assert log_reward(proved, RewardSpec(mode=BINARY)) == 0.0
 
-    v44 = error_branch_log_reward([FixedLen(44)], RewardSpec())
+    v44 = error_branch_log_reward([FixedLen(44)])
     assert v44 == pytest.approx(-20.5452, abs=1e-4)
-    v8 = error_branch_log_reward([FixedLen(8)], RewardSpec())
+    v8 = error_branch_log_reward([FixedLen(8)])
     assert v8 == pytest.approx(-15.7625, abs=1e-4)
 
     # binary mode sends every non-proved outcome through the error branch
@@ -228,7 +228,7 @@ def test_criterion_04_reward_formula_fidelity():
     exhausted = Trajectory(thm.name, (intro,), DEPTH_EXHAUSTED, 0.0,
                            proof_states=(thm.initial_state, s1))
     errored = Trajectory(thm.name, (intro,), ENV_ERROR, 0.0, proof_states=(thm.initial_state,))
-    expected = error_branch_log_reward([intro], spec)
+    expected = error_branch_log_reward([intro])
     assert log_reward(exhausted, spec) == expected
     assert log_reward(errored, spec) == expected
     print(f"criterion 4 PASS: proved=0 l44={v44:.4f} l8={v8:.4f}")

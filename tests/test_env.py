@@ -45,6 +45,19 @@ class TestActionSpace:
         assert Tactic(TacticKind.EXACT, 3).render() == "exact h3"
         assert Tactic(TacticKind.DESTRUCT, 8).render() == "destruct h8"
 
+    def test_each_action_renders_one_shared_string(self):
+        texts = [kind.value for kind in (TacticKind.INTRO, TacticKind.SPLIT, TacticKind.LEFT,
+                                         TacticKind.RIGHT)]
+        texts += [f"{kind.value} h{i}" for kind in (TacticKind.EXACT, TacticKind.APPLY,
+                                                    TacticKind.CASES, TacticKind.DESTRUCT)
+                  for i in range(1, 9)]
+        for t, text in zip(ACTIONS, texts, strict=True):
+            rendered = t.render()
+            assert rendered == text and str(t) == text
+            assert t.render() is rendered and Tactic(t.kind, t.arg).render() is rendered
+            again = parse_tactic(rendered)
+            assert again == t and again.render() is rendered
+
     def test_parse_rejects_bad_arity(self):
         with pytest.raises(ValueError):
             parse_tactic("intro h1")

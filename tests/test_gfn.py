@@ -26,6 +26,7 @@ from flowprover.gfn import (
     FULL_RM,
     GFNTrainer,
     PROVED,
+    ProofNode,
     ProofTree,
     ReplayBuffer,
     RewardSpec,
@@ -81,43 +82,42 @@ class TestLogReward:
         assert log_reward(traj, RewardSpec(mode=BINARY)) == 0.0
 
     def test_error_branch_length_44(self):
-        val = error_branch_log_reward([_FakeTactic(44)], RewardSpec())
+        val = error_branch_log_reward([_FakeTactic(44)])
         assert val == pytest.approx(-15.0 + 8.0 * math.log(44.0 / 88.0), abs=1e-12)
         assert val == pytest.approx(-20.5452, abs=1e-4)
 
     def test_error_branch_length_8(self):
-        val = error_branch_log_reward([_FakeTactic(8)], RewardSpec())
+        val = error_branch_log_reward([_FakeTactic(8)])
         assert val == pytest.approx(-15.0 + 8.0 * math.log(80.0 / 88.0), abs=1e-12)
         assert val == pytest.approx(-15.7625, abs=1e-4)
 
     def test_mean_length_over_tactics(self):
-        val = error_branch_log_reward([_FakeTactic(40), _FakeTactic(48)], RewardSpec())
+        val = error_branch_log_reward([_FakeTactic(40), _FakeTactic(48)])
         assert val == pytest.approx(-15.0 + 8.0 * math.log(0.5), abs=1e-12)
 
     def test_invalid_length_guard(self):
         from flowprover.gfn import InvalidLength
 
         with pytest.raises(InvalidLength):
-            error_branch_log_reward([_FakeTactic(88)], RewardSpec())
+            error_branch_log_reward([_FakeTactic(88)])
 
     def test_mean_length_table_matches_rendering(self):
         assert ACTION_CHARS == tuple(len(t.render()) for t in ACTIONS)
-        spec = RewardSpec()
         rng = np.random.default_rng(0)
         for _ in range(300):
             indices = rng.integers(0, len(ACTIONS), int(rng.integers(1, 4)))
             tactics = [ACTIONS[i] for i in indices]
             mean = float(np.mean([len(t.render()) for t in tactics]))
             want = -15.0 + 8.0 * float(np.log((88.0 - mean) / 88.0))
-            assert error_branch_log_reward(tactics, spec) == want
+            assert error_branch_log_reward(tactics) == want
             total = sum(ACTION_CHARS[i] for i in indices)
-            assert error_log_reward(total, len(tactics), spec) == want
+            assert error_log_reward(total, len(tactics)) == want
 
     def test_mean_length_of_no_tactics_raises(self):
         with pytest.raises(ValueError):
-            error_branch_log_reward([], RewardSpec())
+            error_branch_log_reward([])
         with pytest.raises(ValueError):
-            error_log_reward(0, 0, RewardSpec())
+            error_log_reward(0, 0)
 
     def test_binary_mode_maps_depth_exhausted_to_error_branch(self):
         thm = identity_theorem("a -> a")
@@ -126,7 +126,7 @@ class TestLogReward:
         traj = make_traj(thm, [intro], DEPTH_EXHAUSTED,
                          states=(thm.initial_state, s1))
         spec = RewardSpec(mode=BINARY)
-        assert log_reward(traj, spec) == error_branch_log_reward([intro], spec)
+        assert log_reward(traj, spec) == error_branch_log_reward([intro])
 
     def test_full_mode_uses_rm_partial_credit(self):
         thm = identity_theorem("a -> a")
@@ -144,7 +144,7 @@ class TestLogReward:
         split = parse_tactic("split")
         traj = make_traj(thm, [split], ENV_ERROR, states=(thm.initial_state,))
         spec = RewardSpec(mode=FULL_RM)
-        assert log_reward(traj, spec) == error_branch_log_reward([split], spec)
+        assert log_reward(traj, spec) == error_branch_log_reward([split])
 
 
 class TestSampleTrajectory:
@@ -400,6 +400,32 @@ class TestRolloutTree:
         assert (replay_steps > 0) == (mode == "gfn")  # only gfn replays
 
 
+class _CopyingReplayBuffer:
+    """The replay buffer as it was before entries became tree paths: a
+    ``dataclasses.replace`` copy of each trajectory, drawn by the same
+    generator calls."""
+
+    def __init__(self, capacity: int = 64):
+        self.capacity = capacity
+        self._buffers = {}
+        self.reads = 0
+
+    def add(self, traj):
+        buf = self._buffers.setdefault(traj.theorem_name, [])
+        if len(buf) >= self.capacity:
+            del buf[0]
+        buf.append(dataclasses.replace(traj))
+
+    def size(self, theorem_name):
+        return len(self._buffers.get(theorem_name, ()))
+
+    def sample(self, theorem_name, k, rng):
+        buf = self._buffers[theorem_name]
+        picks = rng.integers(0, len(buf), size=k)
+        self.reads += int(k)
+        return [buf[int(i)] for i in picks]
+
+
 class TestReplay:
     def test_replay_forward_matches_fresh_log_pf_at_t1(self):
         thm = identity_theorem("a & b -> a & b")
@@ -432,8 +458,9 @@ class TestReplay:
     def test_buffer_fifo_capacity(self):
         buf = ReplayBuffer(capacity=3)
         thm = identity_theorem("a -> a")
+        tree = ProofTree(thm)
         for i in range(5):
-            t = trajectory_from_tactics(thm, list(thm.gt_proof))
+            t = ground_truth(tree)
             t.log_r = float(i)
             buf.add(t)
         assert buf.size(thm.name) == 3
@@ -445,13 +472,14 @@ class TestReplay:
     def test_buffer_keeps_what_a_bounded_deque_keeps(self, capacity):
         # past capacity: the same entries in the same order, and the same draws
         thm = identity_theorem("a -> a")
+        tree = ProofTree(thm)
         buf, ring = ReplayBuffer(capacity=capacity), deque(maxlen=capacity)
         for i in range(2 * capacity + 5):
-            traj = trajectory_from_tactics(thm, list(thm.gt_proof))
+            traj = ground_truth(tree)
             traj.log_r = float(i)
             buf.add(traj)
             ring.append(traj.log_r)
-            assert [e.log_r for e in buf._buffers[thm.name]] == list(ring)
+            assert [log_r for _, _, log_r in buf._buffers[thm.name]] == list(ring)
             assert buf.size(thm.name) == len(ring) <= capacity
             rng, want_rng = np.random.default_rng(i), np.random.default_rng(i)
             drawn = [e.log_r for e in buf.sample(thm.name, 7, rng)]
@@ -461,7 +489,7 @@ class TestReplay:
     def test_stored_log_r_frozen(self):
         buf = ReplayBuffer()
         thm = identity_theorem("a -> a")
-        traj = trajectory_from_tactics(thm, list(thm.gt_proof))
+        traj = ground_truth(ProofTree(thm))
         traj.log_r = -1.25
         buf.add(traj)
         traj.log_r = 99.0  # later mutation of the source must not leak in
@@ -469,19 +497,82 @@ class TestReplay:
         assert entry.log_r == -1.25
 
     def test_entries_are_replay_trajectories_that_keep_their_nodes(self):
+        thm = identity_theorem("(a -> b) -> (a -> b)")
+        cfg = TrainConfig(mode="gfn_br_oo", max_depth=3)
+        trajs = sample_trajectories(ProofTree(thm), _biased_net(10), cfg,
+                                    np.random.default_rng(0), 200)
+        assert {len(t) for t in trajs} == {1, 2, 3}  # paths of every length
+        assert {t.outcome for t in trajs} == {PROVED, ENV_ERROR, DEPTH_EXHAUSTED}
+        buf = ReplayBuffer(capacity=len(trajs))
+        for traj in trajs:
+            buf.add(traj)
+        picks = np.random.default_rng(0).integers(0, len(trajs), size=len(trajs))
+        entries = buf.sample(thm.name, len(trajs), np.random.default_rng(0))
+        for k, entry in zip(picks, entries):
+            traj = trajs[int(k)]
+            assert isinstance(entry, Trajectory) and entry is not traj
+            assert len(entry.nodes) == len(traj.nodes)
+            for node, want in zip(entry.nodes, traj.nodes):
+                assert node is want
+            assert (entry.theorem_name, entry.tactics, entry.outcome, entry.log_r) == \
+                (traj.theorem_name, traj.tactics, traj.outcome, traj.log_r)
+            assert entry.log_pf == 0.0
+            assert np.stack(entry.encoding_rows()).tobytes() == \
+                np.stack(traj.encoding_rows()).tobytes()
+
+    def test_an_entry_holds_a_node_an_action_index_and_a_log_reward(self):
+        thm, _, found = _one_rollout_per_outcome()
         buf = ReplayBuffer()
-        thm = identity_theorem("a -> a")
-        cfg = TrainConfig(mode="gfn_br_oo")
-        traj = sample_trajectory(thm, PolicyNet.create(seed=0), cfg, np.random.default_rng(1))
-        assert len(traj.nodes) == len(traj.tactics)
-        buf.add(traj)
-        entry = buf.sample(thm.name, 1, np.random.default_rng(0))[0]
-        assert isinstance(entry, Trajectory)
-        assert entry is not traj and entry.nodes is traj.nodes
-        assert (entry.tactics, entry.outcome, entry.log_r) == \
-            (traj.tactics, traj.outcome, traj.log_r)
-        assert np.stack(entry.encoding_rows()).tobytes() == \
-            np.stack(traj.encoding_rows()).tobytes()
+        for traj in found.values():
+            buf.add(traj)
+        for (leaf, action, log_r), traj in zip(buf._buffers[thm.name], found.values()):
+            assert (type(leaf), type(action), type(log_r)) == (ProofNode, int, float)
+            assert leaf is traj.nodes[-1] and ACTIONS[action] == traj.tactics[-1]
+            assert log_r == traj.log_r
+
+    def test_a_trajectory_that_is_no_tree_path_is_refused(self):
+        thm, _, found = _one_rollout_per_outcome()
+        standalone = [Trajectory(theorem_name=thm.name, tactics=traj.tactics,
+                                 proof_states=_states(traj), outcome=outcome,
+                                 log_pf=traj.log_pf, log_r=traj.log_r)
+                      for outcome, traj in found.items()]
+        for traj in standalone:
+            with pytest.raises(ValueError, match="not a root-to-leaf path"):
+                ReplayBuffer().add(traj)
+        buf = ReplayBuffer()
+        buf.add(found[PROVED])
+        other = ground_truth(ProofTree(thm))  # the same theorem in a second tree
+        broken = dataclasses.replace(found[PROVED], outcome=ENV_ERROR)
+        for traj in (other, broken, *standalone):
+            with pytest.raises(ValueError, match="not a root-to-leaf path"):
+                buf.add(traj)
+        assert buf.size(thm.name) == 1
+
+    def test_replay_through_tree_paths_changes_no_bit(self, monkeypatch):
+        # 300 steps over 200 theorems under each reward: the same metrics
+        # rows and parameters as a buffer that keeps trajectory copies
+        from flowprover import gfn as gfn_mod
+
+        split = build_corpus(3, 200, 20)
+        rm = rm_train(split, epochs=5, seed=1)
+
+        def run(reward_mode):
+            trainer = GFNTrainer(split.train, PolicyNet.create(seed=5),
+                                 TrainConfig(reward_mode=reward_mode),
+                                 rm=rm if reward_mode == FULL_RM else None, seed=5)
+            rows = [repr(dataclasses.astuple(trainer.train_step(thm)))
+                    for thm in (split.train * 2)[:300]]
+            store = trainer.net.store
+            return rows, trainer.buffer.reads, store.flat_p.tobytes() + \
+                store.flat_m.tobytes() + store.flat_v.tobytes()
+
+        for reward_mode in (FULL_RM, BINARY):
+            got = run(reward_mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(gfn_mod, "ReplayBuffer", _CopyingReplayBuffer)
+                want = run(reward_mode)
+            assert want[1] > 0  # replay steps ran
+            assert got == want
 
     def test_corrupt_entry_is_refused_when_made(self):
         thm = identity_theorem("a -> a")

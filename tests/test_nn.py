@@ -368,6 +368,17 @@ class TestFlatStore:
         with pytest.raises(ValueError):
             store.add("wv", np.zeros(9))
 
+    def test_the_store_holds_copies_of_the_callers_arrays(self):
+        params = {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)}
+        store = ParamStore(params)
+        store.add("wv", params["b"])
+        params["w"][...] = -1.0  # writes after the store is made do not reach it
+        params["b"][...] = -1.0
+        assert np.array_equal(store["w"], np.arange(6.0).reshape(2, 3))
+        assert np.array_equal(store["b"], np.ones(3))
+        assert np.array_equal(store["wv"], np.ones(3))
+        assert not store.flat_m.any() and not store.flat_v.any()
+
     def test_norm_with_a_missing_gradient_equals_global_grad_norm(self):
         store = tiny_mlp(24)
         rng = np.random.default_rng(25)

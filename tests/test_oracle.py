@@ -369,7 +369,7 @@ def per_leaf_walk(thm, max_depth, spec, rm=None, action_set=None):
                                        spec, rm=rm)
                 else:
                     outcome = ENV_ERROR if result.failed else DEPTH_EXHAUSTED
-                    log_r = error_log_reward(chars + ACTION_CHARS[a], depth, spec)
+                    log_r = error_log_reward(chars + ACTION_CHARS[a], depth)
                 found.append(EnumeratedTrajectory(tacs, outcome, log_r, before, node, a))
             edges.append((node, a, child))
         return node
