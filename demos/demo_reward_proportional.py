@@ -41,7 +41,7 @@ def report(label):
         probs = policy_trajectory_probs(net, dist)
         tv = tv_distance(probs, dist.target_probs)
         dz = predict_log_z(net, thm) - dist.log_z
-        print(f"   {thm.name}: {len(dist.trajectories):3d} trajectories, "
+        print(f"   {thm.name}: {len(dist.leaves):3d} trajectories, "
               f"TV(policy, R/Z) = {tv:.4f}, logZ error = {dz:+.4f}")
 
 

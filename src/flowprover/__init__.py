@@ -32,7 +32,14 @@ from .gfn import (
     sample_trajectory,
     tb_loss,
 )
-from .oracle import ExactDist, enumerate_trajectories, flow_check, policy_trajectory_probs, tv_distance
+from .oracle import (
+    ExactDist,
+    enumerate_trajectories,
+    flow_check,
+    flow_residuals,
+    policy_trajectory_probs,
+    tv_distance,
+)
 from .policy import PolicyNet, encode_state, predict_log_z
 from .reward_model import RewardModel, mine_hard_negatives, rm_train
 from .search import SearchConfig, SolveReport, best_first_search, evaluate_split
@@ -63,6 +70,7 @@ __all__ = [
     "enumerate_trajectories",
     "evaluate_split",
     "flow_check",
+    "flow_residuals",
     "initial_state",
     "load_split",
     "log_reward",

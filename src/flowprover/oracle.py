@@ -3,29 +3,32 @@ distribution R/Z, the policy's exact trajectory distribution, and flow
 consistency checks. This is the instrument that certifies the trained
 policy samples proofs proportionally to reward.
 
-One depth-first walk over the nodes of a fresh ``gfn.ProofTree`` builds the
-trajectory tree as a node x action table. ``ProofNode`` applies a node's
-applicable actions only (the actions whose shape fits the state): every
-other action fails, so the walk records it as an error without a call. The
-error leaves of the whole table are scored by one call to
+``enumerate_trajectories`` is the one depth-first walk over the nodes of a
+fresh ``gfn.ProofTree``; its ``ExactDist`` holds the trajectory tree as a
+node x action table and the leaves as arrays. ``ProofNode`` applies a
+node's applicable actions only (the actions whose shape fits the state):
+every other action fails, so the walk records it as an error without a
+call. The error leaves of the whole table are scored by one call to
 ``gfn.error_log_reward``. Everything after the walk reads the table: one
 batched policy forward over the nodes' encodings gives every cell's
 log-probability, trajectory probabilities sum those down the tree, and
 subtree flows accumulate bottom-up, each node's children in action order.
-``oracle_report`` reads the table alone; ``enumerate_trajectories`` also
-lists its leaves as ``EnumeratedTrajectory`` objects. Both walk to
+``oracle_report`` reads the table and the leaf arrays alone;
+``ExactDist.trajectories`` lists the leaves as the trainer's
+``gfn.Trajectory`` objects on first use. The walk goes to
 ``corpus.MAX_PROOF_LEN`` tactics unless given another ``max_depth``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .corpus import MAX_PROOF_LEN, Theorem
-from .env import ACTION_INDEX, ACTIONS, N_ACTIONS, ProofState, StepKind, Tactic
+from .env import ACTIONS, N_ACTIONS, StepKind
 from .gfn import (
     ACTION_CHARS,
     BINARY,
@@ -49,57 +52,22 @@ class MassLeak(RuntimeError):
 
 
 @dataclass
-class EnumeratedTrajectory:
-    tactics: tuple[Tactic, ...]
-    outcome: str
-    log_r: float
-    proof_states: tuple[ProofState, ...]  # state before each tactic
-    node: int = 0  # internal tree node the last tactic is taken from
-    action: int = -1  # action index of the last tactic
-
-
-# Marks an action that no trajectory of a hand-built list takes.
-ABSENT = np.iinfo(np.intp).min
-
-
-@dataclass
 class TrajectoryTree:
     """The trajectory tree as a node x action table.
 
     Internal nodes are numbered parents first (the walk numbers them in
     depth-first preorder); node 0 is the root, the initial state with an
-    empty history. Each node holds its tactic history and, when built by
-    the walk, its ``ProofNode``. Column j is action ``actions[j]`` at every
+    empty history. ``nodes[n]`` is node n's ``ProofNode``, which holds its
+    history, state and encoding. Column j is action ``actions[j]`` at every
     node. Cell ``n * K + j`` of ``cells`` holds the internal node that action
-    reaches from node n or, where negative, ``~i`` for the leaf of
-    trajectory i; a tree rebuilt from a hand-built list holds ``ABSENT``
-    for an action it does not take. ``inbound[c]`` is the cell through
-    which node c is reached, -1 for the root.
+    reaches from node n or, where negative, ``~i`` for leaf i. ``inbound[c]``
+    is the cell through which node c is reached, -1 for the root.
     """
 
-    histories: list[tuple[Tactic, ...]]
-    nodes: list[ProofNode]  # empty for a tree rebuilt from a hand-built list
+    nodes: list[ProofNode]
     actions: np.ndarray
     cells: np.ndarray
     inbound: np.ndarray
-
-
-@dataclass
-class ExactDist:
-    """Every terminal trajectory of a theorem with exact log rewards.
-
-    ``rewards`` may carry the raw reward values for hand-built toys where
-    exp(log r) would lose the exactness the arithmetic checks rely on.
-    ``tree`` is the walk's trajectory tree; hand-built toys leave it None.
-    """
-
-    theorem: Theorem | None
-    trajectories: list[EnumeratedTrajectory]
-    log_z: float
-    target_probs: np.ndarray
-    action_set: tuple[int, ...] | None = None
-    rewards: np.ndarray | None = None
-    tree: TrajectoryTree | None = None
 
 
 # A table cell holds the child node its action reaches, or a leaf outcome.
@@ -108,24 +76,58 @@ _OUTCOME = {_ERROR: ENV_ERROR, _PROVED: PROVED, _EXHAUSTED: DEPTH_EXHAUSTED}
 
 
 @dataclass
-class _Walk:
-    """The walk's tree, with ``leaves`` its leaf cells in depth-first order
-    (leaf i is trajectory i), ``outcomes`` and ``log_r`` theirs in that
-    order, and ``paths[n]`` the nodes from the root to node n."""
+class ExactDist:
+    """Every terminal trajectory of a theorem with exact log rewards: the
+    walk's ``tree``, and its leaves in depth-first order (leaf i is the
+    tree's ``~i``) as ``leaves`` (their cells), ``outcomes`` (their outcome
+    codes) and ``log_r``. ``target_probs`` is R/Z over the leaves."""
 
+    theorem: Theorem
     tree: TrajectoryTree
     leaves: np.ndarray
     outcomes: np.ndarray
     log_r: np.ndarray
-    paths: list[tuple[ProofNode, ...]]
+    log_z: float
+    target_probs: np.ndarray
+    action_set: tuple[int, ...] | None  # the walk's columns; None for all actions
+
+    @cached_property
+    def trajectories(self) -> list[Trajectory]:
+        """The leaves as the trainer's trajectories, built on first use: each
+        one's nodes are the tree's, from the root down through ``inbound``,
+        and its ``log_pf`` is 0.0 (the loss graph recomputes it).
+        ``gfn.ReplayBuffer.add`` refuses a leaf whose last action the walk
+        skipped as inapplicable: its node holds no result for that action."""
+        tree = self.tree
+        columns = tree.actions.tolist()
+        paths = [(tree.nodes[0],)]  # the nodes from the root to each node
+        for node, cell in zip(tree.nodes[1:], tree.inbound.tolist()[1:]):
+            paths.append(paths[cell // len(columns)] + (node,))
+        trajectories = []
+        for cell, code, log_r in zip(self.leaves.tolist(), self.outcomes.tolist(),
+                                     self.log_r.tolist()):
+            node, j = divmod(cell, len(columns))
+            path = paths[node]
+            trajectories.append(Trajectory(
+                self.theorem.name, path[-1].history + (ACTIONS[columns[j]],),
+                _OUTCOME[code], 0.0, log_r, nodes=path))
+        return trajectories
 
 
-def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
-          action_set: tuple[int, ...] | None) -> _Walk:
+def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN,
+                           spec: RewardSpec = RewardSpec(mode="binary"), rm=None,
+                           action_set: tuple[int, ...] | None = None) -> ExactDist:
     """The one depth-first walk over a fresh ``ProofTree`` of ``thm``, with
     the same termination semantics as training rollouts (stop on proved /
     error / depth); a child node is made only below the depth limit. Its
     columns are the action space, or ``action_set`` in its order.
+
+    Rewards are the trainer's: a proved leaf scores 0, an error leaf (an
+    environment error, or depth exhausted under the binary reward) goes
+    through ``gfn.error_log_reward`` on the walk's running sum of tactic
+    lengths, the one function behind ``log_reward``'s error branch, and a
+    depth-exhausted leaf under the full reward through ``log_reward``
+    itself, so the oracle and the trainer can never disagree about R.
     ValueError, before the walk, unless ``max_depth`` is at least 1 and
     ``action_set`` is None or distinct action indices in [0, 36)."""
     if max_depth < 1:
@@ -138,7 +140,6 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     column_of = None if action_set is None else {a: j for j, a in enumerate(columns)}
     width = len(columns)
     nodes: list[ProofNode] = []
-    paths: list[tuple[ProofNode, ...]] = []
     node_chars: list[int] = []  # running sum of tactic lengths at each node
     inbound = [-1]
     applied_cells: list[int] = []  # the cells of the applicable actions
@@ -150,7 +151,6 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     def visit(node: ProofNode, path: tuple[ProofNode, ...], chars: int) -> None:
         nodes.append(node)
         path = path + (node,)
-        paths.append(path)
         node_chars.append(chars)
         row = run = (len(nodes) - 1) * width
         inner = len(node.history) + 1 < max_depth
@@ -184,14 +184,13 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     # The recursive closure refers to itself; dropping it frees the walk's
     # lists on return instead of at the next cyclic garbage collection.
     del visit
-    histories = [node.history for node in nodes]
     cells = np.full(len(nodes) * width, _ERROR, dtype=np.intp)
     cells[applied_cells] = applied_codes
     # Error leaves, and depth-exhausted ones under the binary reward, take
     # the error branch; a proved leaf scores 0.
     errors = np.flatnonzero(cells == _ERROR if partial_credit else cells <= _ERROR)
     error_rows = errors // width
-    depths = np.array([len(h) + 1 for h in histories], dtype=np.intp)
+    depths = np.array([len(node.history) + 1 for node in nodes], dtype=np.intp)
     log_r = np.zeros(len(cells))
     log_r[errors] = error_log_reward(np.array(node_chars, dtype=np.intp)[error_rows]
                                      + np.array(column_chars)[errors - error_rows * width],
@@ -201,66 +200,12 @@ def _walk(thm: Theorem, max_depth: int, spec: RewardSpec, rm,
     leaves = np.array(leaves, dtype=np.intp)
     outcomes = cells[leaves]
     cells[leaves] = ~np.arange(len(leaves))
-    tree = TrajectoryTree(histories, nodes, np.array(columns, dtype=np.intp), cells,
+    tree = TrajectoryTree(nodes, np.array(columns, dtype=np.intp), cells,
                           np.array(inbound, dtype=np.intp))
-    return _Walk(tree, leaves, outcomes, log_r[leaves], paths)
-
-
-def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN,
-                           spec: RewardSpec = RewardSpec(mode="binary"), rm=None,
-                           action_set: tuple[int, ...] | None = None) -> ExactDist:
-    """Depth-first enumeration of all terminal trajectories, with the same
-    termination semantics as training rollouts (stop on proved / error /
-    depth). Rewards are the trainer's: a proved leaf scores 0, an error
-    leaf (an environment error, or depth exhausted under the binary reward)
-    goes through ``gfn.error_log_reward`` on the walk's running sum of
-    tactic lengths, the one function behind ``log_reward``'s error branch,
-    and a depth-exhausted leaf under the full reward through ``log_reward``
-    itself, so the oracle and the trainer can never disagree about R.
-    ValueError unless ``max_depth`` is at least 1 and ``action_set`` is
-    None or distinct action indices in [0, 36)."""
-    walk = _walk(thm, max_depth, spec, rm, action_set)
-    tree = walk.tree
-    columns = tree.actions.tolist()
-    trajectories = []
-    for cell, code, log_r in zip(walk.leaves.tolist(), walk.outcomes.tolist(),
-                                 walk.log_r.tolist()):
-        node, j = divmod(cell, len(columns))
-        a = columns[j]
-        trajectories.append(EnumeratedTrajectory(
-            tree.histories[node] + (ACTIONS[a],), _OUTCOME[code], log_r,
-            tuple(n.state for n in walk.paths[node]), node, a))
-    log_z = _logsumexp(walk.log_r)
-    return ExactDist(
-        theorem=thm,
-        trajectories=trajectories,
-        log_z=log_z,
-        target_probs=np.exp(walk.log_r - log_z),
-        action_set=action_set,
-        tree=tree,
-    )
-
-
-def _tree_from_trajectories(trajectories: list[EnumeratedTrajectory]) -> TrajectoryTree:
-    """The prefix tree of a hand-built trajectory list over the whole action
-    space, nodes numbered in order of first appearance; it carries no
-    states."""
-    node_of: dict[tuple[Tactic, ...], int] = {(): 0}
-    codes: dict[int, int] = {}  # by cell
-    inbound = [-1]
-    for i, t in enumerate(trajectories):
-        for depth, tactic in enumerate(t.tactics):
-            cell = node_of[t.tactics[:depth]] * N_ACTIONS + ACTION_INDEX[tactic]
-            prefix = t.tactics[: depth + 1]
-            if depth == len(t.tactics) - 1:
-                codes[cell] = ~i
-            elif prefix not in node_of:
-                codes[cell] = node_of[prefix] = len(node_of)
-                inbound.append(cell)
-    cells = np.full(len(node_of) * N_ACTIONS, ABSENT, dtype=np.intp)
-    cells[list(codes)] = list(codes.values())
-    return TrajectoryTree(list(node_of), [], np.arange(N_ACTIONS), cells,
-                          np.array(inbound, dtype=np.intp))
+    log_r = log_r[leaves]
+    log_z = _logsumexp(log_r)
+    return ExactDist(thm, tree, leaves, outcomes, log_r, log_z,
+                     np.exp(log_r - log_z), action_set)
 
 
 def _logsumexp(xs: np.ndarray) -> float:
@@ -278,12 +223,6 @@ def _policy_pass(net: PolicyNet, tree: TrajectoryTree,
     mask = action_mask(action_set)
     log_probs = log_softmax_np(logits if mask is None else logits + mask)
     return log_probs[:, tree.actions].ravel(), hidden
-
-
-def _dist_policy_pass(net: PolicyNet, dist: ExactDist) -> np.ndarray:
-    if dist.theorem is None or dist.tree is None:
-        raise ValueError("needs a real theorem's enumeration from enumerate_trajectories")
-    return _policy_pass(net, dist.tree, dist.action_set)[0]
 
 
 def _trajectory_probs(tree: TrajectoryTree, cell_logp: np.ndarray,
@@ -306,12 +245,8 @@ def policy_trajectory_probs(net: PolicyNet, dist: ExactDist) -> np.ndarray:
     """Exact probability of each enumerated trajectory under the policy at
     temperature 1. Enumeration is exhaustive, so these must account for all
     probability mass; raises MassLeak otherwise, or for a non-finite total."""
-    cell_logp = _dist_policy_pass(net, dist)
-    column = {a: j for j, a in enumerate(dist.tree.actions.tolist())}
-    width = len(column)
-    leaf_cells = np.array([t.node * width + column[t.action] for t in dist.trajectories],
-                          dtype=np.intp)
-    probs = _trajectory_probs(dist.tree, cell_logp, leaf_cells)
+    cell_logp = _policy_pass(net, dist.tree, dist.action_set)[0]
+    probs = _trajectory_probs(dist.tree, cell_logp, dist.leaves)
     if not np.isfinite(probs.sum()):
         raise MassLeak(f"policy probabilities sum to {probs.sum()}, not a finite total")
     return probs
@@ -322,12 +257,16 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def _flow_residuals(tree: TrajectoryTree, leaf_flow: np.ndarray, cell_p: np.ndarray) -> np.ndarray:
-    """|F(s) * P_F(a|s) - F(child)| per cell, with ``leaf_flow`` the leaves'
-    terminal rewards and each internal node's flow the sum of its row, added
-    one cell at a time in column order; an absent cell has flow 0."""
+def flow_residuals(tree: TrajectoryTree, leaf_flow: np.ndarray, cell_p: np.ndarray) -> np.ndarray:
+    """Flow-conservation residuals |F(s) * P_F(a|s) - F(child)|, one per
+    cell of ``tree``, for the policy whose probability at each cell is
+    ``cell_p``. A leaf's flow is its entry of ``leaf_flow`` (its reward), and
+    an internal node's flow F(s) is the sum of its row, added one cell at a
+    time in column order. The backward policy is identically 1 on a tree,
+    so the policy samples in proportion to reward exactly where every
+    residual is zero."""
     width = len(tree.actions)
-    leaf = (tree.cells < 0) & (tree.cells != ABSENT)
+    leaf = tree.cells < 0
     flow = np.zeros(len(tree.cells))
     flow[leaf] = leaf_flow[~tree.cells[leaf]]
     rows = flow.reshape(-1, width)
@@ -340,47 +279,12 @@ def _flow_residuals(tree: TrajectoryTree, leaf_flow: np.ndarray, cell_p: np.ndar
     return np.abs(np.repeat(node_flow, width) * cell_p - flow)
 
 
-@dataclass
-class FlowCheckReport:
-    max_residual: float
-    n_edges: int
-    # (tactics from the root through the edge, residual) per edge
-    per_edge: list[tuple[tuple[Tactic, ...], float]] = field(default_factory=list)
-
-
-def flow_check(dist: ExactDist, net: PolicyNet | None = None,
-               edge_probs: dict | None = None) -> FlowCheckReport:
-    """Detailed-balance residuals on the trajectory tree.
-
-    With subtree flows F(s) = sum of terminal rewards below s and the
-    backward policy identically 1 on a tree, balance demands
-    F(s) * P_F(child|s) = F(child); the report carries the worst absolute
-    residual, and each edge's, node by node in column order. Pass
-    ``edge_probs`` (prefix tuple of rendered tactics -> probability vector
-    over that node's taken actions, in action-index order for a hand-built
-    list) to check a hand-built policy instead of a network.
-    """
-    if net is None and edge_probs is None:
-        raise ValueError("flow_check needs a net or explicit edge_probs")
-    tree = dist.tree if dist.tree is not None else _tree_from_trajectories(dist.trajectories)
-    taken = tree.cells != ABSENT
-    if edge_probs is not None:
-        cell_p = np.zeros(len(tree.cells))
-        p_rows, taken_rows = (a.reshape(-1, len(tree.actions)) for a in (cell_p, taken))
-        for node, history in enumerate(tree.histories):
-            key = tuple(t.render() for t in history)
-            p_rows[node, taken_rows[node]] = np.asarray(edge_probs[key], dtype=np.float64)
-    else:
-        cell_p = np.exp(_dist_policy_pass(net, dist))
-    if dist.rewards is not None:
-        leaf_flow = np.asarray(dist.rewards, dtype=np.float64)
-    else:
-        leaf_flow = np.exp(np.array([t.log_r for t in dist.trajectories]))
-    residuals = _flow_residuals(tree, leaf_flow, cell_p)[taken]
-    keys = [tree.histories[c] if c >= 0 else dist.trajectories[~c].tactics
-            for c in tree.cells[taken].tolist()]
-    return FlowCheckReport(max_residual=float(residuals.max(initial=0.0)),
-                           n_edges=len(residuals), per_edge=list(zip(keys, residuals.tolist())))
+def flow_check(dist: ExactDist, net: PolicyNet) -> float:
+    """The worst flow-conservation residual of ``net`` on the enumeration:
+    ``flow_residuals`` at the net's temperature-1 cell probabilities, the
+    leaves' rewards as their flows. ``oracle_report`` reads the same."""
+    cell_p = np.exp(_policy_pass(net, dist.tree, dist.action_set)[0])
+    return float(flow_residuals(dist.tree, np.exp(dist.log_r), cell_p).max(initial=0.0))
 
 
 @dataclass
@@ -410,18 +314,17 @@ def oracle_report(net: PolicyNet, thm: Theorem, max_depth: int = MAX_PROOF_LEN,
     no per-trajectory object. ValueError, before the walk, unless
     ``max_depth`` is at least 1 and ``action_set`` is None or distinct
     action indices in [0, 36)."""
-    walk = _walk(thm, max_depth, spec, rm, action_set)
-    tree = walk.tree
-    cell_logp, hidden = _policy_pass(net, tree, action_set)
-    log_z = _logsumexp(walk.log_r)
-    probs = _trajectory_probs(tree, cell_logp, walk.leaves)
-    residuals = _flow_residuals(tree, np.exp(walk.log_r), np.exp(cell_logp))
+    dist = enumerate_trajectories(thm, max_depth, spec, rm, action_set)
+    tree = dist.tree
+    cell_logp, hidden = _policy_pass(net, tree, dist.action_set)
+    probs = _trajectory_probs(tree, cell_logp, dist.leaves)
+    residuals = flow_residuals(tree, np.exp(dist.log_r), np.exp(cell_logp))
     return OracleReport(
         theorem=thm.name,
-        n_trajectories=len(walk.leaves),
-        log_z=log_z,
+        n_trajectories=len(dist.leaves),
+        log_z=dist.log_z,
         predicted_log_z=float(np.dot(net.store["wz"], hidden[0]) + net.store["bz"]),
-        tv_distance=tv_distance(probs, np.exp(walk.log_r - log_z)),
+        tv_distance=tv_distance(probs, dist.target_probs),
         max_flow_residual=float(residuals.max(initial=0.0)),
     )
 

@@ -13,7 +13,7 @@ import pytest
 
 from flowprover.baselines import PPOConfig, ppo_loss_graph, ppo_surrogate_terms
 from flowprover.corpus import build_corpus
-from flowprover.env import ACTIONS, apply_tactic, parse_tactic, replay
+from flowprover.env import ACTION_INDEX, ACTIONS, apply_tactic, parse_tactic, replay
 from flowprover.formulas import parse_formula, print_formula
 from flowprover.gfn import (
     BINARY,
@@ -28,14 +28,7 @@ from flowprover.gfn import (
     trajectory_from_tactics,
 )
 from flowprover.nn import Tape, finite_difference_check
-from flowprover.oracle import (
-    EnumeratedTrajectory,
-    ExactDist,
-    enumerate_trajectories,
-    flow_check,
-    policy_trajectory_probs,
-    tv_distance,
-)
+from flowprover.oracle import TrajectoryTree, flow_residuals, oracle_report
 from flowprover.policy import HISTORY, HISTORY_LESS, PolicyNet, predict_log_z
 from flowprover.reward_model import cross_entropy_graph, gt_pairs, rm_train
 from flowprover.runs import run_training
@@ -91,12 +84,10 @@ def test_criterion_01_reward_proportional_sampling():
 
     spec = RewardSpec(mode=BINARY)
     for thm in thms:
-        dist = enumerate_trajectories(thm, max_depth=2, spec=spec,
-                                      action_set=MICRO_ACTION_SET)
-        probs = policy_trajectory_probs(net, dist)
-        tv = tv_distance(probs, dist.target_probs)
-        logz_err = abs(predict_log_z(net, thm) - dist.log_z)
-        residual = flow_check(dist, net=net).max_residual
+        report = oracle_report(net, thm, max_depth=2, spec=spec, action_set=MICRO_ACTION_SET)
+        tv = report.tv_distance
+        logz_err = abs(predict_log_z(net, thm) - report.log_z)
+        residual = report.max_flow_residual
         print(f"criterion 1 {thm.name}: tv={tv:.4f} logz_err={logz_err:.4f} "
               f"flow_residual={residual:.5f}")
         assert tv <= 0.05, f"{thm.name}: TV {tv}"
@@ -118,15 +109,12 @@ def test_criterion_02_tb_optimum_algebra():
     loss = tb_loss_value(log_rs, [log_z, log_z], log_pfs)
     assert loss < 1e-12
 
-    trajs = [
-        EnumeratedTrajectory((parse_tactic("left"),), "proved", log_rs[0], ()),
-        EnumeratedTrajectory((parse_tactic("right"),), "proved", log_rs[1], ()),
-    ]
-    dist = ExactDist(theorem=None, trajectories=trajs, log_z=log_z,
-                     target_probs=np.array([0.25, 0.75]), rewards=np.array([1.0, 3.0]))
-    report = flow_check(dist, edge_probs={(): [0.25, 0.75]})
-    assert report.max_residual == 0.0
-    print(f"criterion 2 PASS: tb_loss={loss:.2e} flow_residual={report.max_residual}")
+    # the root and its two leaves, left (leaf 0) and right (leaf 1)
+    columns = [ACTION_INDEX[parse_tactic(text)] for text in ("left", "right")]
+    tree = TrajectoryTree([], np.array(columns), np.array([~0, ~1]), np.array([-1]))
+    residual = flow_residuals(tree, np.array([1.0, 3.0]), np.array([0.25, 0.75])).max()
+    assert residual == 0.0
+    print(f"criterion 2 PASS: tb_loss={loss:.2e} flow_residual={residual}")
 
 
 def test_criterion_03_gradient_fidelity():

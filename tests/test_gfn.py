@@ -14,7 +14,6 @@ from flowprover.env import (
     ProofState,
     apply_tactic,
     applicable_actions,
-    initial_state,
     parse_tactic,
     state_fingerprint,
 )

@@ -1,13 +1,15 @@
-"""Every import in the package is read: an AST walk over each module (no
-linter needed). ``__init__.py`` imports only to re-export, and a statement
-marked ``noqa`` binds a name on purpose."""
+"""Every import in the package, the tests and the demos is read: an AST
+walk over each module (no linter needed). ``__init__.py`` imports only to
+re-export, and a statement marked ``noqa`` binds a name on purpose."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flowprover"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "flowprover"
+SCRIPTS = sorted(f"{d}/{p.name}" for d in ("tests", "demos") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -47,3 +49,8 @@ def test_the_check_finds_an_unused_import():
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_no_unused_imports_in_tests_and_demos(script):
+    assert unused_imports((ROOT / script).read_text()) == []

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +33,15 @@ from flowprover.gfn import (
     Trajectory,
     error_log_reward,
     log_reward,
+    tb_loss_graph,
 )
-from flowprover.nn import log_softmax_np, mlp_forward_np
+from flowprover.nn import Tape, log_softmax_np, mlp_forward_np
 from flowprover.oracle import (
-    EnumeratedTrajectory,
-    ExactDist,
     MassLeak,
-    OracleReport,
+    TrajectoryTree,
     enumerate_trajectories,
     flow_check,
+    flow_residuals,
     oracle_report,
     policy_trajectory_probs,
     tv_distance,
@@ -56,36 +56,32 @@ from flowprover.policy import (
 )
 from flowprover.reward_model import RewardModel
 
-from conftest import MICRO_ACTION_SET, identity_theorem
+from conftest import MICRO_ACTION_SET, identity_theorem, micro_theorems
 
 
-def two_leaf_toy(rewards=(1.0, 3.0)) -> ExactDist:
-    trajs = [
-        EnumeratedTrajectory((parse_tactic("left"),), "proved", math.log(rewards[0]), ()),
-        EnumeratedTrajectory((parse_tactic("right"),), "proved", math.log(rewards[1]), ()),
-    ]
-    log_z = math.log(sum(rewards))
-    target = np.array([r / sum(rewards) for r in rewards])
-    return ExactDist(theorem=None, trajectories=trajs, log_z=log_z, target_probs=target,
-                     rewards=np.asarray(rewards))
+def two_leaf_tree() -> TrajectoryTree:
+    """A root with two leaves, ``left`` (leaf 0) and ``right`` (leaf 1), in
+    a two-column table."""
+    columns = [ACTION_INDEX[parse_tactic(text)] for text in ("left", "right")]
+    return TrajectoryTree([], np.array(columns), np.array([~0, ~1]), np.array([-1]))
 
 
 class TestToyArithmetic:
     def test_partition_and_target(self):
-        dist = two_leaf_toy()
-        assert dist.log_z == pytest.approx(math.log(4.0), abs=0)
-        assert np.allclose(dist.target_probs, [0.25, 0.75], atol=1e-15)
+        # the arithmetic behind ExactDist's log_z and target_probs
+        log_r = np.log([1.0, 3.0])
+        log_z = oracle_mod._logsumexp(log_r)
+        assert log_z == pytest.approx(math.log(4.0), abs=0)
+        assert np.allclose(np.exp(log_r - log_z), [0.25, 0.75], atol=1e-15)
 
     def test_flow_check_balanced_policy_residual_zero(self):
-        dist = two_leaf_toy()
-        report = flow_check(dist, edge_probs={(): [0.25, 0.75]})
-        assert report.max_residual == 0.0
-        assert report.n_edges == 2
+        residuals = flow_residuals(two_leaf_tree(), np.array([1.0, 3.0]), np.array([0.25, 0.75]))
+        assert residuals.max() == 0.0
+        assert len(residuals) == 2
 
     def test_flow_check_random_policy_large_residual(self):
-        dist = two_leaf_toy()
-        report = flow_check(dist, edge_probs={(): [0.5, 0.5]})
-        assert report.max_residual > 0.1
+        residuals = flow_residuals(two_leaf_tree(), np.array([1.0, 3.0]), np.array([0.5, 0.5]))
+        assert residuals.max() > 0.1
 
     def test_tv_convention_half_l1(self):
         assert tv_distance([0.5, 0.5], [0.25, 0.75]) == pytest.approx(0.25, abs=0)
@@ -160,7 +156,7 @@ class TestEnumeration:
         thm = identity_theorem("a -> a")
         net = PolicyNet.create(seed=3)
         dist = enumerate_trajectories(thm, max_depth=3)
-        dist.trajectories = dist.trajectories[:-5]  # corrupt: not exhaustive
+        dist.leaves = dist.leaves[:-5]  # corrupt: not exhaustive
         with pytest.raises(MassLeak):
             policy_trajectory_probs(net, dist)
 
@@ -179,18 +175,15 @@ class TestFlowCheckOnRealTheorems:
         thm = identity_theorem("a -> a")
         net = PolicyNet.create(seed=4)
         dist = enumerate_trajectories(thm, max_depth=2)
-        report = flow_check(dist, net=net)
         # residuals are |F(s)P(c|s) - F(c)|; every leaf F is its reward by
         # construction, so residuals are finite and well-defined
-        assert report.n_edges == len(report.per_edge)
-        assert np.isfinite(report.max_residual)
+        assert np.isfinite(flow_check(dist, net))
 
     def test_random_policy_has_visible_residual(self):
         thm = identity_theorem("a -> a")
         net = PolicyNet.create(seed=5)
         dist = enumerate_trajectories(thm, max_depth=2)
-        report = flow_check(dist, net=net)
-        assert report.max_residual > 0.1
+        assert flow_check(dist, net) > 0.1
 
 
 class TestOracleReport:
@@ -329,8 +322,9 @@ class TestOnePassMatchesReference:
             report = oracle_report(net, thm, action_set=action_set)
             dist = enumerate_trajectories(thm, action_set=action_set)
             probs = policy_trajectory_probs(net, dist)
+            assert dist.log_z == report.log_z
             assert tv_distance(probs, dist.target_probs) == report.tv_distance
-            assert flow_check(dist, net=net).max_residual == report.max_flow_residual
+            assert flow_check(dist, net) == report.max_flow_residual
 
     def test_predicted_log_z_exact_on_a_zero_head(self, theorems):
         net = PolicyNet.create(seed=22)  # log-Z head starts at zero, as after SFT
@@ -338,10 +332,15 @@ class TestOnePassMatchesReference:
             assert oracle_report(net, thm).predicted_log_z == predict_log_z(net, thm)
 
 
+# A leaf of the per-leaf walk: its tactics, outcome, log R, the state before
+# each tactic, and the node and action index of its last tactic.
+Leaf = namedtuple("Leaf", "tactics outcome log_r proof_states node action")
+
+
 def per_leaf_walk(thm, max_depth, spec, rm=None, action_set=None):
     """The reference for the table walk, one leaf at a time: every action
-    of every node goes through ``apply_tactic``, every leaf becomes an
-    object as it is found, and an error leaf is scored by a scalar
+    of every node goes through ``apply_tactic``, every leaf becomes a
+    ``Leaf`` as it is found, and an error leaf is scored by a scalar
     ``error_log_reward`` call. Returns the leaves and the tree's nodes
     (history, state) and edges (parent, action, child, or ~leaf)."""
     indices = range(len(ACTIONS)) if action_set is None else list(action_set)
@@ -370,7 +369,7 @@ def per_leaf_walk(thm, max_depth, spec, rm=None, action_set=None):
                 else:
                     outcome = ENV_ERROR if result.failed else DEPTH_EXHAUSTED
                     log_r = error_log_reward(chars + ACTION_CHARS[a], depth)
-                found.append(EnumeratedTrajectory(tacs, outcome, log_r, before, node, a))
+                found.append(Leaf(tacs, outcome, log_r, before, node, a))
             edges.append((node, a, child))
         return node
 
@@ -414,9 +413,22 @@ def per_leaf_report(net, thm, found, nodes, edges, action_set=None) -> dict:
             "max_flow_residual": float(residuals.max())}
 
 
-def leaf_bits(leaves: list[EnumeratedTrajectory]) -> list[tuple]:
+def leaf_bits(leaves: list[Leaf]) -> list[tuple]:
     return [(t.tactics, t.outcome, t.log_r.hex(), t.proof_states, t.node, t.action)
             for t in leaves]
+
+
+def dist_leaves(dist) -> list[Leaf]:
+    """The enumeration's leaves as ``Leaf``s: tactics, outcome and log R of
+    its trajectories, the states of their nodes, and the node and action
+    of their leaf cells."""
+    width = len(dist.tree.actions)
+    leaves = []
+    for t, cell in zip(dist.trajectories, dist.leaves.tolist()):
+        node, column = divmod(cell, width)
+        leaves.append(Leaf(t.tactics, t.outcome, t.log_r, tuple(n.state for n in t.nodes),
+                           node, int(dist.tree.actions[column])))
+    return leaves
 
 
 class TestTableWalkMatchesPerLeafWalk:
@@ -445,8 +457,8 @@ class TestTableWalkMatchesPerLeafWalk:
             outcomes.update(t.outcome for t in found)
             dist = enumerate_trajectories(thm, max_depth=max_depth, spec=spec, rm=rm,
                                           action_set=action_set)
-            assert leaf_bits(dist.trajectories) == leaf_bits(found)
-            assert dist.tree.histories == [history for history, _ in nodes]
+            assert leaf_bits(dist_leaves(dist)) == leaf_bits(found)
+            assert [node.history for node in dist.tree.nodes] == [history for history, _ in nodes]
             want = per_leaf_report(net, thm, found, nodes, edges, action_set)
             assert dist.log_z.hex() == want["log_Z"].hex()
             report = oracle_report(net, thm, max_depth=max_depth, spec=spec, rm=rm,
@@ -481,7 +493,7 @@ class TestLeavesAgreeWithTheTrainer:
                            else DEPTH_EXHAUSTED)
                 assert leaf.outcome == outcome, leaf.tactics
                 assert outcome != DEPTH_EXHAUSTED or len(leaf.tactics) == max_depth
-                assert leaf.proof_states == walk.states[:len(leaf.tactics)]
+                assert tuple(n.state for n in leaf.nodes) == walk.states[:len(leaf.tactics)]
                 want = log_reward(Trajectory(thm.name, leaf.tactics, outcome, 0.0,
                                              proof_states=walk.states), spec, rm=rm)
                 assert leaf.log_r == want, leaf.tactics
@@ -539,6 +551,44 @@ class TestLeavesAgreeWithTheTrainer:
             oracle_report(PolicyNet.create(seed=0), thm, max_depth=max_depth)
 
 
+class TestLeavesAreTrainerTrajectories:
+    """``ExactDist.trajectories`` are trajectories the trainer reads: on the
+    walk's own nodes, and with the loss graph's log P_F the oracle's exact
+    trajectory probability."""
+
+    @pytest.mark.parametrize("suite", ["corpus", "micro"])
+    def test_loss_graph_log_pf_is_the_oracle_probability(self, suite):
+        from flowprover.corpus import build_corpus
+
+        if suite == "corpus":
+            theorems, max_depth, action_set = build_corpus(9, 40, 0).train, 3, None
+        else:
+            theorems, max_depth, action_set = micro_theorems(), 2, MICRO_ACTION_SET
+        net = head_net(seed=27)
+        worst, n_leaves = 0.0, 0
+        for thm in theorems:
+            dist = enumerate_trajectories(thm, max_depth=max_depth, action_set=action_set)
+            trajectories = dist.trajectories
+            assert dist.trajectories is trajectories  # built once
+            assert len(trajectories) == len(dist.leaves)
+            nodes = {id(node) for node in dist.tree.nodes}
+            for t, log_r in zip(trajectories, dist.log_r.tolist()):
+                assert isinstance(t, Trajectory)
+                assert t.theorem_name == thm.name and t.log_pf == 0.0
+                assert t.log_r.hex() == log_r.hex()
+                assert t.nodes[0] is dist.tree.nodes[0]
+                assert all(id(node) in nodes for node in t.nodes)
+                assert [node.history for node in t.nodes] == [t.tactics[:i]
+                                                              for i in range(len(t))]
+            _, info = tb_loss_graph(Tape(), net, trajectories, action_set=action_set)
+            want = np.log(policy_trajectory_probs(net, dist))
+            worst = max(worst, float(np.abs(info["log_pf"] - want).max()))
+            n_leaves += len(trajectories)
+        print(f"{suite}: {n_leaves} leaves, worst |log P_F - log p| {worst:.2e}")
+        assert n_leaves > 10 * len(theorems)
+        assert worst <= 1e-12
+
+
 class TestOnePass:
     def test_one_forward_one_encoding_per_node_no_rendering(self, monkeypatch):
         from flowprover.corpus import build_corpus
@@ -556,7 +606,7 @@ class TestOnePass:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
-        for name in ("mlp_forward_np", "EnumeratedTrajectory"):
+        for name in ("mlp_forward_np", "Trajectory"):
             spy(oracle_mod, name)
         for name in ("encode_from_parts", "apply_tactic"):
             spy(gfn_mod, name)
@@ -567,11 +617,12 @@ class TestOnePass:
             calls.clear()
             oracle_report(net, thm, max_depth=3)
             assert calls["mlp_forward_np"] == 1
-            assert calls["encode_from_parts"] == len(dist.tree.histories)
+            assert calls["encode_from_parts"] == len(dist.tree.nodes)
             # one per (node, applicable action); every other action is a known error
             applicable = sum(len(applicable_actions(node.state)) for node in dist.tree.nodes)
             assert calls["apply_tactic"] == applicable < len(dist.tree.cells)
-            assert calls["EnumeratedTrajectory"] == 0
+            # the binary reward scores every leaf without a trajectory object
+            assert calls["Trajectory"] == 0
             assert calls["render"] == 0 and calls["parse_tactic"] == 0
 
     def test_tree_edges_cover_every_trajectory_once(self):
@@ -579,31 +630,40 @@ class TestOnePass:
         dist = enumerate_trajectories(thm, max_depth=3)
         tree = dist.tree
         cells = tree.cells.tolist()
-        assert len(cells) == len(tree.histories) * len(ACTIONS)
+        assert len(cells) == len(tree.nodes) * len(ACTIONS)
         leaves = sorted(~c for c in cells if c < 0)
         assert leaves == list(range(len(dist.trajectories)))
-        for j, t in enumerate(dist.trajectories):
-            node, column = divmod(cells.index(~j), len(tree.actions))
-            assert (node, tree.actions[column]) == (t.node, t.action)
-            assert tree.histories[t.node] + (ACTIONS[t.action],) == t.tactics
+        for j, (t, leaf) in enumerate(zip(dist.trajectories, dist.leaves.tolist())):
+            assert cells.index(~j) == leaf
+            node, column = divmod(leaf, len(tree.actions))
+            assert tree.nodes[node].history + (ACTIONS[tree.actions[column]],) == t.tactics
+            assert t.nodes[-1] is tree.nodes[node]
         assert tree.inbound[0] == -1
-        for node in range(1, len(tree.histories)):
+        for node in range(1, len(tree.nodes)):
             assert cells[tree.inbound[node]] == node
 
     def test_misuse_raises_under_optimized_python(self):
-        # the oracle's argument checks must hold with asserts stripped
+        # the oracle's mass checks must hold with asserts stripped
         script = "\n".join([
             "import numpy as np",
-            "from flowprover.oracle import ExactDist, flow_check, policy_trajectory_probs",
+            "from flowprover.corpus import Theorem",
+            "from flowprover.env import initial_state, parse_tactic",
+            "from flowprover.formulas import parse_formula",
+            "from flowprover.oracle import MassLeak, enumerate_trajectories, policy_trajectory_probs",
             "from flowprover.policy import PolicyNet",
             "assert False, 'asserts are live'",
-            "dist = ExactDist(theorem=None, trajectories=[], log_z=0.0, target_probs=np.zeros(0))",
-            "for call in (lambda: flow_check(dist),",
-            "             lambda: policy_trajectory_probs(PolicyNet.create(seed=0), dist)):",
+            "thm = Theorem('t', initial_state(parse_formula('a -> a')),",
+            "              (parse_tactic('intro'), parse_tactic('exact h1')))",
+            "cut = enumerate_trajectories(thm)",
+            "cut.leaves = cut.leaves[:-5]",
+            "nan_net = PolicyNet.create(seed=0)",
+            "nan_net.store['w3'] = np.full_like(nan_net.store['w3'], np.nan)",
+            "for net, dist in ((PolicyNet.create(seed=0), cut),",
+            "                  (nan_net, enumerate_trajectories(thm))):",
             "    try:",
-            "        call()",
-            "    except ValueError as exc:",
-            "        print('ValueError:', exc)",
+            "        policy_trajectory_probs(net, dist)",
+            "    except MassLeak as exc:",
+            "        print('MassLeak:', exc)",
         ])
         src_dir = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -611,10 +671,11 @@ class TestOnePass:
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "ValueError: flow_check needs a net or explicit edge_probs",
-            "ValueError: needs a real theorem's enumeration from enumerate_trajectories",
-        ]
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("MassLeak: policy probabilities sum to 0.")
+        assert lines[0].endswith(", enumeration must be exhaustive")
+        assert lines[1] == "MassLeak: policy probabilities sum to nan, not a finite total"
 
 
 class TestWalkReadsAProofTree:
@@ -635,13 +696,14 @@ class TestWalkReadsAProofTree:
         for thm in theorems:
             tree = enumerate_trajectories(thm, max_depth=max_depth, action_set=action_set).tree
             columns = set(tree.actions.tolist())
-            assert len(tree.nodes) == len(tree.histories)
             assert len({id(node) for node in tree.nodes}) == len(tree.nodes)
             assert tree.nodes[0].state == thm.initial_state
+            assert tree.nodes[0].history == ()
             width = len(tree.actions)
-            for n, (node, history) in enumerate(zip(tree.nodes, tree.histories)):
+            for n, node in enumerate(tree.nodes):
+                history = node.history
                 assert isinstance(node, gfn_mod.ProofNode)
-                assert node.history == history and node.initial == thm.initial_state
+                assert node.initial == thm.initial_state
                 want = encode_from_parts(thm.initial_state, history, node.state, HISTORY)
                 assert node.encoding().tobytes() == want.tobytes()
                 assert set(node.results) == {a for a in applicable_actions(node.state)
@@ -650,7 +712,9 @@ class TestWalkReadsAProofTree:
                     assert node.children == {}
                 if n:
                     parent, column = divmod(int(tree.inbound[n]), width)
-                    assert tree.nodes[parent].children[int(tree.actions[column])] is node
+                    action = int(tree.actions[column])
+                    assert tree.nodes[parent].children[action] is node
+                    assert history == tree.nodes[parent].history + (ACTIONS[action],)
 
     def test_no_tree_is_kept_across_calls(self, theorems, monkeypatch):
         calls = Counter()
@@ -685,17 +749,17 @@ class TestTargetIsRepresentable:
             tree = dist.tree
             leaf = tree.cells < 0
             cell_flow = np.zeros(len(tree.cells))
-            cell_flow[leaf] = np.exp([dist.trajectories[~c].log_r for c in tree.cells[leaf]])
-            rows = cell_flow.reshape(len(tree.histories), len(ACTIONS))
-            node_flow = np.zeros(len(tree.histories))
+            cell_flow[leaf] = np.exp(dist.log_r[~tree.cells[leaf]])
+            rows = cell_flow.reshape(len(tree.nodes), len(ACTIONS))
+            node_flow = np.zeros(len(tree.nodes))
             # nodes are numbered parents first, so this pass meets children first
-            for node in range(len(tree.histories) - 1, -1, -1):
+            for node in range(len(tree.nodes) - 1, -1, -1):
                 node_flow[node] = rows[node].sum()
                 if node:
                     cell_flow[tree.inbound[node]] = node_flow[node]
                 target = np.zeros(len(ACTIONS))
                 target[tree.actions] = rows[node] / node_flow[node]
-                key = encode_from_parts(thm.initial_state, tree.histories[node],
+                key = encode_from_parts(thm.initial_state, tree.nodes[node].history,
                                         tree.nodes[node].state, HISTORY).tobytes()
                 conditionals.setdefault(key, []).append(target)
         shared = [group for group in conditionals.values() if len(group) > 1]

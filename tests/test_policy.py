@@ -14,7 +14,7 @@ from flowprover.env import (
     initial_state,
     parse_tactic,
 )
-from flowprover.formulas import And, Atom, Formula, Implies, Or, formula_depth, parse_formula
+from flowprover.formulas import And, Atom, Formula, Implies, formula_depth, parse_formula
 from flowprover.nn import (
     Tape,
     finite_difference_check,
