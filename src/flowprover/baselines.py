@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Theorem
-from .env import ACTION_INDEX
 from .gfn import ProofTree, StepMetrics, TrainConfig, sample_trajectories
 from .nn import Tape, log_softmax_np, mlp_forward_np, update
 from .policy import HISTORY, PolicyNet, head_graph, rows_graph
@@ -120,7 +119,7 @@ class PPOTrainer:
                                     self.rng, self.cfg.n_sampled, rm=self.rm)
         # Monte-Carlo return: per-step reward is 0 except the terminal
         # shaped log-reward
-        steps = [(node.encoding(), ACTION_INDEX[t], traj.log_r)
+        steps = [(node.encoding(), t, traj.log_r)
                  for traj in batch for node, t in zip(traj.nodes, traj.tactics)]
         return steps, [t.log_r for t in batch], [t.log_pf for t in batch]
 

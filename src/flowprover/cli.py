@@ -75,8 +75,6 @@ def cmd_eval(args) -> int:
     split = load_split(args.corpus)
     theorems = split.valid if args.split == "valid" else split.train
     net = PolicyNet.load(args.checkpoint)
-    if not np.all(np.isfinite(net.store.flat_p)):
-        raise ValueError(f"--checkpoint {args.checkpoint} holds non-finite parameters")
     cfg = SearchConfig(branching=args.branching, expansion_budget=args.budget,
                        encoding_mode=args.encoding, dedupe=not args.no_dedupe)
     report = evaluate_split(net, theorems, cfg)

@@ -34,30 +34,50 @@ _ARGLESS = (TacticKind.INTRO, TacticKind.SPLIT, TacticKind.LEFT, TacticKind.RIGH
 _WITH_ARG = (TacticKind.EXACT, TacticKind.APPLY, TacticKind.CASES, TacticKind.DESTRUCT)
 
 
-@dataclass(frozen=True, slots=True)
-class Tactic:
-    """One prover action. ``arg`` is a 1-based position into the goal's
-    hypothesis list (not the hypothesis's display name). Only the 36 actions
-    can be made: ValueError for any other kind or argument."""
+# The fixed action enumeration, by action index: 4 argless, then each arg'd
+# kind over h1..h8. Each action's kind, argument, text (made once, so
+# rendering allocates no string) and rendered length, an exact integer.
+_KINDS: tuple[TacticKind, ...] = _ARGLESS + tuple(k for k in _WITH_ARG for _ in range(H_MAX))
+_ARGS: tuple[int | None, ...] = ((None,) * len(_ARGLESS)
+                                 + tuple(range(1, H_MAX + 1)) * len(_WITH_ARG))
+_TEXT: tuple[str, ...] = tuple(k.value if a is None else f"{k.value} h{a}"
+                               for k, a in zip(_KINDS, _ARGS))
+ACTION_CHARS: tuple[int, ...] = tuple(map(len, _TEXT))
 
-    kind: TacticKind
-    arg: int | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.kind, TacticKind):
-            raise ValueError(f"not a tactic kind: {self.kind!r}")
-        if self.kind in _ARGLESS:
-            if self.arg is not None:
-                raise ValueError(f"{self.kind.value} takes no argument, got {self.arg}")
-        elif type(self.arg) is not int or not 1 <= self.arg <= H_MAX:
-            raise ValueError(f"{self.kind.value} needs a hypothesis in 1..{H_MAX}, got {self.arg}")
+class Tactic(int):
+    """One prover action, which is its own index into ``ACTIONS``: the 36
+    instances there are the only ones, so a tactic indexes logits, masks and
+    tables as it is. ``arg`` is a 1-based position into the goal's
+    hypothesis list (not the hypothesis's display name). ``Tactic(kind,
+    arg)`` returns the action of that kind and argument: ValueError for any
+    other kind or argument."""
+
+    __slots__ = ()
+    kind = property(_KINDS.__getitem__)
+    arg = property(_ARGS.__getitem__)
+
+    def __new__(cls, kind: TacticKind, arg: int | None = None) -> Tactic:
+        if not isinstance(kind, TacticKind):
+            raise ValueError(f"not a tactic kind: {kind!r}")
+        if kind in _ARGLESS:
+            if arg is not None:
+                raise ValueError(f"{kind.value} takes no argument, got {arg}")
+        elif type(arg) is not int or not 1 <= arg <= H_MAX:
+            raise ValueError(f"{kind.value} needs a hypothesis in 1..{H_MAX}, got {arg}")
+        return ACTIONS[_KINDS.index(kind) + (arg or 1) - 1]
 
     def render(self) -> str:
         """The tactic's text: one shared string per action (``_TEXT``)."""
         return _TEXT[self]
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
+
+    def __repr__(self) -> str:
+        return f"parse_tactic({_TEXT[self]!r})"
+
+    def __reduce__(self):  # pickle and copy give back the same instance
+        return parse_tactic, (_TEXT[self],)
 
 
 _TACTIC_RE = re.compile(r"^(intro|split|left|right|exact|apply|cases|destruct)(?:\s+h([1-8]))?$")
@@ -74,15 +94,9 @@ def parse_tactic(text: str) -> Tactic:
     return Tactic(kind, arg)
 
 
-# Fixed action enumeration: 4 argless, then each arg'd kind over h1..h8.
-ACTIONS: tuple[Tactic, ...] = tuple(
-    [Tactic(k) for k in _ARGLESS] + [Tactic(k, i) for k in _WITH_ARG for i in range(1, H_MAX + 1)]
-)
+ACTIONS: tuple[Tactic, ...] = tuple(int.__new__(Tactic, i) for i in range(len(_KINDS)))
 N_ACTIONS = len(ACTIONS)
-ACTION_INDEX: dict[Tactic, int] = {t: i for i, t in enumerate(ACTIONS)}
-# The text of every action, made once, so rendering allocates no string.
-_TEXT: dict[Tactic, str] = {t: t.kind.value if t.arg is None else f"{t.kind.value} h{t.arg}"
-                            for t in ACTIONS}
+ACTION_INDEX = {t: int(t) for t in ACTIONS}  # the identity, for callers outside the package
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,7 +245,7 @@ def apply_tactic(state: ProofState, tactic: Tactic) -> StepResult:
     if not state.goals:
         return _NO_GOALS
     goal, rest = state.goals[0], state.goals[1:]
-    kind = tactic.kind
+    kind = _KINDS[tactic]
 
     if kind in _ARGLESS:
         if not _target_fits(kind, goal.target):
@@ -247,9 +261,7 @@ def apply_tactic(state: ProofState, tactic: Tactic) -> StepResult:
         return _finish((Goal(goal.hyps, side),) + rest)
 
     # Hypothesis tactics: 1-based positional argument.
-    k = tactic.arg
-    if k is None:
-        raise ValueError(f"{kind.value} needs a hypothesis argument")
+    k = _ARGS[tactic]
     if k > len(goal.hyps):
         return _NO_SUCH_HYPOTHESIS
     hname, hform = goal.hyps[k - 1]

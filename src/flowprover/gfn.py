@@ -32,8 +32,9 @@ import numpy as np
 
 from .corpus import MAX_PROOF_LEN, Theorem
 from .env import (
-    ACTION_INDEX,
+    ACTION_CHARS,
     ACTIONS,
+    N_ACTIONS,
     ProofState,
     StepKind,
     StepResult,
@@ -221,20 +222,8 @@ class ProofTree:
         self.root = ProofNode(thm.initial_state, (), thm.initial_state)
 
 
-# Rendered length of every action, by action index and by tactic, built
-# once. Lengths are small exact integers, so sums over them are exact.
-ACTION_CHARS: tuple[int, ...] = tuple(len(t.render()) for t in ACTIONS)
-_TACTIC_CHARS: dict[Tactic, int] = dict(zip(ACTIONS, ACTION_CHARS))
-
-
-def _tactic_chars(tactic) -> int:
-    """Rendered length; from the table for every tactic of the action space."""
-    n = _TACTIC_CHARS.get(tactic)
-    return len(tactic.render()) if n is None else n
-
-
 def error_branch_log_reward(tactics) -> float:
-    return error_log_reward(sum(map(_tactic_chars, tactics)), len(tactics))
+    return error_log_reward(sum(ACTION_CHARS[t] for t in tactics), len(tactics))
 
 
 def error_log_reward(total_chars, n_tactics):
@@ -273,19 +262,20 @@ def log_reward(traj: Trajectory, spec: RewardSpec, rm=None) -> float:
         raise ValueError("full-reward mode needs a reward model for partial credit")
     total = 0.0
     for node, t in zip(traj.nodes, traj.tactics):
-        total += rm.score(node.state, t) / _tactic_chars(t)
+        total += rm.score(node.state, t) / ACTION_CHARS[t]
     return total
 
 
 def check_action_set(indices) -> tuple[int, ...]:
-    """The indices as a tuple; ValueError unless they are distinct action
-    indices in [0, 36), at least one."""
-    out = tuple(indices)
-    bad = [i for i in out if not 0 <= i < len(ACTIONS)]
-    if not out or bad or len(set(out)) != len(out):
-        raise ValueError(f"action set must be distinct indices in [0, {len(ACTIONS)}), "
-                         f"at least one; got {out}")
-    return out
+    """The indices as ints; ValueError unless they are distinct integers
+    (numpy's and tactics too, never bools) in [0, 36), at least one."""
+    given = tuple(indices)
+    if (not given or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                             and 0 <= i < N_ACTIONS for i in given)
+            or len(set(given)) != len(given)):
+        raise ValueError(f"action set must be distinct indices in [0, {N_ACTIONS}), "
+                         f"at least one; got {given}")
+    return tuple(map(int, given))
 
 
 def parse_action_set(text: str) -> tuple[int, ...] | None:
@@ -427,19 +417,19 @@ _OUTCOMES = {StepKind.PROVED: PROVED, StepKind.ERROR: ENV_ERROR, StepKind.OK: DE
 
 class ReplayBuffer:
     """Per-theorem FIFO buffers of finished trajectories, each kept as its
-    tree path: (leaf, action, log R), the node its last tactic is taken
-    from, that tactic's action index and the trajectory's log reward. Later
-    changes to a rollout do not reach its entry. A theorem's buffer is a
-    plain list, oldest first, of at most ``capacity`` entries: a full one
-    drops its oldest before it appends. ``sample`` rebuilds each drawn
-    trajectory by walking down from the theorem's tree root, kept from its
-    first entry, along the leaf's history: the same node objects, whose
-    encodings are made already. The loss graph recomputes log P_F, so a
-    rebuilt trajectory's log_pf is 0.0, as for the ground truth."""
+    tree path: (leaf, tactic, log R), the node its last tactic is taken
+    from, that tactic and the trajectory's log reward. Later changes to a
+    rollout do not reach its entry. A theorem's buffer is a plain list,
+    oldest first, of at most ``capacity`` entries: a full one drops its
+    oldest before it appends. ``sample`` rebuilds each drawn trajectory by
+    walking down from the theorem's tree root, kept from its first entry,
+    along the leaf's history: the same node objects, whose encodings are
+    made already. The loss graph recomputes log P_F, so a rebuilt
+    trajectory's log_pf is 0.0, as for the ground truth."""
 
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
-        self._buffers: dict[str, list[tuple[ProofNode, int, float]]] = {}
+        self._buffers: dict[str, list[tuple[ProofNode, Tactic, float]]] = {}
         self._roots: dict[str, ProofNode] = {}
         self.reads = 0
 
@@ -450,11 +440,11 @@ class ReplayBuffer:
         earlier entries: stand-alone nodes (``proof_states=``) are no path."""
         name, nodes, tactics = traj.theorem_name, traj.nodes, traj.tactics
         root = self._roots.get(name, nodes[0])
-        leaf, action = nodes[-1], ACTION_INDEX[tactics[-1]]
+        leaf, action = nodes[-1], tactics[-1]
         result = leaf.results.get(action)
         if (nodes[0] is not root or root.history or result is None
                 or _OUTCOMES[result.kind] != traj.outcome
-                or any(child is not node.children.get(ACTION_INDEX[tactic])
+                or any(child is not node.children.get(tactic)
                        for node, child, tactic in zip(nodes, nodes[1:], tactics))):
             raise ValueError(f"trajectory for {name!r} is not a root-to-leaf path of "
                              "its theorem's tree")
@@ -480,9 +470,9 @@ class ReplayBuffer:
             leaf, action, log_r = buf[int(i)]
             node, nodes = root, [root]
             for tactic in leaf.history:
-                node = node.children[ACTION_INDEX[tactic]]
+                node = node.children[tactic]
                 nodes.append(node)
-            batch.append(Trajectory(theorem_name, leaf.history + (ACTIONS[action],),
+            batch.append(Trajectory(theorem_name, leaf.history + (action,),
                                     _OUTCOMES[leaf.results[action].kind], 0.0, log_r,
                                     nodes=tuple(nodes)))
         return batch
@@ -559,13 +549,12 @@ def ground_truth(tree: ProofTree) -> Trajectory:
     nodes, n = [], len(thm.gt_proof)
     for i, tactic in enumerate(thm.gt_proof, start=1):
         nodes.append(node)
-        action = ACTION_INDEX[tactic]
-        result = node.apply(action)
+        result = node.apply(tactic)
         if result.failed or result.proved != (i == n):
             raise InvalidGroundTruth(f"ground truth for {thm.name} does not prove it: "
                                      f"tactic {i} of {n} ({tactic}) gives {result.kind.value}")
         if result.ok:
-            node = node.child(action)
+            node = node.child(tactic)
     if not n:
         raise InvalidGroundTruth(f"ground truth for {thm.name} is empty")
     return Trajectory(thm.name, tuple(thm.gt_proof), PROVED, 0.0, nodes=tuple(nodes))
@@ -616,7 +605,7 @@ def tb_loss_graph(tape: Tape, net: PolicyNet, batch: list[Trajectory],
     actions, seg, starts = [], [], []
     for k, traj in enumerate(batch):
         starts.append(len(actions))
-        actions += [ACTION_INDEX[t] for t in traj.tactics]
+        actions += traj.tactics
         seg += [k] * len(traj.tactics)
     x = np.stack([row for traj in batch for row in traj.encoding_rows()])
     picked, hidden = rows_graph(tape, net.store, x, actions, action_mask(action_set))

@@ -29,9 +29,9 @@ class NonFiniteGradient(FloatingPointError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is not an npz archive, is not of version 1, lacks
-    an entry, holds an entry that is not a numeric array or a negative step
-    count, or holds layers that do not fit the network, half of a head or a
-    parameter it does not have (``policy.checked_hidden``)."""
+    an entry, holds an entry that is not a finite numeric array or a
+    negative step count, or holds layers that do not fit the network, half
+    of a head or a parameter it does not have (``policy.checked_hidden``)."""
 
 
 # Parameter names of init_mlp's three layers.
@@ -136,8 +136,8 @@ class ParamStore:
              required: tuple[str, ...] = ()) -> "ParamStore":
         """Read a checkpoint written by ``save``; raises CheckpointError on
         anything else, when a parameter named in ``required`` is absent,
-        when an entry is not a numeric array, or when the step count is
-        negative (an update from step -1 divides by 1 - beta**0 = 0)."""
+        when an entry is not a finite numeric array, or when the step count
+        is negative (an update from step -1 divides by 1 - beta**0 = 0)."""
         try:
             data = np.load(path)
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -152,6 +152,8 @@ class ParamStore:
                 raise CheckpointError(f"{path}: entry {key} does not load: {exc}") from exc
             if value.dtype.kind not in "biuf":
                 raise CheckpointError(f"{path}: entry {key} is not numeric ({value.dtype})")
+            if not np.isfinite(value).all():  # search would rank NaN scores silently
+                raise CheckpointError(f"{path}: entry {key} holds non-finite values")
             return value
 
         with data:

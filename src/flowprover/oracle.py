@@ -28,9 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import MAX_PROOF_LEN, Theorem
-from .env import ACTIONS, N_ACTIONS, StepKind
+from .env import ACTION_CHARS, ACTIONS, N_ACTIONS, StepKind
 from .gfn import (
-    ACTION_CHARS,
     BINARY,
     DEPTH_EXHAUSTED,
     ENV_ERROR,
@@ -133,7 +132,7 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN,
     if max_depth < 1:
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     columns = (tuple(range(N_ACTIONS)) if action_set is None
-               else check_action_set(int(a) for a in action_set))
+               else check_action_set(action_set))
     column_chars = [ACTION_CHARS[a] for a in columns]
     # an action's column: its index for the action space, else its place in
     # the restricted set

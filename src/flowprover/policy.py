@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Theorem
-from .env import ACTION_INDEX, N_ACTIONS, ProofState, Tactic
+from .env import N_ACTIONS, ProofState, Tactic
 from .formulas import Atom, Formula, Implies
 from .nn import (
     MLP_PARAMS,
@@ -168,7 +168,7 @@ def encode_from_parts(initial: ProofState, history, state: ProofState,
     bins = _state_bins(state)
     if mode == HISTORY:
         bins += _initial_bins(initial)
-        bins += [CUR_DIM + INIT_DIM + ACTION_INDEX[t] for t in history]
+        bins += [CUR_DIM + INIT_DIM + t for t in history]
     elif mode != HISTORY_LESS:
         raise ValueError(f"unknown encoding mode {mode!r}")
     n = len(bins)

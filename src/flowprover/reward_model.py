@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import CorpusSplit, Theorem, check_non_negative
 from .env import (
-    ACTION_INDEX,
+    N_ACTIONS,
     ProofState,
     StepKind,
     Tactic,
@@ -58,7 +58,7 @@ class RewardModel:
     @classmethod
     def create(cls, seed: int, scale: float | None = None) -> "RewardModel":
         rng = np.random.default_rng(seed)
-        return cls(store=init_mlp(rng, ENC_DIM, RM_HIDDEN, len(ACTION_INDEX), scale=scale))
+        return cls(store=init_mlp(rng, ENC_DIM, RM_HIDDEN, N_ACTIONS, scale=scale))
 
     def encode(self, state: ProofState) -> np.ndarray:
         return encode_from_parts(state, (), state, HISTORY_LESS)
@@ -69,7 +69,7 @@ class RewardModel:
 
     def score(self, state: ProofState, tactic: Tactic) -> float:
         """Log-probability of the tactic given only the current state."""
-        return float(self.log_probs(state)[ACTION_INDEX[tactic]])
+        return float(self.log_probs(state)[tactic])
 
     def fingerprint(self) -> str:
         return self.store.fingerprint()
@@ -95,9 +95,8 @@ def gt_pairs(theorems: list[Theorem],
     xs, ys = [], []
     for thm in theorems:
         gt = ground_truth(ProofTree(thm))
-        for node, t in zip(gt.nodes, gt.tactics):
-            xs.append(node.encoding(mode))
-            ys.append(ACTION_INDEX[t])
+        xs += (node.encoding(mode) for node in gt.nodes)
+        ys += gt.tactics
     return np.stack(xs), np.asarray(ys, dtype=np.intp)
 
 
@@ -173,7 +172,7 @@ def mine_hard_negatives(net, thm: Theorem, explore_budget: int,
             continue
         for node, t in zip(traj.nodes, traj.tactics):
             # the rollout's recorded result; an error tactic has no child
-            parent, child = node.state, node.apply(ACTION_INDEX[t]).state
+            parent, child = node.state, node.apply(t).state
             if child is None:
                 continue
             outcome = search_from_state(net, child, search_cfg)

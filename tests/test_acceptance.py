@@ -21,6 +21,7 @@ from flowprover.gfn import (
     RewardSpec,
     TrainConfig,
     error_branch_log_reward,
+    error_log_reward,
     log_reward,
     sample_trajectory,
     tb_loss_graph,
@@ -190,21 +191,13 @@ def test_criterion_03_gradient_fidelity():
 
 def test_criterion_04_reward_formula_fidelity():
     """Log-reward unit vector at the pinned values."""
-
-    class FixedLen:
-        def __init__(self, n):
-            self._s = "x" * n
-
-        def render(self):
-            return self._s
-
     thm = identity_theorem("a -> a")
     proved = trajectory_from_tactics(thm, list(thm.gt_proof))
     assert log_reward(proved, RewardSpec(mode=BINARY)) == 0.0
 
-    v44 = error_branch_log_reward([FixedLen(44)])
+    v44 = error_log_reward(44, 1)
     assert v44 == pytest.approx(-20.5452, abs=1e-4)
-    v8 = error_branch_log_reward([FixedLen(8)])
+    v8 = error_log_reward(8, 1)
     assert v8 == pytest.approx(-15.7625, abs=1e-4)
 
     # binary mode sends every non-proved outcome through the error branch

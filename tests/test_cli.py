@@ -380,14 +380,20 @@ class TestOracle:
                      str(corpus_dir), "--limit", "2", "--max-depth", "2",
                      "--assert"]) == 1
 
-    def test_assert_fails_for_nan_reports(self, tmp_path, capsys):
+    def test_assert_fails_for_nan_reports(self, tmp_path, capsys, monkeypatch):
         # NaN compares False with any tolerance, so only a report inside both
-        # tolerances passes
+        # tolerances passes. A checkpoint cannot hold NaN (it is refused at
+        # load), so the reports are made NaN here.
         save_split(build_corpus(2, train_size=10, valid_size=3), tmp_path / "c")
-        net = PolicyNet.create(seed=0)
-        net.store["w3"] = np.full_like(net.store["w3"], np.nan)
-        net.save(tmp_path / "nan.npz")
-        assert main(["oracle", "--checkpoint", str(tmp_path / "nan.npz"), "--theorems",
+        PolicyNet.create(seed=0).save(tmp_path / "net.npz")
+        report = cli.oracle_report
+
+        def nan_report(*args, **kwargs):
+            return dataclasses.replace(report(*args, **kwargs), tv_distance=np.nan,
+                                       predicted_log_z=np.nan)
+
+        monkeypatch.setattr(cli, "oracle_report", nan_report)
+        assert main(["oracle", "--checkpoint", str(tmp_path / "net.npz"), "--theorems",
                      str(tmp_path / "c"), "--assert"]) == 1
         out, err = capsys.readouterr()
         reports = json.loads(out)
@@ -515,6 +521,8 @@ def _bad_checkpoint(kind: str, tmp_path: Path) -> Path:
             arrays[f"{prefix}:wv"] = np.zeros(128)
     elif kind == "negative_step":  # an update from it would divide by 0
         arrays["__step__"] = np.array([-1])
+    elif kind == "non_finite":  # search would rank its scores without complaint
+        arrays["p:b3"] = np.full_like(arrays["p:b3"], np.inf)
     elif kind == "extra_parameter":  # a parameter the policy does not have
         for prefix in "pmv":
             arrays[f"{prefix}:junk"] = np.zeros(3)
@@ -558,22 +566,31 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("kind", ["text", "no_version", "version_2", "empty_version",
                                       "missing_parameter", "moment_shape", "object_entry",
                                       "string_entry", "empty_step", "wrong_shape",
-                                      "extra_parameter", "half_value_head", "negative_step"])
+                                      "extra_parameter", "half_value_head", "negative_step",
+                                      "non_finite"])
     def test_bad_checkpoint_exits_2(self, kind, corpus_dir, tmp_path, capsys):
+        # every command that reads a policy checkpoint refuses it at load
         path = _bad_checkpoint(kind, tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_dir)])
-        assert exc.value.code == 2
-        line = _usage_error_line(capsys)
-        assert str(path) in line
-        if kind.endswith("_entry"):
-            assert "p:w2" in line
-        if kind == "extra_parameter":
-            assert "not a policy checkpoint: it also holds junk" in line
-        if kind == "half_value_head":
-            assert "holds wv but lacks bv" in line
-        if kind == "negative_step":
-            assert "__step__ must be non-negative, got -1" in line
+        mined = tmp_path / "mined.jsonl"
+        for argv in (["eval", "--corpus", str(corpus_dir)],
+                     ["oracle", "--theorems", str(corpus_dir)],
+                     ["mine", "--corpus", str(corpus_dir), "--out", str(mined)]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--checkpoint", str(path)])
+            assert exc.value.code == 2
+            line = _usage_error_line(capsys)
+            assert str(path) in line
+            if kind.endswith("_entry"):
+                assert "p:w2" in line
+            if kind == "extra_parameter":
+                assert "not a policy checkpoint: it also holds junk" in line
+            if kind == "half_value_head":
+                assert "holds wv but lacks bv" in line
+            if kind == "negative_step":
+                assert "__step__ must be non-negative, got -1" in line
+            if kind == "non_finite":
+                assert "entry p:b3 holds non-finite values" in line
+        assert not mined.exists()
 
     def test_bad_reward_model_exits_2(self, corpus_dir, checkpoint, tmp_path, capsys):
         for kind, message in (("version_2", "version [2]"),
@@ -667,7 +684,12 @@ class TestBadInputFiles:
                  ["eval", "--corpus", str(corpus_dir), "--checkpoint", extra_parameter],
                  *(["eval", "--corpus", str(corpus_dir),
                     "--checkpoint", str(_bad_checkpoint(kind, tmp_path))]
-                   for kind in ("half_value_head", "negative_step")),
+                   for kind in ("half_value_head", "negative_step", "non_finite")),
+                 ["oracle", "--theorems", str(corpus_dir), "--checkpoint",
+                  str(tmp_path / "non_finite.npz"), "--limit", "1"],
+                 ["mine", "--corpus", str(corpus_dir), "--checkpoint",
+                  str(tmp_path / "non_finite.npz"), "--limit", "1",
+                  "--out", str(tmp_path / "mined.jsonl")],
                  ["train", "--mode", "gfn", "--corpus", str(corpus_dir), "--rm",
                   extra_parameter, "--steps", "2", "--out", str(tmp_path / "gfn")],
                  ["train", "--mode", "sft", "--corpus", str(corpus_dir), "--steps", "2",

@@ -20,6 +20,7 @@ from flowprover.corpus import (
     theorem_to_json,
 )
 from flowprover.env import (
+    ACTION_CHARS,
     ACTIONS,
     Tactic,
     TacticKind,
@@ -29,7 +30,6 @@ from flowprover.env import (
     state_fingerprint,
 )
 from flowprover.formulas import And, Atom, Implies
-from flowprover.gfn import ACTION_CHARS
 
 
 class TestGenerateTheorem:

@@ -9,16 +9,17 @@ import pytest
 from flowprover.baselines import PPOConfig, PPOTrainer, SFTTrainer
 from flowprover.corpus import CorpusSplit, build_corpus
 from flowprover.env import (
+    ACTION_CHARS,
     ACTION_INDEX,
     ACTIONS,
     ProofState,
+    Tactic,
     apply_tactic,
     applicable_actions,
     parse_tactic,
     state_fingerprint,
 )
 from flowprover.gfn import (
-    ACTION_CHARS,
     BINARY,
     DEPTH_EXHAUSTED,
     ENV_ERROR,
@@ -53,16 +54,6 @@ from conftest import MICRO_ACTION_SET, identity_theorem, replay_forward
 LN36 = math.log(36.0)
 
 
-class _FakeTactic:
-    """Stand-in with a fixed rendered length, for reward formula vectors."""
-
-    def __init__(self, n: int):
-        self._s = "x" * n
-
-    def render(self) -> str:
-        return self._s
-
-
 def make_traj(thm, tactics, outcome, states=None) -> Trajectory:
     return Trajectory(
         theorem_name=thm.name,
@@ -81,24 +72,24 @@ class TestLogReward:
         assert log_reward(traj, RewardSpec(mode=BINARY)) == 0.0
 
     def test_error_branch_length_44(self):
-        val = error_branch_log_reward([_FakeTactic(44)])
+        val = error_log_reward(44, 1)
         assert val == pytest.approx(-15.0 + 8.0 * math.log(44.0 / 88.0), abs=1e-12)
         assert val == pytest.approx(-20.5452, abs=1e-4)
 
     def test_error_branch_length_8(self):
-        val = error_branch_log_reward([_FakeTactic(8)])
+        val = error_log_reward(8, 1)
         assert val == pytest.approx(-15.0 + 8.0 * math.log(80.0 / 88.0), abs=1e-12)
         assert val == pytest.approx(-15.7625, abs=1e-4)
 
     def test_mean_length_over_tactics(self):
-        val = error_branch_log_reward([_FakeTactic(40), _FakeTactic(48)])
+        val = error_log_reward(40 + 48, 2)
         assert val == pytest.approx(-15.0 + 8.0 * math.log(0.5), abs=1e-12)
 
     def test_invalid_length_guard(self):
         from flowprover.gfn import InvalidLength
 
         with pytest.raises(InvalidLength):
-            error_branch_log_reward([_FakeTactic(88)])
+            error_log_reward(88, 1)
 
     def test_mean_length_table_matches_rendering(self):
         assert ACTION_CHARS == tuple(len(t.render()) for t in ACTIONS)
@@ -525,8 +516,8 @@ class TestReplay:
         for traj in found.values():
             buf.add(traj)
         for (leaf, action, log_r), traj in zip(buf._buffers[thm.name], found.values()):
-            assert (type(leaf), type(action), type(log_r)) == (ProofNode, int, float)
-            assert leaf is traj.nodes[-1] and ACTIONS[action] == traj.tactics[-1]
+            assert (type(leaf), type(action), type(log_r)) == (ProofNode, Tactic, float)
+            assert leaf is traj.nodes[-1] and action is traj.tactics[-1]
             assert log_r == traj.log_r
 
     def test_a_trajectory_that_is_no_tree_path_is_refused(self):
@@ -886,6 +877,11 @@ class TestTrainStep:
     def test_bad_config_raises_value_error(self, make):
         with pytest.raises(ValueError):
             make()
+
+    def test_action_set_takes_numpy_integers_and_tactics_as_ints(self):
+        cfg = TrainConfig(action_set=(np.int64(3), ACTIONS[5], 1))
+        assert cfg.action_set == (3, 5, 1)
+        assert all(type(i) is int for i in cfg.action_set)
 
     def test_reward_model_rule(self):
         with pytest.raises(ValueError):

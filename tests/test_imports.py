@@ -1,6 +1,8 @@
 """Every import in the package, the tests and the demos is read: an AST
 walk over each module (no linter needed). ``__init__.py`` imports only to
-re-export, and a statement marked ``noqa`` binds a name on purpose."""
+re-export, and a statement marked ``noqa`` binds a name on purpose. The
+package reads a tactic as its action index, never through
+``env.ACTION_INDEX``."""
 
 import ast
 from pathlib import Path
@@ -54,3 +56,27 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_no_unused_imports_in_tests_and_demos(script):
     assert unused_imports((ROOT / script).read_text()) == []
+
+
+def action_index_reads(source: str) -> list[int]:
+    """Lines that import ``ACTION_INDEX`` or read it, by name or as an
+    attribute; binding it (its definition) is no read."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "ACTION_INDEX"
+                  and isinstance(node.ctx, ast.Load)
+                  or isinstance(node, ast.Attribute) and node.attr == "ACTION_INDEX"
+                  or isinstance(node, (ast.Import, ast.ImportFrom))
+                  and any(alias.name == "ACTION_INDEX" for alias in node.names))
+
+
+def test_the_check_finds_an_action_index_read():
+    source = ("from .env import ACTION_INDEX\n"
+              "ACTION_INDEX: dict = {}\n"
+              "a = env.ACTION_INDEX[t]\n"
+              "b = ACTION_INDEX[t]\n")
+    assert action_index_reads(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_the_package_reads_no_action_index(module):
+    assert action_index_reads((PACKAGE / module).read_text()) == []

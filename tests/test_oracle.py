@@ -13,6 +13,7 @@ import flowprover.env as env_mod
 import flowprover.gfn as gfn_mod
 import flowprover.oracle as oracle_mod
 from flowprover.env import (
+    ACTION_CHARS,
     ACTION_INDEX,
     ACTIONS,
     ProofState,
@@ -23,7 +24,6 @@ from flowprover.env import (
     replay,
 )
 from flowprover.gfn import (
-    ACTION_CHARS,
     BINARY,
     DEPTH_EXHAUSTED,
     ENV_ERROR,

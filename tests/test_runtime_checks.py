@@ -16,7 +16,6 @@ MISUSES = {
     "Tactic(INTRO, 3)": "ValueError",
     # only the 36 actions can be made: a bool is not a hypothesis position
     "Tactic(EXACT, True)": "ValueError",
-    "apply_tactic(initial_state(parse_formula('a -> a')), hypless)": "ValueError",
     "store.add('w', np.zeros(2))": "ValueError",
     "store.__setitem__('w', np.zeros(5))": "ValueError",
     "store.__setitem__('u', np.zeros(2))": "KeyError",
@@ -41,6 +40,11 @@ MISUSES = {
     "oracle_report(net, thm, action_set=(0, 0, 1, 2, 3, 4))": "ValueError",
     "oracle_report(net, thm, action_set=(-1, 0, 1, 2, 3))": "ValueError",
     "oracle_report(net, thm, action_set=(0, 36))": "ValueError",
+    # an index is an integer: a float is not truncated to one, and a bool is refused
+    "enumerate_trajectories(thm, action_set=(0.7, 1, 2, 4))": "ValueError",
+    "oracle_report(net, thm, action_set=(0.7, 1, 2, 4))": "ValueError",
+    "TrainConfig(action_set=(0.5, 1, 2, 4))": "ValueError",
+    "TrainConfig(action_set=(True, 2))": "ValueError",
     # negative counts, and an empty train split, are refused before any work
     "build_corpus(-1, 1, 1)": "ValueError",
     "build_corpus(0, -1, 1)": "ValueError",
@@ -76,14 +80,11 @@ def test_misuse_raises_typed_exceptions(flags):
         "import io",
         "import os",
         "import numpy as np",
-        "from flowprover.env import Tactic, TacticKind, apply_tactic, initial_state",
+        "from flowprover.env import Tactic, TacticKind, initial_state",
         "from flowprover.formulas import parse_formula",
         "from flowprover.nn import ParamStore, mlp_forward, optim_step",
         "from flowprover.policy import PolicyNet",
         "EXACT, INTRO = TacticKind.EXACT, TacticKind.INTRO",
-        "hypless = object.__new__(Tactic)  # skips the constructor's own check",
-        "object.__setattr__(hypless, 'kind', EXACT)",
-        "object.__setattr__(hypless, 'arg', None)",
         "store = ParamStore()",
         "store.add('w', np.zeros(2))",
         "buf = io.BytesIO()",
