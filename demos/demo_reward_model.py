@@ -16,7 +16,7 @@ import numpy as np
 from flowprover.baselines import gt_top1_accuracy
 from flowprover.corpus import build_corpus
 from flowprover.env import ACTIONS, apply_tactic, parse_tactic
-from flowprover.gfn import BINARY, FULL_RM, RewardSpec, log_reward, trajectory_from_tactics
+from flowprover.gfn import log_reward, trajectory_from_tactics
 from flowprover.policy import HISTORY_LESS, PolicyNet
 from flowprover.reward_model import mine_hard_negatives, rm_train
 
@@ -38,9 +38,8 @@ print(f"   ground truth next step: {thm.gt_proof[1].render()}")
 
 print("\n== partial credit for depth-exhausted rollouts ==")
 stalled = trajectory_from_tactics(thm, [parse_tactic("intro")])
-stalled.outcome = "depth_exhausted"
-full = log_reward(stalled, RewardSpec(mode=FULL_RM), rm=rm)
-binary = log_reward(stalled, RewardSpec(mode=BINARY))
+full = log_reward(stalled, rm=rm)
+binary = log_reward(stalled)
 print(f"   full reward (scorer credit): {full:+.3f}   binary reward: {binary:+.3f}")
 
 print("\n== mining labels from failed rollouts ==")

@@ -14,7 +14,7 @@ It prints no wall-clock time, so two runs print the same bytes.
 from flowprover.corpus import Theorem
 from flowprover.env import initial_state, parse_tactic
 from flowprover.formulas import parse_formula
-from flowprover.gfn import BINARY, GFNTrainer, RewardSpec, TrainConfig
+from flowprover.gfn import GFNTrainer, TrainConfig
 from flowprover.oracle import enumerate_trajectories, policy_trajectory_probs, tv_distance
 from flowprover.policy import PolicyNet, predict_log_z
 
@@ -31,13 +31,11 @@ net = PolicyNet.create(seed=11)
 cfg = TrainConfig(mode="gfn_br_oo", max_depth=2, action_set=ACTION_SET, lr=1e-3)
 trainer = GFNTrainer(theorems, net, cfg, seed=20)
 
-spec = RewardSpec(mode=BINARY)
-
 
 def report(label):
     print(f"-- {label}")
     for thm in theorems:
-        dist = enumerate_trajectories(thm, max_depth=2, spec=spec, action_set=ACTION_SET)
+        dist = enumerate_trajectories(thm, max_depth=2, action_set=ACTION_SET)
         probs = policy_trajectory_probs(net, dist)
         tv = tv_distance(probs, dist.target_probs)
         dz = predict_log_z(net, thm) - dist.log_z

@@ -25,7 +25,6 @@ from .formulas import Formula, parse_formula, print_formula
 from .gfn import (
     GFNTrainer,
     ReplayBuffer,
-    RewardSpec,
     TrainConfig,
     Trajectory,
     log_reward,
@@ -55,7 +54,6 @@ __all__ = [
     "ProofState",
     "ReplayBuffer",
     "RewardModel",
-    "RewardSpec",
     "SearchConfig",
     "SolveReport",
     "StepResult",

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import MAX_PROOF_LEN, build_corpus, corpus_hash, load_split, save_split
-from .gfn import ALL_MODES, BINARY, FULL_RM, RewardSpec, TrainConfig, parse_action_set
+from .gfn import ALL_MODES, BINARY, FULL_RM, TrainConfig, parse_action_set
 from .oracle import oracle_report, reports_to_json
 from .policy import HISTORY, HISTORY_LESS, PolicyNet
 from .reward_model import RewardModel, mine_hard_negatives, rm_train, save_labeled
@@ -54,8 +54,7 @@ def cmd_train(args) -> int:
         overrides["replay_p"] = args.replay_p
     if args.no_inject_gt:
         overrides["inject_gt"] = False
-    cfg = (TrainConfig.read(args.config, **overrides) if args.config
-           else TrainConfig(**overrides)).for_reward_model(args.rm is not None)
+    cfg = TrainConfig.read(args.config, **overrides) if args.config else TrainConfig(**overrides)
     rm = RewardModel.load(args.rm) if args.rm else None
     result = run_training(
         mode=mode, corpus=split, seed=args.seed, steps=args.steps,
@@ -107,13 +106,9 @@ def cmd_oracle(args) -> int:
     if args.limit:
         theorems = theorems[: args.limit]
     net = PolicyNet.load(args.checkpoint)
-    rm = RewardModel.load(args.rm) if args.rm else None
-    spec = RewardSpec(mode=args.reward)
-    reports = [
-        oracle_report(net, thm, max_depth=args.max_depth, spec=spec, rm=rm,
-                      action_set=action_set)
-        for thm in theorems
-    ]
+    # the binary reward gives no partial credit, so it takes no reward model
+    rm = RewardModel.load(args.rm) if args.reward == FULL_RM else None
+    reports = [oracle_report(net, thm, args.max_depth, rm, action_set) for thm in theorems]
     text = reports_to_json(reports)
     if args.out:
         Path(args.out).write_text(text + "\n")

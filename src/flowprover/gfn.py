@@ -1,11 +1,16 @@
 """Trajectory-balance training loop with shaped rewards and trajectory replay.
 
-Log-reward cases (alpha=8, c=88 max tactic chars, l = mean tactic chars):
+Log-reward cases by a trajectory's outcome, the ``env.StepKind`` of its
+last step (alpha=8, c=88 max tactic chars, l = mean tactic chars):
 
-    proved          -> 0
-    env error       -> -15 + alpha * ln((c - l) / c)
-    depth exhausted -> sum_i (1/len(t_i)) * rm_log_prob(t_i | s_{i-1})   (full mode)
-                       error branch                                      (binary mode)
+    PROVED -> 0
+    ERROR  -> -15 + alpha * ln((c - l) / c)
+    OK     -> sum_i (1/len(t_i)) * rm_log_prob(t_i | s_{i-1})   (given a reward model)
+              error branch                                      (without one)
+
+An OK trajectory ran out of depth. ``sample_trajectories`` reads the run's
+reward mode: under ``full_rm`` it scores with the reward model, under
+``binary`` without one.
 
 The trajectory-balance residual per trajectory is
 ``log Z(theorem) + log P_F(trajectory) - log R(trajectory)`` and the loss is
@@ -57,9 +62,8 @@ from .policy import (
     rows_graph,
 )
 
-PROVED = "proved"
-ENV_ERROR = "env_error"
-DEPTH_EXHAUSTED = "depth_exhausted"
+# The outcome names: a trajectory's outcome is the StepKind of its last step.
+PROVED, ENV_ERROR, DEPTH_EXHAUSTED = StepKind.PROVED, StepKind.ERROR, StepKind.OK
 
 FULL_RM = "full_rm"
 BINARY = "binary"
@@ -83,46 +87,37 @@ C_MAX_TACTIC_LEN = 88.0
 ERROR_BASE = -15.0
 
 
-@dataclass(frozen=True)
-class RewardSpec:
-    """What a depth-exhausted rollout earns: partial credit from the reward
-    model (``FULL_RM``) or the error branch (``BINARY``)."""
-
-    mode: str = FULL_RM
-
-    def __post_init__(self):
-        if self.mode not in (FULL_RM, BINARY):
-            raise ValueError(f"reward mode must be {FULL_RM} or {BINARY}, got {self.mode!r}")
-
-
 @dataclass(slots=True, init=False)
 class Trajectory:
-    """One rollout: tactics, outcome, both log scores, and its path of tree
+    """One rollout: tactics, outcome (the ``StepKind`` of its last step:
+    OK when it ran out of depth), both log scores, and its path of tree
     nodes, one per tactic: the node the tactic is taken from, which holds
     its state and encoding. A trajectory known only by its states is given
     ``proof_states`` (keyword-only) instead of nodes: the state before each
-    tactic, then the state reached unless the outcome is an environment
-    error. They make stand-alone nodes, with no environment call.
-    ValueError unless the states fit the outcome, and there is at least
+    tactic, then the state reached unless the outcome is ERROR. They make
+    stand-alone nodes, with no environment call. ValueError unless the
+    outcome is a ``StepKind``, the states fit it, and there is at least
     one tactic and one node per tactic."""
 
     theorem_name: str
     tactics: tuple[Tactic, ...]
-    outcome: str
+    outcome: StepKind
     log_pf: float
     log_r: float
     nodes: tuple[ProofNode, ...] = field(repr=False, compare=False)
 
-    def __init__(self, theorem_name: str, tactics: tuple[Tactic, ...], outcome: str,
+    def __init__(self, theorem_name: str, tactics: tuple[Tactic, ...], outcome: StepKind,
                  log_pf: float, log_r: float = 0.0, nodes: tuple[ProofNode, ...] | None = None,
                  *, proof_states: tuple[ProofState, ...] | None = None):
+        if not isinstance(outcome, StepKind):
+            raise ValueError(f"a trajectory's outcome is a StepKind, got {outcome!r}")
         if (nodes is None) == (proof_states is None):
             raise ValueError("a trajectory takes exactly one of nodes and proof_states")
         if proof_states is not None:
-            expect = len(tactics) if outcome == ENV_ERROR else len(tactics) + 1
+            expect = len(tactics) if outcome is StepKind.ERROR else len(tactics) + 1
             if len(proof_states) != expect:
                 raise ValueError(f"trajectory for {theorem_name!r} has {len(proof_states)} "
-                                 f"states for {len(tactics)} tactics ({outcome})")
+                                 f"states for {len(tactics)} tactics ({outcome.value})")
             nodes = tuple(ProofNode(proof_states[0], tuple(tactics[:i]), proof_states[i])
                           for i in range(len(tactics)))
         if not tactics or len(nodes) != len(tactics):
@@ -198,6 +193,18 @@ class ProofNode:
             result = self.results[action] = apply_tactic(self.state, ACTIONS[action])
         return result
 
+    def kind(self, action: int) -> StepKind | None:
+        """What is known, without an environment call, of the kind of action
+        ``action``'s result from here: the recorded result's, else ERROR for
+        an action outside ``applicable()`` once that has been read (every
+        such action fails); None while unknown, as on a stand-alone node."""
+        result = self.results.get(action)
+        if result is not None:
+            return result.kind
+        if self._applicable is None or action in self._applicable:
+            return None
+        return StepKind.ERROR
+
     def child(self, action: int) -> ProofNode:
         """The node ``action`` reaches from here, made on first use; the
         action must have been applied (``apply``) and be OK."""
@@ -250,16 +257,14 @@ def _any(flags) -> bool:
     return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
 
 
-def log_reward(traj: Trajectory, spec: RewardSpec, rm=None) -> float:
-    """Shaped log reward of a complete trajectory (policy-independent)."""
-    if traj.outcome == PROVED:
+def log_reward(traj: Trajectory, rm=None) -> float:
+    """Shaped log reward of a complete trajectory (policy-independent): a
+    depth-exhausted one earns partial credit exactly when given a reward
+    model ``rm``, and the error branch without one."""
+    if traj.outcome is StepKind.PROVED:
         return 0.0
-    if traj.outcome == ENV_ERROR or spec.mode == BINARY:
+    if traj.outcome is StepKind.ERROR or rm is None:
         return error_branch_log_reward(traj.tactics)
-    if traj.outcome != DEPTH_EXHAUSTED:
-        raise ValueError(f"unknown trajectory outcome {traj.outcome!r}")
-    if rm is None:
-        raise ValueError("full-reward mode needs a reward model for partial credit")
     total = 0.0
     for node, t in zip(traj.nodes, traj.tactics):
         total += rm.score(node.state, t) / ACTION_CHARS[t]
@@ -402,17 +407,9 @@ class TrainConfig:
             raise ValueError(f"{path}: {exc}") from None
 
     @property
-    def reward_spec(self) -> RewardSpec:
-        return RewardSpec(mode=self.reward_mode)
-
-    @property
     def optim(self) -> OptimConfig:
         return OptimConfig(lr=self.lr, clip_norm=self.clip_norm,
                            weight_decay=self.weight_decay)
-
-
-# A trajectory's outcome, by the kind of its last tactic's result.
-_OUTCOMES = {StepKind.PROVED: PROVED, StepKind.ERROR: ENV_ERROR, StepKind.OK: DEPTH_EXHAUSTED}
 
 
 class ReplayBuffer:
@@ -435,15 +432,14 @@ class ReplayBuffer:
 
     def add(self, traj: Trajectory) -> None:
         """Keep ``traj`` as its tree path. ValueError unless its nodes run
-        from a tree root down by its tactics, the last tactic's recorded
-        result fits its outcome, and the root is the one of the theorem's
-        earlier entries: stand-alone nodes (``proof_states=``) are no path."""
+        from a tree root down by its tactics, its outcome is the kind of its
+        last step (``ProofNode.kind``), and the root is the one of the
+        theorem's earlier entries: stand-alone nodes (``proof_states=``) are
+        no path."""
         name, nodes, tactics = traj.theorem_name, traj.nodes, traj.tactics
         root = self._roots.get(name, nodes[0])
         leaf, action = nodes[-1], tactics[-1]
-        result = leaf.results.get(action)
-        if (nodes[0] is not root or root.history or result is None
-                or _OUTCOMES[result.kind] != traj.outcome
+        if (nodes[0] is not root or root.history or leaf.kind(action) is not traj.outcome
                 or any(child is not node.children.get(tactic)
                        for node, child, tactic in zip(nodes, nodes[1:], tactics))):
             raise ValueError(f"trajectory for {name!r} is not a root-to-leaf path of "
@@ -473,8 +469,7 @@ class ReplayBuffer:
                 node = node.children[tactic]
                 nodes.append(node)
             batch.append(Trajectory(theorem_name, leaf.history + (action,),
-                                    _OUTCOMES[leaf.results[action].kind], 0.0, log_r,
-                                    nodes=tuple(nodes)))
+                                    leaf.kind(action), 0.0, log_r, nodes=tuple(nodes)))
         return batch
 
 
@@ -488,15 +483,22 @@ def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
     on environment error, or at max_depth. The masked logits of each prefix
     the batch reaches are computed once, for this call only, since the net
     changes between batches and the tree does not.
+
+    This is where the run's reward mode is read: under ``full_rm`` each
+    rollout is scored with ``rm`` (ValueError, before any draw, without
+    one); under ``binary`` ``rm`` is ignored.
     """
+    if cfg.reward_mode == BINARY:
+        rm = None
+    elif rm is None:
+        raise ValueError(f"the {FULL_RM} reward needs a reward model for partial credit")
     mask = action_mask(cfg.action_set)
     scores: dict[ProofNode, tuple[np.ndarray, np.ndarray]] = {}
     batch = []
     for _ in range(n):
         temperature = (float(rng.uniform(cfg.temper_low, cfg.temper_high))
                        if rng.random() < cfg.temper_p else 1.0)
-        node, nodes, tactics = tree.root, [], []
-        log_pf, outcome = 0.0, DEPTH_EXHAUSTED
+        node, nodes, tactics, log_pf = tree.root, [], [], 0.0
         for _ in range(cfg.max_depth):
             score = scores.get(node)
             if score is None:
@@ -509,16 +511,13 @@ def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
             nodes.append(node)
             tactics.append(ACTIONS[action])
             result = node.apply(action)
-            if result.proved:
-                outcome = PROVED
-                break
-            if result.failed:
-                outcome = ENV_ERROR
+            if not result.ok:
                 break
             node = node.child(action)
 
-        traj = Trajectory(tree.thm.name, tuple(tactics), outcome, log_pf, nodes=tuple(nodes))
-        traj.log_r = log_reward(traj, cfg.reward_spec, rm=rm)
+        traj = Trajectory(tree.thm.name, tuple(tactics), result.kind, log_pf,
+                          nodes=tuple(nodes))
+        traj.log_r = log_reward(traj, rm)
         batch.append(traj)
     return batch
 
@@ -536,8 +535,7 @@ def trajectory_from_tactics(thm: Theorem, tactics) -> Trajectory:
     ValueError for an empty sequence."""
     walk = replay(thm.initial_state, tactics)
     n = len(walk.states) - (0 if walk.failed else 1)
-    return Trajectory(thm.name, tuple(tactics[:n]), _OUTCOMES[walk.kind], 0.0,
-                      proof_states=walk.states)
+    return Trajectory(thm.name, tuple(tactics[:n]), walk.kind, 0.0, proof_states=walk.states)
 
 
 def ground_truth(tree: ProofTree) -> Trajectory:
@@ -557,7 +555,7 @@ def ground_truth(tree: ProofTree) -> Trajectory:
             node = node.child(tactic)
     if not n:
         raise InvalidGroundTruth(f"ground truth for {thm.name} is empty")
-    return Trajectory(thm.name, tuple(thm.gt_proof), PROVED, 0.0, nodes=tuple(nodes))
+    return Trajectory(thm.name, tuple(thm.gt_proof), StepKind.PROVED, 0.0, nodes=tuple(nodes))
 
 
 @dataclass(slots=True)

@@ -30,13 +30,8 @@ import numpy as np
 from .corpus import MAX_PROOF_LEN, Theorem
 from .env import ACTION_CHARS, ACTIONS, N_ACTIONS, StepKind
 from .gfn import (
-    BINARY,
-    DEPTH_EXHAUSTED,
-    ENV_ERROR,
-    PROVED,
     ProofNode,
     ProofTree,
-    RewardSpec,
     Trajectory,
     check_action_set,
     error_log_reward,
@@ -71,7 +66,7 @@ class TrajectoryTree:
 
 # A table cell holds the child node its action reaches, or a leaf outcome.
 _PROVED, _ERROR, _EXHAUSTED = -1, -2, -3
-_OUTCOME = {_ERROR: ENV_ERROR, _PROVED: PROVED, _EXHAUSTED: DEPTH_EXHAUSTED}
+_OUTCOME = {_ERROR: StepKind.ERROR, _PROVED: StepKind.PROVED, _EXHAUSTED: StepKind.OK}
 
 
 @dataclass
@@ -94,9 +89,7 @@ class ExactDist:
     def trajectories(self) -> list[Trajectory]:
         """The leaves as the trainer's trajectories, built on first use: each
         one's nodes are the tree's, from the root down through ``inbound``,
-        and its ``log_pf`` is 0.0 (the loss graph recomputes it).
-        ``gfn.ReplayBuffer.add`` refuses a leaf whose last action the walk
-        skipped as inapplicable: its node holds no result for that action."""
+        and its ``log_pf`` is 0.0 (the loss graph recomputes it)."""
         tree = self.tree
         columns = tree.actions.tolist()
         paths = [(tree.nodes[0],)]  # the nodes from the root to each node
@@ -113,8 +106,7 @@ class ExactDist:
         return trajectories
 
 
-def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN,
-                           spec: RewardSpec = RewardSpec(mode="binary"), rm=None,
+def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN, rm=None,
                            action_set: tuple[int, ...] | None = None) -> ExactDist:
     """The one depth-first walk over a fresh ``ProofTree`` of ``thm``, with
     the same termination semantics as training rollouts (stop on proved /
@@ -122,11 +114,12 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN,
     columns are the action space, or ``action_set`` in its order.
 
     Rewards are the trainer's: a proved leaf scores 0, an error leaf (an
-    environment error, or depth exhausted under the binary reward) goes
+    environment error, or depth exhausted without a reward model) goes
     through ``gfn.error_log_reward`` on the walk's running sum of tactic
     lengths, the one function behind ``log_reward``'s error branch, and a
-    depth-exhausted leaf under the full reward through ``log_reward``
-    itself, so the oracle and the trainer can never disagree about R.
+    depth-exhausted leaf given the reward model ``rm`` through
+    ``log_reward`` itself, so the oracle and the trainer can never disagree
+    about R.
     ValueError, before the walk, unless ``max_depth`` is at least 1 and
     ``action_set`` is None or distinct action indices in [0, 36)."""
     if max_depth < 1:
@@ -145,7 +138,7 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN,
     applied_codes: list[int] = []
     leaves: list[int] = []  # in depth-first order
     exhausted: dict[int, float] = {}  # partial-credit log R by cell
-    partial_credit = spec.mode != BINARY
+    partial_credit = rm is not None
 
     def visit(node: ProofNode, path: tuple[ProofNode, ...], chars: int) -> None:
         nodes.append(node)
@@ -176,7 +169,7 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN,
                 if partial_credit:
                     exhausted[row + j] = log_reward(
                         Trajectory(thm.name, node.history + (ACTIONS[action],),
-                                   DEPTH_EXHAUSTED, 0.0, nodes=path), spec, rm=rm)
+                                   StepKind.OK, 0.0, nodes=path), rm)
         leaves.extend(range(run, row + width))
 
     visit(ProofTree(thm).root, (), 0)
@@ -185,7 +178,7 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN,
     del visit
     cells = np.full(len(nodes) * width, _ERROR, dtype=np.intp)
     cells[applied_cells] = applied_codes
-    # Error leaves, and depth-exhausted ones under the binary reward, take
+    # Error leaves, and depth-exhausted ones without a reward model, take
     # the error branch; a proved leaf scores 0.
     errors = np.flatnonzero(cells == _ERROR if partial_credit else cells <= _ERROR)
     error_rows = errors // width
@@ -306,14 +299,14 @@ class OracleReport:
         }
 
 
-def oracle_report(net: PolicyNet, thm: Theorem, max_depth: int = MAX_PROOF_LEN,
-                  spec: RewardSpec = RewardSpec(mode="binary"), rm=None,
+def oracle_report(net: PolicyNet, thm: Theorem, max_depth: int = MAX_PROOF_LEN, rm=None,
                   action_set: tuple[int, ...] | None = None) -> OracleReport:
     """Full verification pass for one theorem: one walk, one policy forward,
-    no per-trajectory object. ValueError, before the walk, unless
-    ``max_depth`` is at least 1 and ``action_set`` is None or distinct
-    action indices in [0, 36)."""
-    dist = enumerate_trajectories(thm, max_depth, spec, rm, action_set)
+    no per-trajectory object. Rewards are ``enumerate_trajectories``': with
+    partial credit exactly when given ``rm``. ValueError, before the walk,
+    unless ``max_depth`` is at least 1 and ``action_set`` is None or
+    distinct action indices in [0, 36)."""
+    dist = enumerate_trajectories(thm, max_depth, rm, action_set)
     tree = dist.tree
     cell_logp, hidden = _policy_pass(net, tree, dist.action_set)
     probs = _trajectory_probs(tree, cell_logp, dist.leaves)

@@ -23,7 +23,7 @@ from .env import (
     apply_tactic,
     state_fingerprint,
 )
-from .gfn import PROVED, ProofTree, TrainConfig, ground_truth, sample_trajectories
+from .gfn import ProofTree, TrainConfig, ground_truth, sample_trajectories
 from .nn import (
     MLP_PARAMS,
     OptimConfig,
@@ -166,7 +166,7 @@ def mine_hard_negatives(net, thm: Theorem, explore_budget: int,
     search_cfg = SearchConfig(expansion_budget=explore_budget, branching=36)
     out: list[LabeledTactic] = []
     for traj in sample_trajectories(ProofTree(thm), net, cfg, rng, n_rollouts):
-        if traj.outcome == PROVED:
+        if traj.outcome is StepKind.PROVED:
             for node, t in zip(traj.nodes, traj.tactics):
                 out.append(LabeledTactic(node.state, t, POSITIVE))
             continue

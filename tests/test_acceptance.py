@@ -16,9 +16,7 @@ from flowprover.corpus import build_corpus
 from flowprover.env import ACTION_INDEX, ACTIONS, apply_tactic, parse_tactic, replay
 from flowprover.formulas import parse_formula, print_formula
 from flowprover.gfn import (
-    BINARY,
     GFNTrainer,
-    RewardSpec,
     TrainConfig,
     error_branch_log_reward,
     error_log_reward,
@@ -83,9 +81,8 @@ def test_criterion_01_reward_proportional_sampling():
     for i in range(n_steps):
         trainer.train_step(thms[i % len(thms)])
 
-    spec = RewardSpec(mode=BINARY)
     for thm in thms:
-        report = oracle_report(net, thm, max_depth=2, spec=spec, action_set=MICRO_ACTION_SET)
+        report = oracle_report(net, thm, max_depth=2, action_set=MICRO_ACTION_SET)
         tv = report.tv_distance
         logz_err = abs(predict_log_z(net, thm) - report.log_z)
         residual = report.max_flow_residual
@@ -193,25 +190,24 @@ def test_criterion_04_reward_formula_fidelity():
     """Log-reward unit vector at the pinned values."""
     thm = identity_theorem("a -> a")
     proved = trajectory_from_tactics(thm, list(thm.gt_proof))
-    assert log_reward(proved, RewardSpec(mode=BINARY)) == 0.0
+    assert log_reward(proved) == 0.0
 
     v44 = error_log_reward(44, 1)
     assert v44 == pytest.approx(-20.5452, abs=1e-4)
     v8 = error_log_reward(8, 1)
     assert v8 == pytest.approx(-15.7625, abs=1e-4)
 
-    # binary mode sends every non-proved outcome through the error branch
+    # without a reward model every non-proved outcome takes the error branch
     intro = parse_tactic("intro")
     s1 = apply_tactic(thm.initial_state, intro).state
     from flowprover.gfn import DEPTH_EXHAUSTED, ENV_ERROR, Trajectory
 
-    spec = RewardSpec(mode=BINARY)
     exhausted = Trajectory(thm.name, (intro,), DEPTH_EXHAUSTED, 0.0,
                            proof_states=(thm.initial_state, s1))
     errored = Trajectory(thm.name, (intro,), ENV_ERROR, 0.0, proof_states=(thm.initial_state,))
     expected = error_branch_log_reward([intro])
-    assert log_reward(exhausted, spec) == expected
-    assert log_reward(errored, spec) == expected
+    assert log_reward(exhausted) == expected
+    assert log_reward(errored) == expected
     print(f"criterion 4 PASS: proved=0 l44={v44:.4f} l8={v8:.4f}")
 
 

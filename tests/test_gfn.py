@@ -13,6 +13,7 @@ from flowprover.env import (
     ACTION_INDEX,
     ACTIONS,
     ProofState,
+    StepKind,
     Tactic,
     apply_tactic,
     applicable_actions,
@@ -29,7 +30,6 @@ from flowprover.gfn import (
     ProofNode,
     ProofTree,
     ReplayBuffer,
-    RewardSpec,
     TrainConfig,
     Trajectory,
     error_branch_log_reward,
@@ -69,7 +69,7 @@ class TestLogReward:
         thm = identity_theorem("a -> a")
         traj = trajectory_from_tactics(thm, list(thm.gt_proof))
         assert traj.outcome == PROVED
-        assert log_reward(traj, RewardSpec(mode=BINARY)) == 0.0
+        assert log_reward(traj) == 0.0
 
     def test_error_branch_length_44(self):
         val = error_log_reward(44, 1)
@@ -115,8 +115,7 @@ class TestLogReward:
         s1 = ProofState((thm.initial_state.goals[0],))
         traj = make_traj(thm, [intro], DEPTH_EXHAUSTED,
                          states=(thm.initial_state, s1))
-        spec = RewardSpec(mode=BINARY)
-        assert log_reward(traj, spec) == error_branch_log_reward([intro])
+        assert log_reward(traj) == error_branch_log_reward([intro])
 
     def test_full_mode_uses_rm_partial_credit(self):
         thm = identity_theorem("a -> a")
@@ -127,14 +126,14 @@ class TestLogReward:
         s1 = apply_tactic(thm.initial_state, intro).state
         traj = make_traj(thm, [intro], DEPTH_EXHAUSTED, states=(thm.initial_state, s1))
         expected = (1.0 / len("intro")) * (-LN36)
-        assert log_reward(traj, RewardSpec(mode=FULL_RM), rm=rm) == pytest.approx(expected)
+        assert log_reward(traj, rm=rm) == pytest.approx(expected)
 
     def test_env_error_uses_error_branch_in_full_mode(self):
         thm = identity_theorem("a -> a")
         split = parse_tactic("split")
         traj = make_traj(thm, [split], ENV_ERROR, states=(thm.initial_state,))
-        spec = RewardSpec(mode=FULL_RM)
-        assert log_reward(traj, spec) == error_branch_log_reward([split])
+        rm = RewardModel.create(seed=0, scale=0.0)
+        assert log_reward(traj, rm=rm) == error_branch_log_reward([split])
 
 
 class TestSampleTrajectory:
@@ -154,7 +153,7 @@ class TestSampleTrajectory:
         thm = identity_theorem("a -> a")
         traj = trajectory_from_tactics(thm, [parse_tactic("intro"), parse_tactic("exact h1")])
         assert traj.outcome == PROVED
-        assert log_reward(traj, RewardSpec(mode=BINARY)) == 0.0
+        assert log_reward(traj) == 0.0
 
     def test_seeded_bit_exact_reproducibility(self):
         thm = identity_theorem("a | b -> a | b")
@@ -208,6 +207,42 @@ class TestSampleTrajectory:
             from flowprover.env import ACTION_INDEX
 
             assert all(ACTION_INDEX[t] in MICRO_ACTION_SET for t in traj.tactics)
+
+    def test_an_outcome_is_the_kind_of_the_last_step(self):
+        for name, kind in ((PROVED, StepKind.PROVED), (ENV_ERROR, StepKind.ERROR),
+                           (DEPTH_EXHAUSTED, StepKind.OK)):
+            assert name is kind
+        _, _, found = _one_rollout_per_outcome()
+        for outcome, traj in found.items():
+            assert traj.outcome is traj.nodes[-1].results[traj.tactics[-1]].kind is outcome
+        with pytest.raises(ValueError, match="StepKind"):
+            dataclasses.replace(found[PROVED], outcome="proved")
+
+    def test_full_rm_without_a_reward_model_is_refused_before_any_draw(self):
+        thm = identity_theorem("a -> a")
+        tree, rng = ProofTree(thm), np.random.default_rng(3)
+        before = rng.bit_generator.state
+        for mode in ("gfn", "gfn_oo", "ppo"):
+            with pytest.raises(ValueError, match="reward model"):
+                sample_trajectories(tree, PolicyNet.create(seed=0), TrainConfig(mode=mode),
+                                    rng, 5)
+        assert rng.bit_generator.state == before
+        assert tree.root.results == {}
+
+    def test_the_binary_reward_ignores_a_reward_model(self):
+        thm = identity_theorem("(a -> b) -> (a -> b)")
+        cfg = TrainConfig(mode="gfn", reward_mode=BINARY, max_depth=3)
+
+        def rollouts(rm):
+            rng = np.random.default_rng(4)
+            trajs = sample_trajectories(ProofTree(thm), _biased_net(10), cfg, rng, 200, rm=rm)
+            return [(t.tactics, t.outcome, np.float64([t.log_pf, t.log_r]).tobytes())
+                    for t in trajs], rng.bit_generator.state
+
+        with_rm = rollouts(RewardModel.create(seed=2))
+        assert with_rm == rollouts(None)
+        assert {outcome for _, outcome, _ in with_rm[0]} == {PROVED, ENV_ERROR,
+                                                             DEPTH_EXHAUSTED}
 
 
 def _rollouts_over_updates(thm, net, cfg, rm, seed, trees):
@@ -538,6 +573,36 @@ class TestReplay:
                 buf.add(traj)
         assert buf.size(thm.name) == 1
 
+    def test_every_oracle_leaf_is_taken_and_drawn_back(self, monkeypatch):
+        # most leaves end in an action the walk skipped as inapplicable: their
+        # node holds no result for it, and the buffer reads it as an error
+        # step from the node's applicable actions, with no environment call
+        from flowprover import gfn as gfn_mod
+        from flowprover.oracle import enumerate_trajectories
+
+        leaves = {thm.name: enumerate_trajectories(thm, max_depth=3).trajectories
+                  for thm in build_corpus(1, 100, 0).train}
+        assert sum(map(len, leaves.values())) == 12665
+        assert sum(traj.tactics[-1] not in traj.nodes[-1].results
+                   for trajs in leaves.values() for traj in trajs) == 12312
+
+        def no_env_call(*args):
+            raise AssertionError("the environment was called")
+        monkeypatch.setattr(gfn_mod, "apply_tactic", no_env_call)
+        monkeypatch.setattr(gfn_mod, "applicable_actions", no_env_call)
+        buf = ReplayBuffer(capacity=10 ** 6)
+        for name, trajs in leaves.items():
+            for traj in trajs:
+                buf.add(traj)
+            assert buf.size(name) == len(trajs)
+            picks = np.random.default_rng(0).integers(0, len(trajs), size=len(trajs))
+            draws = buf.sample(name, len(trajs), np.random.default_rng(0))
+            for k, draw in zip(picks, draws):
+                traj = trajs[int(k)]
+                assert (draw.tactics, draw.outcome, draw.log_r) == \
+                    (traj.tactics, traj.outcome, traj.log_r)
+                assert all(node is want for node, want in zip(draw.nodes, traj.nodes))
+
     def test_replay_through_tree_paths_changes_no_bit(self, monkeypatch):
         # 300 steps over 200 theorems under each reward: the same metrics
         # rows and parameters as a buffer that keeps trajectory copies
@@ -634,9 +699,9 @@ class TestTrajectoryIsItsNodes:
             assert again == traj and not set(map(id, again.nodes)) & set(map(id, traj.nodes))
             assert np.stack(again.encoding_rows()).tobytes() == \
                 np.stack(traj.encoding_rows()).tobytes()
-            for spec in (RewardSpec(mode=FULL_RM), RewardSpec(mode=BINARY)):
-                want = np.float64(log_reward(traj, spec, rm=rm)).tobytes()
-                assert np.float64(log_reward(again, spec, rm=rm)).tobytes() == want
+            for given in (rm, None):
+                want = np.float64(log_reward(traj, given)).tobytes()
+                assert np.float64(log_reward(again, given)).tobytes() == want
             assert np.float64(tb_loss([again], net)).tobytes() == \
                 np.float64(tb_loss([traj], net)).tobytes()
 
@@ -858,7 +923,7 @@ class TestTrainStep:
         lambda: TrainConfig(mode="sft", action_set=(0, 1)),
         lambda: TrainConfig(mode="ppo", action_set=(0, 1)),
         lambda: PPOConfig(clip_eps=1.5),
-        lambda: RewardSpec(mode="dense"),
+        lambda: TrainConfig(lr=0.0),
         lambda: SearchConfig(branching=0),
         lambda: SearchConfig(branching=37),
         lambda: SearchConfig(encoding_mode="flat"),

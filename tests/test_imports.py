@@ -2,7 +2,8 @@
 walk over each module (no linter needed). ``__init__.py`` imports only to
 re-export, and a statement marked ``noqa`` binds a name on purpose. The
 package reads a tactic as its action index, never through
-``env.ACTION_INDEX``."""
+``env.ACTION_INDEX``, and nothing reads ``RewardSpec``: a reward is a
+function of the trajectory and the reward model alone."""
 
 import ast
 from pathlib import Path
@@ -58,25 +59,39 @@ def test_no_unused_imports_in_tests_and_demos(script):
     assert unused_imports((ROOT / script).read_text()) == []
 
 
-def action_index_reads(source: str) -> list[int]:
-    """Lines that import ``ACTION_INDEX`` or read it, by name or as an
-    attribute; binding it (its definition) is no read."""
+def name_reads(source: str, name: str) -> list[int]:
+    """Lines that import ``name`` or read it, by name or as an attribute;
+    binding it (a definition) is no read."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Name) and node.id == "ACTION_INDEX"
+                  if isinstance(node, ast.Name) and node.id == name
                   and isinstance(node.ctx, ast.Load)
-                  or isinstance(node, ast.Attribute) and node.attr == "ACTION_INDEX"
+                  or isinstance(node, ast.Attribute) and node.attr == name
                   or isinstance(node, (ast.Import, ast.ImportFrom))
-                  and any(alias.name == "ACTION_INDEX" for alias in node.names))
+                  and any(alias.name == name for alias in node.names))
+
+
+def planted(name: str) -> str:
+    """A module that binds ``name`` on line 2 and reads it on lines 1, 3, 4."""
+    return (f"from .env import {name}\n"
+            f"{name}: dict = {{}}\n"
+            f"a = env.{name}[t]\n"
+            f"b = {name}[t]\n")
 
 
 def test_the_check_finds_an_action_index_read():
-    source = ("from .env import ACTION_INDEX\n"
-              "ACTION_INDEX: dict = {}\n"
-              "a = env.ACTION_INDEX[t]\n"
-              "b = ACTION_INDEX[t]\n")
-    assert action_index_reads(source) == [1, 3, 4]
+    assert name_reads(planted("ACTION_INDEX"), "ACTION_INDEX") == [1, 3, 4]
+
+
+def test_the_check_finds_a_reward_spec_read():
+    assert name_reads(planted("RewardSpec"), "RewardSpec") == [1, 3, 4]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_the_package_reads_no_action_index(module):
-    assert action_index_reads((PACKAGE / module).read_text()) == []
+    assert name_reads((PACKAGE / module).read_text(), "ACTION_INDEX") == []
+
+
+@pytest.mark.parametrize("path", [f"src/flowprover/{p.name}"
+                                  for p in sorted(PACKAGE.glob("*.py"))] + SCRIPTS)
+def test_nothing_reads_reward_spec(path):
+    assert name_reads((ROOT / path).read_text(), "RewardSpec") == []

@@ -29,7 +29,6 @@ from flowprover.gfn import (
     ENV_ERROR,
     FULL_RM,
     PROVED,
-    RewardSpec,
     Trajectory,
     error_log_reward,
     log_reward,
@@ -122,7 +121,7 @@ class TestEnumeration:
         # termination semantics
         thm = identity_theorem("a -> a")
         dist = enumerate_trajectories(thm, max_depth=3)
-        dfs_proved = sum(1 for t in dist.trajectories if t.outcome == "proved")
+        dfs_proved = sum(1 for t in dist.trajectories if t.outcome is PROVED)
 
         proved = 0
         queue = [(thm.initial_state, 0)]
@@ -149,7 +148,7 @@ class TestEnumeration:
         # trajectory lands in the penalty branch, logsumexp must stay finite
         thm = identity_theorem("a -> a")
         dist = enumerate_trajectories(thm, max_depth=1)
-        assert all(t.outcome != "proved" for t in dist.trajectories)
+        assert all(t.outcome is not PROVED for t in dist.trajectories)
         assert np.isfinite(dist.log_z)
 
     def test_mass_leak_detected(self):
@@ -200,7 +199,7 @@ class TestOracleReport:
 # -- the one-pass oracle against a per-trajectory reference -----------------
 
 
-def reference_report(net, thm, max_depth, spec, rm=None, action_set=None) -> dict:
+def reference_report(net, thm, max_depth, rm=None, action_set=None) -> dict:
     """The oracle the straightforward way: re-walk every trajectory for its
     final state, encode and forward one tree node at a time, and key the
     flow tree by rendered tactic prefixes."""
@@ -228,7 +227,7 @@ def reference_report(net, thm, max_depth, spec, rm=None, action_set=None) -> dic
             last = apply_tactic(pre[-1], tacs[-1])
             states = pre + (ProofState(()) if last.proved else last.state,)
         log_rs.append(log_reward(Trajectory(thm.name, tacs, outcome, 0.0, proof_states=states),
-                                 spec, rm=rm))
+                                 rm))
     log_rs = np.array(log_rs)
     top = log_rs.max()
     log_z = float(top + np.log(np.exp(log_rs - top).sum()))
@@ -300,11 +299,9 @@ class TestOnePassMatchesReference:
     def test_reports_agree(self, theorems, action_set, mode):
         net = head_net(seed=21)
         rm = RewardModel.create(seed=4) if mode == FULL_RM else None
-        spec = RewardSpec(mode=mode)
         for thm in theorems:
-            got = oracle_report(net, thm, max_depth=3, spec=spec, rm=rm,
-                                action_set=action_set).to_dict()
-            want = reference_report(net, thm, 3, spec, rm=rm, action_set=action_set)
+            got = oracle_report(net, thm, max_depth=3, rm=rm, action_set=action_set).to_dict()
+            want = reference_report(net, thm, 3, rm=rm, action_set=action_set)
             assert got["n_trajectories"] == want["n_trajectories"]
             assert got["log_Z"] == want["log_Z"]
             # The oracle reads log Z off row 0 of one batched forward; a
@@ -337,7 +334,7 @@ class TestOnePassMatchesReference:
 Leaf = namedtuple("Leaf", "tactics outcome log_r proof_states node action")
 
 
-def per_leaf_walk(thm, max_depth, spec, rm=None, action_set=None):
+def per_leaf_walk(thm, max_depth, rm=None, action_set=None):
     """The reference for the table walk, one leaf at a time: every action
     of every node goes through ``apply_tactic``, every leaf becomes a
     ``Leaf`` as it is found, and an error leaf is scored by a scalar
@@ -361,11 +358,10 @@ def per_leaf_walk(thm, max_depth, spec, rm=None, action_set=None):
                 child = ~len(found)
                 if result.proved:
                     outcome, log_r = PROVED, 0.0
-                elif result.ok and spec.mode != BINARY:
+                elif result.ok and rm is not None:
                     outcome = DEPTH_EXHAUSTED
                     log_r = log_reward(Trajectory(thm.name, tacs, outcome, 0.0,
-                                                  proof_states=before + (result.state,)),
-                                       spec, rm=rm)
+                                                  proof_states=before + (result.state,)), rm)
                 else:
                     outcome = ENV_ERROR if result.failed else DEPTH_EXHAUSTED
                     log_r = error_log_reward(chars + ACTION_CHARS[a], depth)
@@ -449,19 +445,17 @@ class TestTableWalkMatchesPerLeafWalk:
     def test_leaves_and_reports(self, theorems, max_depth, mode, action_set):
         net = head_net(seed=26)
         rm = RewardModel.create(seed=4) if mode == FULL_RM else None
-        spec = RewardSpec(mode=mode)
         outcomes = set()
         for thm in theorems:
-            found, nodes, edges = per_leaf_walk(thm, max_depth, spec, rm=rm,
-                                                action_set=action_set)
+            found, nodes, edges = per_leaf_walk(thm, max_depth, rm=rm, action_set=action_set)
             outcomes.update(t.outcome for t in found)
-            dist = enumerate_trajectories(thm, max_depth=max_depth, spec=spec, rm=rm,
+            dist = enumerate_trajectories(thm, max_depth=max_depth, rm=rm,
                                           action_set=action_set)
             assert leaf_bits(dist_leaves(dist)) == leaf_bits(found)
             assert [node.history for node in dist.tree.nodes] == [history for history, _ in nodes]
             want = per_leaf_report(net, thm, found, nodes, edges, action_set)
             assert dist.log_z.hex() == want["log_Z"].hex()
-            report = oracle_report(net, thm, max_depth=max_depth, spec=spec, rm=rm,
+            report = oracle_report(net, thm, max_depth=max_depth, rm=rm,
                                    action_set=action_set).to_dict()
             assert json.dumps(report) == json.dumps(want)
         assert outcomes == {PROVED, ENV_ERROR, DEPTH_EXHAUSTED}
@@ -482,10 +476,9 @@ class TestLeavesAgreeWithTheTrainer:
     @pytest.mark.parametrize("max_depth", [3, 4])
     def test_every_leaf(self, theorems, max_depth, mode, action_set):
         rm = RewardModel.create(seed=4) if mode == FULL_RM else None
-        spec = RewardSpec(mode=mode)
         outcomes = Counter()
         for thm in theorems:
-            dist = enumerate_trajectories(thm, max_depth=max_depth, spec=spec, rm=rm,
+            dist = enumerate_trajectories(thm, max_depth=max_depth, rm=rm,
                                           action_set=action_set)
             for leaf in dist.trajectories:
                 walk = replay(thm.initial_state, leaf.tactics)
@@ -495,7 +488,7 @@ class TestLeavesAgreeWithTheTrainer:
                 assert outcome != DEPTH_EXHAUSTED or len(leaf.tactics) == max_depth
                 assert tuple(n.state for n in leaf.nodes) == walk.states[:len(leaf.tactics)]
                 want = log_reward(Trajectory(thm.name, leaf.tactics, outcome, 0.0,
-                                             proof_states=walk.states), spec, rm=rm)
+                                             proof_states=walk.states), rm)
                 assert leaf.log_r == want, leaf.tactics
                 outcomes[outcome] += 1
         assert set(outcomes) == {PROVED, ENV_ERROR, DEPTH_EXHAUSTED}
@@ -503,9 +496,8 @@ class TestLeavesAgreeWithTheTrainer:
     @pytest.mark.parametrize("mode", [BINARY, FULL_RM])
     def test_log_reward_only_for_partial_credit(self, theorems, mode, monkeypatch):
         rm = RewardModel.create(seed=4) if mode == FULL_RM else None
-        spec = RewardSpec(mode=mode)
         net = head_net(seed=25)
-        dists = [enumerate_trajectories(thm, spec=spec, rm=rm) for thm in theorems]
+        dists = [enumerate_trajectories(thm, rm=rm) for thm in theorems]
         calls = Counter()
 
         def spy(owner, name):
@@ -521,7 +513,7 @@ class TestLeavesAgreeWithTheTrainer:
         spy(gfn_mod, "apply_tactic")
         for thm, dist in zip(theorems, dists):
             calls.clear()
-            oracle_report(net, thm, spec=spec, rm=rm)
+            oracle_report(net, thm, rm=rm)
             exhausted = sum(t.outcome == DEPTH_EXHAUSTED for t in dist.trajectories)
             assert calls["log_reward"] == (exhausted if mode == FULL_RM else 0)
             # one per (node, applicable action)

@@ -63,6 +63,11 @@ MISUSES = {
     "mine_hard_negatives(net, thm, 4, n_rollouts=-1)": "ValueError",
     # a parameter name bound on a tape keeps its store
     "tape.param(ParamStore({'w': np.array([10., 20.])}), 'w')": "ValueError",
+    # an outcome is the env.StepKind of the last step, never its name
+    "Trajectory('t', gt, 'proved', 0.0, proof_states=(thm.initial_state,) * 3)": "ValueError",
+    # the full reward scores with a reward model: none is refused before any draw
+    "sample_trajectories(ProofTree(thm), net, TrainConfig(), np.random.default_rng(0), 1)":
+        "ValueError",
 }
 
 
@@ -116,7 +121,8 @@ def test_misuse_raises_typed_exceptions(flags):
         "thm = Theorem('t', initial_state(parse_formula('a -> a')), gt)",
         "thm3 = Theorem('t3', initial_state(parse_formula('a -> b -> a')),",
         "               tuple(map(parse_tactic, ('intro', 'intro', 'exact h1'))))",
-        "from flowprover.gfn import GFNTrainer, TrainConfig",
+        "from flowprover.gfn import (GFNTrainer, ProofTree, TrainConfig, Trajectory,",
+        "                            sample_trajectories)",
         "net = PolicyNet.create(seed=0)",
         "from flowprover.nn import Tape",
         "tape = Tape()",

@@ -40,7 +40,7 @@ INSTANCES = [
     StepResult(StepKind.OK, state=state),
     Replay(StepKind.OK, state=state, states=(state,)),
     Theorem("t", state, (intro,)),
-    Trajectory("t", (intro,), "proved", log_pf=-1.0, proof_states=(state, state)),
+    Trajectory("t", (intro,), StepKind.PROVED, log_pf=-1.0, proof_states=(state, state)),
     StepMetrics(step=1, mode="gfn", loss=0.5, mean_log_r=0.0, mean_log_pf=-1.0, log_z=0.0,
                 env_calls=2),
 ]
