@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -90,42 +91,59 @@ ERROR_BASE = -15.0
 @dataclass(slots=True, init=False)
 class Trajectory:
     """One rollout: tactics, outcome (the ``StepKind`` of its last step:
-    OK when it ran out of depth), both log scores, and its path of tree
-    nodes, one per tactic: the node the tactic is taken from, which holds
-    its state and encoding. A trajectory known only by its states is given
-    ``proof_states`` (keyword-only) instead of nodes: the state before each
-    tactic, then the state reached unless the outcome is ERROR. They make
-    stand-alone nodes, with no environment call. ValueError unless the
-    outcome is a ``StepKind``, the states fit it, and there is at least
-    one tactic and one node per tactic."""
+    OK when it ran out of depth), both log scores, and the root of the
+    proof tree it is a path of. Its ``nodes``, one per tactic (the node the
+    tactic is taken from, which holds its state and encoding), are read
+    down from the root. A trajectory known only by its states is given
+    ``proof_states`` (keyword-only) instead of a root: the state before
+    each tactic, then the state reached unless the outcome is ERROR. They
+    make a stand-alone tree, with no environment call. ValueError unless
+    the outcome is a ``StepKind``, the states fit it, there is at least one
+    tactic, and the tactics stay in the tree from its root down."""
 
     theorem_name: str
     tactics: tuple[Tactic, ...]
     outcome: StepKind
     log_pf: float
     log_r: float
-    nodes: tuple[ProofNode, ...] = field(repr=False, compare=False)
+    root: ProofNode = field(repr=False, compare=False)
 
     def __init__(self, theorem_name: str, tactics: tuple[Tactic, ...], outcome: StepKind,
-                 log_pf: float, log_r: float = 0.0, nodes: tuple[ProofNode, ...] | None = None,
+                 log_pf: float, log_r: float = 0.0, root: ProofNode | None = None,
                  *, proof_states: tuple[ProofState, ...] | None = None):
         if not isinstance(outcome, StepKind):
             raise ValueError(f"a trajectory's outcome is a StepKind, got {outcome!r}")
-        if (nodes is None) == (proof_states is None):
-            raise ValueError("a trajectory takes exactly one of nodes and proof_states")
+        if (root is None) == (proof_states is None):
+            raise ValueError("a trajectory takes exactly one of root and proof_states")
+        if not tactics:
+            raise ValueError(f"trajectory for {theorem_name!r} needs at least one tactic")
         if proof_states is not None:
             expect = len(tactics) if outcome is StepKind.ERROR else len(tactics) + 1
             if len(proof_states) != expect:
                 raise ValueError(f"trajectory for {theorem_name!r} has {len(proof_states)} "
                                  f"states for {len(tactics)} tactics ({outcome.value})")
-            nodes = tuple(ProofNode(proof_states[0], tuple(tactics[:i]), proof_states[i])
-                          for i in range(len(tactics)))
-        if not tactics or len(nodes) != len(tactics):
-            raise ValueError(f"trajectory for {theorem_name!r} needs at least one tactic and "
-                             f"one node per tactic, got {len(tactics)} tactics and "
-                             f"{len(nodes)} nodes")
+            root = node = ProofNode(proof_states[0], (), proof_states[0])
+            for i in range(1, len(tactics)):
+                child = ProofNode(proof_states[0], tuple(tactics[:i]), proof_states[i])
+                node.children[tactics[i - 1]] = node = child
         self.theorem_name, self.tactics, self.outcome = theorem_name, tactics, outcome
-        self.log_pf, self.log_r, self.nodes = log_pf, log_r, nodes
+        self.log_pf, self.log_r, self.root = log_pf, log_r, root
+        if root.history:
+            raise ValueError(f"trajectory for {theorem_name!r} starts below its tree's root")
+        try:
+            self.nodes  # the walk down the tree
+        except KeyError:
+            raise ValueError(f"the tactics of trajectory {theorem_name!r} leave its "
+                             "tree") from None
+
+    @property
+    def nodes(self) -> tuple[ProofNode, ...]:
+        """The tree nodes its tactics are taken from, from the root down."""
+        node, nodes = self.root, [self.root]
+        for tactic in self.tactics[:-1]:
+            node = node.children[tactic]
+            nodes.append(node)
+        return tuple(nodes)
 
     def encoding_rows(self) -> list[np.ndarray]:
         """One HISTORY encoding per tactic, of the state it is taken from."""
@@ -192,18 +210,6 @@ class ProofNode:
         if result is None:
             result = self.results[action] = apply_tactic(self.state, ACTIONS[action])
         return result
-
-    def kind(self, action: int) -> StepKind | None:
-        """What is known, without an environment call, of the kind of action
-        ``action``'s result from here: the recorded result's, else ERROR for
-        an action outside ``applicable()`` once that has been read (every
-        such action fails); None while unknown, as on a stand-alone node."""
-        result = self.results.get(action)
-        if result is not None:
-            return result.kind
-        if self._applicable is None or action in self._applicable:
-            return None
-        return StepKind.ERROR
 
     def child(self, action: int) -> ProofNode:
         """The node ``action`` reaches from here, made on first use; the
@@ -297,9 +303,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# A config-file value's parser, by its field's annotation.
-_PARSE = {"float": float, "int": int, "bool": _parse_bool, "str": str,
-          "tuple[int, ...] | None": parse_action_set}
+# By a field's annotation: the parser of a config-file value, and the type
+# a value given in code must have (a bool is no number).
+_PARSE = {"float": (float, Real), "int": (int, Integral), "bool": (_parse_bool, bool),
+          "str": (str, str), "tuple[int, ...] | None": (parse_action_set, object)}
 
 
 def _format(value) -> str:
@@ -310,8 +317,9 @@ def _format(value) -> str:
 
 @dataclass
 class TrainConfig:
-    """A training run's settings. Every field is checked when the config is
-    made (ValueError), and the settings a mode forces are applied: the
+    """A training run's settings. Every field's type (by its annotation; a
+    bool is no number) and value are checked when the config is made
+    (ValueError), and the settings a mode forces are applied: the
     online-only modes never replay, gfn_br_oo trains on the binary reward,
     and ppo never tempers its rollouts. ``max_depth``, where rollouts stop,
     defaults to ``corpus.MAX_PROOF_LEN``, the longest template proof.
@@ -333,6 +341,10 @@ class TrainConfig:
     action_set: tuple[int, ...] | None = None  # restricted subsets are test-only
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value, kind = getattr(self, f.name), _PARSE[f.type][1]
+            if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name, ok, rule in (
             ("mode", self.mode in ALL_MODES, f"one of {', '.join(ALL_MODES)}"),
             ("reward_mode", self.reward_mode in (FULL_RM, BINARY), f"{FULL_RM} or {BINARY}"),
@@ -398,7 +410,7 @@ class TrainConfig:
                                  f"{first_line[key]}")
             first_line[key] = lineno
             try:
-                values[key] = _PARSE[types[key]](value)
+                values[key] = _PARSE[types[key]][0](value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
         try:
@@ -414,43 +426,32 @@ class TrainConfig:
 
 class ReplayBuffer:
     """Per-theorem FIFO buffers of finished trajectories, each kept as its
-    tree path: (leaf, tactic, log R), the node its last tactic is taken
-    from, that tactic and the trajectory's log reward. Later changes to a
-    rollout do not reach its entry. A theorem's buffer is a plain list,
-    oldest first, of at most ``capacity`` entries: a full one drops its
-    oldest before it appends. ``sample`` rebuilds each drawn trajectory by
-    walking down from the theorem's tree root, kept from its first entry,
-    along the leaf's history: the same node objects, whose encodings are
-    made already. The loss graph recomputes log P_F, so a rebuilt
-    trajectory's log_pf is 0.0, as for the ground truth."""
+    tree path: (leaf, tactic, outcome, log R), the node its last tactic is
+    taken from, that tactic, the trajectory's outcome and its log reward.
+    Later changes to a rollout do not reach its entry. A theorem's buffer
+    is a plain list, oldest first, of at most ``capacity`` entries: a full
+    one drops its oldest before it appends. ``sample`` rebuilds each drawn
+    trajectory on the theorem's tree root, kept from its first entry, so
+    its nodes are the same objects, whose encodings are made already. The
+    loss graph recomputes log P_F, so a rebuilt trajectory's log_pf is 0.0,
+    as for the ground truth."""
 
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
-        self._buffers: dict[str, list[tuple[ProofNode, Tactic, float]]] = {}
+        self._buffers: dict[str, list[tuple[ProofNode, Tactic, StepKind, float]]] = {}
         self._roots: dict[str, ProofNode] = {}
         self.reads = 0
 
     def add(self, traj: Trajectory) -> None:
-        """Keep ``traj`` as its tree path. ValueError unless its nodes run
-        from a tree root down by its tactics, its outcome is the kind of its
-        last step (``ProofNode.kind``), and the root is the one of the
-        theorem's earlier entries: stand-alone nodes (``proof_states=``) are
-        no path."""
-        name, nodes, tactics = traj.theorem_name, traj.nodes, traj.tactics
-        root = self._roots.get(name, nodes[0])
-        leaf, action = nodes[-1], tactics[-1]
-        if (nodes[0] is not root or root.history or leaf.kind(action) is not traj.outcome
-                or any(child is not node.children.get(tactic)
-                       for node, child, tactic in zip(nodes, nodes[1:], tactics))):
-            raise ValueError(f"trajectory for {name!r} is not a root-to-leaf path of "
-                             "its theorem's tree")
-        buf = self._buffers.get(name)
-        if buf is None:
-            buf = self._buffers[name] = []
-            self._roots[name] = root
-        elif len(buf) >= self.capacity:
+        """Keep ``traj`` as its tree path. ValueError when its tree is not
+        the one of the theorem's earlier entries."""
+        name = traj.theorem_name
+        if self._roots.setdefault(name, traj.root) is not traj.root:
+            raise ValueError(f"trajectory for {name!r} is not a path of its theorem's tree")
+        buf = self._buffers.setdefault(name, [])
+        if len(buf) >= self.capacity:
             del buf[0]
-        buf.append((leaf, action, float(traj.log_r)))
+        buf.append((traj.nodes[-1], traj.tactics[-1], traj.outcome, float(traj.log_r)))
 
     def size(self, theorem_name: str) -> int:
         return len(self._buffers.get(theorem_name, ()))
@@ -461,16 +462,8 @@ class ReplayBuffer:
         picks = rng.integers(0, len(buf), size=k)
         self.reads += int(k)
         root = self._roots[theorem_name]
-        batch = []
-        for i in picks:
-            leaf, action, log_r = buf[int(i)]
-            node, nodes = root, [root]
-            for tactic in leaf.history:
-                node = node.children[tactic]
-                nodes.append(node)
-            batch.append(Trajectory(theorem_name, leaf.history + (action,),
-                                    leaf.kind(action), 0.0, log_r, nodes=tuple(nodes)))
-        return batch
+        return [Trajectory(theorem_name, leaf.history + (action,), outcome, 0.0, log_r, root)
+                for leaf, action, outcome, log_r in (buf[i] for i in picks.tolist())]
 
 
 def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
@@ -498,7 +491,7 @@ def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
     for _ in range(n):
         temperature = (float(rng.uniform(cfg.temper_low, cfg.temper_high))
                        if rng.random() < cfg.temper_p else 1.0)
-        node, nodes, tactics, log_pf = tree.root, [], [], 0.0
+        node, tactics, log_pf = tree.root, [], 0.0
         for _ in range(cfg.max_depth):
             score = scores.get(node)
             if score is None:
@@ -508,15 +501,13 @@ def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
                 score = scores[node] = (logits, log_softmax_np(logits))
             action, step_lp = draw_action(*score, temperature, rng)
             log_pf += step_lp
-            nodes.append(node)
             tactics.append(ACTIONS[action])
             result = node.apply(action)
             if not result.ok:
                 break
             node = node.child(action)
 
-        traj = Trajectory(tree.thm.name, tuple(tactics), result.kind, log_pf,
-                          nodes=tuple(nodes))
+        traj = Trajectory(tree.thm.name, tuple(tactics), result.kind, log_pf, root=tree.root)
         traj.log_r = log_reward(traj, rm)
         batch.append(traj)
     return batch
@@ -530,7 +521,7 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
 
 def trajectory_from_tactics(thm: Theorem, tactics) -> Trajectory:
     """The trajectory of a known tactic sequence, through ``env.replay``
-    (log_pf unset), on stand-alone nodes. It holds the applied tactics: all
+    (log_pf unset), on a stand-alone tree. It holds the applied tactics: all
     of them, unless one fails, in which case it ends with the failing one.
     ValueError for an empty sequence."""
     walk = replay(thm.initial_state, tactics)
@@ -544,9 +535,8 @@ def ground_truth(tree: ProofTree) -> Trajectory:
     Raises InvalidGroundTruth when a tactic fails, when the proof stays
     open, or when a tactic follows the one that closes it."""
     thm, node = tree.thm, tree.root
-    nodes, n = [], len(thm.gt_proof)
+    n = len(thm.gt_proof)
     for i, tactic in enumerate(thm.gt_proof, start=1):
-        nodes.append(node)
         result = node.apply(tactic)
         if result.failed or result.proved != (i == n):
             raise InvalidGroundTruth(f"ground truth for {thm.name} does not prove it: "
@@ -555,7 +545,7 @@ def ground_truth(tree: ProofTree) -> Trajectory:
             node = node.child(tactic)
     if not n:
         raise InvalidGroundTruth(f"ground truth for {thm.name} is empty")
-    return Trajectory(thm.name, tuple(thm.gt_proof), StepKind.PROVED, 0.0, nodes=tuple(nodes))
+    return Trajectory(thm.name, tuple(thm.gt_proof), StepKind.PROVED, 0.0, root=tree.root)
 
 
 @dataclass(slots=True)

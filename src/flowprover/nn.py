@@ -29,9 +29,11 @@ class NonFiniteGradient(FloatingPointError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is not an npz archive, is not of version 1, lacks
-    an entry, holds an entry that is not a finite numeric array or a
-    negative step count, or holds layers that do not fit the network, half
-    of a head or a parameter it does not have (``policy.checked_hidden``)."""
+    an entry, holds a parameter or moment that is not a finite
+    floating-point array, a version or step count that is not an integer
+    one or a negative step count, or holds layers that do not fit the
+    network, half of a head or a parameter it does not have
+    (``policy.checked_hidden``)."""
 
 
 # Parameter names of init_mlp's three layers.
@@ -136,8 +138,9 @@ class ParamStore:
              required: tuple[str, ...] = ()) -> "ParamStore":
         """Read a checkpoint written by ``save``; raises CheckpointError on
         anything else, when a parameter named in ``required`` is absent,
-        when an entry is not a finite numeric array, or when the step count
-        is negative (an update from step -1 divides by 1 - beta**0 = 0)."""
+        when a parameter or moment is not a finite floating-point array or
+        the version or step count not an integer one, or when the step
+        count is negative (an update from step -1 divides by 1 - beta**0 = 0)."""
         try:
             data = np.load(path)
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -145,13 +148,14 @@ class ParamStore:
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise CheckpointError(f"{path}: not a checkpoint: not an npz archive")
 
-        def entry(key: str) -> np.ndarray:
+        def entry(key: str, kinds: str = "f") -> np.ndarray:  # dtype kinds: floats by default
             try:
                 value = data[key]
             except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
                 raise CheckpointError(f"{path}: entry {key} does not load: {exc}") from exc
-            if value.dtype.kind not in "biuf":
-                raise CheckpointError(f"{path}: entry {key} is not numeric ({value.dtype})")
+            if value.dtype.kind not in kinds:
+                what = "floating point" if kinds == "f" else "integer"
+                raise CheckpointError(f"{path}: entry {key} is not {what} ({value.dtype})")
             if not np.isfinite(value).all():  # search would rank NaN scores silently
                 raise CheckpointError(f"{path}: entry {key} holds non-finite values")
             return value
@@ -160,7 +164,7 @@ class ParamStore:
             files = set(data.files)
             if "__version__" not in files:
                 raise CheckpointError(f"{path}: not a checkpoint: no __version__ entry")
-            version = entry("__version__")
+            version = entry("__version__", "iu")
             if not np.array_equal(version, [1]):
                 raise CheckpointError(
                     f"{path}: checkpoint version {version.tolist()}, expected [1]")
@@ -171,10 +175,10 @@ class ParamStore:
             if missing:
                 raise CheckpointError(f"{path}: checkpoint lacks {', '.join(missing)}")
             store = cls({name: entry(f"p:{name}") for name in names})
-            step = entry("__step__")
-            if step.shape != (1,) or step.dtype.kind not in "iu":
+            step = entry("__step__", "iu")
+            if step.shape != (1,):
                 raise CheckpointError(f"{path}: __step__ must hold one integer, got "
-                                      f"{step.dtype} of shape {step.shape}")
+                                      f"shape {step.shape}")
             store.step_count = int(step[0])
             if store.step_count < 0:
                 raise CheckpointError(f"{path}: __step__ must be non-negative, got "

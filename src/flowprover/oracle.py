@@ -88,22 +88,15 @@ class ExactDist:
     @cached_property
     def trajectories(self) -> list[Trajectory]:
         """The leaves as the trainer's trajectories, built on first use: each
-        one's nodes are the tree's, from the root down through ``inbound``,
-        and its ``log_pf`` is 0.0 (the loss graph recomputes it)."""
-        tree = self.tree
-        columns = tree.actions.tolist()
-        paths = [(tree.nodes[0],)]  # the nodes from the root to each node
-        for node, cell in zip(tree.nodes[1:], tree.inbound.tolist()[1:]):
-            paths.append(paths[cell // len(columns)] + (node,))
-        trajectories = []
-        for cell, code, log_r in zip(self.leaves.tolist(), self.outcomes.tolist(),
-                                     self.log_r.tolist()):
-            node, j = divmod(cell, len(columns))
-            path = paths[node]
-            trajectories.append(Trajectory(
-                self.theorem.name, path[-1].history + (ACTIONS[columns[j]],),
-                _OUTCOME[code], 0.0, log_r, nodes=path))
-        return trajectories
+        one's nodes are read from the tree's root, and its ``log_pf`` is 0.0
+        (the loss graph recomputes it)."""
+        nodes, columns = self.tree.nodes, self.tree.actions.tolist()
+        width = len(columns)
+        return [Trajectory(self.theorem.name,
+                           nodes[cell // width].history + (ACTIONS[columns[cell % width]],),
+                           _OUTCOME[code], 0.0, log_r, nodes[0])
+                for cell, code, log_r in zip(self.leaves.tolist(), self.outcomes.tolist(),
+                                             self.log_r.tolist())]
 
 
 def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN, rm=None,
@@ -140,9 +133,8 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN, rm=None
     exhausted: dict[int, float] = {}  # partial-credit log R by cell
     partial_credit = rm is not None
 
-    def visit(node: ProofNode, path: tuple[ProofNode, ...], chars: int) -> None:
+    def visit(node: ProofNode, chars: int) -> None:
         nodes.append(node)
-        path = path + (node,)
         node_chars.append(chars)
         row = run = (len(nodes) - 1) * width
         inner = len(node.history) + 1 < max_depth
@@ -163,16 +155,16 @@ def enumerate_trajectories(thm: Theorem, max_depth: int = MAX_PROOF_LEN, rm=None
                 inbound.append(row + j)
                 leaves.extend(range(run, row + j))
                 run = row + j + 1
-                visit(node.child(action), path, chars + column_chars[j])
+                visit(node.child(action), chars + column_chars[j])
             else:
                 applied_codes.append(_EXHAUSTED)
                 if partial_credit:
                     exhausted[row + j] = log_reward(
                         Trajectory(thm.name, node.history + (ACTIONS[action],),
-                                   StepKind.OK, 0.0, nodes=path), rm)
+                                   StepKind.OK, 0.0, root=nodes[0]), rm)
         leaves.extend(range(run, row + width))
 
-    visit(ProofTree(thm).root, (), 0)
+    visit(ProofTree(thm).root, 0)
     # The recursive closure refers to itself; dropping it frees the walk's
     # lists on return instead of at the next cyclic garbage collection.
     del visit

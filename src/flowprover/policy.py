@@ -219,11 +219,13 @@ def checked_hidden(store: ParamStore, path, what: str, heads: str = "") -> int:
     """The hidden width of a loaded ENC_DIM -> hidden -> hidden -> N_ACTIONS
     MLP, whose linear heads ``w<k>``/``b<k>`` (``k`` in ``heads``, where
     present) read the last hidden layer; raises CheckpointError naming
-    ``path`` when a layer does not fit, when a head has only one of its
-    two parameters, or when the store holds any other parameter, as not a
-    ``what`` checkpoint."""
+    ``path`` when the width is below 1, when a layer does not fit, when a
+    head has only one of its two parameters, or when the store holds any
+    other parameter, as not a ``what`` checkpoint."""
     w1 = store["w1"]
     hidden = w1.shape[-1] if w1.ndim else 0
+    if hidden < 1:
+        raise CheckpointError(f"{path}: w1 has shape {w1.shape}, a hidden width below 1")
     shapes = dict(zip(MLP_PARAMS, [(ENC_DIM, hidden), (hidden,), (hidden, hidden), (hidden,),
                                    (hidden, N_ACTIONS), (N_ACTIONS,)]))
     for k in heads:

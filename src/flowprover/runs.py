@@ -100,7 +100,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
 
     ss = np.random.SeedSequence(seed)
     net_seed, trainer_seed, sched_seed = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
-    net = PolicyNet.create(seed=net_seed, with_value_head=mode == "ppo")
+    net = PolicyNet.create(seed=net_seed)
     # the trainer checks the corpus against cfg, before anything is written
     if mode == "sft":
         trainer = SFTTrainer(corpus.train, net, cfg, seed=trainer_seed)

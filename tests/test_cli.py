@@ -514,6 +514,14 @@ def _bad_checkpoint(kind: str, tmp_path: Path) -> Path:
         arrays["p:w2"] = np.array([{"not": "numbers"}], dtype=object)
     elif kind == "string_entry":
         arrays["p:w2"] = np.array(["not", "numbers"])
+    elif kind == "bool_entry":
+        arrays["p:w2"] = arrays["p:w2"] > 0
+    elif kind == "int_entry":
+        arrays["p:w2"] = np.ones(arrays["p:w2"].shape, dtype=np.int64)
+    elif kind == "zero_width":  # every layer fits a net of no hidden units
+        for name, value in list(arrays.items()):
+            if name[:2] in ("p:", "m:", "v:"):
+                arrays[name] = np.zeros(tuple(0 if n == 128 else n for n in value.shape))
     elif kind == "empty_step":
         arrays["__step__"] = np.array([], dtype=int)
     elif kind == "half_value_head":  # a value head without its bias
@@ -567,7 +575,7 @@ class TestBadInputFiles:
                                       "missing_parameter", "moment_shape", "object_entry",
                                       "string_entry", "empty_step", "wrong_shape",
                                       "extra_parameter", "half_value_head", "negative_step",
-                                      "non_finite"])
+                                      "non_finite", "bool_entry", "int_entry", "zero_width"])
     def test_bad_checkpoint_exits_2(self, kind, corpus_dir, tmp_path, capsys):
         # every command that reads a policy checkpoint refuses it at load
         path = _bad_checkpoint(kind, tmp_path)
@@ -590,6 +598,10 @@ class TestBadInputFiles:
                 assert "__step__ must be non-negative, got -1" in line
             if kind == "non_finite":
                 assert "entry p:b3 holds non-finite values" in line
+            if kind in ("bool_entry", "int_entry"):
+                assert "entry p:w2 is not floating point" in line
+            if kind == "zero_width":
+                assert "w1 has shape (164, 0), a hidden width below 1" in line
         assert not mined.exists()
 
     def test_bad_reward_model_exits_2(self, corpus_dir, checkpoint, tmp_path, capsys):
@@ -684,7 +696,8 @@ class TestBadInputFiles:
                  ["eval", "--corpus", str(corpus_dir), "--checkpoint", extra_parameter],
                  *(["eval", "--corpus", str(corpus_dir),
                     "--checkpoint", str(_bad_checkpoint(kind, tmp_path))]
-                   for kind in ("half_value_head", "negative_step", "non_finite")),
+                   for kind in ("half_value_head", "negative_step", "non_finite",
+                                "bool_entry", "int_entry", "zero_width")),
                  ["oracle", "--theorems", str(corpus_dir), "--checkpoint",
                   str(tmp_path / "non_finite.npz"), "--limit", "1"],
                  ["mine", "--corpus", str(corpus_dir), "--checkpoint",

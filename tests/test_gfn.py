@@ -504,7 +504,7 @@ class TestReplay:
             traj.log_r = float(i)
             buf.add(traj)
             ring.append(traj.log_r)
-            assert [log_r for _, _, log_r in buf._buffers[thm.name]] == list(ring)
+            assert [log_r for *_, log_r in buf._buffers[thm.name]] == list(ring)
             assert buf.size(thm.name) == len(ring) <= capacity
             rng, want_rng = np.random.default_rng(i), np.random.default_rng(i)
             drawn = [e.log_r for e in buf.sample(thm.name, 7, rng)]
@@ -550,26 +550,39 @@ class TestReplay:
         buf = ReplayBuffer()
         for traj in found.values():
             buf.add(traj)
-        for (leaf, action, log_r), traj in zip(buf._buffers[thm.name], found.values()):
-            assert (type(leaf), type(action), type(log_r)) == (ProofNode, Tactic, float)
+        for entry, traj in zip(buf._buffers[thm.name], found.values(), strict=True):
+            leaf, action, outcome, log_r = entry
+            assert (type(leaf), type(action), type(outcome), type(log_r)) == \
+                (ProofNode, Tactic, StepKind, float)
             assert leaf is traj.nodes[-1] and action is traj.tactics[-1]
-            assert log_r == traj.log_r
+            assert outcome is traj.outcome and log_r == traj.log_r
+
+    def test_a_draw_returns_the_stored_outcome_and_log_reward(self):
+        # the entry keeps the outcome and log R it was given: a later change
+        # to the rollout, or to its leaf's results, does not reach a draw
+        thm, _, found = _one_rollout_per_outcome()
+        for outcome, traj in found.items():
+            buf, log_r = ReplayBuffer(), traj.log_r
+            buf.add(traj)
+            traj.outcome, traj.log_r = PROVED if outcome is not PROVED else ENV_ERROR, 99.0
+            traj.nodes[-1].results.clear()
+            draw = buf.sample(thm.name, 1, np.random.default_rng(0))[0]
+            assert (draw.outcome, draw.log_r) == (outcome, log_r)
+            assert draw.tactics == traj.tactics and draw.root is traj.root
 
     def test_a_trajectory_that_is_no_tree_path_is_refused(self):
+        # a theorem's entries share one tree: a trajectory of the same
+        # theorem on another tree, a stand-alone one among them, is refused
         thm, _, found = _one_rollout_per_outcome()
         standalone = [Trajectory(theorem_name=thm.name, tactics=traj.tactics,
                                  proof_states=_states(traj), outcome=outcome,
                                  log_pf=traj.log_pf, log_r=traj.log_r)
                       for outcome, traj in found.items()]
-        for traj in standalone:
-            with pytest.raises(ValueError, match="not a root-to-leaf path"):
-                ReplayBuffer().add(traj)
         buf = ReplayBuffer()
         buf.add(found[PROVED])
         other = ground_truth(ProofTree(thm))  # the same theorem in a second tree
-        broken = dataclasses.replace(found[PROVED], outcome=ENV_ERROR)
-        for traj in (other, broken, *standalone):
-            with pytest.raises(ValueError, match="not a root-to-leaf path"):
+        for traj in (other, *standalone):
+            with pytest.raises(ValueError, match="not a path of its theorem's tree"):
                 buf.add(traj)
         assert buf.size(thm.name) == 1
 
@@ -659,8 +672,9 @@ def _one_rollout_per_outcome():
 
 
 class TestTrajectoryIsItsNodes:
-    """A trajectory stores its path of tree nodes and no states of its own;
-    one given by its states gets stand-alone nodes that encode the same."""
+    """A trajectory keeps its tree's root and reads its nodes from it, with
+    no states of its own; one given by its states gets a stand-alone tree
+    whose nodes encode the same."""
 
     def test_benchmark_ground_truth_matches_the_tree_walk_bit_for_bit(self, small_corpus):
         # a ground truth built from an own walk of states, as perfbench's
@@ -713,19 +727,52 @@ class TestTrajectoryIsItsNodes:
                 with pytest.raises(ValueError, match="states for"):
                     Trajectory(theorem_name=thm.name, tactics=traj.tactics,
                                proof_states=states, outcome=outcome, log_pf=0.0)
-            with pytest.raises(ValueError, match="one node per tactic"):
-                dataclasses.replace(traj, nodes=traj.nodes[:-1])
-            with pytest.raises(ValueError, match="one node per tactic"):
-                dataclasses.replace(traj, nodes=traj.nodes + traj.nodes[-1:])
         with pytest.raises(ValueError, match="at least one tactic"):
             Trajectory(theorem_name=thm.name, tactics=(), proof_states=(thm.initial_state,),
                        outcome=DEPTH_EXHAUSTED, log_pf=0.0)
-        with pytest.raises(ValueError, match="at least one tactic"):
-            Trajectory(thm.name, (), ENV_ERROR, 0.0, nodes=())
         traj = found[PROVED]
-        for given in ({}, {"nodes": traj.nodes, "proof_states": _states(traj)}):
+        with pytest.raises(ValueError, match="at least one tactic"):
+            Trajectory(thm.name, (), ENV_ERROR, 0.0, root=traj.root)
+        for given in ({}, {"root": traj.root, "proof_states": _states(traj)}):
             with pytest.raises(ValueError, match="exactly one of"):
                 Trajectory(thm.name, traj.tactics, PROVED, 0.0, **given)
+
+    def test_tactics_that_leave_the_tree_are_refused(self):
+        # a trajectory's nodes are read down from its root, so its tactics
+        # must stay in the tree, and the root must be one
+        thm, _, found = _one_rollout_per_outcome()
+        for traj in found.values():
+            away = next(t for t in ACTIONS if all(t not in n.children for n in traj.nodes))
+            for tactics in ((away,) + traj.tactics, traj.tactics[:-1] + (away, away)):
+                with pytest.raises(ValueError, match="leave its tree"):
+                    dataclasses.replace(traj, tactics=tactics)
+            if len(traj) > 1:
+                with pytest.raises(ValueError, match="starts below its tree's root"):
+                    dataclasses.replace(traj, tactics=traj.tactics[1:], root=traj.nodes[1])
+
+    def test_every_library_trajectory_reads_its_own_tree(self):
+        # sampler, ground truth, buffer draw and oracle leaf: each one's
+        # nodes are the tree's own objects, read down from the tree's root
+        from flowprover.oracle import enumerate_trajectories
+
+        thm = identity_theorem("(a -> b) -> (a -> b)")
+        tree, buf = ProofTree(thm), ReplayBuffer(capacity=1000)
+        cfg = TrainConfig(mode="gfn_br_oo", max_depth=3)
+        sampled = sample_trajectories(tree, _biased_net(10), cfg, np.random.default_rng(0), 50)
+        for traj in sampled:
+            buf.add(traj)
+        dist = enumerate_trajectories(thm, max_depth=3)
+        kinds = {"sampled": (tree.root, sampled),
+                 "ground truth": (tree.root, [ground_truth(tree)]),
+                 "drawn": (tree.root, buf.sample(thm.name, 50, np.random.default_rng(1))),
+                 "oracle": (dist.tree.nodes[0], dist.trajectories)}
+        for kind, (root, trajs) in kinds.items():
+            for traj in trajs:
+                assert traj.root is root, kind
+                node = root
+                for i, (got, tactic) in enumerate(zip(traj.nodes, traj.tactics, strict=True)):
+                    assert got is node and got.history == traj.tactics[:i], kind
+                    node = node.children.get(tactic)
 
 
 class TestTBLoss:

@@ -3,7 +3,9 @@ walk over each module (no linter needed). ``__init__.py`` imports only to
 re-export, and a statement marked ``noqa`` binds a name on purpose. The
 package reads a tactic as its action index, never through
 ``env.ACTION_INDEX``, and nothing reads ``RewardSpec``: a reward is a
-function of the trajectory and the reward model alone."""
+function of the trajectory and the reward model alone. Nor does anything
+pass ``nodes=`` (a trajectory's nodes are read from its tree) or call
+``.kind(`` (an outcome is stored, not inferred from a node)."""
 
 import ast
 from pathlib import Path
@@ -95,3 +97,36 @@ def test_the_package_reads_no_action_index(module):
                                   for p in sorted(PACKAGE.glob("*.py"))] + SCRIPTS)
 def test_nothing_reads_reward_spec(path):
     assert name_reads((ROOT / path).read_text(), "RewardSpec") == []
+
+
+def call_marks(source: str) -> list[tuple[int, str]]:
+    """(line, mark) of each keyword argument of a call, marked ``name=``,
+    and each attribute called, marked ``.name(``."""
+    marks = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute):
+                marks.append((node.lineno, f".{node.func.attr}("))
+            marks += [(kw.lineno, f"{kw.arg}=") for kw in node.keywords if kw.arg]
+    return sorted(marks)
+
+
+GONE_CALLS = ("nodes=", ".kind(")
+
+
+def test_the_check_finds_a_nodes_keyword_and_a_kind_call():
+    source = ("traj = Trajectory(name, tactics, PROVED, 0.0, nodes=path)\n"
+              "kind = leaf.kind(action)\n"
+              "again = dataclasses.replace(traj,\n"
+              "                            nodes=())\n"
+              "kind, nodes = result.kind, traj.nodes\n"
+              "order = logits.argsort(kind='stable')\n")
+    assert [mark for mark in call_marks(source) if mark[1] in GONE_CALLS] == \
+        [(1, "nodes="), (2, ".kind("), (4, "nodes=")]
+
+
+@pytest.mark.parametrize("path", [f"src/flowprover/{p.name}"
+                                  for p in sorted(PACKAGE.glob("*.py"))] + SCRIPTS)
+def test_nothing_passes_nodes_or_calls_kind(path):
+    assert [mark for mark in call_marks((ROOT / path).read_text())
+            if mark[1] in GONE_CALLS] == []

@@ -46,7 +46,7 @@ from conftest import (
 
 def _mixed_batch(net):
     """Two theorems; proved, error and depth-exhausted outcomes; an entry
-    drawn twice (stand-alone nodes made from its states); online rollouts
+    drawn twice (a stand-alone tree made from its states); online rollouts
     (tree nodes); and the injected ground truth (its walk's nodes)."""
     thm1 = identity_theorem("a -> a", name="t1")
     thm2 = identity_theorem("a & b -> a & b", name="t2")
@@ -91,7 +91,7 @@ class TestBatchedTB:
             trajectory_from_tactics(thm, [])
         traj = trajectory_from_tactics(thm, list(thm.gt_proof))
         with pytest.raises(ValueError, match="at least one tactic"):
-            dataclasses.replace(traj, tactics=(), nodes=())
+            dataclasses.replace(traj, tactics=())
 
 
 def _fd(build, store):

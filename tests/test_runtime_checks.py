@@ -45,6 +45,12 @@ MISUSES = {
     "oracle_report(net, thm, action_set=(0.7, 1, 2, 4))": "ValueError",
     "TrainConfig(action_set=(0.5, 1, 2, 4))": "ValueError",
     "TrainConfig(action_set=(True, 2))": "ValueError",
+    # every field has its annotation's type: a config.txt it writes is one --config reads
+    "TrainConfig(n_sampled=2.5)": "ValueError",
+    "TrainConfig(max_depth=2.0)": "ValueError",
+    "TrainConfig(buffer_capacity=True)": "ValueError",
+    "TrainConfig(lr=True)": "ValueError",
+    "TrainConfig(inject_gt='no')": "ValueError",
     # negative counts, and an empty train split, are refused before any work
     "build_corpus(-1, 1, 1)": "ValueError",
     "build_corpus(0, -1, 1)": "ValueError",
@@ -65,6 +71,8 @@ MISUSES = {
     "tape.param(ParamStore({'w': np.array([10., 20.])}), 'w')": "ValueError",
     # an outcome is the env.StepKind of the last step, never its name
     "Trajectory('t', gt, 'proved', 0.0, proof_states=(thm.initial_state,) * 3)": "ValueError",
+    # a trajectory's nodes are read from its tree: its tactics may not leave it
+    "Trajectory('t', gt[::-1], PROVED, 0.0, root=ProofTree(thm).root)": "ValueError",
     # the full reward scores with a reward model: none is refused before any draw
     "sample_trajectories(ProofTree(thm), net, TrainConfig(), np.random.default_rng(0), 1)":
         "ValueError",
@@ -121,7 +129,7 @@ def test_misuse_raises_typed_exceptions(flags):
         "thm = Theorem('t', initial_state(parse_formula('a -> a')), gt)",
         "thm3 = Theorem('t3', initial_state(parse_formula('a -> b -> a')),",
         "               tuple(map(parse_tactic, ('intro', 'intro', 'exact h1'))))",
-        "from flowprover.gfn import (GFNTrainer, ProofTree, TrainConfig, Trajectory,",
+        "from flowprover.gfn import (PROVED, GFNTrainer, ProofTree, TrainConfig, Trajectory,",
         "                            sample_trajectories)",
         "net = PolicyNet.create(seed=0)",
         "from flowprover.nn import Tape",
