@@ -41,7 +41,7 @@ from .oracle import (
 )
 from .policy import PolicyNet, encode_state, predict_log_z
 from .reward_model import RewardModel, mine_hard_negatives, rm_train
-from .search import SearchConfig, SolveReport, best_first_search, evaluate_split
+from .search import SearchConfig, SolveReport, evaluate_split
 
 __all__ = [
     "ACTIONS",
@@ -62,7 +62,6 @@ __all__ = [
     "TrainConfig",
     "Trajectory",
     "apply_tactic",
-    "best_first_search",
     "build_corpus",
     "encode_state",
     "enumerate_trajectories",

@@ -6,6 +6,9 @@ comparable across proof lengths) and never touches the environment. PPO
 collects rollouts at temperature 1, uses the terminal shaped log-reward as
 the Monte-Carlo return for every step, advantage = return minus a learned
 state value, and maximizes the clipped surrogate minus a value MSE penalty.
+Each epoch is one taped forward over the stacked steps; the first epoch's,
+made before any update, is the old policy that gives the ratios' old
+log-probs and the advantages.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .corpus import Theorem
 from .gfn import ProofTree, StepMetrics, TrainConfig, sample_trajectories
-from .nn import Tape, log_softmax_np, mlp_forward_np, update
+from .nn import Tape, mlp_forward_np, update
 from .policy import HISTORY, PolicyNet, head_graph, rows_graph
 from .reward_model import cross_entropy_graph, gt_pairs
 
@@ -76,39 +79,47 @@ def ppo_surrogate_terms(ratio: float, advantage: float, clip_eps: float) -> floa
                float(np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)) * advantage)
 
 
+def _epoch_graph(tape: Tape, net: PolicyNet, steps, ppo: PPOConfig, old=None):
+    """``ppo_loss_graph``'s (loss, surrogate, value MSE), and the old policy
+    it used, (old log-probs, advantages): ``old``, or else this forward's
+    own log-probs and returns minus values."""
+    x = np.stack([enc for enc, _, _ in steps])
+    returns = np.array([ret for _, _, ret in steps], dtype=np.float64)
+    lp, hidden = rows_graph(tape, net.store, x, [a for _, a, _ in steps])
+    v = head_graph(tape, net.store, hidden, "wv", "bv")
+    old_logps, advantages = old if old is not None else (lp.value, returns - v.value)
+    adv = np.asarray(advantages, dtype=np.float64)
+    ratio = tape.exp(tape.shift(lp, -np.asarray(old_logps, dtype=np.float64)))
+    unclipped = tape.scale(ratio, adv)
+    clipped = tape.scale(tape.clip(ratio, 1.0 - ppo.clip_eps, 1.0 + ppo.clip_eps), adv)
+    surrogate = tape.mean(tape.minimum(unclipped, clipped))
+    value_mse = tape.mean(tape.square(tape.shift(v, -returns)))
+    loss = tape.add(tape.neg(surrogate), tape.scale(value_mse, ppo.value_coef))
+    return (loss, surrogate, value_mse), (old_logps, advantages)
+
+
 def ppo_loss_graph(tape: Tape, net: PolicyNet, steps, old_logps, advantages,
                    ppo: PPOConfig):
     """Clipped-surrogate loss graph for one optimization epoch.
 
     ``steps`` holds (encoding, action index, return) triples collected under
-    the old policy; the ratio uses the stored old log-probs. One taped
+    the old policy; the ratio uses the given old log-probs. One taped
     forward over the stacked steps feeds both the policy and the value head.
     Gradients pass through the unclipped branch only where it is the smaller
     one, so a clipped step contributes exactly zero policy gradient.
     """
-    x = np.stack([enc for enc, _, _ in steps])
-    returns = np.array([ret for _, _, ret in steps], dtype=np.float64)
-    adv = np.asarray(advantages, dtype=np.float64)
-    lp, hidden = rows_graph(tape, net.store, x, [a for _, a, _ in steps])
-    ratio = tape.exp(tape.shift(lp, -np.asarray(old_logps, dtype=np.float64)))
-    unclipped = tape.scale(ratio, adv)
-    clipped = tape.scale(tape.clip(ratio, 1.0 - ppo.clip_eps, 1.0 + ppo.clip_eps), adv)
-    surrogate = tape.mean(tape.minimum(unclipped, clipped))
-    v = head_graph(tape, net.store, hidden, "wv", "bv")
-    value_mse = tape.mean(tape.square(tape.shift(v, -returns)))
-    loss = tape.add(tape.neg(surrogate), tape.scale(value_mse, ppo.value_coef))
-    return loss, surrogate, value_mse
+    return _epoch_graph(tape, net, steps, ppo, (old_logps, advantages))[0]
 
 
 class PPOTrainer:
     """Clipped-surrogate policy optimization with a learned value head."""
 
     def __init__(self, theorems: list[Theorem], net: PolicyNet, cfg: TrainConfig,
-                 ppo: PPOConfig = PPOConfig(), rm=None, seed: int = 0):
+                 rm=None, seed: int = 0):
         net.ensure_value_head()
         self.net = net
         self.cfg = cfg.for_reward_model(rm is not None)
-        self.ppo = ppo
+        self.ppo = PPOConfig()
         self.rm = rm
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.step_index = 0
@@ -123,27 +134,20 @@ class PPOTrainer:
                  for traj in batch for node, t in zip(traj.nodes, traj.tactics)]
         return steps, [t.log_r for t in batch], [t.log_pf for t in batch]
 
-    def old_policy_terms(self, steps) -> tuple[np.ndarray, np.ndarray]:
-        """Old log-probs of the taken actions and advantages (return minus
-        the value head), from one tape-free forward over the stacked steps."""
-        store = self.net.store
-        logits, hidden = mlp_forward_np(store, np.stack([enc for enc, _, _ in steps]))
-        actions = np.array([a for _, a, _ in steps], dtype=np.intp)
-        old_logps = log_softmax_np(logits)[np.arange(len(steps)), actions]
-        values = hidden @ store["wv"] + store["bv"]
-        return old_logps, np.array([ret for _, _, ret in steps]) - values
-
     def train_step(self, thm: Theorem) -> StepMetrics:
-        """Rollouts of ``thm``, then ``ppo_epochs`` updates. The metrics carry
-        the last epoch's loss and norm; grad_skipped if any epoch skipped."""
+        """Rollouts of ``thm``, then ``ppo_epochs`` updates. The first
+        epoch's forward, before any update, gives the old log-probs and the
+        advantages (return minus value), so its ratios are exactly 1. The
+        metrics carry the last epoch's loss and norm; grad_skipped if any
+        epoch skipped."""
         cfg, ppo = self.cfg, self.ppo
         steps, rewards, logpfs = self._collect(thm)
-        old_logps, advantages = self.old_policy_terms(steps)
         loss_value = grad_norm = float("nan")
         skipped = False
+        old = None
         for _ in range(ppo.ppo_epochs):
             tape = Tape()
-            loss, _, _ = ppo_loss_graph(tape, self.net, steps, old_logps, advantages, ppo)
+            (loss, _, _), old = _epoch_graph(tape, self.net, steps, ppo, old)
             loss_value, grad_norm, epoch_skipped = update(self.net.store, tape, loss, cfg.optim)
             skipped = skipped or epoch_skipped
 

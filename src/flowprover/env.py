@@ -296,10 +296,6 @@ def state_fingerprint(state: ProofState) -> int:
     return int.from_bytes(digest, "big")
 
 
-# Sentinel for the proved (no goals) state: fixed by the canonical rendering.
-PROVED_FINGERPRINT = state_fingerprint(ProofState(()))
-
-
 @dataclass(frozen=True, slots=True)
 class Replay(StepResult):
     """Result of a tactic-list walk: the final kind, state and error, plus

@@ -30,6 +30,7 @@ at each trajectory's first row.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -53,7 +54,6 @@ from .env import (
 from .nn import OptimConfig, Tape, log_softmax_np, update
 from .policy import (
     HISTORY,
-    HISTORY_LESS,
     PolicyNet,
     action_logits,
     action_mask,
@@ -156,12 +156,12 @@ class Trajectory:
 class ProofNode:
     """One tactic prefix of a theorem: the state it reaches and what the
     trainers, search and the oracle read of it, each made on first use and
-    read-only afterwards: its encoding under either mode, its applicable
-    actions, its dedupe key (``env.state_fingerprint``), the
-    ``apply_tactic`` result of each action tried from it, and the node of
-    each one that applies, both by action index."""
+    read-only afterwards: its HISTORY encoding, its applicable actions, its
+    dedupe key (``env.state_fingerprint``), the ``apply_tactic`` result of
+    each action tried from it, and the node of each one that applies, both
+    by action index."""
 
-    __slots__ = ("initial", "history", "state", "_enc", "_enc_less", "_applicable",
+    __slots__ = ("initial", "history", "state", "_enc", "_applicable",
                  "_fingerprint", "results", "children")
 
     def __init__(self, initial: ProofState, history: tuple[Tactic, ...], state: ProofState):
@@ -169,27 +169,21 @@ class ProofNode:
         self.history = history
         self.state = state
         self._enc: np.ndarray | None = None
-        self._enc_less: np.ndarray | None = None
         self._applicable: tuple[int, ...] | None = None
         self._fingerprint: int | None = None
         self.results: dict[int, StepResult] = {}  # by action index
         self.children: dict[int, ProofNode] = {}
 
     def encoding(self, mode: str = HISTORY) -> np.ndarray:
-        if mode == HISTORY:
-            enc = self._enc
-        elif mode == HISTORY_LESS:
-            enc = self._enc_less
-        else:
-            raise ValueError(f"unknown encoding mode {mode!r}")
-        if enc is None:
-            enc = encode_from_parts(self.initial, self.history, self.state, mode)
-            enc.flags.writeable = False
-            if mode == HISTORY:
-                self._enc = enc
-            else:
-                self._enc_less = enc
-        return enc
+        """The state's encoding under ``mode``. Only the HISTORY one, which
+        every trainer reads, is kept; a HISTORY_LESS one is made afresh on
+        each call (one search asks each node for it once)."""
+        if mode != HISTORY:
+            return encode_from_parts(self.initial, self.history, self.state, mode)
+        if self._enc is None:
+            self._enc = encode_from_parts(self.initial, self.history, self.state, mode)
+            self._enc.flags.writeable = False
+        return self._enc
 
     def applicable(self) -> tuple[int, ...]:
         """``env.applicable_actions`` of the state."""
@@ -280,9 +274,10 @@ def log_reward(traj: Trajectory, rm=None) -> float:
 def check_action_set(indices) -> tuple[int, ...]:
     """The indices as ints; ValueError unless they are distinct integers
     (numpy's and tactics too, never bools) in [0, 36), at least one."""
-    given = tuple(indices)
-    if (not given or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                             and 0 <= i < N_ACTIONS for i in given)
+    given = tuple(indices) if isinstance(indices, Iterable) else indices
+    if (not isinstance(given, tuple) or not given
+            or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                       and 0 <= i < N_ACTIONS for i in given)
             or len(set(given)) != len(given)):
         raise ValueError(f"action set must be distinct indices in [0, {N_ACTIONS}), "
                          f"at least one; got {given}")
@@ -307,6 +302,15 @@ def _parse_bool(text: str) -> bool:
 # a value given in code must have (a bool is no number).
 _PARSE = {"float": (float, Real), "int": (int, Integral), "bool": (_parse_bool, bool),
           "str": (str, str), "tuple[int, ...] | None": (parse_action_set, object)}
+
+
+def check_field_types(config) -> None:
+    """ValueError unless every field of the dataclass ``config`` holds a
+    value of its annotation's type (a bool is no number)."""
+    for f in dataclasses.fields(config):
+        value, kind = getattr(config, f.name), _PARSE[f.type][1]
+        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+            raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 def _format(value) -> str:
@@ -341,10 +345,7 @@ class TrainConfig:
     action_set: tuple[int, ...] | None = None  # restricted subsets are test-only
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value, kind = getattr(self, f.name), _PARSE[f.type][1]
-            if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        check_field_types(self)
         for name, ok, rule in (
             ("mode", self.mode in ALL_MODES, f"one of {', '.join(ALL_MODES)}"),
             ("reward_mode", self.reward_mode in (FULL_RM, BINARY), f"{FULL_RM} or {BINARY}"),

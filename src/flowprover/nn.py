@@ -3,8 +3,9 @@
 A Tape records forward operations as Var nodes in construction order
 (which is a valid topological order), so exact reverse-mode gradients of a
 scalar loss come from one reverse sweep. Only the operations the trainers
-actually use are implemented. Everything is deterministic: same inputs,
-same operation order, same bits.
+actually use are implemented, on stacked rows: every loss graph is one
+forward over an (n, d) matrix of input rows. Everything is deterministic:
+same inputs, same operation order, same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class CheckpointError(ValueError):
     (``policy.checked_hidden``)."""
 
 
-# Parameter names of init_mlp's three layers.
+# Parameter names of mlp_params' three layers.
 MLP_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
@@ -103,9 +104,6 @@ class ParamStore:
             raise ValueError(f"parameter {name!r} has shape {self.arrays[name].shape}, "
                              f"got {np.shape(value)}")
         self.arrays[name][...] = value
-
-    def names(self) -> list[str]:
-        return list(self.arrays)
 
     def fingerprint(self) -> str:
         import hashlib
@@ -299,17 +297,12 @@ class Tape:
         return self.scale(a, -1.0)
 
     def matmul(self, x: Var, w: Var) -> Var:
-        # x: (d,) or (B, d); w: (d, o), or (d,) for a scalar head per row.
+        # x: (B, d) rows; w: (d, o), or (d,) for a scalar head per row.
         # The input rows are a leaf, so the first layer skips g @ w.T.
         def bw(g):
             if x.needs_grad:
                 x._accum(np.multiply.outer(g, w.value) if w.value.ndim == 1 else g @ w.value.T)
-            if w.value.ndim == 1:
-                w._accum(np.dot(x.value.T, g))
-            elif x.value.ndim == 1:
-                w._accum(np.outer(x.value, g))
-            else:
-                w._accum(x.value.T @ g)
+            w._accum(np.dot(x.value.T, g) if w.value.ndim == 1 else x.value.T @ g)
         return self._node(x.value @ w.value, bw)
 
     def tanh(self, a: Var) -> Var:
@@ -339,21 +332,12 @@ class Tape:
 
     def gather(self, y: Var, idx) -> Var:
         """Select one entry per row along the last axis."""
-        idx = np.asarray(idx)
-        if y.value.ndim == 1:
-            out = y.value[int(idx)]
-            def bw(g):
-                full = np.zeros_like(y.value)
-                full[int(idx)] = g
-                y._accum(full)
-        else:
-            rows = np.arange(y.value.shape[0])
-            out = y.value[rows, idx]
-            def bw(g):
-                full = np.zeros_like(y.value)
-                full[rows, idx] = g
-                y._accum(full)
-        return self._node(out, bw)
+        rows, idx = np.arange(y.value.shape[0]), np.asarray(idx)
+        def bw(g):
+            full = np.zeros_like(y.value)
+            full[rows, idx] = g
+            y._accum(full)
+        return self._node(y.value[rows, idx], bw)
 
     def take(self, y: Var, idx) -> Var:
         """Entries of a vector, or rows of a matrix, at ``idx``; an index
@@ -377,11 +361,6 @@ class Tape:
         def bw(g):
             a._accum(g * inside)
         return self._node(np.clip(a.value, lo, hi), bw)
-
-    def sum(self, a: Var) -> Var:
-        def bw(g):
-            a._accum(np.full_like(a.value, float(g)))
-        return self._node(a.value.sum(), bw)
 
     def mean(self, a: Var) -> Var:
         n = a.value.size
@@ -450,22 +429,16 @@ def mlp_params(rng: np.random.Generator, in_dim: int, hidden: int, out_dim: int,
     return params
 
 
-def init_mlp(rng: np.random.Generator, in_dim: int, hidden: int, out_dim: int,
-             scale: float | None = None) -> ParamStore:
-    """A store holding fresh ``mlp_params``."""
-    return ParamStore(mlp_params(rng, in_dim, hidden, out_dim, scale))
-
-
 def mlp_forward(store: ParamStore, x: np.ndarray, tape: Tape | None = None):
-    """Forward pass; returns (logits, last_hidden, tape) as taped Vars.
-
-    Pass an existing tape to compose several forwards into one loss graph.
-    """
+    """Forward pass over stacked input rows ``x`` (n, in_dim), ValueError
+    for any other shape; returns (logits, last_hidden, tape) as taped Vars.
+    Pass an existing tape to compose several forwards into one loss graph."""
     if tape is None:
         tape = Tape()
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != store["w1"].shape[0]:
-        raise ValueError(f"input dim {x.shape[-1]} != {store['w1'].shape[0]}")
+    if x.ndim != 2 or x.shape[1] != store["w1"].shape[0]:
+        raise ValueError(f"input must be rows of {store['w1'].shape[0]} features, "
+                         f"got shape {x.shape}")
     xv = tape.leaf(x)
     h1 = tape.tanh(tape.add(tape.matmul(xv, tape.param(store, "w1")), tape.param(store, "b1")))
     h2 = tape.tanh(tape.add(tape.matmul(h1, tape.param(store, "w2")), tape.param(store, "b2")))

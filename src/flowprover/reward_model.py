@@ -29,9 +29,9 @@ from .nn import (
     OptimConfig,
     ParamStore,
     Tape,
-    init_mlp,
     log_softmax_np,
     mlp_forward_np,
+    mlp_params,
     update,
 )
 from .policy import ENC_DIM, HISTORY_LESS, checked_hidden, encode_from_parts, rows_graph
@@ -58,7 +58,7 @@ class RewardModel:
     @classmethod
     def create(cls, seed: int, scale: float | None = None) -> "RewardModel":
         rng = np.random.default_rng(seed)
-        return cls(store=init_mlp(rng, ENC_DIM, RM_HIDDEN, N_ACTIONS, scale=scale))
+        return cls(store=ParamStore(mlp_params(rng, ENC_DIM, RM_HIDDEN, N_ACTIONS, scale)))
 
     def encode(self, state: ProofState) -> np.ndarray:
         return encode_from_parts(state, (), state, HISTORY_LESS)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import PPOConfig, PPOTrainer, SFTTrainer
+from .baselines import PPOTrainer, SFTTrainer
 from .corpus import CorpusSplit, check_non_negative
 from .gfn import GFNTrainer, ProofTree, StepMetrics, TrainConfig
 from .nn import write_atomic
@@ -83,31 +83,33 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
                  command: str = "") -> RunResult:
     """Train ``mode`` for ``steps`` gradient steps over the corpus. ``cfg``
     is copied with ``mode`` (which re-applies the settings the mode forces)
-    and resolved against ``rm`` by ``TrainConfig.for_reward_model``; the
-    caller's object is left as it was. Validation searches with ``val_cfg``
-    at the resolved ``cfg.max_depth``, where the rollouts stop. ValueError,
-    before anything is written, for a negative count, for steps on an empty
-    train split, or for a train split the trainer refuses (under GFN with
-    ``inject_gt``, a ground truth longer than ``cfg.max_depth``)."""
+    and resolved against ``rm`` by the trainer (``for_reward_model``); the
+    run records the trainer's config and leaves the caller's object as it
+    was. Validation searches with ``val_cfg`` at the resolved ``max_depth``,
+    where the rollouts stop. ValueError, before anything is written, for a
+    negative count, for steps on an empty train split, or for a train split
+    the trainer refuses (under GFN with ``inject_gt``, a ground truth longer
+    than ``cfg.max_depth``)."""
     if clock not in ("real", "off"):
         raise ValueError(f"clock must be real or off, got {clock!r}")
     check_non_negative(seed=seed, steps=steps, val_every=val_every,
                        checkpoint_every=checkpoint_every)
     if steps and not corpus.train:
         raise ValueError(f"cannot take {steps} steps: the corpus has no train theorems")
-    cfg = replace(cfg or TrainConfig(), mode=mode).for_reward_model(rm is not None)
-    val_cfg = replace(val_cfg, max_depth=cfg.max_depth)
+    cfg = replace(cfg or TrainConfig(), mode=mode)
 
     ss = np.random.SeedSequence(seed)
     net_seed, trainer_seed, sched_seed = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
     net = PolicyNet.create(seed=net_seed)
-    # the trainer checks the corpus against cfg, before anything is written
+    # the trainer resolves cfg against rm and checks the corpus, before anything is written
     if mode == "sft":
         trainer = SFTTrainer(corpus.train, net, cfg, seed=trainer_seed)
     elif mode == "ppo":
         trainer = PPOTrainer(corpus.train, net, cfg, rm=rm, seed=trainer_seed)
     else:
         trainer = GFNTrainer(corpus.train, net, cfg, rm=rm, seed=trainer_seed)
+    cfg = trainer.cfg
+    val_cfg = replace(val_cfg, max_depth=cfg.max_depth)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -117,7 +119,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
         "seed": seed,
         "steps": steps,
         "config": asdict(cfg),
-        "ppo_config": asdict(PPOConfig()) if mode == "ppo" else None,
+        "ppo_config": asdict(trainer.ppo) if mode == "ppo" else None,
         "validation": {"every": val_every, "branching": val_cfg.branching,
                        "budget": val_cfg.expansion_budget,
                        "encoding": val_cfg.encoding_mode, "max_depth": val_cfg.max_depth},

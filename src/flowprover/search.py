@@ -28,7 +28,7 @@ from .env import ACTIONS, ProofState, Tactic, replay
 # stays bound here because perfbench/test_checks.py checks that its tracer
 # wraps ``search.apply_tactic``.
 from .env import apply_tactic  # noqa: F401
-from .gfn import ProofNode, ProofTree
+from .gfn import ProofNode, ProofTree, check_field_types
 from .policy import HISTORY, HISTORY_LESS, PolicyNet, action_logits
 from .nn import log_softmax_np
 
@@ -39,7 +39,9 @@ class BogusProof(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search settings; ``max_depth`` defaults to ``corpus.MAX_PROOF_LEN``."""
+    """Search settings; ``max_depth`` defaults to ``corpus.MAX_PROOF_LEN``.
+    Every field's type (by its annotation; a bool is no number) and value
+    are checked when the config is made (ValueError)."""
 
     branching: int = 8
     expansion_budget: int = 100
@@ -48,6 +50,7 @@ class SearchConfig:
     max_depth: int = MAX_PROOF_LEN
 
     def __post_init__(self):
+        check_field_types(self)
         if not 1 <= self.branching <= len(ACTIONS):
             raise ValueError(f"branching must lie in 1..{len(ACTIONS)}, got {self.branching}")
         if self.expansion_budget < 0:
@@ -77,10 +80,6 @@ class SolveReport:
             {"solved": self.solved, "total": self.total, "per_theorem": self.per_theorem},
             indent=2,
         )
-
-
-def best_first_search(net: PolicyNet, thm: Theorem, cfg: SearchConfig) -> SearchOutcome:
-    return search_from_state(net, thm.initial_state, cfg)
 
 
 def search_from_state(net: PolicyNet, root: ProofState | ProofTree,

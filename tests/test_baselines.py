@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flowprover import baselines
 from flowprover.baselines import (
     PPOConfig,
     PPOTrainer,
@@ -223,19 +224,34 @@ class TestPPOTrainer:
         assert m.env_calls > 0
         assert np.isfinite(m.loss)
 
-    def test_ratio_one_on_first_epoch_surrogate_is_mean_advantage(self):
-        # with the net unchanged since collection every ratio is exactly 1,
-        # the clip is inactive, and the surrogate reduces to the advantage
-        # mean
+    def test_ratio_one_on_first_epoch_surrogate_is_mean_advantage(self, monkeypatch):
+        # a real step: the first epoch's forward is the old policy, so every
+        # ratio is exactly 1, the clip is inactive, and the surrogate reduces
+        # to the advantage mean; later epochs keep that old policy
         thm = identity_theorem("b -> b")
         net = PolicyNet.create(seed=9, with_value_head=True)
         trainer = PPOTrainer([thm], net, TrainConfig(mode="ppo"), seed=10)
-        steps, _, _ = trainer._collect(thm)
-        old_logps, advantages = trainer.old_policy_terms(steps)
-        tape = Tape()
-        _, surrogate, _ = ppo_loss_graph(tape, net, steps, old_logps, advantages,
-                                         PPOConfig())
-        assert float(surrogate.value) == pytest.approx(float(np.mean(advantages)), abs=1e-12)
+        ratios, epochs = [], []
+        exp, epoch_graph = Tape.exp, baselines._epoch_graph
+
+        def exp_spy(tape, a):  # the ratio is the only exp in a PPO graph
+            ratios.append(exp(tape, a))
+            return ratios[-1]
+
+        def epoch_spy(*args):
+            out = epoch_graph(*args)
+            epochs.append((float(out[0][1].value), *out[1]))
+            return out
+
+        monkeypatch.setattr(Tape, "exp", exp_spy)
+        monkeypatch.setattr(baselines, "_epoch_graph", epoch_spy)
+        trainer.train_step(thm)
+        assert len(ratios) == len(epochs) == PPOConfig().ppo_epochs
+        assert ratios[0].value.tolist() == [1.0] * ratios[0].value.size
+        surrogate, old_logps, advantages = epochs[0]
+        assert surrogate == pytest.approx(float(np.mean(advantages)), abs=1e-12)
+        for _, later_old, later_advantages in epochs[1:]:
+            assert later_old is old_logps and later_advantages is advantages
 
     def test_value_head_only_trained_by_ppo(self, small_corpus):
         thm = small_corpus.train[0]

@@ -305,14 +305,17 @@ class TestProofNode:
         child = node.child(ACTIONS.index(intro))
         assert child is node.child(ACTIONS.index(intro)) and child.history == (intro,)
         for _ in range(2):
-            for mode in (HISTORY, HISTORY_LESS):
-                enc = child.encoding(mode)
-                want = encode_from_parts(thm.initial_state, (intro,), child.state, mode)
-                assert enc.tobytes() == want.tobytes() and not enc.flags.writeable
+            enc = child.encoding(HISTORY)
+            want = encode_from_parts(thm.initial_state, (intro,), child.state, HISTORY)
+            assert enc.tobytes() == want.tobytes() and not enc.flags.writeable
             assert child.applicable() == applicable_actions(child.state)
             assert child.fingerprint() == state_fingerprint(child.state)
-        assert sorted(calls) == ["applicable_actions", "encode_from_parts", "encode_from_parts",
-                                 "state_fingerprint"]
+        assert sorted(calls) == ["applicable_actions", "encode_from_parts", "state_fingerprint"]
+        # the HISTORY_LESS encoding is no view the node keeps: made on each call
+        less = child.encoding(HISTORY_LESS)
+        want = encode_from_parts(thm.initial_state, (intro,), child.state, HISTORY_LESS)
+        assert less.tobytes() == want.tobytes() and child.encoding(HISTORY_LESS) is not less
+        assert calls.count("encode_from_parts") == 3
         assert child.encoding(HISTORY).tobytes() != child.encoding(HISTORY_LESS).tobytes()
         with pytest.raises(ValueError, match="unknown encoding mode"):
             child.encoding("bogus")

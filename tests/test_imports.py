@@ -5,7 +5,12 @@ package reads a tactic as its action index, never through
 ``env.ACTION_INDEX``, and nothing reads ``RewardSpec``: a reward is a
 function of the trajectory and the reward model alone. Nor does anything
 pass ``nodes=`` (a trajectory's nodes are read from its tree) or call
-``.kind(`` (an outcome is stored, not inferred from a node)."""
+``.kind(`` (an outcome is stored, not inferred from a node). Names that
+are gone from the package are read nowhere: ``old_policy_terms`` (PPO's old
+policy is its first epoch's forward), ``best_first_search``, ``init_mlp``,
+``PROVED_FINGERPRINT`` and ``_enc_less`` (a node keeps only its HISTORY
+encoding); nor does anything call ``.names(`` or ``tape.sum(`` (a loss
+graph reduces rows with ``tape.mean``)."""
 
 import ast
 from pathlib import Path
@@ -88,6 +93,15 @@ def test_the_check_finds_a_reward_spec_read():
     assert name_reads(planted("RewardSpec"), "RewardSpec") == [1, 3, 4]
 
 
+GONE_NAMES = ("old_policy_terms", "best_first_search", "init_mlp", "PROVED_FINGERPRINT",
+              "_enc_less")
+
+
+@pytest.mark.parametrize("name", GONE_NAMES)
+def test_the_check_finds_a_gone_name_read(name):
+    assert name_reads(planted(name), name) == [1, 3, 4]
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_the_package_reads_no_action_index(module):
     assert name_reads((PACKAGE / module).read_text(), "ACTION_INDEX") == []
@@ -99,19 +113,29 @@ def test_nothing_reads_reward_spec(path):
     assert name_reads((ROOT / path).read_text(), "RewardSpec") == []
 
 
+@pytest.mark.parametrize("path", [f"src/flowprover/{p.name}"
+                                  for p in sorted(PACKAGE.glob("*.py"))] + SCRIPTS)
+def test_nothing_reads_a_gone_name(path):
+    source = (ROOT / path).read_text()
+    assert [(name, line) for name in GONE_NAMES for line in name_reads(source, name)] == []
+
+
 def call_marks(source: str) -> list[tuple[int, str]]:
     """(line, mark) of each keyword argument of a call, marked ``name=``,
-    and each attribute called, marked ``.name(``."""
+    and each attribute called, marked ``.name(``, and also ``obj.name(``
+    when it is called on a plain name ``obj``."""
     marks = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Attribute):
                 marks.append((node.lineno, f".{node.func.attr}("))
+                if isinstance(node.func.value, ast.Name):
+                    marks.append((node.lineno, f"{node.func.value.id}.{node.func.attr}("))
             marks += [(kw.lineno, f"{kw.arg}=") for kw in node.keywords if kw.arg]
     return sorted(marks)
 
 
-GONE_CALLS = ("nodes=", ".kind(")
+GONE_CALLS = ("nodes=", ".kind(", ".names(", "tape.sum(")
 
 
 def test_the_check_finds_a_nodes_keyword_and_a_kind_call():
@@ -123,6 +147,15 @@ def test_the_check_finds_a_nodes_keyword_and_a_kind_call():
               "order = logits.argsort(kind='stable')\n")
     assert [mark for mark in call_marks(source) if mark[1] in GONE_CALLS] == \
         [(1, "nodes="), (2, ".kind("), (4, "nodes=")]
+
+
+def test_the_check_finds_a_names_call_and_a_tape_sum():
+    source = ("for name in store.names():\n"
+              "    loss = tape.sum(tape.square(rows))\n"
+              "total = probs.sum() + tape.mean(rows).value.sum()\n"
+              "names = store.arrays\n")
+    assert [mark for mark in call_marks(source) if mark[1] in GONE_CALLS] == \
+        [(1, ".names("), (2, "tape.sum(")]
 
 
 @pytest.mark.parametrize("path", [f"src/flowprover/{p.name}"

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flowprover import policy
+from flowprover import baselines, policy
 from flowprover.baselines import PPOConfig, PPOTrainer
 from flowprover.env import ACTION_INDEX, parse_tactic
 from flowprover.gfn import (
@@ -114,7 +114,7 @@ class TestNewTapeOps:
         # segment 3 is empty and must come out as 0 with no gradient
         def build(tape, s):
             seg = tape.segment_sum(tape.param(s, "a"), [0, 2, 0, 1, 2, 2], 4)
-            return tape.sum(tape.square(tape.tanh(seg)))
+            return tape.mean(tape.square(tape.tanh(seg)))
 
         assert _fd(build, self._store()) < 1e-4
         tape = Tape()
@@ -125,15 +125,15 @@ class TestNewTapeOps:
         # a repeated row accumulates both gradients
         def build(tape, s):
             rows = tape.take(tape.param(s, "m"), [2, 0, 2])
-            return tape.sum(tape.square(tape.tanh(rows)))
+            return tape.mean(tape.square(tape.tanh(rows)))
 
         assert _fd(build, self._store()) < 1e-4
 
     def test_vector_weight_matmul_gradient(self):
         def build(tape, s):
             per_row = tape.matmul(tape.tanh(tape.param(s, "m")), tape.param(s, "w"))
-            single = tape.matmul(tape.take(tape.param(s, "a"), [0, 1, 2]), tape.param(s, "w"))
-            return tape.add(tape.sum(tape.square(per_row)), tape.square(single))
+            single = tape.matmul(tape.take(tape.param(s, "a"), [[0, 1, 2]]), tape.param(s, "w"))
+            return tape.add(tape.mean(tape.square(per_row)), tape.mean(tape.square(single)))
 
         assert _fd(build, self._store()) < 1e-4
 
@@ -192,9 +192,16 @@ class TestOneForwardPerStep:
         assert replayed > 0  # replay steps were among those counted
 
     def test_ppo_epoch(self, monkeypatch):
+        # one taped forward per epoch, the first of which is the old policy:
+        # every tape-free forward is the sampler's, over one row
         thm = identity_theorem("a -> a")
-        ppo = PPOConfig(ppo_epochs=3)
-        trainer = PPOTrainer([thm], biased_net(), TrainConfig(mode="ppo"), ppo=ppo, seed=4)
+        trainer = PPOTrainer([thm], biased_net(), TrainConfig(mode="ppo"), seed=4)
         calls = self._count(monkeypatch)
-        trainer.train_step(thm)
-        assert len(calls) == ppo.ppo_epochs
+        plain_rows = []
+        for module in (policy, baselines):
+            original = module.mlp_forward_np
+            monkeypatch.setattr(module, "mlp_forward_np", lambda store, x, _f=original:
+                                plain_rows.append(np.ndim(x)) or _f(store, x))
+        m = trainer.train_step(thm)
+        assert len(calls) == PPOConfig().ppo_epochs
+        assert m.env_calls > 1 and plain_rows and set(plain_rows) == {1}

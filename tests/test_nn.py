@@ -8,10 +8,10 @@ from flowprover.nn import (
     Tape,
     finite_difference_check,
     global_grad_norm,
-    init_mlp,
     log_softmax_np,
     mlp_forward,
     mlp_forward_np,
+    mlp_params,
     optim_step,
     softmax_np,
 )
@@ -19,7 +19,7 @@ from flowprover.policy import PolicyNet
 
 
 def tiny_mlp(seed=0, in_dim=7, hidden=9, out_dim=5, scale=None):
-    return init_mlp(np.random.default_rng(seed), in_dim, hidden, out_dim, scale=scale)
+    return ParamStore(mlp_params(np.random.default_rng(seed), in_dim, hidden, out_dim, scale))
 
 
 def reference_step(params, moments, grads, cfg, t):
@@ -52,19 +52,19 @@ def assert_store_equals(store, params, moments, t):
 class TestForward:
     def test_zero_weights_zero_logits(self):
         store = tiny_mlp(scale=0.0)
-        logits, hidden, _ = mlp_forward(store, np.ones(7))
+        logits, hidden, _ = mlp_forward(store, np.ones((1, 7)))
         assert np.all(logits.value == 0.0)
         assert np.allclose(softmax_np(logits.value), 0.2)
 
     def test_seeded_init_bitwise_reproducible(self):
-        x = np.linspace(-1, 1, 7)
+        x = np.linspace(-1, 1, 7)[None]
         l1, _, _ = mlp_forward(tiny_mlp(3), x)
         l2, _, _ = mlp_forward(tiny_mlp(3), x)
         assert np.array_equal(l1.value, l2.value)
 
     def test_np_and_taped_forward_agree_bitwise(self):
         store = tiny_mlp(4)
-        x = np.linspace(-2, 2, 7)
+        x = np.linspace(-2, 2, 7)[None]
         taped, hidden, _ = mlp_forward(store, x)
         plain, hidden_np = mlp_forward_np(store, x)
         assert np.array_equal(taped.value, plain)
@@ -84,25 +84,25 @@ class TestBackward:
         # loss = c . logits is linear in the output layer, so dL/dw3 is the
         # outer product of the last hidden activation with c
         store = tiny_mlp(6)
-        x = np.linspace(-1, 1, 7)
+        x = np.linspace(-1, 1, 7)[None]
         coeff = np.arange(5, dtype=float)
         tape = Tape()
         logits, hidden, _ = mlp_forward(store, x, tape)
-        loss = tape.matmul(logits, tape.leaf(coeff))
+        loss = tape.mean(tape.matmul(logits, tape.leaf(coeff)))
         grads = tape.backward(loss)
-        assert np.allclose(grads["w3"], np.outer(hidden.value, coeff))
+        assert np.allclose(grads["w3"], np.outer(hidden.value[0], coeff))
         assert np.allclose(grads["b3"], coeff)
 
     def test_non_scalar_loss_raises(self):
         tape = Tape()
-        logits, _, _ = mlp_forward(tiny_mlp(7), np.ones(7), tape)
+        logits, _, _ = mlp_forward(tiny_mlp(7), np.ones((1, 7)), tape)
         with pytest.raises(ValueError):
             tape.backward(logits)
 
     def test_two_backward_calls_identical(self):
         store = tiny_mlp(7)
         tape = Tape()
-        logits, _, _ = mlp_forward(store, np.ones(7), tape)
+        logits, _, _ = mlp_forward(store, np.ones((1, 7)), tape)
         loss = tape.mean(tape.square(logits))
         g1 = tape.backward(loss)
         g2 = tape.backward(loss)
@@ -111,12 +111,12 @@ class TestBackward:
 
     def test_gradient_check_log_softmax_pick(self):
         store = tiny_mlp(8)
-        x = np.linspace(-1, 1, 7)
+        x = np.linspace(-1, 1, 7)[None]
 
         def compute(s):
             tape = Tape()
             logits, _, _ = mlp_forward(s, x, tape)
-            loss = tape.neg(tape.gather(tape.log_softmax(logits), 3))
+            loss = tape.neg(tape.mean(tape.gather(tape.log_softmax(logits), [3])))
             return loss, tape
 
         loss, tape = compute(store)
@@ -127,17 +127,17 @@ class TestBackward:
     def test_gradient_check_composite_ops(self):
         # exercises exp, minimum, clip and a vector-weight matmul in one graph
         store = tiny_mlp(9)
-        x = np.linspace(-1, 1, 7)
+        x = np.linspace(-1, 1, 7)[None]
 
         def compute(s):
             tape = Tape()
             logits, hidden, _ = mlp_forward(s, x, tape)
-            r = tape.exp(tape.gather(tape.log_softmax(logits), 1))
+            r = tape.exp(tape.gather(tape.log_softmax(logits), [1]))
             lo = tape.scale(tape.clip(r, 0.05, 0.15), 3.0)
             hi = tape.scale(r, 3.0)
             m = tape.minimum(hi, lo)
             v = tape.square(tape.shift(tape.matmul(hidden, tape.leaf(np.ones(9))), -0.7))
-            loss = tape.scale(tape.add(m, v), 0.5)
+            loss = tape.scale(tape.mean(tape.add(m, v)), 0.5)
             return loss, tape
 
         loss, tape = compute(store)
@@ -159,7 +159,7 @@ class TestInputGradient:
                                 tape.param(store, "b2")))
         logits = tape.add(tape.matmul(h2, tape.param(store, "w3")), tape.param(store, "b3"))
         picked = tape.gather(tape.log_softmax(logits), [1, 4, 0])
-        return tape.add(tape.sum(picked), tape.mean(tape.square(h2)))
+        return tape.add(tape.mean(picked), tape.mean(tape.square(h2)))
 
     def test_parameter_gradients_match_an_input_with_a_gradient(self):
         store = tiny_mlp(12)
@@ -180,7 +180,7 @@ class TestInputGradient:
     def test_mlp_forward_input_gets_no_gradient(self):
         tape = Tape()
         logits, _, _ = mlp_forward(tiny_mlp(13), np.ones((2, 7)), tape)
-        tape.backward(tape.sum(logits))
+        tape.backward(tape.mean(logits))
         leaves = [v for v in tape._order if v._backward is None]
         assert [v.grad is None for v in leaves] == [True] + [False] * 6
 
@@ -238,13 +238,13 @@ class TestOptimizer:
             store = tiny_mlp(11)
             for i in range(5):
                 tape = Tape()
-                logits, _, _ = mlp_forward(store, np.linspace(0, 1, 7), tape)
+                logits, _, _ = mlp_forward(store, np.linspace(0, 1, 7)[None], tape)
                 loss = tape.mean(tape.square(logits))
                 optim_step(store, tape.backward(loss), OptimConfig(lr=1e-2))
             return store
 
         s1, s2 = run(), run()
-        for name in s1.names():
+        for name in s1.arrays:
             assert np.array_equal(s1[name], s2[name])
 
 
@@ -286,13 +286,13 @@ class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         store = tiny_mlp(12)
         tape = Tape()
-        logits, _, _ = mlp_forward(store, np.ones(7), tape)
-        optim_step(store, tape.backward(tape.sum(logits)), OptimConfig())
+        logits, _, _ = mlp_forward(store, np.ones((1, 7)), tape)
+        optim_step(store, tape.backward(tape.mean(logits)), OptimConfig())
         path = tmp_path / "ckpt.npz"
         store.save(path)
         loaded = ParamStore.load(path)
         assert loaded.step_count == store.step_count
-        for name in store.names():
+        for name in store.arrays:
             assert np.array_equal(loaded[name], store[name])
             assert np.array_equal(loaded.adam_m[name], store.adam_m[name])
             assert np.array_equal(loaded.adam_v[name], store.adam_v[name])
@@ -354,7 +354,7 @@ class TestFlatStore:
             optim_step(store, {k: rng.normal(size=v.shape) for k, v in store.arrays.items()},
                        OptimConfig(lr=1e-2))
         before = {k: (store[k].copy(), store.adam_m[k].copy(), store.adam_v[k].copy())
-                  for k in store.names()}
+                  for k in store.arrays}
         flat_before = store.flat_p.copy()
         store.add("wv", np.full(9, 0.5))
         assert store.step_count == 3

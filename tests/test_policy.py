@@ -289,7 +289,7 @@ class TestUint8Encodings:
         for x in (rows, rows.astype(np.float64)):
             tape = Tape()
             logits, hidden, _ = mlp_forward(store, x, tape)
-            loss = tape.add(tape.sum(tape.gather(tape.log_softmax(logits), [3] * len(x))),
+            loss = tape.add(tape.mean(tape.gather(tape.log_softmax(logits), [3] * len(x))),
                             tape.mean(tape.square(hidden)))
             grads = tape.backward(loss)
             results.append([logits.value, hidden.value, loss.value, *grads.values()])

@@ -22,6 +22,8 @@ MISUSES = {
     "optim_step(store, {'w': np.zeros(1)})": "ValueError",
     "optim_step(store, {'u': np.zeros(2)})": "KeyError",
     "mlp_forward(PolicyNet.create(seed=0).store, np.zeros(5))": "ValueError",
+    # the taped forward takes stacked rows only, never a single vector
+    "mlp_forward(PolicyNet.create(seed=0).store, np.zeros(164))": "ValueError",
     # a checkpoint whose layers do not fit is refused at load, not at first use
     "PolicyNet.load(io.BytesIO(five_inputs))": "CheckpointError",
     # a policy checkpoint holds more than a reward model's parameters
@@ -51,6 +53,14 @@ MISUSES = {
     "TrainConfig(buffer_capacity=True)": "ValueError",
     "TrainConfig(lr=True)": "ValueError",
     "TrainConfig(inject_gt='no')": "ValueError",
+    # an action set is a collection of indices, not one number
+    "TrainConfig(action_set=5)": "ValueError",
+    # so does every search setting: a float branching would fail at the first slice
+    "SearchConfig(branching=2.5)": "ValueError",
+    "SearchConfig(branching=True)": "ValueError",
+    "SearchConfig(expansion_budget=2.5)": "ValueError",
+    "SearchConfig(max_depth=2.5)": "ValueError",
+    "SearchConfig(dedupe='no')": "ValueError",
     # negative counts, and an empty train split, are refused before any work
     "build_corpus(-1, 1, 1)": "ValueError",
     "build_corpus(0, -1, 1)": "ValueError",
@@ -125,6 +135,7 @@ def test_misuse_raises_typed_exceptions(flags):
         "from flowprover.oracle import enumerate_trajectories, oracle_report",
         "from flowprover.reward_model import RewardModel, mine_hard_negatives, rm_train",
         "from flowprover.runs import run_training",
+        "from flowprover.search import SearchConfig",
         "gt = (parse_tactic('intro'), parse_tactic('exact h1'))",
         "thm = Theorem('t', initial_state(parse_formula('a -> a')), gt)",
         "thm3 = Theorem('t3', initial_state(parse_formula('a -> b -> a')),",

@@ -16,7 +16,7 @@ from flowprover.gfn import ProofTree, TrainConfig
 from flowprover.policy import HISTORY, HISTORY_LESS, PolicyNet
 from flowprover.reward_model import RewardModel
 from flowprover.runs import run_training
-from flowprover.search import SearchConfig, best_first_search, evaluate_split, search_from_state
+from flowprover.search import SearchConfig, evaluate_split, search_from_state
 
 from conftest import biased_net, identity_theorem
 
@@ -47,14 +47,15 @@ def run_optimized(script: str) -> str:
 class TestBestFirstSearch:
     def test_rigged_policy_proves_identity_in_two_expansions(self):
         thm = identity_theorem("a -> a")
-        outcome = best_first_search(rigged_net(), thm, SearchConfig())
+        outcome = search_from_state(rigged_net(), thm.initial_state, SearchConfig())
         assert outcome.proved
         assert outcome.expansions <= 2
         assert outcome.proof == thm.gt_proof
 
     def test_budget_zero(self):
         thm = identity_theorem("a -> a")
-        outcome = best_first_search(rigged_net(), thm, SearchConfig(expansion_budget=0))
+        outcome = search_from_state(rigged_net(), thm.initial_state,
+                                    SearchConfig(expansion_budget=0))
         assert not outcome.proved
         assert outcome.expansions == 0
 
@@ -62,7 +63,7 @@ class TestBestFirstSearch:
         net = PolicyNet.create(seed=1)
         cfg = SearchConfig()
         for thm in small_corpus.valid:
-            outcome = best_first_search(net, thm, cfg)
+            outcome = search_from_state(net, thm.initial_state, cfg)
             if outcome.proved:
                 assert replay(thm.initial_state, list(outcome.proof)).proved
 
@@ -93,7 +94,7 @@ class TestBestFirstSearch:
         # a theorem needing 4 steps is out of reach at max_depth 3
         thm = identity_theorem("a -> a & a")  # real proof: intro,split,exact,exact
         net = rigged_net()
-        outcome = best_first_search(net, thm, SearchConfig(expansion_budget=5000))
+        outcome = search_from_state(net, thm.initial_state, SearchConfig(expansion_budget=5000))
         assert not outcome.proved
 
     def test_search_from_arbitrary_state(self):
