@@ -6,19 +6,20 @@ comparable across proof lengths) and never touches the environment. PPO
 collects rollouts at temperature 1, uses the terminal shaped log-reward as
 the Monte-Carlo return for every step, advantage = return minus a learned
 state value, and maximizes the clipped surrogate minus a value MSE penalty.
-Each epoch is one taped forward over the stacked steps; the first epoch's,
-made before any update, is the old policy that gives the ratios' old
-log-probs and the advantages.
+Each epoch is one taped forward over the step rows, stacked once per
+step; the first epoch's, made before any update, is the old policy that
+gives the ratios' old log-probs and the advantages. PPO's clip range,
+epoch count and value weight are constants (``PPOConfig()``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Theorem
-from .gfn import ProofTree, StepMetrics, TrainConfig, sample_trajectories
+from .gfn import N_SAMPLED, ProofTree, StepMetrics, TrainConfig, sample_trajectories
 from .nn import Tape, mlp_forward_np, update
 from .policy import HISTORY, PolicyNet, head_graph, rows_graph
 from .reward_model import cross_entropy_graph, gt_pairs
@@ -26,13 +27,12 @@ from .reward_model import cross_entropy_graph, gt_pairs
 
 @dataclass(frozen=True)
 class PPOConfig:
-    clip_eps: float = 0.2
-    ppo_epochs: int = 4
-    value_coef: float = 0.5
+    """PPO's fixed settings, recorded in a run's manifest; it takes no
+    arguments."""
 
-    def __post_init__(self):
-        if not 0.0 < self.clip_eps < 1.0:
-            raise ValueError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
+    clip_eps: float = field(default=0.2, init=False)
+    ppo_epochs: int = field(default=4, init=False)
+    value_coef: float = field(default=0.5, init=False)
 
 
 class SFTTrainer:
@@ -49,7 +49,7 @@ class SFTTrainer:
         x, y = self._pairs[thm.name]
         tape = Tape()
         loss = cross_entropy_graph(tape, self.net.store, x, y)
-        loss_value, grad_norm, skipped = update(self.net.store, tape, loss, self.cfg.optim)
+        loss_value, grad_norm, skipped = update(self.net.store, tape, loss, self.cfg.lr)
         self.step_index += 1
         return StepMetrics(
             step=self.step_index,
@@ -79,13 +79,19 @@ def ppo_surrogate_terms(ratio: float, advantage: float, clip_eps: float) -> floa
                float(np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)) * advantage)
 
 
-def _epoch_graph(tape: Tape, net: PolicyNet, steps, ppo: PPOConfig, old=None):
-    """``ppo_loss_graph``'s (loss, surrogate, value MSE), and the old policy
-    it used, (old log-probs, advantages): ``old``, or else this forward's
-    own log-probs and returns minus values."""
-    x = np.stack([enc for enc, _, _ in steps])
-    returns = np.array([ret for _, _, ret in steps], dtype=np.float64)
-    lp, hidden = rows_graph(tape, net.store, x, [a for _, a, _ in steps])
+def _stack(steps):
+    """(rows, action indices, returns) of (encoding, action, return)
+    triples: the float64 row matrix and the returns as float64 arrays."""
+    x = np.stack([enc for enc, _, _ in steps]).astype(np.float64)
+    return x, [a for _, a, _ in steps], np.array([r for _, _, r in steps], dtype=np.float64)
+
+
+def _epoch_graph(tape: Tape, net: PolicyNet, rows, ppo: PPOConfig, old=None):
+    """``ppo_loss_graph``'s (loss, surrogate, value MSE) over ``_stack``'s
+    ``rows``, and the old policy it used, (old log-probs, advantages):
+    ``old``, or else this forward's own log-probs and returns minus values."""
+    x, actions, returns = rows
+    lp, hidden = rows_graph(tape, net.store, x, actions)
     v = head_graph(tape, net.store, hidden, "wv", "bv")
     old_logps, advantages = old if old is not None else (lp.value, returns - v.value)
     adv = np.asarray(advantages, dtype=np.float64)
@@ -108,7 +114,7 @@ def ppo_loss_graph(tape: Tape, net: PolicyNet, steps, old_logps, advantages,
     Gradients pass through the unclipped branch only where it is the smaller
     one, so a clipped step contributes exactly zero policy gradient.
     """
-    return _epoch_graph(tape, net, steps, ppo, (old_logps, advantages))[0]
+    return _epoch_graph(tape, net, _stack(steps), ppo, (old_logps, advantages))[0]
 
 
 class PPOTrainer:
@@ -127,12 +133,12 @@ class PPOTrainer:
 
     def _collect(self, thm: Theorem):
         batch = sample_trajectories(self._trees[thm.name], self.net, self.cfg,
-                                    self.rng, self.cfg.n_sampled, rm=self.rm)
+                                    self.rng, N_SAMPLED, rm=self.rm)
         # Monte-Carlo return: per-step reward is 0 except the terminal
-        # shaped log-reward
-        steps = [(node.encoding(), t, traj.log_r)
-                 for traj in batch for node, t in zip(traj.nodes, traj.tactics)]
-        return steps, [t.log_r for t in batch], [t.log_pf for t in batch]
+        # shaped log-reward; the rows are stacked once for every epoch
+        rows = _stack([(node.encoding(), t, traj.log_r)
+                       for traj in batch for node, t in zip(traj.nodes, traj.tactics)])
+        return rows, [t.log_r for t in batch], [t.log_pf for t in batch]
 
     def train_step(self, thm: Theorem) -> StepMetrics:
         """Rollouts of ``thm``, then ``ppo_epochs`` updates. The first
@@ -141,14 +147,14 @@ class PPOTrainer:
         metrics carry the last epoch's loss and norm; grad_skipped if any
         epoch skipped."""
         cfg, ppo = self.cfg, self.ppo
-        steps, rewards, logpfs = self._collect(thm)
+        rows, rewards, logpfs = self._collect(thm)
         loss_value = grad_norm = float("nan")
         skipped = False
         old = None
         for _ in range(ppo.ppo_epochs):
             tape = Tape()
-            (loss, _, _), old = _epoch_graph(tape, self.net, steps, ppo, old)
-            loss_value, grad_norm, epoch_skipped = update(self.net.store, tape, loss, cfg.optim)
+            (loss, _, _), old = _epoch_graph(tape, self.net, rows, ppo, old)
+            loss_value, grad_norm, epoch_skipped = update(self.net.store, tape, loss, cfg.lr)
             skipped = skipped or epoch_skipped
 
         self.step_index += 1
@@ -159,7 +165,7 @@ class PPOTrainer:
             mean_log_r=float(np.mean(rewards)),
             mean_log_pf=float(np.mean(logpfs)),
             log_z=float("nan"),
-            env_calls=len(steps),  # tactic steps of the rollouts, as in GFN
+            env_calls=len(rows[0]),  # tactic steps of the rollouts (a row each), as in GFN
             grad_skipped=skipped,
             grad_norm=grad_norm,
         )

@@ -19,12 +19,14 @@ history-augmented encoding makes every state single-parent. (The loss is
 zero exactly at the reward-proportional optimum, which the enumeration
 oracle certifies.)
 
-The whole batch is one taped forward. Its rows are every step of every
-trajectory, stacked in batch order; log P_F is a segment sum of the rows'
-picked log-probabilities, one segment per trajectory. A trajectory's first
-row is its theorem's initial state with an empty history, which is exactly
-the log-Z head's input, so log Z is a row ``take`` of ``hidden @ wz + bz``
-at each trajectory's first row.
+A step's batch is ``N_SAMPLED`` rollouts (a tempered one at a temperature
+drawn from [TEMPER_LOW, TEMPER_HIGH]) or as many replayed draws, plus the
+injected ground truth. It is one taped forward. Its rows are every step of
+every trajectory, stacked in batch order; log P_F is a segment sum of the
+rows' picked log-probabilities, one segment per trajectory. A trajectory's
+first row is its theorem's initial state with an empty history, which is
+exactly the log-Z head's input, so log Z is a row ``take`` of
+``hidden @ wz + bz`` at each trajectory's first row.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .env import (
     replay,
     state_fingerprint,
 )
-from .nn import OptimConfig, Tape, log_softmax_np, update
+from .nn import Tape, log_softmax_np, update
 from .policy import (
     HISTORY,
     PolicyNet,
@@ -86,6 +88,11 @@ class InvalidGroundTruth(ValueError):
 ALPHA = 8.0
 C_MAX_TACTIC_LEN = 88.0
 ERROR_BASE = -15.0
+
+# Rollouts per online step (and draws per replay step), and the range a
+# tempered rollout's temperature is drawn from, fixed for every run.
+N_SAMPLED = 5
+TEMPER_LOW, TEMPER_HIGH = 0.25, 1.0
 
 
 @dataclass(slots=True, init=False)
@@ -327,21 +334,17 @@ class TrainConfig:
     online-only modes never replay, gfn_br_oo trains on the binary reward,
     and ppo never tempers its rollouts. ``max_depth``, where rollouts stop,
     defaults to ``corpus.MAX_PROOF_LEN``, the longest template proof.
-    ``write`` and ``read`` are the ``--config`` file format."""
+    ``write`` and ``read`` are the ``--config`` file format. What no run
+    sets is a constant: ``N_SAMPLED``, ``TEMPER_LOW``/``TEMPER_HIGH``, the
+    replay buffer's capacity and ``nn.CLIP_NORM``/``nn.WEIGHT_DECAY``."""
 
     lr: float = 1e-4
-    clip_norm: float = 0.5
-    n_sampled: int = 5
     replay_p: float = 0.5
     temper_p: float = 0.666
-    temper_low: float = 0.25
-    temper_high: float = 1.0
     max_depth: int = MAX_PROOF_LEN
     mode: str = "gfn"  # gfn | gfn_oo | gfn_br_oo | sft | ppo
     inject_gt: bool = True
-    buffer_capacity: int = 64
     reward_mode: str = FULL_RM
-    weight_decay: float = 0.01
     action_set: tuple[int, ...] | None = None  # restricted subsets are test-only
 
     def __post_init__(self):
@@ -350,15 +353,9 @@ class TrainConfig:
             ("mode", self.mode in ALL_MODES, f"one of {', '.join(ALL_MODES)}"),
             ("reward_mode", self.reward_mode in (FULL_RM, BINARY), f"{FULL_RM} or {BINARY}"),
             ("lr", 0 < self.lr < np.inf, "positive and finite"),
-            ("clip_norm", 0 < self.clip_norm < np.inf, "positive and finite"),
-            ("weight_decay", 0 <= self.weight_decay < np.inf, "non-negative and finite"),
             ("replay_p", 0 <= self.replay_p <= 1, "in [0, 1]"),
             ("temper_p", 0 <= self.temper_p <= 1, "in [0, 1]"),
-            ("temper_low", 0 < self.temper_low <= self.temper_high, "in (0, temper_high]"),
-            ("temper_high", self.temper_high < np.inf, "finite"),
-            ("n_sampled", self.n_sampled >= 1, "at least 1"),
             ("max_depth", self.max_depth >= 1, "at least 1"),
-            ("buffer_capacity", self.buffer_capacity >= 1, "at least 1"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -419,11 +416,6 @@ class TrainConfig:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
-    @property
-    def optim(self) -> OptimConfig:
-        return OptimConfig(lr=self.lr, clip_norm=self.clip_norm,
-                           weight_decay=self.weight_decay)
-
 
 class ReplayBuffer:
     """Per-theorem FIFO buffers of finished trajectories, each kept as its
@@ -472,7 +464,7 @@ def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
     """``n`` rollouts of the policy from the tree's root.
 
     Each rollout is tempered with probability ``temper_p`` (T uniform in
-    [temper_low, temper_high]); the accumulated log_pf is always the
+    [TEMPER_LOW, TEMPER_HIGH]); the accumulated log_pf is always the
     temperature-1 policy probability. A rollout ends on proof completion,
     on environment error, or at max_depth. The masked logits of each prefix
     the batch reaches are computed once, for this call only, since the net
@@ -490,7 +482,7 @@ def sample_trajectories(tree: ProofTree, net: PolicyNet, cfg: TrainConfig,
     scores: dict[ProofNode, tuple[np.ndarray, np.ndarray]] = {}
     batch = []
     for _ in range(n):
-        temperature = (float(rng.uniform(cfg.temper_low, cfg.temper_high))
+        temperature = (float(rng.uniform(TEMPER_LOW, TEMPER_HIGH))
                        if rng.random() < cfg.temper_p else 1.0)
         node, tactics, log_pf = tree.root, [], 0.0
         for _ in range(cfg.max_depth):
@@ -627,7 +619,7 @@ class GFNTrainer:
                     raise ValueError(f"ground truth of {thm.name} has {len(thm.gt_proof)} "
                                      f"tactics, more than max_depth {self.cfg.max_depth}")
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.buffer = ReplayBuffer(cfg.buffer_capacity)
+        self.buffer = ReplayBuffer()
         self.step_index = 0
         # One tree per theorem for the run, holding its ground truth's walk.
         self._trees = {thm.name: ProofTree(thm) for thm in theorems}
@@ -641,11 +633,11 @@ class GFNTrainer:
             and self.buffer.size(thm.name) > 0
         )
         if use_replay:
-            batch = self.buffer.sample(thm.name, cfg.n_sampled, self.rng)
+            batch = self.buffer.sample(thm.name, N_SAMPLED, self.rng)
             env_calls = 0
         else:
             batch = sample_trajectories(self._trees[thm.name], self.net, cfg, self.rng,
-                                        cfg.n_sampled, rm=self.rm)
+                                        N_SAMPLED, rm=self.rm)
             for traj in batch:
                 self.buffer.add(traj)
             env_calls = sum(map(len, batch))
@@ -655,7 +647,7 @@ class GFNTrainer:
 
         tape = Tape()
         loss, info = tb_loss_graph(tape, self.net, batch, action_set=cfg.action_set)
-        loss_value, grad_norm, skipped = update(self.net.store, tape, loss, cfg.optim)
+        loss_value, grad_norm, skipped = update(self.net.store, tape, loss, cfg.lr)
         self.step_index += 1
         return StepMetrics(
             step=self.step_index,

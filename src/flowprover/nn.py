@@ -4,8 +4,9 @@ A Tape records forward operations as Var nodes in construction order
 (which is a valid topological order), so exact reverse-mode gradients of a
 scalar loss come from one reverse sweep. Only the operations the trainers
 actually use are implemented, on stacked rows: every loss graph is one
-forward over an (n, d) matrix of input rows. Everything is deterministic:
-same inputs, same operation order, same bits.
+forward over an (n, d) matrix of input rows. The optimizer, a global-norm
+clip then AdamW, takes only a learning rate; the rest of it is constants.
+Everything is deterministic: same inputs, same operation order, same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import os
 import zipfile
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
@@ -366,7 +366,8 @@ class Tape:
         n = a.value.size
         def bw(g):
             a._accum(np.full_like(a.value, float(g) / n))
-        return self._node(a.value.mean(), bw)
+        # ndarray.mean's bits: the same reduction and divide, without its wrapper
+        return self._node(np.add.reduce(a.value, axis=None) / n, bw)
 
     def segment_sum(self, a: Var, seg, n: int) -> Var:
         """Sums of a vector's entries by segment: out[k] = sum of a[i] with
@@ -458,17 +459,14 @@ def mlp_forward_np(store: ParamStore, x: np.ndarray) -> tuple[np.ndarray, np.nda
 # Optimizer: global-norm clip then AdamW
 
 
-# AdamW's moment decay rates and denominator offset, fixed for every run.
+# The global-norm clip, AdamW's moment decay rates, its denominator offset
+# and its decoupled weight decay, fixed for every run; only the learning rate
+# is a setting.
+CLIP_NORM = 0.5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass
-class OptimConfig:
-    lr: float = 1e-4
-    clip_norm: float = 0.5
-    weight_decay: float = 0.01
+WEIGHT_DECAY = 0.01
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
@@ -493,11 +491,11 @@ def _scratch_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _scratch[0, :n], _scratch[1, :n]
 
 
-def optim_step(store: ParamStore, grads: dict[str, np.ndarray],
-               cfg: OptimConfig = OptimConfig()) -> float:
-    """Clip gradients to ``clip_norm`` global norm, then apply one AdamW
-    update (decoupled weight decay: p -= lr*wd*p in addition to the Adam
-    step; bias-corrected moments). Returns the pre-clip gradient norm.
+def optim_step(store: ParamStore, grads: dict[str, np.ndarray], lr: float = 1e-4) -> float:
+    """Clip gradients to ``CLIP_NORM`` global norm, then apply one AdamW
+    update at learning rate ``lr`` (decoupled weight decay: p -= lr*wd*p in
+    addition to the Adam step, wd = ``WEIGHT_DECAY``; bias-corrected
+    moments). Returns the pre-clip gradient norm.
 
     The gradients are copied into one of the optimizer's two flat scratch
     rows (zeros for a parameter without one). The norm is
@@ -531,8 +529,8 @@ def optim_step(store: ParamStore, grads: dict[str, np.ndarray],
             if not np.all(np.isfinite(a[store.segments[name]])):
                 raise NonFiniteGradient(f"non-finite gradient for {name!r}")
     norm = float(np.sqrt(total))
-    if norm > cfg.clip_norm:
-        a *= cfg.clip_norm / norm  # a = the clipped gradient
+    if norm > CLIP_NORM:
+        a *= CLIP_NORM / norm  # a = the clipped gradient
 
     store.step_count += 1
     t = store.step_count
@@ -550,17 +548,17 @@ def optim_step(store: ParamStore, grads: dict[str, np.ndarray],
     np.sqrt(a, out=a)
     a += ADAM_EPS  # a = sqrt(v_hat) + eps
     np.divide(m, bc1, out=b)
-    b *= cfg.lr
+    b *= lr
     b /= a  # b = lr * m_hat / (sqrt(v_hat) + eps)
-    np.multiply(p, cfg.lr * cfg.weight_decay, out=a)  # a = decay, from p before the update
+    np.multiply(p, lr * WEIGHT_DECAY, out=a)  # a = decay, from p before the update
     p -= b
     p -= a
     return norm
 
 
-def update(store: ParamStore, tape: Tape, loss: Var,
-           cfg: OptimConfig) -> tuple[float, float, bool]:
-    """One training update: backward from ``loss``, then ``optim_step``.
+def update(store: ParamStore, tape: Tape, loss: Var, lr: float) -> tuple[float, float, bool]:
+    """One training update: backward from ``loss``, then ``optim_step`` at
+    learning rate ``lr``.
 
     Returns the loss value, the pre-clip gradient norm and whether the
     update was skipped. A non-finite gradient skips it, leaving the store
@@ -568,7 +566,7 @@ def update(store: ParamStore, tape: Tape, loss: Var,
     """
     grads = tape.backward(loss)
     try:
-        return float(loss.value), optim_step(store, grads, cfg), False
+        return float(loss.value), optim_step(store, grads, lr), False
     except NonFiniteGradient as exc:
         logger.warning("%s; update skipped", exc)
         return float(loss.value), float("nan"), True

@@ -26,7 +26,6 @@ from .env import (
 from .gfn import ProofTree, TrainConfig, ground_truth, sample_trajectories
 from .nn import (
     MLP_PARAMS,
-    OptimConfig,
     ParamStore,
     Tape,
     log_softmax_np,
@@ -41,7 +40,7 @@ logger = logging.getLogger(__name__)
 
 RM_BATCH_SIZE = 64
 RM_HIDDEN = 128
-RM_OPTIM = OptimConfig()
+RM_LR = 1e-4
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -124,7 +123,7 @@ def rm_train(corpus: CorpusSplit, epochs: int = 20, seed: int = 0) -> RewardMode
             take = order[start:start + RM_BATCH_SIZE]
             tape = Tape()
             loss = cross_entropy_graph(tape, rm.store, x[take], y[take])
-            losses.append(update(rm.store, tape, loss, RM_OPTIM)[0])
+            losses.append(update(rm.store, tape, loss, RM_LR)[0])
         rm.epoch_losses.append(float(np.mean(losses)))
         logger.debug("rm epoch %d: mean loss %.4f", epoch, rm.epoch_losses[-1])
     return rm

@@ -78,18 +78,17 @@ class RunResult:
 def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
                  out_dir: str | Path, rm: RewardModel | None = None,
                  cfg: TrainConfig | None = None, clock: str = "real", val_every: int = 20,
-                 val_cfg: SearchConfig = SearchConfig(),
                  checkpoint_every: int = 100, corpus_digest: str = "",
                  command: str = "") -> RunResult:
     """Train ``mode`` for ``steps`` gradient steps over the corpus. ``cfg``
     is copied with ``mode`` (which re-applies the settings the mode forces)
     and resolved against ``rm`` by the trainer (``for_reward_model``); the
     run records the trainer's config and leaves the caller's object as it
-    was. Validation searches with ``val_cfg`` at the resolved ``max_depth``,
-    where the rollouts stop. ValueError, before anything is written, for a
-    negative count, for steps on an empty train split, or for a train split
-    the trainer refuses (under GFN with ``inject_gt``, a ground truth longer
-    than ``cfg.max_depth``)."""
+    was. Validation searches with the default ``SearchConfig`` at the
+    resolved ``max_depth``, where the rollouts stop. ValueError, before
+    anything is written, for a negative count, for steps on an empty train
+    split, or for a train split the trainer refuses (under GFN with
+    ``inject_gt``, a ground truth longer than ``cfg.max_depth``)."""
     if clock not in ("real", "off"):
         raise ValueError(f"clock must be real or off, got {clock!r}")
     check_non_negative(seed=seed, steps=steps, val_every=val_every,
@@ -109,7 +108,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
     else:
         trainer = GFNTrainer(corpus.train, net, cfg, rm=rm, seed=trainer_seed)
     cfg = trainer.cfg
-    val_cfg = replace(val_cfg, max_depth=cfg.max_depth)
+    search_cfg = SearchConfig(max_depth=cfg.max_depth)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -120,9 +119,10 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
         "steps": steps,
         "config": asdict(cfg),
         "ppo_config": asdict(trainer.ppo) if mode == "ppo" else None,
-        "validation": {"every": val_every, "branching": val_cfg.branching,
-                       "budget": val_cfg.expansion_budget,
-                       "encoding": val_cfg.encoding_mode, "max_depth": val_cfg.max_depth},
+        "validation": {"every": val_every, "branching": search_cfg.branching,
+                       "budget": search_cfg.expansion_budget,
+                       "encoding": search_cfg.encoding_mode,
+                       "max_depth": search_cfg.max_depth},
         "corpus_hash": corpus_digest,
         "version": __version__,
         "clock": clock,
@@ -151,7 +151,7 @@ def run_training(mode: str, corpus: CorpusSplit, seed: int, steps: int,
             if clock == "real":
                 m.wall_ms = int((time.monotonic() - t0) * 1000)
             if val_every and i % val_every == 0:
-                report = evaluate_split(net, val_trees, val_cfg)
+                report = evaluate_split(net, val_trees, search_cfg)
                 m.val_solved = report.solved
                 val_history.append((i, report.solved))
             metrics.append(m)

@@ -22,7 +22,7 @@ BAD_TOLERANCES = [["--assert", "--tv-tol", "-1"], ["--assert", "--tv-tol", "nan"
 
 # (mode, key, value) of one-line --config files that TrainConfig refuses
 BAD_CONFIG_FILES = [
-    ("ppo", "n_sampled", "0"),
+    ("ppo", "lr", "0"),
     ("ppo", "max_depth", "0"),
     ("gfn-br-oo", "max_depth", "0"),
     ("gfn-br-oo", "action_set", "99"),
@@ -131,7 +131,7 @@ class TestTrain:
     def test_config_file_with_flag_override(self, corpus_dir, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("lr = 0.002\nreplay_p = 0.9  # overridden by flag\n"
-                            "n_sampled = 3\n")
+                            "temper_p = 0.25\n")
         out = tmp_path / "cfgd"
         assert main(["train", "--mode", "gfn-br-oo", "--corpus", str(corpus_dir),
                      "--steps", "2", "--out", str(out), "--clock", "off",
@@ -139,7 +139,7 @@ class TestTrain:
                      "--replay-p", "0.1"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["lr"] == 0.002
-        assert manifest["config"]["n_sampled"] == 3
+        assert manifest["config"]["temper_p"] == 0.25
         # flag wins over file, then br-oo mode forces replay off
         assert manifest["config"]["replay_p"] == 0.0
 
@@ -166,7 +166,7 @@ class TestTrain:
 
     def test_config_file_bad_value_exits_2_naming_the_line(self, corpus_dir, tmp_path, capsys):
         cfg_file = tmp_path / "bad_value.cfg"
-        cfg_file.write_text("n_sampled = 3\nlr=abc\n")
+        cfg_file.write_text("temper_p = 0.25\nlr=abc\n")
         with pytest.raises(SystemExit) as exc:
             main(["train", "--mode", "sft", "--corpus", str(corpus_dir),
                   "--steps", "2", "--out", str(tmp_path / "y"),
@@ -187,6 +187,20 @@ class TestTrain:
                 == f"error: {cfg_file}:3: config key 'lr' repeats line 1")
         assert not (tmp_path / "y").exists()
 
+    @pytest.mark.parametrize("key", ["clip_norm", "weight_decay", "n_sampled",
+                                     "buffer_capacity", "temper_low", "temper_high"])
+    def test_config_file_with_a_removed_key_exits_2_naming_it(self, key, corpus_dir, tmp_path,
+                                                             capsys):
+        # a config.txt written while these were TrainConfig fields held a line for each
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text(f"lr = 0.0001\n{key} = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--mode", "gfn-br-oo", "--corpus", str(corpus_dir), "--steps", "2",
+                  "--out", str(tmp_path / "run"), "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert _usage_error_line(capsys) == f"error: {cfg_file}:2: unknown config key {key!r}"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("mode", ["sft", "ppo"])
     def test_action_set_outside_gfn_modes_exits_2(self, mode, corpus_dir, tmp_path, capsys):
         cfg_file = tmp_path / "subset.cfg"
@@ -200,10 +214,9 @@ class TestTrain:
 
     def test_config_file_round_trips_every_field(self, tmp_path):
         names = [f.name for f in dataclasses.fields(TrainConfig)]
-        every = TrainConfig(lr=1e-3 / 3, clip_norm=1.5, n_sampled=7, replay_p=0.0,
-                            temper_p=0.1, temper_low=0.5, temper_high=2.0, max_depth=4,
-                            mode="gfn_oo", inject_gt=False, buffer_capacity=9,
-                            reward_mode=BINARY, weight_decay=0.0, action_set=(12, 0, 4))
+        every = TrainConfig(lr=1e-3 / 3, replay_p=0.0, temper_p=0.1, max_depth=4,
+                            mode="gfn_oo", inject_gt=False, reward_mode=BINARY,
+                            action_set=(12, 0, 4))
         assert all(getattr(every, name) != getattr(TrainConfig(), name) for name in names)
         for k, cfg in enumerate((every, TrainConfig(mode="ppo", lr=2.5e-5),
                                  TrainConfig(mode="gfn_br_oo", action_set=(35,)))):

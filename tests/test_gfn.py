@@ -5,6 +5,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowprover.baselines import PPOConfig, PPOTrainer, SFTTrainer
 from flowprover.corpus import CorpusSplit, build_corpus
@@ -12,6 +14,7 @@ from flowprover.env import (
     ACTION_CHARS,
     ACTION_INDEX,
     ACTIONS,
+    N_ACTIONS,
     ProofState,
     StepKind,
     Tactic,
@@ -21,11 +24,14 @@ from flowprover.env import (
     state_fingerprint,
 )
 from flowprover.gfn import (
+    ALL_MODES,
     BINARY,
     DEPTH_EXHAUSTED,
     ENV_ERROR,
     FULL_RM,
+    GFN_MODES,
     GFNTrainer,
+    N_SAMPLED,
     PROVED,
     ProofNode,
     ProofTree,
@@ -261,7 +267,7 @@ def _rollouts_over_updates(thm, net, cfg, rm, seed, trees):
             batch = sample_trajectories(tree, net, cfg, rng, 10, rm=rm)
         tape = Tape()
         loss, _ = tb_loss_graph(tape, net, batch, action_set=cfg.action_set)
-        update(net.store, tape, loss, cfg.optim)
+        update(net.store, tape, loss, cfg.lr)
         trajs += batch
     return trajs, rng.bit_generator.state
 
@@ -372,7 +378,7 @@ class TestRolloutTree:
 
         thms = [identity_theorem("a | b -> a | b", name="t1"),
                 identity_theorem("(a -> b) -> (a -> b)", name="t2")]
-        cfg = TrainConfig(mode=mode, n_sampled=12)
+        cfg = TrainConfig(mode=mode)
         net, rm = _biased_net(12), RewardModel.create(seed=2)
         if mode == "ppo":
             trainer, module = PPOTrainer(thms, net, cfg, rm=rm, seed=3), baselines_mod
@@ -415,7 +421,7 @@ class TestRolloutTree:
             batch_prefixes = {t.tactics[:i] for t in trajs for i in range(len(t))}
             prefixes |= {(thm.name, p) for p in batch_prefixes}
             steps |= {(thm.name, t.tactics[:i + 1]) for t in trajs for i in range(len(t))}
-            assert len(trajs) == 12
+            assert len(trajs) == N_SAMPLED
             assert calls["forward"] - before["forward"] == len(batch_prefixes)
             assert m.env_calls == sum(map(len, trajs))
         if mode != "ppo":  # the injected ground truth is encoded, applied before the steps
@@ -864,7 +870,7 @@ class TestTrainStep:
         assert first.env_calls > 0  # buffer empty: forced online
         second = trainer.train_step(thms[0])
         assert second.env_calls == 0  # replay_p=1 and buffer non-empty
-        assert trainer.buffer.reads == trainer.cfg.n_sampled
+        assert trainer.buffer.reads == N_SAMPLED
 
     def test_gt_injected_in_every_batch(self, monkeypatch):
         trainer, thms = self._trainer("gfn_br_oo")
@@ -972,7 +978,7 @@ class TestTrainStep:
         lambda: TrainConfig(mode="reinforce"),
         lambda: TrainConfig(mode="sft", action_set=(0, 1)),
         lambda: TrainConfig(mode="ppo", action_set=(0, 1)),
-        lambda: PPOConfig(clip_eps=1.5),
+        lambda: TrainConfig(lr=float("inf")),
         lambda: TrainConfig(lr=0.0),
         lambda: SearchConfig(branching=0),
         lambda: SearchConfig(branching=37),
@@ -983,15 +989,21 @@ class TestTrainStep:
         lambda: TrainConfig(action_set=(99,)),
         lambda: TrainConfig(action_set=(0, 0)),
         lambda: TrainConfig(action_set=()),
-        lambda: TrainConfig(n_sampled=0),
+        lambda: TrainConfig(replay_p=-0.5),
         lambda: TrainConfig(max_depth=0),
         lambda: TrainConfig(replay_p=1.5),
-        lambda: TrainConfig(temper_low=0),
-        lambda: TrainConfig(buffer_capacity=0),
+        lambda: TrainConfig(temper_p=1.5),
+        lambda: TrainConfig(temper_p=-0.5),
     ])
     def test_bad_config_raises_value_error(self, make):
         with pytest.raises(ValueError):
             make()
+
+    def test_ppo_config_takes_no_arguments(self):
+        with pytest.raises(TypeError):
+            PPOConfig(clip_eps=0.1)
+        assert dataclasses.asdict(PPOConfig()) == {"clip_eps": 0.2, "ppo_epochs": 4,
+                                                   "value_coef": 0.5}
 
     def test_action_set_takes_numpy_integers_and_tactics_as_ints(self):
         cfg = TrainConfig(action_set=(np.int64(3), ACTIONS[5], 1))
@@ -1040,3 +1052,68 @@ class TestTrainStep:
         assert TrainConfig(mode="gfn_oo", replay_p=0.7).replay_p == 0.0
         assert TrainConfig(mode="gfn_br_oo", replay_p=0.7).replay_p == 0.0
         assert TrainConfig(mode="gfn_br_oo").reward_mode == BINARY
+
+
+@st.composite
+def train_configs(draw) -> TrainConfig:
+    """A valid TrainConfig: every one of its fields drawn (an action set
+    only under a GFN mode, which alone takes one)."""
+    mode = draw(st.sampled_from(ALL_MODES))
+    subsets = st.lists(st.integers(0, N_ACTIONS - 1), min_size=1, unique=True).map(tuple)
+    probability = st.floats(0.0, 1.0)
+    return TrainConfig(
+        lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        replay_p=draw(probability),
+        temper_p=draw(probability),
+        max_depth=draw(st.integers(1, 10 ** 6)),
+        mode=mode,
+        inject_gt=draw(st.booleans()),
+        reward_mode=draw(st.sampled_from((FULL_RM, BINARY))),
+        action_set=draw(st.none() | subsets) if mode in GFN_MODES else None,
+    )
+
+
+# Text of one line: no line break of any kind, no "=" and no comment mark.
+_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                                   blacklist_characters="=#"), min_size=1)
+_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+
+
+class TestConfigFile:
+    """``TrainConfig.write`` then ``read`` is the identity, and a bad line
+    of a ``--config`` file is a ValueError naming its ``path:line``."""
+
+    def test_write_then_read_returns_an_equal_config(self, tmp_path):
+        path = tmp_path / "config.txt"
+
+        @given(train_configs())
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        def check(cfg):
+            cfg.write(path)
+            assert TrainConfig.read(path) == cfg
+
+        check()
+
+    def test_a_bad_line_is_a_value_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "config.txt"
+        bad_lines = st.one_of(
+            _LINE_TEXT.filter(str.strip),  # junk: no "="
+            _LINE_TEXT.filter(lambda key: key.strip() and key.strip() not in _FIELDS)
+            .map(lambda key: f"{key} = 1"),  # an unknown key
+            st.sampled_from(_FIELDS).map(lambda key: f"{key} = 1"),  # a repeated key
+        )
+
+        @given(train_configs(), bad_lines, st.data())
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        def check(cfg, bad, data):
+            cfg.write(path)
+            lines = path.read_text().splitlines()
+            # the repeated key's first line comes first; junk goes anywhere
+            at = len(lines) if bad.split(" = ")[0] in _FIELDS else \
+                data.draw(st.integers(0, len(lines)))
+            path.write_text("\n".join(lines[:at] + [bad] + lines[at:]) + "\n")
+            with pytest.raises(ValueError) as exc:
+                TrainConfig.read(path)
+            assert str(exc.value).startswith(f"{path}:{at + 1}: "), str(exc.value)
+
+        check()

@@ -10,7 +10,11 @@ are gone from the package are read nowhere: ``old_policy_terms`` (PPO's old
 policy is its first epoch's forward), ``best_first_search``, ``init_mlp``,
 ``PROVED_FINGERPRINT`` and ``_enc_less`` (a node keeps only its HISTORY
 encoding); nor does anything call ``.names(`` or ``tape.sum(`` (a loss
-graph reduces rows with ``tape.mean``)."""
+graph reduces rows with ``tape.mean``). The settings no run set are
+constants: nothing reads or passes ``OptimConfig``, ``RM_OPTIM``,
+``.optim``, ``run_training``'s ``val_cfg`` or the removed ``TrainConfig``
+fields (``clip_norm``, ``weight_decay``, ``n_sampled``, ``buffer_capacity``,
+``temper_low``, ``temper_high``)."""
 
 import ast
 from pathlib import Path
@@ -93,8 +97,10 @@ def test_the_check_finds_a_reward_spec_read():
     assert name_reads(planted("RewardSpec"), "RewardSpec") == [1, 3, 4]
 
 
+GONE_SETTINGS = ("clip_norm", "weight_decay", "n_sampled", "buffer_capacity", "temper_low",
+                 "temper_high", "val_cfg")
 GONE_NAMES = ("old_policy_terms", "best_first_search", "init_mlp", "PROVED_FINGERPRINT",
-              "_enc_less")
+              "_enc_less", "OptimConfig", "RM_OPTIM", "optim", *GONE_SETTINGS)
 
 
 @pytest.mark.parametrize("name", GONE_NAMES)
@@ -135,7 +141,8 @@ def call_marks(source: str) -> list[tuple[int, str]]:
     return sorted(marks)
 
 
-GONE_CALLS = ("nodes=", ".kind(", ".names(", "tape.sum(")
+GONE_CALLS = ("nodes=", ".kind(", ".names(", "tape.sum(",
+              *(f"{name}=" for name in GONE_SETTINGS))
 
 
 def test_the_check_finds_a_nodes_keyword_and_a_kind_call():
@@ -156,6 +163,16 @@ def test_the_check_finds_a_names_call_and_a_tape_sum():
               "names = store.arrays\n")
     assert [mark for mark in call_marks(source) if mark[1] in GONE_CALLS] == \
         [(1, ".names("), (2, "tape.sum(")]
+
+
+def test_the_check_finds_a_removed_setting_passed():
+    source = ("cfg = TrainConfig(lr=1e-3, n_sampled=3)\n"
+              "run_training('gfn', corpus, 0, 2, out, val_cfg=SearchConfig(),\n"
+              "             clock='off')\n"
+              "optim_step(store, grads, OptimConfig(clip_norm=1.0, weight_decay=0.0))\n"
+              "text = 'n_sampled = 3'\n")
+    assert [mark for mark in call_marks(source) if mark[1] in GONE_CALLS] == \
+        [(1, "n_sampled="), (2, "val_cfg="), (4, "clip_norm="), (4, "weight_decay=")]
 
 
 @pytest.mark.parametrize("path", [f"src/flowprover/{p.name}"

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from flowprover.nn import (
+    CLIP_NORM,
+    WEIGHT_DECAY,
     NonFiniteGradient,
-    OptimConfig,
     ParamStore,
     Tape,
     finite_difference_check,
@@ -22,11 +23,12 @@ def tiny_mlp(seed=0, in_dim=7, hidden=9, out_dim=5, scale=None):
     return ParamStore(mlp_params(np.random.default_rng(seed), in_dim, hidden, out_dim, scale))
 
 
-def reference_step(params, moments, grads, cfg, t):
+def reference_step(params, moments, grads, lr, t):
     """The AdamW update written out of place, for comparison, with its
-    constants written out: beta1 0.9, beta2 0.999, eps 1e-8."""
+    constants written out: clip norm 0.5, beta1 0.9, beta2 0.999, eps 1e-8,
+    weight decay 0.01."""
     norm = global_grad_norm(grads)
-    factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
+    factor = 0.5 / norm if norm > 0.5 else 1.0
     bc1 = 1.0 - 0.9 ** t
     bc2 = 1.0 - 0.999 ** t
     for name, p in params.items():
@@ -37,8 +39,7 @@ def reference_step(params, moments, grads, cfg, t):
         m_hat = m / bc1
         v_hat = v / bc2
         moments[name] = (m, v)
-        params[name] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + 1e-8) \
-            - cfg.lr * cfg.weight_decay * p
+        params[name] = p - lr * m_hat / (np.sqrt(v_hat) + 1e-8) - lr * 0.01 * p
 
 
 def assert_store_equals(store, params, moments, t):
@@ -80,6 +81,18 @@ class TestForward:
 
 
 class TestBackward:
+    def test_mean_has_ndarray_means_bits_on_loss_rows(self):
+        # every loss graph's mean runs over a vector of row or trajectory
+        # terms: a TB batch, a PPO step's rows, an SFT proof, a reward-model
+        # batch of 64 (numpy sums blocks of 128 pairwise, hence the sizes)
+        rng = np.random.default_rng(27)
+        for n in (*range(1, 40), 64, 127, 128, 129, 200, 513):
+            for x in (rng.normal(size=n), rng.normal(scale=10.0, size=n) ** 3,
+                      -rng.exponential(size=n)):
+                tape = Tape()
+                assert tape.mean(tape.leaf(x)).value.tobytes() == \
+                    np.asarray(x.mean()).tobytes(), n
+
     def test_linear_head_closed_form(self):
         # loss = c . logits is linear in the output layer, so dL/dw3 is the
         # outer product of the last hidden activation with c
@@ -191,10 +204,10 @@ class TestOptimizer:
         store.add("w", np.zeros(4))
         g = np.full(4, 0.5)  # norm 1.0
         assert np.isclose(global_grad_norm({"w": g}), 1.0)
-        optim_step(store, {"w": g}, OptimConfig(lr=1.0, weight_decay=0.0))
+        optim_step(store, {"w": g}, lr=1.0)
         # after clip the effective gradient has norm 0.5; AdamW's first step
-        # moves each coordinate by ~lr regardless of magnitude, so check the
-        # moment buffers saw the clipped values
+        # moves each coordinate by ~lr regardless of magnitude (and decays
+        # it), so check the moment buffers saw the clipped values
         assert np.allclose(store.adam_m["w"], 0.1 * 0.25)
 
     def test_post_clip_norm_bounded(self):
@@ -209,8 +222,7 @@ class TestOptimizer:
         store = ParamStore()
         store.add("w", np.array([1.0, -2.0]))
         g = np.array([0.3, -0.1])  # norm < 0.5, no clipping
-        cfg = OptimConfig(lr=1e-4, clip_norm=0.5, weight_decay=0.01)
-        optim_step(store, {"w": g}, cfg)
+        optim_step(store, {"w": g}, lr=1e-4)
         m = 0.1 * g
         v = 0.001 * g * g
         m_hat = m / 0.1
@@ -222,14 +234,14 @@ class TestOptimizer:
     def test_zero_grads_only_weight_decay(self):
         store = ParamStore()
         store.add("w", np.array([2.0]))
-        optim_step(store, {"w": np.zeros(1)}, OptimConfig())
+        optim_step(store, {"w": np.zeros(1)})
         assert np.isclose(store["w"][0], 2.0 * (1 - 1e-4 * 0.01))
 
     def test_nonfinite_gradient_raises_and_preserves_params(self):
         store = ParamStore()
         store.add("w", np.array([1.0]))
         with pytest.raises(NonFiniteGradient):
-            optim_step(store, {"w": np.array([np.nan])}, OptimConfig())
+            optim_step(store, {"w": np.array([np.nan])})
         assert store["w"][0] == 1.0
         assert store.step_count == 0
 
@@ -240,7 +252,7 @@ class TestOptimizer:
                 tape = Tape()
                 logits, _, _ = mlp_forward(store, np.linspace(0, 1, 7)[None], tape)
                 loss = tape.mean(tape.square(logits))
-                optim_step(store, tape.backward(loss), OptimConfig(lr=1e-2))
+                optim_step(store, tape.backward(loss), lr=1e-2)
             return store
 
         s1, s2 = run(), run()
@@ -253,12 +265,11 @@ class TestOptimizer:
         store.add("bz", np.asarray(0.3))  # 0-d parameters update in place too
         params = {k: v.copy() for k, v in store.arrays.items()}
         moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
-        cfg = OptimConfig(lr=1e-2)
         rng = np.random.default_rng(14)
         for t in range(1, 51):
             grads = {k: rng.normal(scale=0.4, size=v.shape) for k, v in params.items()}
-            optim_step(store, grads, cfg)
-            reference_step(params, moments, grads, cfg, t)
+            optim_step(store, grads, lr=1e-2)
+            reference_step(params, moments, grads, 1e-2, t)
             assert_store_equals(store, params, moments, t)
 
     @pytest.mark.parametrize("scale,clipped", [(0.001, False), (0.1, True), (3.0, True)])
@@ -269,16 +280,15 @@ class TestOptimizer:
         store = PolicyNet.create(seed=15, with_value_head=True).store
         params = {k: v.copy() for k, v in store.arrays.items()}
         moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
-        cfg = OptimConfig(lr=1e-2)
         rng = np.random.default_rng(16)
         for t in range(1, 9):
             grads = {k: rng.normal(scale=scale, size=v.shape) for k, v in params.items()}
             if t % 2:
                 grads = dict(reversed(grads.items()))
-            norm = optim_step(store, grads, cfg)
+            norm = optim_step(store, grads, lr=1e-2)
             assert norm == global_grad_norm(grads)
-            assert (norm > cfg.clip_norm) == clipped
-            reference_step(params, moments, grads, cfg, t)
+            assert (norm > CLIP_NORM) == clipped
+            reference_step(params, moments, grads, 1e-2, t)
             assert_store_equals(store, params, moments, t)
 
 
@@ -287,7 +297,7 @@ class TestCheckpoint:
         store = tiny_mlp(12)
         tape = Tape()
         logits, _, _ = mlp_forward(store, np.ones((1, 7)), tape)
-        optim_step(store, tape.backward(tape.mean(logits)), OptimConfig())
+        optim_step(store, tape.backward(tape.mean(logits)))
         path = tmp_path / "ckpt.npz"
         store.save(path)
         loaded = ParamStore.load(path)
@@ -352,7 +362,7 @@ class TestFlatStore:
         rng = np.random.default_rng(23)
         for _ in range(3):
             optim_step(store, {k: rng.normal(size=v.shape) for k, v in store.arrays.items()},
-                       OptimConfig(lr=1e-2))
+                       lr=1e-2)
         before = {k: (store[k].copy(), store.adam_m[k].copy(), store.adam_v[k].copy())
                   for k in store.arrays}
         flat_before = store.flat_p.copy()
@@ -384,9 +394,10 @@ class TestFlatStore:
         rng = np.random.default_rng(25)
         grads = {k: rng.normal(size=v.shape) for k, v in store.arrays.items() if k != "w2"}
         w2 = store["w2"].copy()
-        norm = optim_step(store, grads, OptimConfig(weight_decay=0.0))
+        norm = optim_step(store, grads)
         assert norm == global_grad_norm(grads)
-        assert np.array_equal(store["w2"], w2)  # zero gradient, no decay: unchanged
+        # zero gradient and zero moments: only the decay moves it
+        assert np.array_equal(store["w2"], w2 - w2 * (1e-4 * WEIGHT_DECAY))
         assert not store.adam_m["w2"].any()
 
     @pytest.mark.parametrize("grads,error", [

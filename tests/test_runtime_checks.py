@@ -48,9 +48,9 @@ MISUSES = {
     "TrainConfig(action_set=(0.5, 1, 2, 4))": "ValueError",
     "TrainConfig(action_set=(True, 2))": "ValueError",
     # every field has its annotation's type: a config.txt it writes is one --config reads
-    "TrainConfig(n_sampled=2.5)": "ValueError",
+    "TrainConfig(max_depth=2.5)": "ValueError",
     "TrainConfig(max_depth=2.0)": "ValueError",
-    "TrainConfig(buffer_capacity=True)": "ValueError",
+    "TrainConfig(max_depth=True)": "ValueError",
     "TrainConfig(lr=True)": "ValueError",
     "TrainConfig(inject_gt='no')": "ValueError",
     # an action set is a collection of indices, not one number

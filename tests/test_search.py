@@ -5,7 +5,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import flowprover.gfn as gfn_mod
 import flowprover.runs as runs_mod
@@ -204,8 +203,7 @@ class TestSearchInARunsTrees:
     """Validation searches the run's proof trees, which keep each node's
     encoding, applicable actions, results and dedupe key across calls."""
 
-    @pytest.mark.parametrize("mode", [HISTORY, HISTORY_LESS])
-    def test_every_validation_of_a_run_matches_a_fresh_tree_search(self, small_corpus, mode,
+    def test_every_validation_of_a_run_matches_a_fresh_tree_search(self, small_corpus,
                                                                   tmp_path, monkeypatch):
         calls = []
 
@@ -216,8 +214,7 @@ class TestSearchInARunsTrees:
             return got
         monkeypatch.setattr(runs_mod, "evaluate_split", checked)
         result = run_training("gfn", small_corpus, seed=4, steps=60, out_dir=tmp_path,
-                              rm=RewardModel.create(seed=0), clock="off", val_every=10,
-                              val_cfg=SearchConfig(encoding_mode=mode))
+                              rm=RewardModel.create(seed=0), clock="off", val_every=10)
         assert len(calls) == 6
         for trees, got, fresh in calls:
             assert trees is calls[0][0]  # one list of trees for the run
@@ -225,6 +222,11 @@ class TestSearchInARunsTrees:
         assert [solved for _, solved in result.val_history] == \
             [json.loads(got)["solved"] for _, got, _ in calls]
         assert len({got for _, got, _ in calls}) > 1  # the net moved between validations
+        # HISTORY_LESS searches of the kept trees, one after the other, match fresh trees too
+        trees, less = calls[0][0], SearchConfig(encoding_mode=HISTORY_LESS)
+        for net in (result.net, PolicyNet.create(seed=4)):
+            assert evaluate_split(net, trees, less).to_json() == \
+                evaluate_split(net, [tree.thm for tree in trees], less).to_json()
 
     def test_validation_searches_at_the_runs_depth(self, tmp_path):
         # the corpus has no one-tactic proof, so the validation of a run whose
