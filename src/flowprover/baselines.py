@@ -100,7 +100,7 @@ def _epoch_graph(tape: Tape, net: PolicyNet, rows, ppo: PPOConfig, old=None):
     clipped = tape.scale(tape.clip(ratio, 1.0 - ppo.clip_eps, 1.0 + ppo.clip_eps), adv)
     surrogate = tape.mean(tape.minimum(unclipped, clipped))
     value_mse = tape.mean(tape.square(tape.shift(v, -returns)))
-    loss = tape.add(tape.neg(surrogate), tape.scale(value_mse, ppo.value_coef))
+    loss = tape.add(tape.scale(surrogate, -1.0), tape.scale(value_mse, ppo.value_coef))
     return (loss, surrogate, value_mse), (old_logps, advantages)
 
 

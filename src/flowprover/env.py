@@ -309,8 +309,8 @@ def replay(state: ProofState, tactics: list[Tactic] | tuple[Tactic, ...]) -> Rep
     """Apply every tactic in order from ``state``, stopping at the first
     error; a tactic after the proof closes fails with NO_GOALS. An empty
     sequence returns Ok on ``state``. It walks tactic lists outside any
-    ``gfn.ProofTree``: the corpus's ground-truth checks, the re-check of a
-    search proof and ``gfn.trajectory_from_tactics``."""
+    ``gfn.ProofTree``: the corpus's ground-truth checks and the re-check of
+    a search proof."""
     states = [state]
     result = StepResult(StepKind.OK, state=state)
     for t in tactics:

@@ -167,10 +167,3 @@ def formula_depth(f: Formula) -> int:
     if isinstance(f, Atom):
         return 1
     return 1 + max(formula_depth(f.lhs), formula_depth(f.rhs))
-
-
-def formula_atoms(f: Formula) -> list[str]:
-    """Atom names in left-to-right occurrence order (with repeats)."""
-    if isinstance(f, Atom):
-        return [f.name]
-    return formula_atoms(f.lhs) + formula_atoms(f.rhs)

@@ -50,7 +50,6 @@ from .env import (
     Tactic,
     applicable_actions,
     apply_tactic,
-    replay,
     state_fingerprint,
 )
 from .nn import Tape, log_softmax_np, update
@@ -214,11 +213,13 @@ class ProofNode:
 
     def child(self, action: int) -> ProofNode:
         """The node ``action`` reaches from here, made on first use; the
-        action must have been applied (``apply``) and be OK."""
+        action must have been applied (``apply``) and not failed. A proved
+        action reaches the goal-less ``ProofState(())``."""
         node = self.children.get(action)
         if node is None:
             node = self.children[action] = ProofNode(
-                self.initial, self.history + (ACTIONS[action],), self.results[action].state)
+                self.initial, self.history + (ACTIONS[action],),
+                self.results[action].state or ProofState(()))
         return node
 
 
@@ -227,8 +228,8 @@ class ProofTree:
     initial state, empty history) down by tactic. It holds no net and no
     action set, so one tree serves every batch, or every validation search,
     of a run, and each oracle walk reads a fresh one: each distinct prefix
-    is encoded once and each (prefix, tactic) applied once. The ground
-    truth, rollouts, search and the oracle all apply tactics through
+    is encoded once and each (prefix, tactic) applied once. A known tactic
+    list, rollouts, search and the oracle all apply tactics through
     ``ProofNode.apply``, so every result in it is ``apply_tactic``'s."""
 
     def __init__(self, thm: Theorem):
@@ -345,7 +346,7 @@ class TrainConfig:
     mode: str = "gfn"  # gfn | gfn_oo | gfn_br_oo | sft | ppo
     inject_gt: bool = True
     reward_mode: str = FULL_RM
-    action_set: tuple[int, ...] | None = None  # restricted subsets are test-only
+    action_set: tuple[int, ...] | None = None  # as oracle --action-set's indices; a demo sets one
 
     def __post_init__(self):
         check_field_types(self)
@@ -395,7 +396,7 @@ class TrainConfig:
         bad or repeated line, or ``path`` for a bad combination."""
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         values, first_line = {}, {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(Path(path).read_text().split("\n"), start=1):
             key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
             if not (key or eq or value):
                 continue
@@ -512,14 +513,26 @@ def sample_trajectory(thm: Theorem, net: PolicyNet, cfg: TrainConfig,
     return sample_trajectories(ProofTree(thm), net, cfg, rng, 1, rm=rm)[0]
 
 
+def _walk(tree: ProofTree, tactics) -> Trajectory:
+    """The trajectory (log_pf unset) of ``tactics`` applied down ``tree``
+    from its root by ``ProofNode.apply`` and ``child``; it ends with the
+    first that fails, if one does, and a tactic after the close fails with
+    NO_GOALS on the goal-less state it reaches. ValueError if none given."""
+    if not tactics:
+        raise ValueError(f"trajectory for {tree.thm.name!r} needs at least one tactic")
+    node, n = tree.root, len(tactics)
+    for i, tactic in enumerate(tactics, start=1):
+        result = node.apply(tactic)
+        if result.failed or i == n:
+            break
+        node = node.child(tactic)
+    return Trajectory(tree.thm.name, tuple(tactics[:i]), result.kind, 0.0, root=tree.root)
+
+
 def trajectory_from_tactics(thm: Theorem, tactics) -> Trajectory:
-    """The trajectory of a known tactic sequence, through ``env.replay``
-    (log_pf unset), on a stand-alone tree. It holds the applied tactics: all
-    of them, unless one fails, in which case it ends with the failing one.
-    ValueError for an empty sequence."""
-    walk = replay(thm.initial_state, tactics)
-    n = len(walk.states) - (0 if walk.failed else 1)
-    return Trajectory(thm.name, tuple(tactics[:n]), walk.kind, 0.0, proof_states=walk.states)
+    """The trajectory of a known tactic sequence on a fresh tree: its
+    tactics up to and including the first that fails (``_walk``)."""
+    return _walk(ProofTree(thm), tactics)
 
 
 def ground_truth(tree: ProofTree) -> Trajectory:
@@ -527,18 +540,14 @@ def ground_truth(tree: ProofTree) -> Trajectory:
     through the tree's nodes, so the tree applies each of its tactics once.
     Raises InvalidGroundTruth when a tactic fails, when the proof stays
     open, or when a tactic follows the one that closes it."""
-    thm, node = tree.thm, tree.root
-    n = len(thm.gt_proof)
-    for i, tactic in enumerate(thm.gt_proof, start=1):
-        result = node.apply(tactic)
-        if result.failed or result.proved != (i == n):
-            raise InvalidGroundTruth(f"ground truth for {thm.name} does not prove it: "
-                                     f"tactic {i} of {n} ({tactic}) gives {result.kind.value}")
-        if result.ok:
-            node = node.child(tactic)
-    if not n:
+    thm = tree.thm
+    if not thm.gt_proof:
         raise InvalidGroundTruth(f"ground truth for {thm.name} is empty")
-    return Trajectory(thm.name, tuple(thm.gt_proof), StepKind.PROVED, 0.0, root=tree.root)
+    traj = _walk(tree, thm.gt_proof)
+    if traj.outcome is not StepKind.PROVED:
+        raise InvalidGroundTruth(f"ground truth for {thm.name} does not prove it: tactic "
+                                 f"{len(traj)} of {len(thm.gt_proof)} gives {traj.outcome.value}")
+    return traj
 
 
 @dataclass(slots=True)

@@ -293,9 +293,6 @@ class Tape:
             a._accum(_unbroadcast(g, a.value.shape))
         return self._node(a.value + np.asarray(c, dtype=np.float64), bw)
 
-    def neg(self, a: Var) -> Var:
-        return self.scale(a, -1.0)
-
     def matmul(self, x: Var, w: Var) -> Var:
         # x: (B, d) rows; w: (d, o), or (d,) for a scalar head per row.
         # The input rows are a leaf, so the first layer skips g @ w.T.

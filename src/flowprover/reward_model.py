@@ -59,11 +59,8 @@ class RewardModel:
         rng = np.random.default_rng(seed)
         return cls(store=ParamStore(mlp_params(rng, ENC_DIM, RM_HIDDEN, N_ACTIONS, scale)))
 
-    def encode(self, state: ProofState) -> np.ndarray:
-        return encode_from_parts(state, (), state, HISTORY_LESS)
-
     def log_probs(self, state: ProofState) -> np.ndarray:
-        logits, _ = mlp_forward_np(self.store, self.encode(state))
+        logits, _ = mlp_forward_np(self.store, encode_from_parts(state, (), state, HISTORY_LESS))
         return log_softmax_np(logits)
 
     def score(self, state: ProofState, tactic: Tactic) -> float:
@@ -102,7 +99,7 @@ def gt_pairs(theorems: list[Theorem],
 def cross_entropy_graph(tape: Tape, store: ParamStore, x: np.ndarray, y: np.ndarray):
     """Mean negative log-likelihood over a batch of encoded states."""
     picked, _ = rows_graph(tape, store, x, y)
-    return tape.neg(tape.mean(picked))
+    return tape.scale(tape.mean(picked), -1.0)
 
 
 def rm_train(corpus: CorpusSplit, epochs: int = 20, seed: int = 0) -> RewardModel:

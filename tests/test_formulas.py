@@ -10,7 +10,6 @@ from flowprover.formulas import (
     FormulaSyntaxError,
     Implies,
     Or,
-    formula_atoms,
     formula_depth,
     parse_formula,
     print_formula,
@@ -99,4 +98,3 @@ def test_round_trip_on_seeded_random_formulas():
 def test_helpers():
     f = Implies(And(a, b), a)
     assert formula_depth(f) == 3
-    assert formula_atoms(f) == ["a", "b", "a"]

@@ -1117,3 +1117,13 @@ class TestConfigFile:
             assert str(exc.value).startswith(f"{path}:{at + 1}: "), str(exc.value)
 
         check()
+
+    @pytest.mark.parametrize("mark", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_only_a_newline_ends_a_line(self, mark, tmp_path):
+        # str.splitlines also breaks at these; an editor shows them inside a line
+        path = tmp_path / "config.txt"
+        path.write_text(f"lr = 0.001 # a{mark}b\nbogus\n")
+        with pytest.raises(ValueError) as exc:
+            TrainConfig.read(path)
+        assert str(exc.value) == f"{path}:2: expected key=value, got 'bogus'"

@@ -85,6 +85,14 @@ def test_every_reader_gives_one_answer(case):
     assert tuple(node.state for node in traj.nodes) == walk.states[:len(traj.tactics)]
     # every applied tactic is kept: a failing one ends the trajectory
     assert len(traj.tactics) == (n_states if walk.failed else n_states - 1)
+    # its fresh tree records one apply_tactic result per applied tactic
+    recorded, stack = [], [traj.root]
+    while stack:
+        node = stack.pop()
+        recorded += [(node.history, t, r) for t, r in node.results.items()]
+        stack.extend(node.children.values())
+    assert recorded == [(traj.tactics[:i], t, env.apply_tactic(s, t))
+                        for i, (t, s) in enumerate(zip(traj.tactics, walk.states))]
     if case == "closing":
         assert walk.states[-1] == ProofState(())
         assert traj.tactics == thm.gt_proof
@@ -93,6 +101,10 @@ def test_every_reader_gives_one_answer(case):
     if case == "trailing":
         # the tactic after the close is applied to the proved state
         assert walk.error is ErrorReason.NO_GOALS and walk.states[-1] == ProofState(())
+        # ... which the proved action's child node holds, with the NO_GOALS result
+        closed = traj.nodes[1].children[traj.tactics[1]]
+        assert closed is traj.nodes[2] and closed.state == ProofState(())
+        assert closed.results[traj.tactics[2]].error is ErrorReason.NO_GOALS
 
 
 def test_bad_ground_truths_fail_under_optimized_python():

@@ -100,7 +100,8 @@ def test_the_check_finds_a_reward_spec_read():
 GONE_SETTINGS = ("clip_norm", "weight_decay", "n_sampled", "buffer_capacity", "temper_low",
                  "temper_high", "val_cfg")
 GONE_NAMES = ("old_policy_terms", "best_first_search", "init_mlp", "PROVED_FINGERPRINT",
-              "_enc_less", "OptimConfig", "RM_OPTIM", "optim", *GONE_SETTINGS)
+              "_enc_less", "OptimConfig", "RM_OPTIM", "optim", "formula_atoms",
+              *GONE_SETTINGS)
 
 
 @pytest.mark.parametrize("name", GONE_NAMES)
@@ -141,7 +142,7 @@ def call_marks(source: str) -> list[tuple[int, str]]:
     return sorted(marks)
 
 
-GONE_CALLS = ("nodes=", ".kind(", ".names(", "tape.sum(",
+GONE_CALLS = ("nodes=", ".kind(", ".names(", "tape.sum(", "tape.neg(",
               *(f"{name}=" for name in GONE_SETTINGS))
 
 
@@ -163,6 +164,13 @@ def test_the_check_finds_a_names_call_and_a_tape_sum():
               "names = store.arrays\n")
     assert [mark for mark in call_marks(source) if mark[1] in GONE_CALLS] == \
         [(1, ".names("), (2, "tape.sum(")]
+
+
+def test_the_check_finds_a_tape_neg():
+    source = ("loss = tape.neg(tape.mean(picked))\n"
+              "loss = tape.scale(tape.mean(picked), -1.0)\n"
+              "flipped = np.negative(x)\n")
+    assert [mark for mark in call_marks(source) if mark[1] in GONE_CALLS] == [(1, "tape.neg(")]
 
 
 def test_the_check_finds_a_removed_setting_passed():

@@ -129,7 +129,7 @@ class TestBackward:
         def compute(s):
             tape = Tape()
             logits, _, _ = mlp_forward(s, x, tape)
-            loss = tape.neg(tape.mean(tape.gather(tape.log_softmax(logits), [3])))
+            loss = tape.scale(tape.mean(tape.gather(tape.log_softmax(logits), [3])), -1.0)
             return loss, tape
 
         loss, tape = compute(store)
